@@ -8,39 +8,81 @@ The harness adds the conveniences the paper's workflows need:
   file system calls find their proxy files,
 - per-thread *application* instruction counts, measured from each
   thread's ROI entry (the point where startup code jumps into captured
-  code, identified by the thread's first retirement of its ``.tN.start``
-  address or of the ROI marker),
+  code, identified by the thread's ROI marker or, without one, by its
+  jump to a captured ``.tN.start`` address),
 - capture of the perfle counter output on stderr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.isa.instructions import Op
+from repro.machine.cpu import OP_COST
 from repro.machine.loader import LoadedImage, LoaderError, load_elf
 from repro.machine.machine import ExitStatus, Machine
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
-from repro.isa.instructions import Op
 
 
 class _RoiWatcher(Tool):
-    """Records each thread's icount when it enters application code."""
+    """Records each thread's icount when it enters application code.
 
-    wants_instructions = True
+    Entry is the thread's ROI marker or, in an ELFie built without one,
+    its first block entry at a captured ``.tN.start`` address (the
+    target of the startup's final jump).  Neither hook needs
+    per-instruction callbacks, so the run stays on the fast path.
+    """
 
-    def __init__(self, roi_rips: Dict[int, int]) -> None:
-        #: rip -> expected; any thread retiring a MARKER or one of the
-        #: captured start addresses is considered to have entered its ROI.
-        self.roi_rips = set(roi_rips.values()) if roi_rips else set()
+    wants_instructions = False
+    wants_markers = True
+    wants_blocks = True
+
+    def __init__(self, roi_rips: Iterable[int]) -> None:
+        self.roi_rips = set(roi_rips)
         self.entry_icount: Dict[int, int] = {}
 
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if thread.tid in self.entry_icount:
-            return
-        if insn.op == Op.MARKER or pc in self.roi_rips:
-            self.entry_icount[thread.tid] = thread.icount
+    def on_marker(self, machine, thread) -> None:
+        self.entry_icount.setdefault(thread.tid, thread.icount - 1)
+
+    def on_basic_block(self, machine, thread, pc) -> None:
+        if pc in self.roi_rips:
+            self.entry_icount.setdefault(thread.tid, thread.icount)
+
+
+class _MarkerStop(Tool):
+    """Stops the run right after the first MARKER retires."""
+
+    wants_instructions = False
+    wants_markers = True
+
+    def __init__(self) -> None:
+        self.before: Optional[Tuple[int, int]] = None
+
+    def on_marker(self, machine, thread) -> None:
+        if self.before is None:
+            self.before = (machine.total_icount() - 1,
+                           machine.total_cycles() - OP_COST[Op.MARKER])
+            machine.request_stop("ROI marker")
+
+
+def run_to_marker(machine: Machine, max_instructions: int
+                  ) -> Tuple[Optional[Tuple[int, int]], ExitStatus]:
+    """Run *machine* until the first MARKER retires on any thread.
+
+    The ROI marker sits where ELFie startup hands over to captured
+    code, so this runs the startup on the fast path and stops right
+    after the marker.  Returns ``(before, status)``: *before* holds the
+    machine-wide ``(instructions, cycles)`` just before the marker
+    retired, or is None when the run ended first (exit, death, or the
+    *max_instructions* budget), as *status* reports.
+    """
+    stop = _MarkerStop()
+    machine.attach(stop)
+    status = machine.run(max_instructions=max_instructions)
+    machine.detach(stop)
+    return stop.before, status
 
 
 @dataclass
@@ -119,11 +161,9 @@ def run_elfie(image: bytes, seed: int = 0,
 
     watcher: Optional[_RoiWatcher] = None
     if track_roi:
-        roi_rips = {}
-        for name, value in loaded.symbols.items():
-            if name.startswith(".t") and name.endswith(".start"):
-                roi_rips[name] = value
-        watcher = _RoiWatcher(roi_rips)
+        watcher = _RoiWatcher(
+            value for name, value in loaded.symbols.items()
+            if name.startswith(".t") and name.endswith(".start"))
         machine.attach(watcher)
 
     status = machine.run(max_instructions=max_instructions)

@@ -1,8 +1,9 @@
 """Marker-metered ELFie validation for LoopPoint regions.
 
-The icount-based `_RegionMeter` in :mod:`repro.simpoint.validation`
-measures a replayed region by retiring a fixed number of instructions
-past the ROI marker.  For a multi-threaded ELFie replayed under a
+The icount-based meter in
+:func:`repro.simpoint.validation.measure_elfie_region` measures a
+replayed region by retiring a fixed number of instructions past the ROI
+marker.  For a multi-threaded ELFie replayed under a
 *different* scheduler seed that window no longer contains the intended
 work: spin time shifts every icount boundary, so the meter measures a
 different mix of phases than the region was selected to represent.
@@ -31,9 +32,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.elfie import prepare_elfie_machine
+from repro.core.elfie import prepare_elfie_machine, run_to_marker
 from repro.core.pinball2elf import ElfieArtifact
-from repro.isa.instructions import Op
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.pinplay.regions import RegionSpec
@@ -46,11 +46,13 @@ from repro.simpoint.validation import (
 class _MarkerMeter(Tool):
     """Measures cycles between work-marker crossing counts.
 
-    Arms at the ROI marker, then counts executions of the work loop
-    heads (every loop-head execution is one crossing, exactly as the
-    profiler counts them at block entry).  Measurement spans crossing
-    counts (skip, skip + measure]; the CPI denominator is the realized
-    global instruction count of that span.
+    Attached once the ROI marker has retired (the ELFie startup runs on
+    the fast path), it counts executions of the work loop heads (every
+    loop-head execution is one crossing, exactly as the profiler counts
+    them at block entry).  Measurement spans crossing counts
+    (skip, skip + measure]; the CPI denominator is the realized global
+    instruction count of that span.  With ``skip == 0`` the span opens
+    just before the ROI marker, and the caller sets the start.
     """
 
     wants_instructions = True
@@ -60,7 +62,6 @@ class _MarkerMeter(Tool):
         self.skip = skip
         self.measure = measure
         self.crossings = 0
-        self._armed = False
         self.start_cycles: Optional[int] = None
         self.start_icount = 0
         self.end_cycles: Optional[int] = None
@@ -71,12 +72,6 @@ class _MarkerMeter(Tool):
         self.start_icount = machine.total_icount()
 
     def on_instruction(self, machine, thread, pc, insn) -> None:
-        if not self._armed:
-            if insn.op is Op.MARKER:
-                self._armed = True
-                if self.skip == 0:
-                    self._begin(machine)
-            return
         if pc not in self.work_addrs:
             return
         self.crossings += 1
@@ -130,11 +125,15 @@ def measure_elfie_region_markers(artifact: ElfieArtifact,
         return RegionMeasurement(region=region, cpi=None, ok=False,
                                  detail="loader: %s" % exc)
     meter = _MarkerMeter(work_addrs, skip=skip, measure=measure)
-    machine.attach(meter)
     # Budget in realized icounts, with headroom for spin stretching.
     budget = budget_factor * (region.warmup + region.length) + 2_000_000
-    status = machine.run(max_instructions=budget)
-    machine.detach(meter)
+    before, status = run_to_marker(machine, budget)
+    if before is not None:
+        if skip == 0:
+            meter.start_icount, meter.start_cycles = before
+        machine.attach(meter)
+        status = machine.run(max_instructions=budget)
+        machine.detach(meter)
     cpi = meter.cpi
     if cpi is None:
         detail = ("died: %s" % status.detail if status.kind == "signal"
@@ -161,6 +160,14 @@ class LoopPointValidation(ValidationResult):
         if icount == 0:
             return 0.0
         return cycles / icount
+
+
+def _mean(values: List[Optional[float]]) -> Optional[float]:
+    """Mean over trials; None if any trial has none (a window with no
+    work crossings has no per-work rate, and the prediction skips it)."""
+    if any(value is None for value in values):
+        return None
+    return sum(values) / len(values)
 
 
 def _region_crossings(windows: Dict[str, dict],
@@ -219,19 +226,18 @@ def _measure_with_alternates(result, region: RegionSpec, work_addrs,
                 failure = measurement
                 break
         if runs and failure is None:
-            n = len(runs)
             return RegionMeasurement(
                 region=RegionSpec(
                     start=candidate.start, length=candidate.length,
                     warmup=candidate.warmup, name=candidate.name,
                     weight=region.weight,
                 ),
-                cpi=sum(m.cpi for m in runs) / n,
+                cpi=_mean([m.cpi for m in runs]),
                 ok=True,
                 used_alternate=(candidate.name
                                 if candidate.name != region.name else None),
-                cycles_per_work=sum(m.cycles_per_work for m in runs) / n,
-                icount_per_work=sum(m.icount_per_work for m in runs) / n,
+                cycles_per_work=_mean([m.cycles_per_work for m in runs]),
+                icount_per_work=_mean([m.icount_per_work for m in runs]),
             )
         last = failure
     if last is not None:

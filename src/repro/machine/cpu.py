@@ -166,8 +166,8 @@ class Block:
     """
 
     __slots__ = (
-        "entry", "steps", "n", "ends_branch", "ends_syscall", "pages",
-        "ops", "hits", "compiled", "compiled_loop", "compiled_part",
+        "entry", "steps", "n", "ends_branch", "ends_syscall", "ends_marker",
+        "pages", "ops", "hits", "compiled", "compiled_loop", "compiled_part",
         "no_compile", "stamp",
         "in_edges", "chain_next", "chain_taken", "chain_taken_pc",
         "chain_not_taken", "chain_not_taken_pc",
@@ -175,12 +175,13 @@ class Block:
 
     def __init__(self, entry: int, steps: List[tuple], ends_branch: bool,
                  ends_syscall: bool, pages: Tuple[int, ...],
-                 ops: Tuple[int, ...]) -> None:
+                 ops: Tuple[int, ...], ends_marker: bool) -> None:
         self.entry = entry
         self.steps = steps
         self.n = len(steps)
         self.ends_branch = ends_branch
         self.ends_syscall = ends_syscall
+        self.ends_marker = ends_marker
         self.pages = pages
         #: Opcode ints, parallel to ``steps`` (codegen needs opcodes;
         #: steps store only the bound handlers).
@@ -388,7 +389,9 @@ class Cpu:
 
         The block ends at (and includes) the first branch, or at a
         SYSCALL (the kernel may remap code, block the thread, or arm the
-        PMU), or before an undecodable/unfetchable instruction (the
+        PMU), or at a MARKER (marker tools fire between blocks, where
+        icount and cycles are exact), or before an
+        undecodable/unfetchable instruction (the
         fault must fire only if execution actually reaches it, matching
         lazy per-instruction decode), or when the next PC leaves the
         entry page, or at ``BLOCK_LIMIT``.  Returns ``None`` when even
@@ -403,7 +406,9 @@ class Cpu:
         ops: List[int] = []
         ends_branch = False
         ends_syscall = False
+        ends_marker = False
         syscall_op = int(Op.SYSCALL)
+        marker_op = int(Op.MARKER)
         pc = entry_pc
         while True:
             entry = dcache.get(pc)
@@ -425,6 +430,9 @@ class Cpu:
             if opint == syscall_op:
                 ends_syscall = True
                 break
+            if opint == marker_op:
+                ends_marker = True
+                break
             pc = next_pc
             if (pc >> PAGE_SHIFT) != entry_page:
                 break
@@ -435,7 +443,7 @@ class Cpu:
         if len(self.block_cache) >= self.block_cache_limit:
             self._evict_blocks()
         block = Block(entry_pc, steps, ends_branch, ends_syscall,
-                      tuple(pages), tuple(ops))
+                      tuple(pages), tuple(ops), ends_marker)
         block.stamp = self._stamp = self._stamp + 1
         self.block_cache[entry_pc] = block
         block_index = self._block_index
@@ -526,8 +534,9 @@ class Cpu:
         boundary is hit: quantum exhaustion, an armed PMU trap or icount
         limit within reach of the next block, SMC invalidation, a
         syscall terminator (the kernel may block the thread, remap code,
-        or stop the run), or a missing edge.  Block tools disable
-        chaining entirely so every block entry still fires the hooks.
+        or stop the run), a MARKER terminator (marker tools fire there),
+        or a missing edge.  Block tools disable chaining entirely so
+        every block entry still fires the hooks.
         """
         machine = self.machine
         regs = thread.regs
@@ -694,6 +703,13 @@ class Cpu:
                             # as the per-instruction loop.
                             self._pmu_redirect(thread)
                         break
+                    if block.ends_marker:
+                        # Marker tools fire here, between blocks, where
+                        # icount and cycles are exact; a stop they
+                        # request lands right after the marker.
+                        if machine.marker_tools:
+                            machine.on_marker(thread)
+                        break
                 if self._smc_dirty:
                     # Final step invalidated its own block; rip is
                     # already the architectural successor.
@@ -774,6 +790,8 @@ class Cpu:
         op_cost = OP_COST
         instr_tools = machine.instr_tools
         block_tools = machine.block_tools
+        marker_tools = machine.marker_tools
+        marker_op = int(Op.MARKER)
         executed = 0
 
         while executed < quantum:
@@ -806,6 +824,8 @@ class Cpu:
             if insn.is_branch:
                 thread.new_block = True
                 thread.branches += 1
+            if marker_tools and opint == marker_op:
+                machine.on_marker(thread)
             if thread.icount >= thread.pmu_trap_at:
                 self._pmu_redirect(thread)
             if not thread.alive or thread.blocked:
@@ -907,7 +927,8 @@ def _h_pause(cpu, thread, ops):
 
 
 def _h_marker(cpu, thread, ops):
-    # Visible to tools via on_instruction; a no-op architecturally.
+    # Visible to tools via on_instruction and on_marker; a no-op
+    # architecturally.
     pass
 
 

@@ -102,6 +102,7 @@ class Machine:
         self.tools: List[Tool] = []
         self.instr_tools: List[Tool] = []
         self.block_tools: List[Tool] = []
+        self.marker_tools: List[Tool] = []
         self._syscall_tools: List[Tool] = []
         #: Global retired-instruction counter across all threads.
         self.executed_total = 0
@@ -147,9 +148,11 @@ class Machine:
     def _rebuild_tool_lists(self) -> None:
         self.instr_tools = [t for t in self.tools if t.wants_instructions]
         self.block_tools = [t for t in self.tools if t.wants_blocks]
+        self.marker_tools = [t for t in self.tools if t.wants_markers]
         self._syscall_tools = list(self.tools)
         # Instruction tools need exact per-instruction callbacks; block,
-        # memory, and syscall tools all fire on the superblock fast path.
+        # memory, marker, and syscall tools all fire on the superblock
+        # fast path.
         # Block tools additionally suppress superblock chaining (every
         # block entry must pass the dispatch header that fires their
         # hooks) and memory tools suppress the compiled tier (generated
@@ -214,6 +217,11 @@ class Machine:
     def request_stop(self, reason: str) -> None:
         """Ask the run loop to stop as soon as possible (tool API)."""
         self.cpu.stop_flag = reason
+
+    def on_marker(self, thread: Thread) -> None:
+        """*thread* just retired a MARKER: dispatch the marker tools."""
+        for tool in self.marker_tools:
+            tool.on_marker(self, thread)
 
     def on_icount_limit(self, thread: Thread) -> None:
         """A thread reached its ``icount_limit`` exactly.

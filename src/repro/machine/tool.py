@@ -26,6 +26,13 @@ class Tool:
     Subclasses override only the hooks they need.  All hooks default to
     no-ops; the machine checks ``wants_*`` class attributes to skip
     invoking unused hook categories on the hot path.
+
+    Only ``wants_instructions`` pins the machine to per-instruction
+    interpretation.  Marker tools (``wants_markers``) run on every
+    dispatch tier: superblocks end at MARKER, so compiled and chained
+    code return to the dispatch header right after one retires, with
+    exact icount and cycles, and the hook fires there.  A stop requested
+    from ``on_marker`` lands immediately after the marker.
     """
 
     #: Set false in subclasses that do not need per-instruction callbacks.
@@ -34,6 +41,8 @@ class Tool:
     wants_memory: bool = False
     #: Set true to receive basic-block callbacks.
     wants_blocks: bool = False
+    #: Set true to receive MARKER-retired callbacks.
+    wants_markers: bool = False
 
     def on_attach(self, machine: "Machine") -> None:
         """Called when the tool is attached to a machine."""
@@ -52,6 +61,13 @@ class Tool:
                        pc: int) -> None:
         """Called at each basic-block entry (after any taken branch and
         at thread start)."""
+
+    def on_marker(self, machine: "Machine", thread: "Thread") -> None:
+        """Called right after *thread* retires a MARKER instruction.
+
+        ``thread.icount`` and ``thread.cycles`` already include the
+        marker, so ``thread.icount - 1`` is the count before it.
+        """
 
     def on_memory_read(self, machine: "Machine", thread: "Thread",
                        address: int, size: int) -> None:

@@ -20,12 +20,11 @@ the paper's coverage-recovery strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from repro.core.elfie import prepare_elfie_machine
+from repro.core.elfie import prepare_elfie_machine, run_to_marker
 from repro.core.pinball2elf import ElfieArtifact
-from repro.isa.instructions import Op
-from repro.machine.tool import Tool
+from repro.machine.machine import ExitStatus, Machine
 from repro.machine.vfs import FileSystem
 from repro.pinplay.regions import RegionSpec
 from repro.simpoint.pinpoints import PinPointsResult
@@ -38,56 +37,34 @@ def prediction_error(true_value: float, predicted: float) -> float:
     return (true_value - predicted) / true_value
 
 
-class _RegionMeter(Tool):
-    """Measures cycles over the captured region, skipping the warmup.
+def _cycles_at(machine: Machine, target: int,
+               budget: int) -> Tuple[Optional[int], ExitStatus]:
+    """Machine-wide cycles once exactly *target* instructions retired.
 
-    Watches the ROI marker; once ``warmup`` post-marker instructions
-    have retired *machine-wide* the meter starts, and after ``length``
-    more it stops the machine.  Progress is global (summed over all
-    threads) because region windows are defined in global instruction
-    counts: for a multi-threaded ELFie each thread retires only a
-    fraction of the window, and the ELFie's perf-counter exit fires on
-    the global count — a per-thread meter would never finish.  For a
-    single-threaded ELFie global and per-thread progress coincide, so
-    the measurement is unchanged.  Cycle counts come from the simulated
-    hardware timing model, so attaching this tool does not perturb the
-    measurement (unlike a real Pintool).
+    *target* and *budget* count ``executed_total``, which on a machine
+    run from its start is the machine-wide retired-instruction count.
+    An exact budget stop at *target*, then a one-instruction step: like
+    a meter that reads the counter just before each instruction runs,
+    the reading counts only if another instruction begins within
+    *budget*.  One that faults while executing has begun (its thread's
+    rip moved past it); one that cannot be fetched or decoded has not.
+    Otherwise returns ``(None, status)`` with the status that ended the
+    run.
     """
-
-    wants_instructions = True
-
-    def __init__(self, warmup: int, length: int) -> None:
-        self.warmup = warmup
-        self.length = length
-        self.tid: Optional[int] = None
-        self.start_cycles: Optional[int] = None
-        self.end_cycles: Optional[int] = None
-        self._base = 0
-        self._start_at = 0
-        self._end_at = 0
-
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if self.tid is None:
-            if insn.op is Op.MARKER:
-                self.tid = thread.tid
-                self._base = machine.total_icount()
-                self._start_at = self.warmup
-                self._end_at = self.warmup + self.length
-            return
-        progress = machine.total_icount() - self._base
-        if self.start_cycles is None:
-            if progress >= self._start_at:
-                self.start_cycles = machine.total_cycles()
-            return
-        if self.end_cycles is None and progress >= self._end_at:
-            self.end_cycles = machine.total_cycles()
-            machine.request_stop("region measured")
-
-    @property
-    def cpi(self) -> Optional[float]:
-        if self.start_cycles is None or self.end_cycles is None:
-            return None
-        return (self.end_cycles - self.start_cycles) / self.length
+    if target >= budget:
+        return None, machine.run(max_instructions=budget)
+    if machine.executed_total < target:
+        status = machine.run(max_instructions=target)
+        if status.kind != "stopped":
+            return None, status
+    cycles = machine.total_cycles()
+    rips = [t.regs.rip for t in machine.threads.values()]
+    status = machine.run(max_instructions=target + 1)
+    if machine.executed_total > target or (
+            status.kind == "signal"
+            and rips != [t.regs.rip for t in machine.threads.values()]):
+        return cycles, status
+    return None, status
 
 
 @dataclass
@@ -143,7 +120,21 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
                          fs: Optional[FileSystem] = None,
                          workdir: str = "/",
                          budget_factor: int = 6) -> RegionMeasurement:
-    """Run a region ELFie natively and measure its post-warmup CPI."""
+    """Run a region ELFie natively and measure its post-warmup CPI.
+
+    The window is counted in instructions retired *machine-wide* (all
+    threads) from the ROI marker, the marker itself included: region
+    windows are global instruction counts, and the ELFie's perf-counter
+    exit fires on the global count, so for a multi-threaded ELFie a
+    per-thread window would never close.  The start is read
+    ``max(effective_warmup, 1)`` instructions in and the end
+    ``effective_warmup + length`` in (at least one past the start); the
+    CPI divides by ``length``.  No instruction tool is attached: the run
+    stops once right after the marker and then at exact instruction
+    budgets, so the whole ELFie executes on the fast dispatch path.
+    Cycles come from the simulated timing model, so the stops do not
+    perturb them.
+    """
     try:
         machine, _loaded = prepare_elfie_machine(
             artifact.image, seed=seed, fs=fs, workdir=workdir)
@@ -155,19 +146,24 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
     # region, which is less than the nominal warmup when the region
     # starts early in the program.
     effective_warmup = region.start - region.warmup_start
-    meter = _RegionMeter(warmup=effective_warmup, length=region.length)
-    machine.attach(meter)
     # Budget: startup (stack copy) + warmup + region, with headroom.
     budget = budget_factor * (region.warmup + region.length) + 2_000_000
-    status = machine.run(max_instructions=budget)
-    machine.detach(meter)
-    cpi = meter.cpi
-    if cpi is None:
-        detail = ("died: %s" % status.detail if status.kind == "signal"
-                  else "incomplete: %s" % status.detail)
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail=detail)
-    return RegionMeasurement(region=region, cpi=cpi, ok=True)
+    before, status = run_to_marker(machine, budget)
+    if before is not None:
+        base = before[0]
+        start_at = max(effective_warmup, 1)
+        end_at = max(effective_warmup + region.length, start_at + 1)
+        start, status = _cycles_at(machine, base + start_at, budget)
+        if start is not None:
+            end, status = _cycles_at(machine, base + end_at, budget)
+            if end is not None:
+                return RegionMeasurement(
+                    region=region, cpi=(end - start) / region.length,
+                    ok=True)
+    detail = ("died: %s" % status.detail if status.kind == "signal"
+              else "incomplete: %s" % status.detail)
+    return RegionMeasurement(region=region, cpi=None, ok=False,
+                             detail=detail)
 
 
 def validate_with_elfies(result: PinPointsResult,

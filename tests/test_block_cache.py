@@ -7,6 +7,8 @@ with guest-visible memory across self-modifying stores and address-range
 reuse through mmap/munmap/mprotect.
 """
 
+import pytest
+
 from repro.isa.instructions import Op, instruction_size
 from repro.machine import Machine, load_elf
 from repro.machine.cpu import DISPATCH_TIERS, set_default_dispatch
@@ -15,6 +17,7 @@ from repro.machine.tool import Tool
 from repro.observe import hooks
 from repro.simpoint.bbv import _BlockCounter
 from repro.snapshot import capture, restore, snapshot_digest
+from repro.verify.digest import arch_digest
 from repro.workloads import build_executable, run_program
 
 
@@ -661,6 +664,92 @@ def test_self_loop_blocks_compile_to_spinning_functions():
                for fn in functions)
     assert _arch_state(machine, status) == _arch_state(*_run(image,
                                                              tier="slow"))
+
+
+#: RACY_SOURCE with a MARKER inside both threads' hot loops, so marker
+#: blocks get chained and compiled.
+MARKER_SOURCE = RACY_SOURCE.replace(
+    "add rbx, 1", "add rbx, 1\n        marker 0x42")
+
+
+class _MarkerLog(Tool):
+    """Logs every marker event; requests a stop at the *stop_at*-th."""
+
+    wants_instructions = False
+    wants_markers = True
+
+    def __init__(self, stop_at=None):
+        self.events = []
+        self.stop_at = stop_at
+
+    def on_marker(self, machine, thread):
+        self.events.append((thread.tid, thread.icount, thread.cycles,
+                            machine.total_icount()))
+        if len(self.events) == self.stop_at:
+            machine.request_stop("marker %d" % self.stop_at)
+
+
+def _marker_run(image, tier, seed, stop_at=None):
+    machine = Machine(seed=seed)
+    load_elf(machine, image)
+    machine.cpu.set_dispatch(tier)
+    log = _MarkerLog(stop_at)
+    machine.attach(log)
+    stopped = None
+    if stop_at is not None:
+        stopped = machine.run()
+        assert stopped.kind == "stopped", tier
+        # the stop lands immediately after the marker that requested it
+        assert machine.executed_total == log.events[-1][3], tier
+        stopped = (stopped.detail, _arch_state(machine, stopped),
+                   arch_digest(machine))
+    status = machine.run()
+    return machine, log.events, stopped, _arch_state(machine, status)
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_marker_hook_fires_identically_on_every_tier(tier):
+    """One event per retired MARKER, with the same thread, icount and
+    cycles on every tier, and a stop requested in the hook lands at the
+    same point; the racy schedule is unchanged by the marker stop."""
+    image = build_executable(MARKER_SOURCE, data_source=RACY_DATA)
+    for seed in range(3):
+        _, ref_events, _, ref_state = _marker_run(image, "slow", seed)
+        machine, events, _, state = _marker_run(image, tier, seed)
+        assert len(events) == 600  # 300 iterations in each thread
+        assert {tid for tid, *_ in events} == {0, 1}
+        assert events == ref_events
+        assert state == ref_state
+        for stop_at in (1, 301, 599):
+            got = _marker_run(image, tier, seed, stop_at)
+            want = _marker_run(image, "slow", seed, stop_at)
+            assert got[1:] == want[1:], (seed, stop_at)
+            assert got[3] == state
+    if tier == "compiled":
+        assert machine.cpu.compiled_calls > 0
+        assert machine.cpu.chain_hits > 0
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_marker_block_split_keeps_state_digests(tier):
+    """Blocks end at MARKER whether or not a marker tool is attached;
+    per-thread state digests at every step of a stepped run still match
+    the per-instruction loop."""
+    image = build_executable(MARKER_SOURCE, data_source=RACY_DATA)
+
+    def digests(dispatch):
+        machine = Machine(seed=5)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch(dispatch)
+        out, budget = [], 0
+        while True:
+            budget += 333
+            status = machine.run(max_instructions=budget)
+            out.append((arch_digest(machine), _arch_state(machine, status)))
+            if status.kind != "stopped":
+                return out
+
+    assert digests(tier) == digests("slow")
 
 
 def test_snapshot_mid_chained_execution_round_trips():

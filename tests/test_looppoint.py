@@ -8,25 +8,31 @@ ELFie validation, replay fidelity of marker-delimited regions, and the
 CLI front-end.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.cli import main
+from repro.core.elfie import prepare_elfie_machine
 from repro.farm import ArtifactStore, executed_jobs, read_manifest
+from repro.isa.instructions import Op
 from repro.looppoint import (
     MarkerMap,
     MarkerPoint,
     REGION_SELECTOR,
     collect_looppoint,
     harvest_markers,
+    measure_elfie_region_markers,
     pca_project,
     run_looppoint,
     run_looppoint_campaign,
     select_loop_regions,
     validate_looppoint,
 )
+from repro.machine.tool import Tool
+from repro.simpoint.validation import RegionMeasurement
 from repro.verify import verify_pinball
 from repro.workloads import MT_APPS, build_executable
 
@@ -271,6 +277,100 @@ def test_validate_looppoint_marker_metered(mt_result):
     # the ratio prediction lands near the truth even under a replay
     # schedule the profiler never saw
     assert validation.abs_error_percent < 30.0
+
+
+class _ReferenceMarkerMeter(Tool):
+    """The per-instruction marker meter, kept as the oracle: watches
+    every instruction from ELFie entry, arming at the first MARKER."""
+
+    wants_instructions = True
+
+    def __init__(self, work_addrs, skip, measure):
+        self.work_addrs = frozenset(work_addrs)
+        self.skip = skip
+        self.measure = measure
+        self.crossings = 0
+        self.armed = False
+        self.start = None
+        self.end = None
+
+    def _totals(self, machine):
+        return machine.total_cycles(), machine.total_icount()
+
+    def on_instruction(self, machine, thread, pc, insn):
+        if not self.armed:
+            if insn.op is Op.MARKER:
+                self.armed = True
+                if self.skip == 0:
+                    self.start = self._totals(machine)
+            return
+        if pc not in self.work_addrs:
+            return
+        self.crossings += 1
+        if self.start is None:
+            if self.crossings >= self.skip:
+                self.start = self._totals(machine)
+            return
+        if self.end is None and self.crossings >= self.skip + self.measure:
+            self.end = self._totals(machine)
+            machine.request_stop("region measured")
+
+
+def _reference_markers(artifact, region, work_addrs, skip, measure, seed,
+                       budget_factor=8):
+    machine, _ = prepare_elfie_machine(artifact.image, seed=seed)
+    meter = _ReferenceMarkerMeter(work_addrs, skip, measure)
+    machine.attach(meter)
+    budget = budget_factor * (region.warmup + region.length) + 2_000_000
+    status = machine.run(max_instructions=budget)
+    retired = meter.end[1] - meter.start[1] if meter.end else 0
+    if meter.start is None or meter.end is None or retired == 0:
+        detail = ("died: %s" % status.detail if status.kind == "signal"
+                  else "incomplete: %s (crossings %d of %d)"
+                  % (status.detail, meter.crossings, skip + measure))
+        return RegionMeasurement(region=region, cpi=None, ok=False,
+                                 detail=detail)
+    cycles = meter.end[0] - meter.start[0]
+    return RegionMeasurement(
+        region=region, cpi=cycles / retired, ok=True,
+        cycles_per_work=cycles / measure if measure else None,
+        icount_per_work=retired / measure if measure else None)
+
+
+def test_marker_meter_matches_per_instruction_reference(mt_result):
+    work_addrs = mt_result.profile.marker_map.work_addresses()
+    for region in mt_result.primary_regions:
+        artifact = mt_result.elfies[region.name]
+        window = mt_result.marker_windows[region.name]
+        for skip, measure in ((window["skip"], window["measure"]),
+                              (0, window["measure"]), (0, 0), (3, 0)):
+            got = measure_elfie_region_markers(
+                artifact, region, work_addrs, skip=skip, measure=measure,
+                seed=7)
+            assert got == _reference_markers(
+                artifact, region, work_addrs, skip, measure, seed=7), \
+                (region.name, skip, measure)
+            assert got.ok, got.detail
+
+
+def test_validate_looppoint_skips_zero_measure_window(mt_result):
+    """A window with no work crossings (seen on SPEC OMP apps) measures
+    a CPI but no per-work rate; validation propagates None and the
+    prediction skips the region instead of raising TypeError."""
+    windows = {name: dict(window)
+               for name, window in mt_result.marker_windows.items()}
+    zeroed = mt_result.primary_regions[0].name
+    windows[zeroed]["measure"] = 0
+    result = dataclasses.replace(mt_result, marker_windows=windows)
+    validation = validate_looppoint(result, seed=7, trials=2)
+    by_name = {m.region.name: m for m in validation.measurements}
+    assert by_name[zeroed].ok
+    assert by_name[zeroed].cycles_per_work is None
+    assert by_name[zeroed].icount_per_work is None
+    others = [m for name, m in by_name.items() if name != zeroed]
+    cycles = sum(m.region.weight * m.cycles_per_work for m in others)
+    icount = sum(m.region.weight * m.icount_per_work for m in others)
+    assert validation.predicted_cpi == (cycles / icount if others else 0.0)
 
 
 def test_marker_delimited_region_replays_bit_identical(mt_result, mt_image):

@@ -148,6 +148,62 @@ def test_elfie_memory_layout_matches_pinball(loop_pinball, basic_elfie):
         assert machine.mem.is_mapped(addr), hex(addr)
 
 
+class _ReferenceRoiWatcher(Tool):
+    """Per-instruction ROI-entry oracle: a thread enters its ROI at its
+    first MARKER or captured ``.tN.start`` address, whichever it
+    executes first."""
+
+    wants_instructions = True
+
+    def __init__(self, roi_rips):
+        self.roi_rips = set(roi_rips)
+        self.entry_icount = {}
+
+    def on_instruction(self, machine, thread, pc, insn):
+        if thread.tid not in self.entry_icount and (
+                insn.op == Op.MARKER or pc in self.roi_rips):
+            self.entry_icount[thread.tid] = thread.icount
+
+
+def _reference_roi_counts(image, seed):
+    from repro.core.elfie import prepare_elfie_machine
+
+    machine, loaded = prepare_elfie_machine(image, seed=seed)
+    watcher = _ReferenceRoiWatcher(
+        value for name, value in loaded.symbols.items()
+        if name.startswith(".t") and name.endswith(".start"))
+    machine.attach(watcher)
+    machine.run()
+    entries = watcher.entry_icount
+    return ({tid: machine.threads[tid].icount - entry
+             for tid, entry in entries.items()}, dict(entries))
+
+
+@pytest.fixture(scope="module")
+def four_thread_pinball():
+    image = ProgramBuilder(
+        name="mt", threads=4,
+        phases=[PhaseSpec("compute", 4000, buffer_kb=16),
+                PhaseSpec("stream", 4000, buffer_kb=16)],
+    ).build()
+    return log_region(image, RegionSpec(start=20000, length=40000,
+                                        name="mt.r0"), seed=3)
+
+
+@pytest.mark.parametrize("marker", [MarkerSpec("sniper", 0x42), None],
+                         ids=["marker", "no-marker"])
+@pytest.mark.parametrize("threads", [1, 4])
+def test_roi_entry_counts_match_per_instruction_reference(
+        loop_pinball, four_thread_pinball, marker, threads):
+    pinball = loop_pinball if threads == 1 else four_thread_pinball
+    artifact = Pinball2Elf(pinball, Pinball2ElfOptions(
+        perf_exit=True, marker=marker)).convert()
+    run = run_elfie(artifact.image, seed=4)
+    assert len(run.startup_icounts) == threads
+    assert (run.app_icounts, run.startup_icounts) \
+        == _reference_roi_counts(artifact.image, seed=4)
+
+
 def test_elfie_without_perf_exit_runs_past_region(loop_pinball):
     """Without the graceful-exit counter the ELFie keeps running — here
     to the program's own exit (the captured program is self-contained)."""

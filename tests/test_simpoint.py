@@ -1,7 +1,16 @@
 """Tests for BBV profiling, k-means, SimPoint selection, validation."""
 
+from typing import Optional
+
 import pytest
 
+from repro.core import MarkerSpec, Pinball2Elf, Pinball2ElfOptions
+from repro.core.elfie import prepare_elfie_machine
+from repro.core.pinball2elf import ElfieArtifact
+from repro.elf.structs import ET_EXEC
+from repro.isa.instructions import Op
+from repro.machine.tool import Tool
+from repro.pinplay import RegionSpec, log_region
 from repro.simpoint import (
     collect_bbv,
     cluster_vectors,
@@ -11,7 +20,8 @@ from repro.simpoint import (
     validate_with_elfies,
 )
 from repro.simpoint.kmeans import project_vectors
-from repro.workloads import PhaseSpec, ProgramBuilder
+from repro.simpoint.validation import RegionMeasurement, measure_elfie_region
+from repro.workloads import PhaseSpec, ProgramBuilder, build_executable, get_app
 
 TWO_PHASE = ProgramBuilder(
     name="twophase",
@@ -174,3 +184,146 @@ def test_validation_measurements_reference_primary_weights(pinpoints_result):
     validation = validate_with_elfies(pinpoints_result, trials=1)
     total_weight = sum(m.region.weight for m in validation.measurements)
     assert total_weight == pytest.approx(1.0)
+
+
+# -- region meter vs the per-instruction reference ---------------------------
+
+
+class _ReferenceRegionMeter(Tool):
+    """The per-instruction region meter, kept as the oracle.
+
+    Arms on the first MARKER (any thread), then, before every
+    instruction, compares machine-wide progress past the marker with
+    the warmup and window end, reading the cycle counter when each is
+    reached.
+    """
+
+    wants_instructions = True
+
+    def __init__(self, warmup: int, length: int) -> None:
+        self.warmup = warmup
+        self.length = length
+        self.armed = False
+        self.start_cycles: Optional[int] = None
+        self.end_cycles: Optional[int] = None
+        self._base = 0
+
+    def on_instruction(self, machine, thread, pc, insn) -> None:
+        if not self.armed:
+            if insn.op is Op.MARKER:
+                self.armed = True
+                self._base = machine.total_icount()
+            return
+        progress = machine.total_icount() - self._base
+        if self.start_cycles is None:
+            if progress >= self.warmup:
+                self.start_cycles = machine.total_cycles()
+            return
+        if self.end_cycles is None and progress >= self.warmup + self.length:
+            self.end_cycles = machine.total_cycles()
+            machine.request_stop("region measured")
+
+
+def _reference_measure(artifact, region, seed=0, budget_factor=6):
+    machine, _ = prepare_elfie_machine(artifact.image, seed=seed)
+    meter = _ReferenceRegionMeter(region.start - region.warmup_start,
+                                  region.length)
+    machine.attach(meter)
+    budget = budget_factor * (region.warmup + region.length) + 2_000_000
+    status = machine.run(max_instructions=budget)
+    if meter.end_cycles is None:
+        detail = ("died: %s" % status.detail if status.kind == "signal"
+                  else "incomplete: %s" % status.detail)
+        return RegionMeasurement(region=region, cpi=None, ok=False,
+                                 detail=detail)
+    return RegionMeasurement(
+        region=region, ok=True,
+        cpi=(meter.end_cycles - meter.start_cycles) / region.length)
+
+
+def _as_artifact(image):
+    return ElfieArtifact(image=image, e_type=ET_EXEC, entry=0,
+                         startup_base=0, plan=None)
+
+
+@pytest.fixture(scope="module")
+def int_rate_results():
+    return [run_pinpoints(get_app(app).build("test"), app,
+                          slice_size=20_000, warmup=80_000, max_k=4,
+                          max_alternates=1)
+            for app in ("505.mcf_r", "531.deepsjeng_r")]
+
+
+def test_region_meter_matches_per_instruction_reference(int_rate_results):
+    checked = 0
+    for result in int_rate_results:
+        for region in result.regions:
+            artifact = result.elfies[region.name]
+            for seed in (0, 101):
+                got = measure_elfie_region(artifact, region, seed=seed)
+                assert got == _reference_measure(artifact, region, seed),\
+                    region.name
+                assert got.ok, got.detail
+                checked += 1
+            # an early-program region: no captured warmup at all
+            early = RegionSpec(start=0, length=region.length, warmup=0,
+                               name=region.name)
+            assert measure_elfie_region(artifact, early) \
+                == _reference_measure(artifact, early)
+    assert checked >= 8
+
+
+#: Marker, 1200 loop instructions, one more instruction, then a tail:
+#: post-marker instruction 1203 (marker included) is the tail's first.
+_DYING_ELFIE = """
+_start:
+    mov rcx, 300
+    marker 0x42
+spin:
+    add rbx, 1
+    sub rcx, 1
+    cmp rcx, 0
+    jnz spin
+    mov rax, 0
+%s
+"""
+
+_TAILS = {
+    # faults while executing: it has begun, so the count before it reads
+    "load-fault": "    ld rbx, [rax]",
+    # retires, then the next fetch faults: nothing begins after it
+    "fetch-fault": "    call rax",
+    "exit": "    mov rax, 231\n    mov rdi, 0\n    syscall",
+}
+
+
+@pytest.mark.parametrize("tail", sorted(_TAILS))
+def test_region_meter_matches_reference_when_elfie_ends(tail):
+    """Windows that close just before, at, and past the point where the
+    ELFie dies or exits: same CPIs, same died:/incomplete: details."""
+    artifact = _as_artifact(build_executable(_DYING_ELFIE % _TAILS[tail]))
+    for warmup in (0, 1, 5):
+        for end in range(1198, 1208):
+            region = RegionSpec(start=warmup, length=end - warmup,
+                                warmup=warmup, name="dying")
+            assert measure_elfie_region(artifact, region) \
+                == _reference_measure(artifact, region), (warmup, end)
+
+
+def test_region_meter_matches_reference_on_two_thread_elfie():
+    image = ProgramBuilder(
+        name="mt2", threads=2,
+        phases=[PhaseSpec("compute", 3000, buffer_kb=16),
+                PhaseSpec("pointer_chase", 3000, buffer_kb=16)],
+    ).build()
+    region = RegionSpec(start=30_000, length=20_000, warmup=10_000,
+                        name="mt2.r0")
+    pinball = log_region(image, region, seed=3)
+    assert pinball.num_threads == 2
+    artifact = Pinball2Elf(pinball, Pinball2ElfOptions(
+        perf_exit=True, marker=MarkerSpec("sniper", 9))).convert()
+    for spec in (region, RegionSpec(start=0, length=15_000, name="mt2.w0")):
+        for seed in (0, 5):
+            got = measure_elfie_region(artifact, spec, seed=seed)
+            assert got == _reference_measure(artifact, spec, seed)
+            assert got.ok, got.detail
