@@ -11,12 +11,13 @@ Table I micro workloads:
 
 All tiers must produce bit-identical architectural results; the bench
 asserts it on every run for both a single-threaded and a two-thread
-workload.  Tier repeats are interleaved (slow, block, chain, compiled,
-slow, ...) so each tier's best-of-N samples the same host-noise
-environment, and one shape-keyed compiler cache is shared across
-repeats so the compiled tier measures steady-state throughput, not
-first-run codegen cost (a checkpoint farm compiles a region once and
-executes it thousands of times).
+workload.  Tier repeats are interleaved (slow, block, chain, cold,
+compiled, slow, ...) so each tier's best-of-N samples the same
+host-noise environment.  The compiled-function cache is process-wide,
+so the ``compiled`` row measures steady-state throughput (every shape
+already generated, as for all but the first job of a farm worker),
+while the ``cold`` row empties that cache before each run and so pays
+the codegen a fresh worker process pays.
 
 The published artifact carries a machine-readable ``speedup_ratio:``
 footer (compiled/slow on the ST workload); CI reruns this bench in
@@ -33,7 +34,7 @@ from conftest import FAST, RESULTS_DIR, publish
 
 from repro.analysis import Table
 from repro.machine import Machine, load_elf
-from repro.machine.compile import BlockCompiler
+from repro.machine.compile import COMPILER
 from repro.workloads import PhaseSpec, ProgramBuilder
 
 #: Allowed regression of the compiled/slow speedup ratio vs the
@@ -46,7 +47,9 @@ RATIO_TOLERANCE = 0.20
 BLOCK_FLOOR = 2.0
 COMPILED_FLOOR = 5.0
 
-TIERS = ("slow", "block", "chain", "compiled")
+#: Table rows: the dispatch tiers, plus ``cold`` (the compiled tier
+#: with the process-wide codegen cache emptied before the run).
+ROWS = ("slow", "block", "chain", "cold", "compiled")
 
 _RATIO_RE = re.compile(r"^speedup_ratio:\s*([0-9.]+)", re.MULTILINE)
 
@@ -65,31 +68,34 @@ def _arch_state(machine):
         for t in machine.threads.values()))
 
 
-def _measure_tiers(image, repeats, compiler):
-    """Interleaved best-of-N wall time per dispatch tier.
+def _measure_tiers(image, repeats):
+    """Interleaved best-of-N wall time per row of :data:`ROWS`.
 
-    Returns ``(machines, walls)`` dicts keyed by tier, after asserting
-    every tier retired the identical architectural state.
+    Returns ``(machines, walls)`` dicts keyed by row, after asserting
+    every row retired the identical architectural state.
     """
-    best = {tier: float("inf") for tier in TIERS}
+    best = {row: float("inf") for row in ROWS}
     machines = {}
     for _ in range(repeats):
-        for tier in TIERS:
+        for row in ROWS:
             candidate = Machine(seed=1)
             load_elf(candidate, image)
-            candidate.cpu.set_dispatch(tier)
-            candidate.cpu._compiler = compiler
+            if row == "cold":
+                COMPILER.cache.clear()
+                candidate.cpu.set_dispatch("compiled")
+            else:
+                candidate.cpu.set_dispatch(row)
             started = time.perf_counter()
             status = candidate.run()
             wall = time.perf_counter() - started
             assert status.kind == "exit", status
-            if wall < best[tier]:
-                best[tier] = wall
-                machines[tier] = candidate
+            if wall < best[row]:
+                best[row] = wall
+                machines[row] = candidate
     reference = _arch_state(machines["slow"])
-    for tier in TIERS:
-        assert _arch_state(machines[tier]) == reference, \
-            "tier %s diverged from the per-instruction loop" % tier
+    for row in ROWS:
+        assert _arch_state(machines[row]) == reference, \
+            "tier %s diverged from the per-instruction loop" % row
     return machines, best
 
 
@@ -109,37 +115,40 @@ def run_bench(repeats=5):
     # dominated by scheduler jitter on a busy CI host.
     scale = 10_000 if FAST else 20_000
     baseline = _baseline_ratio()  # read before publish() overwrites it
-    compiler = BlockCompiler()    # shared: steady-state codegen cache
 
-    st_machines, st_walls = _measure_tiers(
-        _program(scale), repeats, compiler)
+    st_machines, st_walls = _measure_tiers(_program(scale), repeats)
     mt_machines, mt_walls = _measure_tiers(
-        _program(scale // 2, threads=2), max(2, repeats - 2), compiler)
+        _program(scale // 2, threads=2), max(2, repeats - 2))
 
     st_icount = sum(t.icount for t in st_machines["slow"].threads.values())
     mt_icount = sum(t.icount for t in mt_machines["slow"].threads.values())
-    st_mips = {t: st_icount / st_walls[t] / 1e6 for t in TIERS}
-    mt_mips = {t: mt_icount / mt_walls[t] / 1e6 for t in TIERS}
-    ratios = {t: st_mips[t] / st_mips["slow"] for t in TIERS}
+    st_mips = {r: st_icount / st_walls[r] / 1e6 for r in ROWS}
+    mt_mips = {r: mt_icount / mt_walls[r] / 1e6 for r in ROWS}
+    ratios = {r: st_mips[r] / st_mips["slow"] for r in ROWS}
     ratio = ratios["compiled"]
     cpu = st_machines["compiled"].cpu
-    hit_rate = cpu.block_hits / max(1, cpu.block_hits + cpu.block_misses)
+    # Chained transitions reach cached blocks without a cache lookup.
+    served = cpu.block_hits + cpu.chain_hits
+    hit_rate = served / max(1, served + cpu.block_misses)
 
     table = Table(
         title="Interpreter MIPS by dispatch tier (Table I micro workload)",
         headers=["tier", "ST MIPS", "ST speedup", "MT MIPS", "MT speedup"],
     )
-    for tier in TIERS:
+    for row in ROWS:
         table.add_row(
-            tier,
-            "%.3f" % st_mips[tier],
-            "%.2fx" % ratios[tier],
-            "%.3f" % mt_mips[tier],
-            "%.2fx" % (mt_mips[tier] / mt_mips["slow"]),
+            row,
+            "%.3f" % st_mips[row],
+            "%.2fx" % ratios[row],
+            "%.3f" % mt_mips[row],
+            "%.2fx" % (mt_mips[row] / mt_mips["slow"]),
         )
     footer = [
         "ST instructions %d, MT instructions %d" % (st_icount, mt_icount),
-        "block cache hit rate %.4f (compiled tier, ST)" % hit_rate,
+        "cold = compiled tier after emptying the process-wide codegen "
+        "cache",
+        "block entries served from cache %.4f (compiled tier, ST)"
+        % hit_rate,
         "compiled blocks %d, compiled calls %d, chain hits %d" % (
             cpu.compiled_blocks, cpu.compiled_calls, cpu.chain_hits),
         "speedup_ratio: %.3f" % ratio,
@@ -170,7 +179,7 @@ def test_interp_mips(benchmark):
 def main():
     ratio, ratios, baseline, st_mips = run_bench()
     print("ST MIPS:", "  ".join(
-        "%s %.2f (%.2fx)" % (t, st_mips[t], ratios[t]) for t in TIERS))
+        "%s %.2f (%.2fx)" % (r, st_mips[r], ratios[r]) for r in ROWS))
     print("baseline %s" % ("%.2fx" % baseline if baseline else "none"))
     try:
         _check(ratio, ratios, baseline)

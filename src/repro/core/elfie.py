@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.isa.encoding import InstructionDecodeError, decode
 from repro.isa.instructions import Op
 from repro.machine.cpu import OP_COST
 from repro.machine.loader import LoadedImage, LoaderError, load_elf
 from repro.machine.machine import ExitStatus, Machine
+from repro.machine.memory import PageFault
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 
@@ -32,15 +34,17 @@ class _RoiWatcher(Tool):
     Entry is the thread's ROI marker or, in an ELFie built without one,
     its first block entry at a captured ``.tN.start`` address (the
     target of the startup's final jump).  Neither hook needs
-    per-instruction callbacks, so the run stays on the fast path.
+    per-instruction callbacks, so the run stays on the fast path; the
+    block hook (which turns off block chaining) is attached only when
+    *roi_rips* is non-empty.
     """
 
     wants_instructions = False
     wants_markers = True
-    wants_blocks = True
 
     def __init__(self, roi_rips: Iterable[int]) -> None:
         self.roi_rips = set(roi_rips)
+        self.wants_blocks = bool(self.roi_rips)
         self.entry_icount: Dict[int, int] = {}
 
     def on_marker(self, machine, thread) -> None:
@@ -49,6 +53,27 @@ class _RoiWatcher(Tool):
     def on_basic_block(self, machine, thread, pc) -> None:
         if pc in self.roi_rips:
             self.entry_icount.setdefault(thread.tid, thread.icount)
+
+
+def _startup_has_marker(machine: Machine, loaded: LoadedImage) -> bool:
+    """True when the ELFie's startup retires a ROI marker before it
+    jumps into captured code (``pinball2elf --roi-start``).
+
+    Decodes the first thread's straight-line init code up to that
+    jump; every thread's init tail carries the same marker or none.
+    """
+    pc = loaded.symbols.get("__elfie_thread_init_0")
+    while pc is not None:
+        try:
+            insn, size = decode(machine.mem.fetch(pc))
+        except (InstructionDecodeError, PageFault):
+            return False
+        if insn.op == Op.MARKER:
+            return True
+        if insn.op == Op.JMPABS:
+            return False
+        pc += size
+    return False
 
 
 class _MarkerStop(Tool):
@@ -162,8 +187,9 @@ def run_elfie(image: bytes, seed: int = 0,
     watcher: Optional[_RoiWatcher] = None
     if track_roi:
         watcher = _RoiWatcher(
-            value for name, value in loaded.symbols.items()
-            if name.startswith(".t") and name.endswith(".start"))
+            () if _startup_has_marker(machine, loaded) else (
+                value for name, value in loaded.symbols.items()
+                if name.startswith(".t") and name.endswith(".start")))
         machine.attach(watcher)
 
     status = machine.run(max_instructions=max_instructions)

@@ -31,7 +31,10 @@ the generated code keeps every observable ordering of the slow path:
 Compiled functions are cached by block *shape* — opcodes, operands, and
 intra-block RIP offsets — with all RIP values computed relative to a
 ``base`` argument, so the same function is reused for identical code at
-different addresses (common across re-JITted or remapped pages).
+different addresses (common across re-JITted or remapped pages).  A
+generated function depends on nothing but its shape, so one cache
+(:data:`COMPILER`) serves every machine in the process: a campaign that
+builds a fresh Machine per job pays codegen once per distinct shape.
 
 Codegen bails out (returns ``None``) on any unsupported handler —
 SYSCALL, RDTSC (reads mid-block cycles), XSAVE/XRSTOR — and the fast
@@ -49,8 +52,9 @@ from repro.isa.registers import Flags
 from repro.machine.memory import (
     PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, PROT_READ, PROT_WRITE,
 )
+from repro.observe import hooks
 
-#: Entry cap for the shape-keyed function cache (see Cpu eviction docs).
+#: Entry cap for the process-wide shape-keyed function cache.
 COMPILED_CACHE_LIMIT = 2048
 
 _MASK = "18446744073709551615"        # (1 << 64) - 1
@@ -714,9 +718,11 @@ def _assemble(gen: _Gen, body: List[str], signature: str,
     lines.append("        _m = _META[_f]")
     lines.append("        regs.rip = (_base + _m[0]) & %s" % _MASK)
     if gen.loop_n:
+        # Every completed iteration retired its terminating branch.
         lines.append("        thread.icount += _it * %d + _m[1]" % n)
         lines.append("        thread.cycles += _cyd + _it * %d + _m[2]"
                      % total)
+        lines.append("        thread.branches += _it")
     else:
         lines.append("        thread.icount += _m[1]")
         lines.append("        thread.cycles += _cyd + _m[2]")
@@ -799,40 +805,53 @@ class BlockCompiler:
         if shape is None:
             return None
         cache = self.cache
+        obs = hooks.OBS
         if shape in cache:
+            if obs.enabled:
+                obs.count("cpu.compiled.shape_hits")
             return cache[shape]
-        generated = _generate(shape)
-        if generated is None:
-            fn = None
-        else:
-            source, meta, loop, part_source = generated
-            namespace = {
-                "DivideError": _cpu().DivideError,
-                "InvalidOpcode": _cpu().InvalidOpcode,
-                "Flags": Flags,
-                "_unpack": struct.unpack,
-                "_pack": struct.pack,
-                "_INF": float("inf"),
-                "_META": meta,
-            }
-            exec(compile(source, "<px-block>", "exec"), namespace)
-            fn = namespace["_cfn"]
-            fn.__px_source__ = source
-            fn.__px_loop__ = loop
-            if part_source is not None:
-                part_ns = dict(namespace)
-                exec(compile(part_source, "<px-block-part>", "exec"),
-                     part_ns)
-                pfn = part_ns["_cfn"]
-                pfn.__px_source__ = part_source
-                fn.__px_part__ = pfn
+        with obs.span("compile.codegen", "cpu", n=len(shape[1])):
+            fn = _build(shape)
         if len(cache) >= self.cache_limit:
+            # pop, not del: machines on other threads share the cache.
             count = max(1, self.cache_limit // 8)
             for key in list(cache)[:count]:
-                del cache[key]
+                cache.pop(key, None)
             self.evictions += count
         cache[shape] = fn
         return fn
+
+
+def _build(shape: tuple) -> Optional[object]:
+    """Generate and compile the function (plus spill variant) for *shape*."""
+    generated = _generate(shape)
+    if generated is None:
+        return None
+    source, meta, loop, part_source = generated
+    namespace = {
+        "DivideError": _cpu().DivideError,
+        "InvalidOpcode": _cpu().InvalidOpcode,
+        "Flags": Flags,
+        "_unpack": struct.unpack,
+        "_pack": struct.pack,
+        "_INF": float("inf"),
+        "_META": meta,
+    }
+    exec(compile(source, "<px-block>", "exec"), namespace)
+    fn = namespace["_cfn"]
+    fn.__px_source__ = source
+    fn.__px_loop__ = loop
+    if part_source is not None:
+        part_ns = dict(namespace)
+        exec(compile(part_source, "<px-block-part>", "exec"), part_ns)
+        pfn = part_ns["_cfn"]
+        pfn.__px_source__ = part_source
+        fn.__px_part__ = pfn
+    return fn
+
+
+#: The process-wide compiler every :class:`~repro.machine.cpu.Cpu` uses.
+COMPILER = BlockCompiler()
 
 
 def _cpu():

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.isa.encoding import decode, InstructionDecodeError
 from repro.isa.instructions import Instruction, Op
+from repro.machine.compile import COMPILER
 from repro.machine.memory import AddressSpace, PAGE_SHIFT, PageFault
 from repro.observe import hooks
 
@@ -95,12 +96,13 @@ HW_LLC_PENALTY = 40
 #: are split; keeps quantum spills and invalidation granularity sane).
 BLOCK_LIMIT = 512
 
-#: Entry caps for the translation caches.  SMC-heavy and fuzz workloads
-#: churn code pages without bound; past the cap the oldest-stamped
-#: eighth of the cache is evicted (eviction severs chain edges exactly
-#: like page invalidation does).
+#: Entry cap for the per-Cpu superblock cache.  SMC-heavy and fuzz
+#: workloads churn code pages without bound; past the cap the
+#: oldest-stamped eighth of the cache is evicted (eviction severs chain
+#: edges exactly like page invalidation does).  The compiled-function
+#: cache is process-wide and capped separately
+#: (``compile.COMPILED_CACHE_LIMIT``).
 BLOCK_CACHE_LIMIT = 8192
-COMPILED_CACHE_LIMIT = 2048
 
 #: Full-block executions of one block before it is handed to the
 #: threaded-code compiler.
@@ -245,7 +247,6 @@ class Cpu:
         self._reported_compiled_bailouts = 0
         self._stamp = 0
         self.block_cache_limit = BLOCK_CACHE_LIMIT
-        self._compiler = None  # built lazily on the first hot block
         self.hw_l1: List[int] = [-1] * HW_L1_SETS
         self.hw_llc: List[int] = [-1] * HW_LLC_SETS
         #: Set by Machine.request_stop to break out of the slice loop.
@@ -496,20 +497,28 @@ class Cpu:
 
     # -- main loop -----------------------------------------------------------
 
-    def run_thread(self, thread: "Thread", quantum: int) -> int:
+    def run_thread(self, thread: "Thread", quantum: int,
+                   extend: bool = False) -> int:
         """Run *thread* for up to *quantum* instructions.
 
         Returns the number of instructions executed.  CPU faults and page
         faults propagate to the caller (the machine delivers them as
         fatal signals).  Dispatches to the superblock fast path unless an
         instruction tool is attached (exact per-instruction semantics).
+
+        With *extend* (the machine's run loop sets it for a lone
+        runnable thread in free-run) the fast path does not return at
+        the end of the slice: it asks the machine for the next one
+        (:meth:`Machine.extend_slice`) and keeps going.  The slow path
+        ignores it and returns once per slice.
         """
         if self.fast_dispatch:
-            executed = self._run_fast(thread, quantum)
+            executed = self._run_fast(thread, quantum, extend)
         else:
             executed = self._run_slow(thread, quantum)
-        # Telemetry fires once per quantum, not per instruction, so the
-        # disabled path costs one attribute lookup per scheduler slice.
+        # Telemetry fires once per call (a slice, or a lone thread's run
+        # of extended slices), not per instruction, so the disabled path
+        # costs one attribute lookup per call.
         obs = hooks.OBS
         if obs.enabled:
             if executed:
@@ -517,7 +526,8 @@ class Cpu:
             self._flush_block_stats(obs)
         return executed
 
-    def _run_fast(self, thread: "Thread", quantum: int) -> int:
+    def _run_fast(self, thread: "Thread", quantum: int,
+                  extend: bool = False) -> int:
         """Superblock dispatch: execute cached blocks with all
         per-instruction bookkeeping amortised to block granularity.
 
@@ -537,21 +547,39 @@ class Cpu:
         or stop the run), a MARKER terminator (marker tools fire there),
         or a missing edge.  Block tools disable chaining entirely so
         every block entry still fires the hooks.
+
+        With *extend*, a slice end is not a return: at a block boundary
+        the machine picks the next slice in place, and a block that
+        straddles the boundary (or a self-loop spinning across several)
+        runs whole, after which the picks for the boundaries it crossed
+        are committed (a fault inside it commits those before the
+        faulting instruction; see ``Machine.run``).  Straddles stay on the spill path for syscall
+        blocks (the kernel and syscall tools must see the scheduler
+        after the pick) and under memory tools (which may stop the run
+        mid-block).
         """
         machine = self.machine
         regs = thread.regs
         bcache = self.block_cache
         block_tools = machine.block_tools
         chain_ok = self.chain_enabled and not block_tools
-        compile_ok = (self.compile_enabled and self.read_hook is None
-                      and self.write_hook is None)
+        unhooked = self.read_hook is None and self.write_hook is None
+        compile_ok = self.compile_enabled and unhooked
+        straddle_ok = extend and unhooked
         executed = 0
-        # Telemetry deltas batched per quantum (flushed before return; a
-        # propagating fault abandons the in-flight quantum's deltas).
+        # Telemetry deltas batched per call (flushed before return; a
+        # propagating fault abandons the in-flight call's deltas).
         calls_delta = 0
         chain_delta = 0
 
-        while executed < quantum:
+        while True:
+            if executed >= quantum:
+                if not extend:
+                    break
+                more = machine.extend_slice(thread)
+                if not more:
+                    break
+                quantum += more
             if (self.stop_flag is not None or not thread.alive
                     or thread.blocked):
                 break
@@ -608,7 +636,9 @@ class Cpu:
                         thread, min(headroom, quantum - executed))
                     break
                 remaining = quantum - executed
-                if n > remaining:
+                if n > remaining and not (
+                        straddle_ok and not block.ends_syscall
+                        and machine.slice_room(thread) >= n - remaining):
                     # Quantum expires mid-block: a branch can only be
                     # the final step, so any prefix is a valid
                     # straight-line run.  Hot blocks carry a compiled
@@ -652,13 +682,22 @@ class Cpu:
                     if block.compiled_loop and chain_ok:
                         # Self-loop variant: spin inside the generated
                         # code, bounded so no iteration can cross the
-                        # quantum or the trap/limit headroom.  Both
-                        # bounds are >= 1 here (n <= remaining and
-                        # n < headroom).
+                        # trap/limit headroom (h >= 1 as n < headroom)
+                        # or the slice end -- unless the machine lets
+                        # a lone thread run past it, in which case the
+                        # budget bounds the spin and the picks for the
+                        # slice ends it crossed are committed below.
                         k = remaining // n
                         h = (headroom - 1) // n
+                        if k < h and straddle_ok:
+                            room = (remaining
+                                    + machine.slice_room(thread)) // n
+                            if room > k:
+                                k = room
                         if h < k:
                             k = h
+                        if not k:
+                            k = 1   # an approved straddle
                         ran = fn(self, thread, block.entry, k)
                     else:
                         ran = fn(self, thread, block.entry)
@@ -674,13 +713,20 @@ class Cpu:
                     ran = thread.icount - before
                 executed += ran
                 headroom -= ran
+                while quantum < executed:
+                    # The block ran across the slice end: commit the
+                    # pick(s) the run loop would have made there.
+                    quantum += machine.next_slice()
                 if ran != n:
                     full, part = divmod(ran, n)
                     if part or full == 0:
                         # The block was invalidated under our feet
                         # (self-modifying code) and stopped at a step
                         # boundary; re-dispatch at the current rip
-                        # against freshly decoded bytes.
+                        # against freshly decoded bytes.  A self-loop
+                        # may have completed `full` iterations first,
+                        # each retiring its branch.
+                        thread.branches += full
                         self._smc_dirty = False
                         break
                     # A compiled self-loop spun `full` complete
@@ -715,8 +761,17 @@ class Cpu:
                     # already the architectural successor.
                     self._smc_dirty = False
                     break
-                if not chain_ok or executed >= quantum:
+                if not chain_ok:
                     break
+                if executed >= quantum:
+                    # Slice end between chained blocks: an extended
+                    # slice keeps following the chain.
+                    if not extend:
+                        break
+                    more = machine.extend_slice(thread)
+                    if not more:
+                        break
+                    quantum += more
 
                 # -- resolve the chain edge for the exit we just took.
                 rip = regs.rip
@@ -759,18 +814,13 @@ class Cpu:
         return executed
 
     def _compile_block(self, block: Block) -> Optional[Callable]:
-        """Hand a hot block to the threaded-code compiler.
+        """Hand a hot block to the process-wide threaded-code compiler.
 
         Returns the compiled function (also attached to the block), or
         None after marking the block uncompilable (unsupported handler,
         non-monotonic layout).
         """
-        compiler = self._compiler
-        if compiler is None:
-            from repro.machine.compile import BlockCompiler
-
-            compiler = self._compiler = BlockCompiler()
-        fn = compiler.compile_block(block)
+        fn = COMPILER.compile_block(block)
         if fn is None:
             block.no_compile = True
             self.compiled_bailouts += 1

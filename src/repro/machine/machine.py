@@ -20,7 +20,7 @@ from repro.machine.cpu import Cpu, CpuFault, NO_TRAP
 from repro.machine.kernel import Kernel
 from repro.machine.memory import AddressSpace, PageFault
 from repro.machine.perf import PMU
-from repro.machine.scheduler import Scheduler
+from repro.machine.scheduler import ScheduleSlice, Scheduler
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.observe import hooks
@@ -106,6 +106,14 @@ class Machine:
         self._syscall_tools: List[Tool] = []
         #: Global retired-instruction counter across all threads.
         self.executed_total = 0
+        # The slice in flight and its bounds in the thread's icount,
+        # plus run()'s budget (see extend_slice).
+        self._slice: Optional[ScheduleSlice] = None
+        self._slice_start = 0
+        self._slice_end = 0
+        self._extended = 0
+        self._budget: Optional[int] = None
+        self._retooled = False
 
     # -- setup ------------------------------------------------------------
 
@@ -146,6 +154,9 @@ class Machine:
         self._rebuild_tool_lists()
 
     def _rebuild_tool_lists(self) -> None:
+        # A tool attached or detached mid-run takes effect at the next
+        # slice end, which must then return to the run loop.
+        self._retooled = True
         self.instr_tools = [t for t in self.tools if t.wants_instructions]
         self.block_tools = [t for t in self.tools if t.wants_blocks]
         self.marker_tools = [t for t in self.tools if t.wants_markers]
@@ -158,7 +169,7 @@ class Machine:
         # hooks) and memory tools suppress the compiled tier (generated
         # code calls mem.read/write directly, bypassing the cpu-level
         # read/write hooks) — both of those conjunctions live in
-        # Cpu._run_fast, re-evaluated per quantum.
+        # Cpu._run_fast, re-evaluated per run_thread call.
         self.cpu.fast_dispatch = (not self.instr_tools
                                   and self.cpu.dispatch_tier != "slow")
         mem_tools = [t for t in self.tools if t.wants_memory]
@@ -294,6 +305,7 @@ class Machine:
         """
         self.cpu.stop_flag = None
         self.cpu.yield_flag = False
+        self._budget = max_instructions
         while self.exit_status is None:
             if not self.scheduler.mid_slice:
                 # Quantum-boundary signal delivery.  Skipped while a cut
@@ -323,15 +335,34 @@ class Machine:
             if max_instructions is not None:
                 quantum = min(quantum, remaining)
             thread = self.threads[slice_.tid]
+            start = thread.icount
+            self._slice = slice_
+            self._slice_start = start
+            self._slice_end = start + quantum
+            self._extended = 0
+            self._retooled = False
+            # A lone runnable thread in free-run may take its following
+            # slices without leaving the fast loop (extend_slice).
+            extend = len(runnable) == 1 and not self.scheduler.replaying
             try:
-                executed = self.cpu.run_thread(thread, quantum)
-            except PageFault as exc:
-                self.deliver_fault(thread, SIGSEGV, str(exc),
-                                   fault_address=exc.address)
+                executed = self.cpu.run_thread(thread, quantum, extend)
+            except (PageFault, CpuFault) as exc:
+                # Commit the picks for every slice end the faulting
+                # block ran across, as the per-slice loop would have.
+                while extend and self._slice_end <= thread.icount:
+                    self.next_slice()
+                self._count_slices()
+                if isinstance(exc, PageFault):
+                    self.deliver_fault(thread, SIGSEGV, str(exc),
+                                       fault_address=exc.address)
+                else:
+                    self.deliver_fault(thread, exc.signal, str(exc))
                 break
-            except CpuFault as exc:
-                self.deliver_fault(thread, exc.signal, str(exc))
-                break
+            self._count_slices()
+            # Extended slices are already accounted; only the last one
+            # can have ended early.
+            slice_ = self._slice
+            executed -= self._slice_start - start
             self.executed_total += executed
             yielded = self.cpu.yield_flag
             self.cpu.yield_flag = False
@@ -352,6 +383,76 @@ class Machine:
             self.exit_status = ExitStatus(kind="exit", code=0,
                                           detail="no runnable threads")
         return self.exit_status
+
+    # -- slice extension (fast tiers, lone runnable thread) -----------------
+
+    def slice_room(self, thread: Thread) -> int:
+        """How many instructions past the end of the current slice
+        *thread* may retire before the run loop must look again: 0 when
+        the loop would not hand it the next slice, else what is left of
+        the instruction budget (NO_TRAP without one).
+
+        These are the checks the loop makes at every boundary: stop and
+        yield requests, process exit, a deliverable-looking signal
+        (delivery itself stays in the loop), the instruction budget, and
+        no other runnable thread; a tool attached or detached since the
+        slice began also returns to the loop, which re-reads the tool
+        lists.  Only a syscall can change any of them (a clone or futex
+        wake adds a runnable thread), and syscalls end a block, so the
+        fast loop may ask ahead of a block that straddles the boundary
+        or of a self-loop spin.
+        """
+        cpu = self.cpu
+        if (cpu.stop_flag is not None or cpu.yield_flag or self._retooled
+                or self.exit_status is not None
+                or not thread.alive or thread.blocked
+                or self.kernel.process_pending):
+            return 0
+        for other in self.threads.values():
+            if other.pending and other.alive:
+                return 0
+            if other is not thread and other.alive and not other.blocked:
+                return 0
+        budget = self._budget
+        if budget is None:
+            return NO_TRAP
+        return budget - (self.executed_total + self._slice_end
+                         - self._slice_start)
+
+    def next_slice(self) -> int:
+        """Close the current slice at its end and pick the next one for
+        the same thread, exactly as the run loop would; returns its
+        (budget-clamped) quantum.
+
+        The caller has checked :meth:`slice_room`.  The pick is the
+        real :meth:`Scheduler.pick`, so the RNG draw and the recorded
+        slice are those of the per-slice loop.
+        """
+        self.executed_total += self._slice_end - self._slice_start
+        self._slice_start = self._slice_end
+        slice_ = self._slice = self.scheduler.pick((self._slice.tid,))
+        quantum = slice_.quantum
+        budget = self._budget
+        if budget is not None and budget - self.executed_total < quantum:
+            quantum = budget - self.executed_total
+        self._slice_end += quantum
+        self._extended += 1
+        return quantum
+
+    def extend_slice(self, thread: Thread) -> int:
+        """*thread*'s slice just ended on the fast path: pick its next
+        slice in place if the run loop would, returning the new quantum
+        (0 when the thread must return to the run loop)."""
+        if self.slice_room(thread) > 0:
+            return self.next_slice()
+        return 0
+
+    def _count_slices(self) -> None:
+        obs = hooks.OBS
+        if obs.enabled:
+            obs.count("sched.slices", 1 + self._extended)
+            if self._extended:
+                obs.count("sched.slices_extended", self._extended)
 
     def _stopped(self, reason: str) -> ExitStatus:
         status = ExitStatus(kind="stopped", detail=reason)

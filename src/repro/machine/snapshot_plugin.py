@@ -9,7 +9,8 @@ state — the hardware cache-model sets and superblock-cache counters.
 The decode and superblock caches themselves are deliberately dropped:
 they are a pure function of mapped code bytes and are rebuilt on demand,
 so restoring them would only risk staleness (superblock-cache-safe by
-construction).
+construction).  Compiled functions are not machine state at all: they
+live in the process-wide shape cache (``compile.COMPILER``).
 
 The ``kernel`` plugin owns OS state: the break, the futex wait queues,
 the in-memory filesystem, and the descriptor table — preserving

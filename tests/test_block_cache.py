@@ -7,12 +7,16 @@ with guest-visible memory across self-modifying stores and address-range
 reuse through mmap/munmap/mprotect.
 """
 
+import functools
+
 import pytest
 
 from repro.isa.instructions import Op, instruction_size
 from repro.machine import Machine, load_elf
+from repro.machine.compile import COMPILER
 from repro.machine.cpu import DISPATCH_TIERS, set_default_dispatch
 from repro.machine.memory import PROT_READ
+from repro.machine.scheduler import Scheduler
 from repro.machine.tool import Tool
 from repro.observe import hooks
 from repro.simpoint.bbv import _BlockCounter
@@ -617,9 +621,12 @@ def test_page_invalidation_severs_chain_edges():
 
 
 def test_block_cache_lru_eviction_under_tiny_cap():
-    """Past the cap the coldest blocks are evicted; eviction severs
-    their inbound chain edges and never changes architectural results."""
+    """Past the cap the coldest blocks are evicted, from the per-Cpu
+    block cache and from the process-wide compiled-shape cache alike;
+    eviction severs inbound chain edges and never changes architectural
+    results."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
+    reference = _arch_state(*_run(image, seed=1, tier="slow"))
     machine = Machine(seed=1)
     load_elf(machine, image)
     machine.cpu.set_dispatch("compiled")
@@ -629,13 +636,24 @@ def test_block_cache_lru_eviction_under_tiny_cap():
     assert cpu.block_evictions > 0
     assert len(cpu.block_cache) <= 4
     assert _chain_edges_target_live_blocks(cpu)
-    assert _arch_state(machine, status) \
-        == _arch_state(*_run(image, seed=1, tier="slow"))
+    assert _arch_state(machine, status) == reference
+
+    limit, evictions = COMPILER.cache_limit, COMPILER.evictions
+    COMPILER.cache.clear()
+    COMPILER.cache_limit = 2
+    try:
+        machine, status = _run(image, seed=1, tier="compiled")
+        assert len(COMPILER.cache) <= 2
+    finally:
+        COMPILER.cache_limit = limit
+    assert COMPILER.evictions > evictions
+    assert machine.cpu.compiled_blocks > 2
+    assert _arch_state(machine, status) == reference
 
 
 def test_self_loop_blocks_compile_to_spinning_functions():
     """A block whose taken edge targets its own entry compiles to a
-    generated function that spins internally; quantum spills run the
+    generated function that spins internally; budget spills run the
     compiled partial variant.  Both must stay bit-identical to the
     per-instruction loop."""
     image = build_executable(
@@ -657,13 +675,114 @@ def test_self_loop_blocks_compile_to_spinning_functions():
     assert status.kind == "exit"
     cpu = machine.cpu
     assert cpu.compiled_calls > 0
-    functions = [fn for fn in cpu._compiler.cache.values()
-                 if fn is not None]
-    assert any(getattr(fn, "__px_loop__", False) for fn in functions)
-    assert any(getattr(fn, "__px_part__", None) is not None
-               for fn in functions)
-    assert _arch_state(machine, status) == _arch_state(*_run(image,
-                                                             tier="slow"))
+    blocks = list(cpu.block_cache.values())
+    assert any(b.compiled is not None and b.compiled_loop for b in blocks)
+    assert any(b.compiled_part is not None for b in blocks)
+    reference = _arch_state(*_run(image, tier="slow"))
+    assert _arch_state(machine, status) == reference
+
+    # A budget that ends inside a block spills through the partial
+    # variant at every stop.
+    stepped = Machine(seed=0)
+    load_elf(stepped, image)
+    stepped.cpu.set_dispatch("compiled")
+    status = stepped.run(max_instructions=7)
+    while status.kind == "stopped":
+        status = stepped.run(max_instructions=stepped.executed_total + 7)
+    assert _arch_state(stepped, status) == reference
+
+
+#: A self-loop that patches an instruction ahead of its store once it
+#: has spun a few passes: from pass 8 on, ``st1`` hits the immediate of
+#: the ``mov rbx`` below it (the store address is ``scratch`` before).
+SPIN_SMC_SOURCE = """
+_start:
+    mov rax, 9          ; mmap(0, 4096, RWX, ANON, -1, 0)
+    mov rdi, 0
+    mov rsi, 4096
+    mov rdx, 7
+    mov r10, 0x22
+    mov r8, -1
+    mov r9, 0
+    syscall
+    mov r14, rax
+    mov rsi, func
+    mov rdi, r14
+    mov rcx, func_end
+    sub rcx, rsi
+copy:
+    ld1 rbx, [rsi]
+    st1 [rdi], rbx
+    add rsi, 1
+    add rdi, 1
+    sub rcx, 1
+    cmp rcx, 0
+    jnz copy
+    mov r12, scratch
+    mov r13, r14
+    add r13, %d
+    sub r13, r12
+    mov r15, 33
+    mov rdx, 0
+    call r14
+    mov rdi, rdx
+    and rdi, 0xff
+    mov rax, 231
+    syscall
+func:
+    mov rcx, 0
+floop:
+    add rcx, 1
+    mov rdi, rcx
+    shr rdi, 3
+    imul rdi, r13
+    add rdi, r12
+    st1 [rdi], r15
+    mov rbx, 11
+    add rdx, rbx
+    cmp rcx, 12
+    jnz floop
+    ret
+func_end:
+    nop
+"""
+_SPIN_PATCH = (instruction_size(Op.MOV_RI) + instruction_size(Op.ADD_RI)
+               + instruction_size(Op.MOV_RR) + instruction_size(Op.SHR_RI)
+               + instruction_size(Op.IMUL_RR) + instruction_size(Op.ADD_RR)
+               + instruction_size(Op.ST1) + 2)
+
+#: A self-loop whose divide faults on its 17th pass.
+SPIN_FAULT_SOURCE = """
+_start:
+    mov rcx, 0
+again:
+    mov rsi, rcx
+    shr rsi, 4
+    mov rdx, 1
+    sub rdx, rsi
+    div rax, rdx
+    add rcx, 1
+    jmp again
+"""
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_self_loop_spin_exits_count_completed_branches(tier):
+    """A fault or an SMC break inside a compiled self-loop spin still
+    counts the branch of every iteration completed before it."""
+    smc = build_executable(SPIN_SMC_SOURCE % _SPIN_PATCH,
+                           data_source="scratch:\n    .quad 0\n")
+    fault = build_executable(SPIN_FAULT_SOURCE)
+    for seed in range(3):
+        machine, status = _run(smc, seed=seed, tier=tier)
+        assert status.kind == "exit"
+        assert status.code == (7 * 11 + 5 * 33) & 0xff
+        assert _arch_state(machine, status) \
+            == _arch_state(*_run(smc, seed=seed, tier="slow"))
+        machine, status = _run(fault, seed=seed, tier=tier)
+        assert status.kind == "signal" and status.signal == 8
+        assert _arch_state(machine, status) \
+            == _arch_state(*_run(fault, seed=seed, tier="slow"))
 
 
 #: RACY_SOURCE with a MARKER inside both threads' hot loops, so marker
@@ -782,3 +901,309 @@ def test_snapshot_mid_chained_execution_round_trips():
             == _arch_state(straight, done)[4]
     finally:
         set_default_dispatch(previous)
+
+
+# -- slice boundaries of a lone thread ----------------------------------------
+#
+# On the fast tiers a lone runnable thread takes its next slice without
+# leaving the dispatch loop, and a block straddling the slice end runs
+# whole.  The schedule (recorded trace, RNG state, round-robin cursor)
+# must still match the per-slice slow tier exactly, whatever ends the
+# run: a fault, a clone, a signal, or a budget stop.
+
+
+def _sched_run(image, tier, seed, max_instructions=None):
+    machine = Machine(seed=seed)
+    load_elf(machine, image)
+    machine.cpu.set_dispatch(tier)
+    machine.scheduler.record = True
+    return machine, machine.run(max_instructions=max_instructions)
+
+
+def _sched_state(machine, status):
+    scheduler = machine.scheduler
+    return (_arch_state(machine, status), status.detail,
+            arch_digest(machine), machine.mem.snapshot(),
+            machine.executed_total, list(scheduler.trace),
+            scheduler._rng.getstate(), scheduler._next_index)
+
+
+def _first_quantum(seed):
+    return Scheduler(seed=seed).pick([0]).quantum
+
+
+def _boundaries(trace):
+    total, out = 0, []
+    for entry in trace:
+        total += entry.quantum
+        out.append(total)
+    return out
+
+
+#: Straight-line loop body around a fault that fires on the 9th pass
+#: (``rsi`` = pass >> 3), ``{pad}`` instructions into the block, so the
+#: block is compiled by then and slice ends fall all over it.
+_FAULT_SOURCE = """
+_start:
+{handler}
+    mov rdi, scratch
+    mov rcx, 0
+again:
+{pad}
+    mov rsi, rcx
+    shr rsi, 3
+{fault}
+{tail}
+    add rcx, 1
+    jmp again
+sighandler:
+    mov rax, 15
+    syscall
+"""
+_FAULT_DATA = """
+sigact:
+    .quad sighandler
+    .quad 0
+scratch:
+    .quad 0
+"""
+_FAULTS = {
+    # page fault at scratch + (1 << 40) with a SIGSEGV handler installed
+    # (synchronous faults stay fatal; the handler must change nothing)
+    "segv": ("""
+    mov rax, 13
+    mov rdi, 11
+    mov rsi, sigact
+    mov rdx, 0
+    syscall""", """
+    shl rsi, 40
+    add rsi, rdi
+    ld rax, [rsi]"""),
+    "divide": ("", """
+    mov rdx, 1
+    sub rdx, rsi
+    div rax, rdx"""),
+}
+_TAIL = 40
+
+
+@functools.lru_cache(maxsize=None)
+def _fault_case(fault, pad, seed):
+    """(image, slow-tier state, where the slice end fell) for one case."""
+    handler, fault_code = _FAULTS[fault]
+    image = build_executable(
+        _FAULT_SOURCE.format(
+            handler=handler, fault=fault_code,
+            pad="\n".join(["    add rbx, 1"] * pad),
+            tail="\n".join(["    add rbx, 2"] * _TAIL)),
+        data_source=_FAULT_DATA)
+    slow, status = _sched_run(image, "slow", seed)
+    assert status.kind == "signal"
+    at = slow.threads[0].icount            # instructions before the fault
+    start = at - (pad + 4)                 # the faulting block
+    end = start + pad + 5 + _TAIL + 2
+    kinds = set()
+    for boundary in _boundaries(slow.scheduler.trace):
+        if start < boundary < end:
+            kinds.add("prefix" if boundary > at else
+                      "at" if boundary == at else "crossed")
+    return image, _sched_state(slow, status), kinds
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_lone_thread_fault_in_straddling_block(tier, fault):
+    """A fault before the slice end leaves the scheduler untouched; one
+    at or after it sees the pick already made, as on the per-slice
+    loop."""
+    kinds = set()
+    for pad in range(60):
+        for seed in range(3):
+            image, reference, where = _fault_case(fault, pad, seed)
+            kinds |= where
+            machine, status = _sched_run(image, tier, seed)
+            assert _sched_state(machine, status) == reference, (pad, seed)
+    assert kinds == {"prefix", "at", "crossed"}
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_lone_thread_clone_at_slice_end(tier):
+    """A clone retiring as the slice's last instruction hands the next
+    pick back to round-robin: the child runs next."""
+    for seed in range(3):
+        first = _first_quantum(seed)
+        for delta in (-1, 0, 1):
+            nops = "\n".join(["    nop"] * (first - 5 + delta))
+            image = build_executable(
+                RACY_SOURCE.replace("_start:", "_start:\n" + nops, 1),
+                data_source=RACY_DATA)
+            slow, slow_status = _sched_run(image, "slow", seed)
+            assert slow_status.kind == "exit"
+            if delta == 0:
+                assert slow.scheduler.trace[0].quantum == first
+                assert slow.scheduler.trace[1].tid == 1
+            machine, status = _sched_run(image, tier, seed)
+            assert _sched_state(machine, status) \
+                == _sched_state(slow, slow_status), (seed, delta)
+
+
+_KILL_SOURCE = """
+_start:
+    mov rax, 13
+    mov rdi, 10
+    mov rsi, sigact
+    mov rdx, 0
+    syscall
+{nops}
+    mov rax, 39
+    syscall
+    mov rdi, rax
+    mov rsi, 10
+    mov rax, 62
+    syscall
+    mov rcx, 200
+spin:
+    add rbx, 1
+    sub rcx, 1
+    cmp rcx, 0
+    jnz spin
+    ld rdi, [signote]
+    add rdi, rbx
+    and rdi, 0xff
+    mov rax, 231
+    syscall
+sighandler:
+    ld rcx, [signote]
+    add rcx, rdi
+    st [signote], rcx
+    mov rax, 15
+    syscall
+"""
+_KILL_DATA = """
+sigact:
+    .quad sighandler
+    .quad 0
+signote:
+    .quad 0
+"""
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_lone_thread_kill_self_at_slice_end(tier):
+    """kill(self) yields: around the slice end the signal is delivered
+    at the same boundary and the shortened slice is recorded."""
+    for seed in range(3):
+        first = _first_quantum(seed)
+        for delta in (-2, -1, 0, 1):
+            # the kill retires as instruction first + delta
+            nops = "\n".join(["    nop"] * (first - 11 + delta))
+            image = build_executable(_KILL_SOURCE.format(nops=nops),
+                                     data_source=_KILL_DATA)
+            slow, slow_status = _sched_run(image, "slow", seed)
+            assert slow_status.kind == "exit"
+            assert slow_status.code == (10 + 200) & 0xff
+            assert slow.scheduler.trace[0].quantum \
+                == min(first, first + delta)
+            machine, status = _sched_run(image, tier, seed)
+            assert _sched_state(machine, status) \
+                == _sched_state(slow, slow_status), (seed, delta)
+
+
+_LOOP_BODY = 40
+_LOOP_SOURCE = """
+_start:
+    mov rcx, 60
+again:
+{body}
+    sub rcx, 1
+    cmp rcx, 0
+    jnz again
+    mov rdi, rbx
+    and rdi, 0xff
+    mov rax, 231
+    syscall
+""".format(body="\n".join(["    add rbx, 1"] * _LOOP_BODY))
+
+
+def _stop_and_resume(image, tier, seed, budget):
+    machine, stopped = _sched_run(image, tier, seed, budget)
+    assert stopped.kind == "stopped"
+    assert machine.executed_total == budget
+    snapshot = capture(machine)
+    resumed = restore(snapshot)
+    assert snapshot_digest(capture(resumed)) == snapshot_digest(snapshot)
+    resumed.cpu.set_dispatch(tier)
+    return _sched_state(resumed, resumed.run())
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_lone_thread_budget_stop_mid_straddle_resumes(tier):
+    """A budget stop inside a block that straddles a slice end, then a
+    snapshot round trip, resumes digest-identical to a straight run."""
+    image = build_executable(_LOOP_SOURCE)
+    seed = 2
+    slow, slow_status = _sched_run(image, "slow", seed)
+    reference = _sched_state(slow, slow_status)
+    straight, status = _sched_run(image, tier, seed)
+    assert _sched_state(straight, status) == reference
+    n = _LOOP_BODY + 3
+    starts = [0] + list(range(n + 1, slow.executed_total, n))
+    boundaries = _boundaries(slow.scheduler.trace)
+    mid_straddle = 0
+    for budget in range(401, 1600, 37):
+        start = max(s for s in starts if s < budget)
+        if any(start < b < budget for b in boundaries) \
+                and budget not in starts:
+            mid_straddle += 1
+        state = _stop_and_resume(image, tier, seed, budget)
+        # The budget cut splits one recorded slice in two; everything
+        # else matches the straight run.
+        assert state[:5] + state[6:] == reference[:5] + reference[6:]
+        assert state == _stop_and_resume(image, "slow", seed, budget)
+    assert mid_straddle >= 5
+
+
+class _AttachAtMarker(Tool):
+    """At the first marker, attaches a per-instruction counter."""
+
+    wants_instructions = False
+    wants_markers = True
+
+    def __init__(self):
+        self.counter = _InstructionCount()
+
+    def on_marker(self, machine, thread):
+        if self.counter not in machine.tools:
+            machine.attach(self.counter)
+
+
+class _InstructionCount(Tool):
+    wants_instructions = True
+
+    def __init__(self):
+        self.count = 0
+
+    def on_instruction(self, machine, thread, pc, insn):
+        self.count += 1
+
+
+@pytest.mark.parametrize("tier", DISPATCH_TIERS)
+def test_lone_thread_tool_attached_mid_run_applies_next_slice(tier):
+    """A tool attached from a hook takes effect at the next slice end on
+    every tier; an extended slice must not carry the old tool lists."""
+    image = build_executable(
+        _LOOP_SOURCE.replace("jnz again", "marker 0x42\n    jnz again"))
+
+    def counted(dispatch):
+        machine = Machine(seed=3)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch(dispatch)
+        machine.scheduler.record = True
+        tool = _AttachAtMarker()
+        machine.attach(tool)
+        status = machine.run()
+        return tool.counter.count, _sched_state(machine, status)
+
+    count, state = counted(tier)
+    assert count > 0
+    assert (count, state) == counted("slow")
