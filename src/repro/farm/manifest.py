@@ -4,7 +4,7 @@ A campaign appends one record per finished job (including cache hits
 and failures) to a ``.jsonl`` file.  Records are flat dicts so the file
 greps and ``jq``s well::
 
-    {"job": "502.gcc_r/log0", "stage": "log", "state": "ok",
+    {"job": "502.gcc_r/log", "stage": "log", "state": "ok",
      "cache": "miss", "wall_s": 1.84, "worker": 512, "attempts": 1, ...}
 
 ``state`` is ``ok`` | ``failed`` | ``blocked`` (an upstream dependency

@@ -63,8 +63,8 @@ def _job_icount(result: Any) -> Optional[int]:
 
     Recognizes the pipeline's artifact shapes: a profile carries
     ``total_icount``; a pinball's run ends at ``region.end`` global
-    instructions; a single-pass log group (dict of pinballs) ran to the
-    latest window end.  Returns ``None`` for results that required no
+    instructions; a log job's dict of pinballs, captured in one run,
+    ran to the latest window end.  Returns ``None`` for results that required no
     interpretation (clustering, conversion, assembly).
     """
     if result is None:

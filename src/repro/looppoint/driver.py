@@ -39,7 +39,8 @@ from repro.pinplay.regions import RegionSpec
 from repro.simpoint.pinpoints import (
     FarmAppOutcome,
     FarmValidation,
-    _capture_passes,
+    _capturable,
+    _job_log,
     _region_spec_tuple,
 )
 
@@ -154,22 +155,23 @@ def run_looppoint(image: bytes, app_name: str,
         return result
     marker = marker or MarkerSpec("sniper", 0x100)
     with obs.span("looppoint.capture", "looppoint", app=app_name):
-        for group in _capture_passes(regions, profile.total_icount):
-            pinballs = log_regions(image, group, seed=seed, fs=fs)
-            for name, pinball in pinballs.items():
-                pinball.program_icount = profile.total_icount
-                result.pinballs[name] = pinball
-                if make_elfies:
-                    with obs.span("looppoint.convert", "looppoint",
-                                  region=name):
-                        artifact = Pinball2Elf(
-                            pinball,
-                            Pinball2ElfOptions(
-                                perf_exit=perf_exit,
-                                perf_exit_slack=PERF_EXIT_SLACK,
-                                marker=marker),
-                        ).convert()
-                    result.elfies[name] = artifact
+        pinballs = log_regions(
+            image, _capturable(regions, profile.total_icount),
+            seed=seed, fs=fs)
+        for name, pinball in pinballs.items():
+            pinball.program_icount = profile.total_icount
+            result.pinballs[name] = pinball
+            if make_elfies:
+                with obs.span("looppoint.convert", "looppoint",
+                              region=name):
+                    artifact = Pinball2Elf(
+                        pinball,
+                        Pinball2ElfOptions(
+                            perf_exit=perf_exit,
+                            perf_exit_slack=PERF_EXIT_SLACK,
+                            marker=marker),
+                    ).convert()
+                result.elfies[name] = artifact
     return result
 
 
@@ -188,14 +190,6 @@ def _job_select(profile: LoopPointProfile, max_k: int,
     return select_loop_regions(profile, max_k=max_k, seed=cluster_seed)
 
 
-def _job_log_group(image: bytes, regions: Sequence[RegionSpec], seed: int,
-                   program_icount: int) -> Dict[str, Pinball]:
-    pinballs = log_regions(image, regions, seed=seed)
-    for pinball in pinballs.values():
-        pinball.program_icount = program_icount
-    return pinballs
-
-
 def _job_convert(pinball: Optional[Pinball], perf_exit: bool,
                  marker_type: str, marker_tag: int) -> Optional[ElfieArtifact]:
     if pinball is None:
@@ -209,14 +203,13 @@ def _job_convert(pinball: Optional[Pinball], perf_exit: bool,
 def _job_assemble(app_name: str, profile: LoopPointProfile,
                   selection: LoopPointResult, regions: List[RegionSpec],
                   windows: MarkerWindows,
-                  groups: List[Dict[str, Pinball]],
+                  pinballs: Dict[str, Pinball],
                   elfies: Dict[str, Optional[ElfieArtifact]],
                   ) -> LoopPointsResult:
     result = LoopPointsResult(app_name=app_name, profile=profile,
                               selection=selection, regions=regions,
-                              marker_windows=windows)
-    for group in groups:
-        result.pinballs.update(group)
+                              marker_windows=windows,
+                              pinballs=dict(pinballs))
     result.elfies = {name: artifact for name, artifact in elfies.items()
                      if artifact is not None}
     return result
@@ -278,52 +271,48 @@ def add_looppoint_jobs(graph: JobGraph, image: bytes, app_name: str,
                                     name_prefix="%s.L" % app_name,
                                     max_alternates=max_alternates)
         windows = _window_json(selection, regions)
-        passes = _capture_passes(regions, profile.total_icount)
-        group_names: List[str] = []
+        capturable = _capturable(regions, profile.total_icount)
+        log_name = "%s/log" % app_name
+        graph.add(Job(
+            name=log_name,
+            fn=_job_log,
+            args=(image, capturable, seed, profile.total_icount),
+            key=stable_digest([REGION_SELECTOR, "log", workload_key,
+                               seed, {"fat": True},
+                               [_region_spec_tuple(r) for r in capturable]]),
+            kind="pinballs",
+            deps=(select_name,),
+            stage="log",
+            selector=REGION_SELECTOR,
+        ))
         convert_refs: Dict[str, Ref] = {}
-        for index, group in enumerate(passes):
-            group_name = "%s/log%d" % (app_name, index)
+        for region in capturable:
+            convert_name = "%s/convert/%s" % (app_name, region.name)
             graph.add(Job(
-                name=group_name,
-                fn=_job_log_group,
-                args=(image, list(group), seed, profile.total_icount),
-                key=stable_digest([REGION_SELECTOR, "log", workload_key,
-                                   seed, {"fat": True},
-                                   [_region_spec_tuple(r) for r in group]]),
-                kind="pinballs",
-                deps=(select_name,),
-                stage="log",
+                name=convert_name,
+                fn=_job_convert,
+                args=(Ref(log_name,
+                          select=lambda pbs, n=region.name: pbs.get(n)),
+                      perf_exit, marker.marker_type, marker.tag),
+                key=stable_digest([REGION_SELECTOR, "elfie",
+                                   workload_key,
+                                   _region_spec_tuple(region),
+                                   windows[region.name], seed,
+                                   {"fat": True},
+                                   {"perf_exit": perf_exit,
+                                    "slack": PERF_EXIT_SLACK,
+                                    "marker": [marker.marker_type,
+                                               marker.tag]}]),
+                stage="convert",
                 selector=REGION_SELECTOR,
             ))
-            group_names.append(group_name)
-            for region in group:
-                convert_name = "%s/convert/%s" % (app_name, region.name)
-                graph.add(Job(
-                    name=convert_name,
-                    fn=_job_convert,
-                    args=(Ref(group_name,
-                              select=lambda pbs, n=region.name: pbs.get(n)),
-                          perf_exit, marker.marker_type, marker.tag),
-                    key=stable_digest([REGION_SELECTOR, "elfie",
-                                       workload_key,
-                                       _region_spec_tuple(region),
-                                       windows[region.name], seed,
-                                       {"fat": True},
-                                       {"perf_exit": perf_exit,
-                                        "slack": PERF_EXIT_SLACK,
-                                        "marker": [marker.marker_type,
-                                                   marker.tag]}]),
-                    stage="convert",
-                    selector=REGION_SELECTOR,
-                ))
-                convert_refs[region.name] = Ref(convert_name)
+            convert_refs[region.name] = Ref(convert_name)
         assemble_name = "%s/assemble" % app_name
         graph.add(Job(
             name=assemble_name,
             fn=_job_assemble,
             args=(app_name, Ref(profile_name), Ref(select_name),
-                  list(regions), windows,
-                  [Ref(name) for name in group_names], convert_refs),
+                  list(regions), windows, Ref(log_name), convert_refs),
             local=True,
             stage="assemble",
             selector=REGION_SELECTOR,

@@ -5,6 +5,10 @@ region start, snapshots the architectural state, then records during the
 region: every system call's results and memory side-effects, the
 realized thread schedule, and (in lazy mode) the set of touched pages.
 
+:func:`log_region` captures one region per run; :func:`log_regions`
+captures any set of regions, overlapping windows included, in one run,
+each pinball byte-identical to the one :func:`log_region` records.
+
 Fat-pinball switches (paper §II-A):
 
 ``whole_image``
@@ -31,6 +35,7 @@ from repro.machine.kernel import NR
 from repro.machine.loader import load_elf
 from repro.machine.machine import Machine
 from repro.machine.memory import PAGE_SHIFT
+from repro.machine.scheduler import ScheduleSlice
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.observe import hooks
@@ -191,101 +196,162 @@ def _capture_kernel_ipc(machine: Machine) -> dict:
     }
 
 
+class _WindowStart:
+    """The state a pinball needs from its capture window's start."""
+
+    def __init__(self, machine: Machine) -> None:
+        self.pages = machine.mem.snapshot()
+        self.perms = machine.mem.snapshot_perms()
+        self.icounts: Dict[int, int] = {}
+        self.threads: List[ThreadRecord] = []
+        for thread in machine.threads.values():
+            if thread.alive:
+                self.icounts[thread.tid] = thread.icount
+                self.threads.append(_thread_snapshot(thread))
+        kernel = machine.kernel
+        self.fields = dict(
+            brk_start=kernel.brk_start,
+            brk_end=kernel.brk_end,
+            # tid allocation state must be snapshotted *before* the
+            # record window: a clone inside the region bumps the counter,
+            # and replay must re-allocate the same tids the recording run
+            # handed out.
+            next_tid=machine._next_tid,
+            open_files=_capture_open_files(machine),
+            futex_waiters=_capture_futex_waiters(machine),
+            **_capture_kernel_ipc(machine),
+        )
+
+    def pinball(self, machine: Machine, name: str, region: RegionSpec,
+                syscalls: List[SyscallRecord],
+                schedule: List[ScheduleSlice],
+                touched: Optional[Set[int]] = None,
+                **flags: bool) -> Pinball:
+        """Close the window at the machine's current state.
+
+        With *touched*, only those pages are kept (lazy mode).
+        """
+        for record in self.threads:
+            record.region_icount = (machine.threads[record.tid].icount
+                                    - self.icounts[record.tid])
+        kept = self.pages if touched is None else {
+            page: data for page, data in self.pages.items()
+            if page in touched}
+        obs = hooks.OBS
+        if obs.enabled:
+            obs.count("logger.regions")
+            obs.count("logger.pages_captured", len(kept))
+            obs.count("logger.syscall_records", len(syscalls))
+        return Pinball(
+            name=name,
+            region=region,
+            pages={page << PAGE_SHIFT: (self.perms[page], data)
+                   for page, data in kept.items()},
+            threads=self.threads,
+            syscalls=syscalls,
+            schedule=schedule,
+            **flags,
+            **self.fields,
+        )
+
+
+def _window_schedule(trace: Sequence[ScheduleSlice], cuts: Set[int],
+                     first: int, last: int) -> List[ScheduleSlice]:
+    """``trace[first:last]`` with every slice cut strictly inside it
+    joined; ``k in cuts`` means ``trace[k]`` continues ``trace[k - 1]``.
+    """
+    schedule: List[ScheduleSlice] = []
+    for index in range(first, last):
+        entry = trace[index]
+        if index in cuts and index > first:
+            head = schedule.pop()
+            entry = ScheduleSlice(tid=head.tid,
+                                  quantum=head.quantum + entry.quantum)
+        schedule.append(entry)
+    return schedule
+
+
 def log_regions(image: bytes, regions: Sequence[RegionSpec],
                 seed: int = 0,
                 argv: Optional[Sequence[str]] = None,
                 fs: Optional[FileSystem] = None,
                 fat: bool = True,
                 aslr_seed: Optional[int] = None) -> Dict[str, Pinball]:
-    """Capture several regions of one program in a single run.
+    """Capture any set of regions of one program in a single run.
 
-    Functionally equivalent to calling :func:`log_region` once per
-    region (each capture window is ``[warmup_start, end)``), but the
-    program executes only once: the recorder stays attached and the
-    per-region state snapshots are taken as the run crosses each
-    boundary.  Capture windows must not overlap.  Regions whose window
-    starts beyond program exit are skipped.  Only fat pinballs are
-    supported (the single-pass recorder does not track per-region page
-    touches).
+    Each pinball is byte-identical to what :func:`log_region` records
+    for that region alone (window ``[warmup_start, end)``), though the
+    program runs once; windows may overlap, nest, touch, or repeat
+    under several names.  The run fast-forwards to the first window
+    start, then records one syscall list and schedule trace to the
+    last window end, stopping at every window start and end (windows
+    ending at a stop close before those starting there open).  A window
+    snapshots the machine at its start and takes its slice of both.
+
+    Merge rule: a budget stop inside a slice trims the recorded entry
+    to what ran and parks the remainder (:meth:`Scheduler.note_partial`)
+    for the next pick, which records it as a second entry.  Budget
+    stops are otherwise schedule-transparent (same RNG draws,
+    interleaving and signal delivery), so joining the two entries of
+    every slice cut strictly inside a window gives the schedule of a
+    run that never stopped there.  Cuts at the window's own start or
+    end stay: a standalone capture stops there too.
+
+    A window still open at program exit is emitted with what it
+    recorded, as :func:`log_region` would; windows starting beyond exit
+    are skipped.  Only fat pinballs are supported (no per-region page
+    touch tracking).
     """
     if not fat:
         raise ValueError("log_regions only produces fat pinballs")
-    ordered = sorted(regions, key=lambda r: r.warmup_start)
-    for earlier, later in zip(ordered, ordered[1:]):
-        if earlier.end > later.warmup_start:
-            raise ValueError(
-                "capture windows of %s and %s overlap"
-                % (earlier.name, later.name))
-
     machine = Machine(seed=seed, fs=fs)
     load_elf(machine, image, argv=argv, aslr_seed=aslr_seed)
+    scheduler = machine.scheduler
     recorder = _RecordingTool(lazy=False)
+    stops = sorted({r.warmup_start for r in regions}
+                   | {r.end for r in regions})
+    #: open window -> (start state, first trace index, first syscall)
+    open_windows: Dict[RegionSpec, Tuple[_WindowStart, int, int]] = {}
+    cuts: Set[int] = set()
     out: Dict[str, Pinball] = {}
 
+    def close(region: RegionSpec) -> None:
+        start, first_slice, first_call = open_windows.pop(region)
+        out[region.name] = start.pinball(
+            machine, region.name, region,
+            syscalls=recorder.syscalls[first_call:],
+            schedule=_window_schedule(scheduler.trace, cuts, first_slice,
+                                      len(scheduler.trace)),
+            fat=True, whole_image=True, pages_early=True)
+
     obs = hooks.OBS
-    for region in ordered:
-        window_start = region.warmup_start
-        window_length = region.end - window_start
-        # Fast-forward with no tool attached: the gap between capture
-        # windows runs on the interpreter's uninstrumented fast path.
-        if machine.executed_total < window_start:
-            with obs.span("logger.fast_forward", "pinplay",
-                          region=region.name):
-                status = machine.run(max_instructions=window_start)
+    for stop in stops:
+        if machine.executed_total < stop:
+            if scheduler.record:
+                span = obs.span("logger.record", "pinplay",
+                                regions=[r.name for r in open_windows])
+            else:
+                span = obs.span("logger.fast_forward", "pinplay")
+            with span:
+                status = machine.run(max_instructions=stop)
             if status.kind != "stopped":
-                break  # program ended before this region
-        pages = machine.mem.snapshot()
-        perms = machine.mem.snapshot_perms()
-        start_icounts: Dict[int, int] = {}
-        threads: List[ThreadRecord] = []
-        for thread in machine.threads.values():
-            if not thread.alive:
-                continue
-            start_icounts[thread.tid] = thread.icount
-            threads.append(_thread_snapshot(thread))
-        brk_start = machine.kernel.brk_start
-        brk_end = machine.kernel.brk_end
-        next_tid = machine._next_tid
-        open_files = _capture_open_files(machine)
-        futex_waiters = _capture_futex_waiters(machine)
-        ipc_state = _capture_kernel_ipc(machine)
-        recorder.syscalls = []
-        machine.attach(recorder)
-        machine.scheduler.record = True
-        machine.scheduler.trace = []
-        with obs.span("logger.record", "pinplay", region=region.name):
-            status = machine.run(
-                max_instructions=window_start + window_length)
-        machine.scheduler.record = False
-        machine.detach(recorder)
-        for record in threads:
-            thread = machine.threads[record.tid]
-            record.region_icount = thread.icount - start_icounts[record.tid]
-        if obs.enabled:
-            obs.count("logger.regions")
-            obs.count("logger.pages_captured", len(pages))
-            obs.count("logger.syscall_records", len(recorder.syscalls))
-        out[region.name] = Pinball(
-            name=region.name,
-            region=region,
-            pages={page << PAGE_SHIFT: (perms[page], data)
-                   for page, data in pages.items()},
-            threads=threads,
-            syscalls=list(recorder.syscalls),
-            schedule=list(machine.scheduler.trace),
-            brk_start=brk_start,
-            brk_end=brk_end,
-            fat=True,
-            whole_image=True,
-            pages_early=True,
-            next_tid=next_tid,
-            open_files=open_files,
-            futex_waiters=futex_waiters,
-            **ipc_state,
-        )
-        if status.kind != "stopped":
-            break
-    return out
+                break
+        if scheduler.mid_slice:
+            cuts.add(len(scheduler.trace))
+        for region in [r for r in open_windows if r.end == stop]:
+            close(region)
+        if not scheduler.record:
+            machine.attach(recorder)
+            scheduler.record = True
+        for region in regions:
+            if region.warmup_start == stop:
+                open_windows[region] = (_WindowStart(machine),
+                                        len(scheduler.trace),
+                                        len(recorder.syscalls))
+    for region in list(open_windows):
+        close(region)
+    return {region.name: out[region.name] for region in regions
+            if region.name in out}
 
 
 def log_region(image: bytes, region: RegionSpec,
@@ -308,8 +374,6 @@ def log_region(image: bytes, region: RegionSpec,
     load_elf(machine, image, argv=argv, aslr_seed=aslr_seed)
 
     window_start = region.warmup_start
-    window_length = region.end - window_start
-
     obs = hooks.OBS
 
     # Fast-forward (uninstrumented) to the window start.
@@ -322,27 +386,8 @@ def log_region(image: bytes, region: RegionSpec,
                 % (status.kind, window_start)
             )
 
-    # Snapshot state at window start.
-    pages = machine.mem.snapshot()
-    perms = machine.mem.snapshot_perms()
-    start_icounts: Dict[int, int] = {}
-    threads: List[ThreadRecord] = []
-    for thread in machine.threads.values():
-        if not thread.alive:
-            continue
-        start_icounts[thread.tid] = thread.icount
-        threads.append(_thread_snapshot(thread))
-    brk_start = machine.kernel.brk_start
-    brk_end = machine.kernel.brk_end
-    # tid allocation state must be snapshotted *before* the record
-    # window: a clone inside the region bumps the counter, and replay
-    # must re-allocate the same tids the recording run handed out.
-    next_tid = machine._next_tid
-    open_files = _capture_open_files(machine)
-    futex_waiters = _capture_futex_waiters(machine)
-    ipc_state = _capture_kernel_ipc(machine)
-
-    # Record during the window.
+    # Snapshot state at window start, then record during the window.
+    start = _WindowStart(machine)
     recorder = _RecordingTool(lazy=not pages_early)
     machine.attach(recorder)
     machine.scheduler.record = True
@@ -352,42 +397,17 @@ def log_region(image: bytes, region: RegionSpec,
             lambda page, is_write: recorder.touched_pages.add(page)
         )
     with obs.span("logger.record", "pinplay", region=region.name):
-        machine.run(max_instructions=window_start + window_length)
+        machine.run(max_instructions=region.end)
     machine.scheduler.record = False
     machine.mem.touch_hook = None
     machine.detach(recorder)
 
-    for record in threads:
-        thread = machine.threads[record.tid]
-        record.region_icount = thread.icount - start_icounts[record.tid]
-
-    if whole_image:
-        kept = pages
-    else:
-        kept = {page: data for page, data in pages.items()
-                if page in recorder.touched_pages}
-
-    if obs.enabled:
-        obs.count("logger.regions")
-        obs.count("logger.pages_captured", len(kept))
-        obs.count("logger.syscall_records", len(recorder.syscalls))
-
-    return Pinball(
-        name=options.name,
-        region=region,
-        pages={page << PAGE_SHIFT: (perms[page], data)
-               for page, data in kept.items()},
-        threads=threads,
+    return start.pinball(
+        machine, options.name, region,
         syscalls=recorder.syscalls,
         schedule=list(machine.scheduler.trace),
-        brk_start=brk_start,
-        brk_end=brk_end,
+        touched=None if whole_image else recorder.touched_pages,
         fat=whole_image and pages_early,
         whole_image=whole_image,
         pages_early=pages_early,
-        program_icount=0,
-        next_tid=next_tid,
-        open_files=open_files,
-        futex_waiters=futex_waiters,
-        **ipc_state,
     )

@@ -107,43 +107,35 @@ def run_pinpoints(image: bytes, app_name: str,
         return result
     marker = marker or MarkerSpec("sniper", 0xE1F)
     with obs.span("pinpoints.capture", "pinpoints", app=app_name):
-        for group in _capture_passes(regions, profile.total_icount):
-            pinballs = log_regions(image, group, seed=seed, fs=fs)
-            for name, pinball in pinballs.items():
-                pinball.program_icount = profile.total_icount
-                result.pinballs[name] = pinball
-                if make_elfies:
-                    with obs.span("pinpoints.convert", "pinpoints",
-                                  region=name):
-                        artifact = Pinball2Elf(
-                            pinball,
-                            Pinball2ElfOptions(perf_exit=perf_exit,
-                                               marker=marker),
-                        ).convert()
-                    result.elfies[name] = artifact
+        pinballs = log_regions(
+            image, _capturable(regions, profile.total_icount),
+            seed=seed, fs=fs)
+        for name, pinball in pinballs.items():
+            pinball.program_icount = profile.total_icount
+            result.pinballs[name] = pinball
+            if make_elfies:
+                with obs.span("pinpoints.convert", "pinpoints",
+                              region=name):
+                    artifact = Pinball2Elf(
+                        pinball,
+                        Pinball2ElfOptions(perf_exit=perf_exit,
+                                           marker=marker),
+                    ).convert()
+                result.elfies[name] = artifact
     return result
 
 
-def _capture_passes(regions: Sequence[RegionSpec],
-                    total_icount: int) -> List[List[RegionSpec]]:
-    """Group capturable regions into non-overlapping logger passes.
+def _capturable(regions: Sequence[RegionSpec],
+                total_icount: int) -> List[RegionSpec]:
+    """The regions whose window ends within the profiled run.
 
-    Windows of different regions may overlap (a big warmup around
-    adjacent slices); overlapping ones are captured in separate passes.
-    Shared by the direct and farm-backed drivers so both log the exact
-    same windows in the exact same runs.
+    :func:`log_regions` captures them all in one run of the program,
+    overlapping windows included (a big warmup around adjacent slices
+    overlaps its neighbours).  Shared by the direct and farm-backed
+    drivers of both selectors, so every path logs the exact same
+    windows.
     """
-    capturable = [region for region in regions
-                  if region.end <= total_icount]
-    passes: List[List[RegionSpec]] = []
-    for region in sorted(capturable, key=lambda r: r.warmup_start):
-        for group in passes:
-            if group and group[-1].end <= region.warmup_start:
-                group.append(region)
-                break
-        else:
-            passes.append([region])
-    return passes
+    return [region for region in regions if region.end <= total_icount]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +235,8 @@ def _job_select(profile: BBVProfile, max_k: int,
     return select_simpoints(profile, max_k=max_k, seed=cluster_seed)
 
 
-def _job_log_group(image: bytes, regions: Sequence[RegionSpec], seed: int,
-                   program_icount: int) -> Dict[str, Pinball]:
+def _job_log(image: bytes, regions: Sequence[RegionSpec], seed: int,
+             program_icount: int) -> Dict[str, Pinball]:
     pinballs = log_regions(image, regions, seed=seed)
     for pinball in pinballs.values():
         pinball.program_icount = program_icount
@@ -264,12 +256,11 @@ def _job_convert(pinball: Optional[Pinball], perf_exit: bool,
 
 def _job_assemble(app_name: str, profile: BBVProfile,
                   simpoints: SimPointResult, regions: List[RegionSpec],
-                  groups: List[Dict[str, Pinball]],
+                  pinballs: Dict[str, Pinball],
                   elfies: Dict[str, Optional[ElfieArtifact]]) -> PinPointsResult:
     result = PinPointsResult(app_name=app_name, profile=profile,
-                             simpoints=simpoints, regions=regions)
-    for group in groups:
-        result.pinballs.update(group)
+                             simpoints=simpoints, regions=regions,
+                             pinballs=dict(pinballs))
     result.elfies = {name: artifact for name, artifact in elfies.items()
                      if artifact is not None}
     return result
@@ -334,50 +325,46 @@ def add_pinpoints_jobs(graph: JobGraph, image: bytes, app_name: str,
         regions = simpoints.regions(warmup=warmup,
                                     name_prefix="%s.r" % app_name,
                                     max_alternates=max_alternates)
-        passes = _capture_passes(regions, profile.total_icount)
-        group_names: List[str] = []
+        capturable = _capturable(regions, profile.total_icount)
+        log_name = "%s/log" % app_name
+        graph.add(Job(
+            name=log_name,
+            fn=_job_log,
+            args=(image, capturable, seed, profile.total_icount),
+            key=stable_digest([REGION_SELECTOR, "pinpoints.log",
+                               workload_key, seed, {"fat": True},
+                               [_region_spec_tuple(r) for r in capturable]]),
+            kind="pinballs",
+            deps=(select_name,),
+            stage="log",
+            selector=REGION_SELECTOR,
+        ))
         convert_refs: Dict[str, Ref] = {}
-        for index, group in enumerate(passes):
-            group_name = "%s/log%d" % (app_name, index)
+        for region in capturable:
+            convert_name = "%s/convert/%s" % (app_name, region.name)
             graph.add(Job(
-                name=group_name,
-                fn=_job_log_group,
-                args=(image, list(group), seed, profile.total_icount),
-                key=stable_digest([REGION_SELECTOR, "pinpoints.log",
-                                   workload_key, seed, {"fat": True},
-                                   [_region_spec_tuple(r) for r in group]]),
-                kind="pinballs",
-                deps=(select_name,),
-                stage="log",
+                name=convert_name,
+                fn=_job_convert,
+                args=(Ref(log_name,
+                          select=lambda pbs, n=region.name: pbs.get(n)),
+                      perf_exit, marker.marker_type, marker.tag),
+                key=stable_digest([REGION_SELECTOR, "pinpoints.elfie",
+                                   workload_key,
+                                   _region_spec_tuple(region), seed,
+                                   {"fat": True},
+                                   {"perf_exit": perf_exit,
+                                    "marker": [marker.marker_type,
+                                               marker.tag]}]),
+                stage="convert",
                 selector=REGION_SELECTOR,
             ))
-            group_names.append(group_name)
-            for region in group:
-                convert_name = "%s/convert/%s" % (app_name, region.name)
-                graph.add(Job(
-                    name=convert_name,
-                    fn=_job_convert,
-                    args=(Ref(group_name,
-                              select=lambda pbs, n=region.name: pbs.get(n)),
-                          perf_exit, marker.marker_type, marker.tag),
-                    key=stable_digest([REGION_SELECTOR, "pinpoints.elfie",
-                                       workload_key,
-                                       _region_spec_tuple(region), seed,
-                                       {"fat": True},
-                                       {"perf_exit": perf_exit,
-                                        "marker": [marker.marker_type,
-                                                   marker.tag]}]),
-                    stage="convert",
-                    selector=REGION_SELECTOR,
-                ))
-                convert_refs[region.name] = Ref(convert_name)
+            convert_refs[region.name] = Ref(convert_name)
         assemble_name = "%s/assemble" % app_name
         graph.add(Job(
             name=assemble_name,
             fn=_job_assemble,
             args=(app_name, Ref(profile_name), Ref(select_name),
-                  list(regions), [Ref(name) for name in group_names],
-                  convert_refs),
+                  list(regions), Ref(log_name), convert_refs),
             local=True,
             stage="assemble",
             selector=REGION_SELECTOR,
