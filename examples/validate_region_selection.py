@@ -37,7 +37,7 @@ def main() -> None:
     pinpoints = run_pinpoints(image, app.name, slice_size=20_000,
                               warmup=40_000, max_k=30, max_alternates=2)
     print("   %d slices, k=%d, %d ELFies, %.1fs"
-          % (pinpoints.profile.num_slices, pinpoints.simpoints.k,
+          % (pinpoints.profile.num_slices, pinpoints.selection.k,
              len(pinpoints.elfies), time.time() - started))
 
     print("== ELFie-based validation (native runs + HW counters)")

@@ -12,6 +12,8 @@ The package is organized bottom-up:
 - :mod:`repro.core` — **pinball2elf**, the paper's contribution,
 - :mod:`repro.simpoint` — SimPoint/PinPoints region selection and its
   validation,
+- :mod:`repro.pipeline` — the region-selection pipeline (profile,
+  select, capture, convert, validate) both selectors share,
 - :mod:`repro.simulators` — the Sniper-like, CoreSim-like and
   gem5-like consumers,
 - :mod:`repro.workloads` — SPEC-like synthetic benchmark suites,

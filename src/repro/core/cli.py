@@ -306,22 +306,20 @@ def _cmd_looppoint_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_looppoint_select(args: argparse.Namespace) -> int:
-    from repro.looppoint import collect_looppoint, select_loop_regions
+    from repro.looppoint import REGION_SELECTOR, run_looppoint
 
     image, name = _looppoint_image(args)
-    profile = collect_looppoint(image, slice_markers=args.slice_markers,
-                                seed=args.seed)
-    selection = select_loop_regions(profile, max_k=args.max_k,
-                                    seed=args.cluster_seed)
-    regions = selection.regions(warmup_slices=args.warmup_slices,
-                                name_prefix="%s.L" % name,
-                                max_alternates=args.alternates)
-    primaries = [r for r in regions if ".alt" not in r.name]
+    result = run_looppoint(image, name, slice_markers=args.slice_markers,
+                           warmup_slices=args.warmup_slices,
+                           max_k=args.max_k, seed=args.seed,
+                           max_alternates=args.alternates,
+                           cluster_seed=args.cluster_seed, capture=False)
+    regions, primaries = result.regions, result.primary_regions
     print("%s: %d clusters -> %d regions (+%d alternates)"
-          % (name, len(selection.clusters), len(primaries),
+          % (name, len(result.selection.clusters), len(primaries),
              len(regions) - len(primaries)))
     for region in primaries:
-        start, end = selection.marker_window(region.name)
+        start, end = result.marker_window(region.name)
         window = "?"
         if start and end:
             window = "+0x%x:%d .. +0x%x:%d" % (start.offset, start.count,
@@ -331,19 +329,16 @@ def _cmd_looppoint_select(args: argparse.Namespace) -> int:
                  region.start + region.length, window))
     if args.json:
         def _region_json(r):
-            skip, measure = selection.measure_crossings(r.name)
+            window = result.marker_windows[r.name]
             return {"name": r.name, "start": r.start, "length": r.length,
                     "warmup": r.warmup, "weight": r.weight,
-                    "skip": skip, "measure": measure,
-                    "markers": {
-                        side: point.to_json() if point else None
-                        for side, point in zip(
-                            ("start", "end"),
-                            selection.marker_window(r.name))}}
+                    "skip": window["skip"], "measure": window["measure"],
+                    "markers": {side: window[side]
+                                for side in ("start", "end")}}
 
         payload = {
             "app": name,
-            "selector": "looppoint/v1",
+            "selector": REGION_SELECTOR,
             "regions": [_region_json(r) for r in regions],
         }
         with open(args.json, "w") as handle:
@@ -850,6 +845,32 @@ def build_parser() -> argparse.ArgumentParser:
                             help="work-marker crossings per slice")
         parser.add_argument("--seed", type=int, default=0)
 
+    def _campaign_flags(parser: argparse.ArgumentParser) -> None:
+        """The campaign flags ``farm run`` and ``service submit`` share."""
+        parser.add_argument("--app", action="append", required=True,
+                            help="suite app name (repeatable), e.g. "
+                                 "502.gcc_r")
+        parser.add_argument("--input", default="train",
+                            choices=("test", "train", "ref"))
+        parser.add_argument("--slice-size", type=int, default=20_000,
+                            help="instructions per slice (bbv-simpoint)")
+        parser.add_argument("--warmup", type=int, default=80_000,
+                            help="warmup icount before each region "
+                                 "(bbv-simpoint)")
+        parser.add_argument("--max-k", type=int, default=12)
+        parser.add_argument("--alternates", type=int, default=2)
+        parser.add_argument("--seed", type=int, default=0)
+        parser.add_argument("--validate-seed", type=int, default=0)
+        parser.add_argument("--trials", type=int, default=1)
+        parser.add_argument("--manifest", default=None,
+                            help="write a JSON-lines run manifest here")
+        parser.add_argument("--verify-fidelity", action="store_true",
+                            help="also run the differential replay-fidelity "
+                                 "verifier over each captured region")
+        parser.add_argument("--fidelity-regions", type=int, default=None,
+                            metavar="N",
+                            help="verify at most N regions per app")
+
     lp_profile = looppoint_sub.add_parser(
         "profile", help="harvest loop markers and profile marker slices")
     _looppoint_common(lp_profile)
@@ -893,39 +914,18 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run PinPoints campaigns through the artifact store")
     farm_run.add_argument("--store", default=".farm",
                           help="artifact store directory (default .farm)")
-    farm_run.add_argument("--app", action="append", required=True,
-                          help="suite app name (repeatable), e.g. 502.gcc_r")
-    farm_run.add_argument("--input", default="train",
-                          choices=("test", "train", "ref"))
+    _campaign_flags(farm_run)
     farm_run.add_argument("--jobs", type=int, default=None,
                           help="worker processes (default: cpu count)")
     farm_run.add_argument("--selector", default="bbv-simpoint",
                           choices=("bbv-simpoint", "looppoint"),
                           help="region-selection strategy: BBV SimPoint "
                                "slices or loop-marker LoopPoint regions")
-    farm_run.add_argument("--slice-size", type=int, default=20_000,
-                          help="instructions per slice (bbv-simpoint)")
     farm_run.add_argument("--slice-markers", type=int, default=64,
                           help="work-marker crossings per slice (looppoint)")
-    farm_run.add_argument("--warmup", type=int, default=80_000,
-                          help="warmup icount before each region "
-                               "(bbv-simpoint)")
     farm_run.add_argument("--warmup-slices", type=int, default=1,
                           help="warmup depth in whole marker slices "
                                "(looppoint)")
-    farm_run.add_argument("--max-k", type=int, default=12)
-    farm_run.add_argument("--alternates", type=int, default=2)
-    farm_run.add_argument("--seed", type=int, default=0)
-    farm_run.add_argument("--validate-seed", type=int, default=0)
-    farm_run.add_argument("--trials", type=int, default=1)
-    farm_run.add_argument("--manifest", default=None,
-                          help="write a JSON-lines run manifest here")
-    farm_run.add_argument("--verify-fidelity", action="store_true",
-                          help="also run the differential replay-fidelity "
-                               "verifier over each captured region")
-    farm_run.add_argument("--fidelity-regions", type=int, default=None,
-                          metavar="N",
-                          help="verify at most N regions per app")
     farm_run.add_argument("--shards", type=int, default=0, metavar="N",
                           help="create/open the store sharded across N "
                                "roots (default: plain single-root store)")
@@ -1013,22 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
     service_submit.add_argument("--client", default="",
                                 help="client id for fair-share accounting")
     service_submit.add_argument("--priority", type=int, default=0)
-    service_submit.add_argument("--app", action="append", required=True,
-                                help="suite app name (repeatable)")
-    service_submit.add_argument("--input", default="train",
-                                choices=("test", "train", "ref"))
-    service_submit.add_argument("--slice-size", type=int, default=20_000)
-    service_submit.add_argument("--warmup", type=int, default=80_000)
-    service_submit.add_argument("--max-k", type=int, default=12)
-    service_submit.add_argument("--alternates", type=int, default=2)
-    service_submit.add_argument("--seed", type=int, default=0)
-    service_submit.add_argument("--validate-seed", type=int, default=0)
-    service_submit.add_argument("--trials", type=int, default=1)
-    service_submit.add_argument("--manifest", default=None,
-                                help="write a JSON-lines run manifest here")
-    service_submit.add_argument("--verify-fidelity", action="store_true")
-    service_submit.add_argument("--fidelity-regions", type=int,
-                                default=None, metavar="N")
+    _campaign_flags(service_submit)
     service_submit.set_defaults(func=_cmd_service_submit)
 
     service_status = service_sub.add_parser(

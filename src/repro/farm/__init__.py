@@ -20,9 +20,9 @@ package provides that substrate for the reproduction:
 - :mod:`repro.farm.manifest` — JSON-lines run manifests (one record
   per job: key, state, cache hit/miss, wall time, worker, error).
 
-The PinPoints campaign built on top lives in
-:func:`repro.simpoint.run_pinpoints_campaign`; the ``farm run`` /
-``farm stats`` / ``farm gc`` CLI subcommands expose it from the shell.
+The region-selection campaigns built on top (PinPoints and LoopPoint)
+live in :func:`repro.pipeline.run_campaign`; the ``farm run`` /
+``farm stats`` / ``farm gc`` CLI subcommands expose them from the shell.
 """
 
 from repro.farm.codec import sha256_hex, stable_digest

@@ -10,8 +10,8 @@ the function.
 The graph is built in dependency order — a job's ``deps`` must already
 be registered when it is added — which makes cycles unrepresentable.
 Jobs added later (e.g. by a completed job's ``expand`` callback, the
-mechanism PinPoints uses once clustering has decided how many regions
-exist) obey the same rule.
+mechanism the region pipeline uses once clustering has decided how
+many regions exist) obey the same rule.
 """
 
 from __future__ import annotations

@@ -23,16 +23,12 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Container, Dict, List, Optional
 
 from repro.farm.jobs import Job, JobGraph, resolve_refs
 from repro.farm.manifest import RunManifest
 from repro.farm.store import ArtifactStore, StoreCorruption
 from repro.observe import hooks
-
-
-class JobError(Exception):
-    """A job exhausted its retries."""
 
 
 class CampaignError(Exception):
@@ -98,7 +94,7 @@ class _Pending:
 
 @dataclass
 class RunReport:
-    """What :meth:`FarmRunner.run` observed, beyond the results dict."""
+    """What a campaign runner observed, beyond the results dict."""
 
     states: Dict[str, str] = field(default_factory=dict)
     cache: Dict[str, str] = field(default_factory=dict)
@@ -109,38 +105,22 @@ class RunReport:
         return sum(1 for value in self.cache.values() if value == "hit")
 
 
-class FarmRunner:
-    """Executes :class:`JobGraph`s with memoization, retries, fan-out."""
+class GraphRunner:
+    """What every campaign runner shares (the local farm, the service).
 
-    def __init__(self, store: Optional[ArtifactStore] = None,
-                 jobs: Optional[int] = None,
-                 retries: int = 2,
-                 backoff: float = 0.05,
-                 max_backoff: float = 2.0,
-                 manifest_path: Optional[str] = None,
-                 preemptible: bool = False) -> None:
-        self.store = store
-        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.manifest = RunManifest(manifest_path) if manifest_path else None
-        #: cooperate with :mod:`repro.snapshot.preempt`: stop scheduling
-        #: once a preemption is requested, persist checkpoints raised by
-        #: job bodies under ``snap/<job key>``, and seed resumes from
-        #: such artifacts on the next campaign of the same graph
-        self.preemptible = preemptible
-        self.report = RunReport()
+    Subclasses execute ready jobs their own way; the readiness rule,
+    blocked-propagation, ``expand`` callbacks and the manifest record
+    are defined once here, so the runners' manifests cannot drift
+    apart.
+    """
 
-    @staticmethod
-    def snapshot_key(job_key: str) -> str:
-        return "snap/" + job_key
-
-    # -- manifest ----------------------------------------------------------
+    manifest: Optional[RunManifest] = None
+    report: RunReport
 
     def _record(self, job: Job, state: str, cache: str, wall_s: float,
-                worker: Optional[int], attempts: int,
-                error: str = "", icount: Optional[int] = None) -> None:
+                worker: Any, attempts: int, error: str = "",
+                icount: Optional[int] = None) -> None:
+        """Note one job's terminal state: report, manifest, telemetry."""
         self.report.states[job.name] = state
         self.report.cache[job.name] = cache
         if state != "ok":
@@ -169,14 +149,77 @@ class FarmRunner:
             if state != "ok":
                 obs.count("farm.%s" % state)
             if wall:
-                # Executed jobs ran in a pool worker the tracer cannot
-                # see; emit the span parent-side from the measured wall
-                # time, so trace and manifest agree exactly.
+                # Executed jobs ran in a worker process the tracer
+                # cannot see; emit the span parent-side from the
+                # measured wall time, so trace and manifest agree
+                # exactly.
                 obs.observe("farm.job_wall_s", wall)
                 obs.complete(job.name, wall,
                              cat="farm.%s" % (job.stage or "job"),
                              state=state, cache=cache, worker=worker,
                              attempts=attempts)
+
+    def _ready(self, graph: JobGraph, done: Dict[str, str],
+               busy: Container[str]) -> List[Job]:
+        """Jobs whose dependencies all succeeded, not yet done or *busy*;
+        jobs downstream of a failure are marked ``blocked`` on the way."""
+        ready: List[Job] = []
+        for name in graph.order():
+            if name in done or name in busy:
+                continue
+            job = graph.jobs[name]
+            dep_states = [done.get(dep) for dep in job.deps]
+            if any(state in ("failed", "blocked") for state in dep_states):
+                self._record(job, "blocked", "none", 0.0, None, 0,
+                             "upstream failure: %s" % ", ".join(
+                                 dep for dep in job.deps
+                                 if done.get(dep) in ("failed", "blocked")))
+                done[name] = "blocked"
+                continue
+            if all(state == "ok" for state in dep_states):
+                ready.append(job)
+        return ready
+
+    def _settle(self, graph: JobGraph, done: Dict[str, str],
+                names: List[str], state: str, error: str) -> None:
+        """End jobs that will not run in this campaign."""
+        for name in names:
+            self._record(graph.jobs[name], state, "none", 0.0, None, 0,
+                         error)
+            done[name] = state
+
+    def _finish(self, job: Job, result: Any, graph: JobGraph,
+                results: Dict[str, Any]) -> None:
+        if job.expand is not None:
+            job.expand(result, graph, results)
+
+
+class FarmRunner(GraphRunner):
+    """Executes :class:`JobGraph`s with memoization, retries, fan-out."""
+
+    def __init__(self, store: Optional[ArtifactStore] = None,
+                 jobs: Optional[int] = None,
+                 retries: int = 2,
+                 backoff: float = 0.05,
+                 max_backoff: float = 2.0,
+                 manifest_path: Optional[str] = None,
+                 preemptible: bool = False) -> None:
+        self.store = store
+        self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
+        self.retries = retries
+        self.backoff = backoff
+        self.max_backoff = max_backoff
+        self.manifest = RunManifest(manifest_path) if manifest_path else None
+        #: cooperate with :mod:`repro.snapshot.preempt`: stop scheduling
+        #: once a preemption is requested, persist checkpoints raised by
+        #: job bodies under ``snap/<job key>``, and seed resumes from
+        #: such artifacts on the next campaign of the same graph
+        self.preemptible = preemptible
+        self.report = RunReport()
+
+    @staticmethod
+    def snapshot_key(job_key: str) -> str:
+        return "snap/" + job_key
 
     # -- execution ---------------------------------------------------------
 
@@ -210,19 +253,13 @@ class FarmRunner:
                     elif self._preempt_requested():
                         # drained: the rest of the campaign resumes from
                         # the store (results + checkpoints) next run
-                        for name in remaining:
-                            self._record(graph.jobs[name], "deferred",
-                                         "none", 0.0, None, 0,
-                                         "campaign preempted")
-                            done[name] = "deferred"
+                        self._settle(graph, done, remaining, "deferred",
+                                     "campaign preempted")
                         break
                     else:
                         # jobs remain but none can ever become ready
-                        for name in remaining:
-                            self._record(graph.jobs[name], "blocked", "none",
-                                         0.0, None, 0,
-                                         "dependency never completed")
-                            done[name] = "blocked"
+                        self._settle(graph, done, remaining, "blocked",
+                                     "dependency never completed")
                         break
         finally:
             if pool is not None:
@@ -231,26 +268,6 @@ class FarmRunner:
         if strict and self.report.failures:
             raise CampaignError(dict(self.report.failures))
         return results
-
-    def _ready(self, graph: JobGraph, results: Dict[str, Any],
-               done: Dict[str, str], inflight: Dict[str, _Pending],
-               retry_at: Dict[str, tuple]) -> List[Job]:
-        ready: List[Job] = []
-        for name in graph.order():
-            if name in done or name in inflight or name in retry_at:
-                continue
-            job = graph.jobs[name]
-            dep_states = [done.get(dep) for dep in job.deps]
-            if any(state in ("failed", "blocked") for state in dep_states):
-                self._record(job, "blocked", "none", 0.0, None, 0,
-                             "upstream failure: %s" % ", ".join(
-                                 dep for dep in job.deps
-                                 if done.get(dep) in ("failed", "blocked")))
-                done[name] = "blocked"
-                continue
-            if all(state == "ok" for state in dep_states):
-                ready.append(job)
-        return ready
 
     def _preempt_requested(self) -> bool:
         if not self.preemptible:
@@ -288,7 +305,8 @@ class FarmRunner:
                 job = graph.jobs[name]
                 progressed |= self._launch(job, results, done, inflight,
                                            pool, attempts, graph)
-        for job in self._ready(graph, results, done, inflight, retry_at):
+        busy = inflight.keys() | retry_at.keys()
+        for job in self._ready(graph, done, busy):
             # cache lookup happens at schedule time, in the parent
             if job.key and self.store is not None and \
                     self.store.contains(job.key):
@@ -417,7 +435,3 @@ class FarmRunner:
         self._record(job, "ok", "miss" if job.key else "none", wall,
                      worker, attempts, icount=_job_icount(result))
         self._finish(job, result, graph, results)
-
-    def _finish(self, job: Job, result, graph, results) -> None:
-        if job.expand is not None:
-            job.expand(result, graph, results)

@@ -14,8 +14,9 @@ dynamic *loop-entry marker* crossings:
   slices, and records per-thread progress at each boundary;
 - :mod:`repro.looppoint.select` — PCA projection + the shared k-means/
   BIC clustering, with work-crossing-weighted cluster weights;
-- :mod:`repro.looppoint.driver` — direct and farm-backed pipelines
-  producing ELFies whose boundaries are marker pairs;
+- :mod:`repro.looppoint.driver` — the LoopPoint selector of the shared
+  region pipeline (:mod:`repro.pipeline`), producing ELFies whose
+  boundaries are marker pairs;
 - :mod:`repro.looppoint.validate` — marker-metered ELFie replay
   validation: regions are measured by counting work-marker crossings,
   so the measured window is schedule-independent.
@@ -42,9 +43,8 @@ from repro.looppoint.select import (
     select_loop_regions,
 )
 from repro.looppoint.driver import (
+    LOOPPOINT,
     REGION_SELECTOR,
-    LoopPointsResult,
-    add_looppoint_jobs,
     run_looppoint,
     run_looppoint_campaign,
 )
@@ -69,9 +69,8 @@ __all__ = [
     "LoopPointResult",
     "pca_project",
     "select_loop_regions",
+    "LOOPPOINT",
     "REGION_SELECTOR",
-    "LoopPointsResult",
-    "add_looppoint_jobs",
     "run_looppoint",
     "run_looppoint_campaign",
     "looppoint_validation",

@@ -30,16 +30,19 @@ instruction rates together.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Optional
 
 from repro.core.elfie import prepare_elfie_machine, run_to_marker
 from repro.core.pinball2elf import ElfieArtifact
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.pinplay.regions import RegionSpec
+from repro.pipeline import FarmValidation
 from repro.simpoint.validation import (
     RegionMeasurement,
     ValidationResult,
+    validate_regions,
 )
 
 
@@ -162,89 +165,28 @@ class LoopPointValidation(ValidationResult):
         return cycles / icount
 
 
-def _mean(values: List[Optional[float]]) -> Optional[float]:
-    """Mean over trials; None if any trial has none (a window with no
-    work crossings has no per-work rate, and the prediction skips it)."""
-    if any(value is None for value in values):
-        return None
-    return sum(values) / len(values)
-
-
-def _region_crossings(windows: Dict[str, dict],
-                      name: str) -> Optional[Tuple[int, int]]:
-    window = windows.get(name) or {}
-    if "skip" not in window or "measure" not in window:
-        return None
-    return int(window["skip"]), int(window["measure"])
-
-
 def validate_looppoint(result, seed: int = 0, trials: int = 3,
                        fs: Optional[FileSystem] = None,
                        use_alternates: bool = True) -> ValidationResult:
     """ELFie-based validation with marker-metered measurement.
 
-    Mirrors :func:`repro.simpoint.validation.validate_with_elfies` —
-    trials under different replay seeds, alternates on failure — but
-    each trial measures the region by its marker window (crossing
+    The shared :func:`repro.simpoint.validation.validate_regions` loop
+    (trials under different replay seeds, alternates on failure), with
+    each trial measuring the region by its marker window (crossing
     counts from ``result.marker_windows``), not by icount.
     """
     work_addrs = result.profile.marker_map.work_addresses()
-    validation = LoopPointValidation(
-        app_name=result.app_name,
-        whole_program_cpi=result.profile.whole_program_cpi,
-    )
-    for region in result.primary_regions:
-        validation.measurements.append(_measure_with_alternates(
-            result, region, work_addrs, seed=seed, trials=trials, fs=fs,
-            use_alternates=use_alternates))
-    return validation
 
+    def meter(artifact: ElfieArtifact, region: RegionSpec):
+        window = result.marker_windows.get(region.name)
+        if window is None:
+            return None
+        return partial(measure_elfie_region_markers, artifact, region,
+                       work_addrs, skip=int(window["skip"]),
+                       measure=int(window["measure"]), fs=fs)
 
-def _measure_with_alternates(result, region: RegionSpec, work_addrs,
-                             seed: int, trials: int,
-                             fs: Optional[FileSystem],
-                             use_alternates: bool) -> RegionMeasurement:
-    candidates = [region]
-    if use_alternates:
-        candidates += result.alternates_for(region)
-    last: Optional[RegionMeasurement] = None
-    for candidate in candidates:
-        artifact = result.elfies.get(candidate.name)
-        crossings = _region_crossings(result.marker_windows, candidate.name)
-        if artifact is None or crossings is None:
-            continue
-        skip, measure = crossings
-        runs: List[RegionMeasurement] = []
-        failure: Optional[RegionMeasurement] = None
-        for trial in range(trials):
-            measurement = measure_elfie_region_markers(
-                artifact, candidate, work_addrs, skip=skip, measure=measure,
-                seed=seed + trial * 101, fs=fs)
-            if measurement.ok:
-                runs.append(measurement)
-            else:
-                failure = measurement
-                break
-        if runs and failure is None:
-            return RegionMeasurement(
-                region=RegionSpec(
-                    start=candidate.start, length=candidate.length,
-                    warmup=candidate.warmup, name=candidate.name,
-                    weight=region.weight,
-                ),
-                cpi=_mean([m.cpi for m in runs]),
-                ok=True,
-                used_alternate=(candidate.name
-                                if candidate.name != region.name else None),
-                cycles_per_work=_mean([m.cycles_per_work for m in runs]),
-                icount_per_work=_mean([m.icount_per_work for m in runs]),
-            )
-        last = failure
-    if last is not None:
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail=last.detail)
-    return RegionMeasurement(region=region, cpi=None, ok=False,
-                             detail="no ELFie available")
+    return validate_regions(result, meter, seed, trials, use_alternates,
+                            cls=LoopPointValidation)
 
 
 def _validate_looppoint_job(result, image, **params):
@@ -258,7 +200,6 @@ def looppoint_validation(label: str = "elfie-markers", seed: int = 0,
     The LoopPoint analogue of
     :func:`repro.simpoint.pinpoints.elfie_validation`.
     """
-    from repro.simpoint.pinpoints import FarmValidation
     return FarmValidation(
         label=label,
         fn=_validate_looppoint_job,

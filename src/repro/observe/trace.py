@@ -7,7 +7,7 @@ trace-event JSON format, so a ``farm run --trace run.json`` artifact
 loads directly into ``chrome://tracing`` or https://ui.perfetto.dev.
 
 Spans nest per thread: each thread keeps its own span stack, so a
-``logger.record`` span opened inside a ``pinpoints.capture`` span is
+``logger.record`` span opened inside a ``campaign.run`` span is
 rendered as a child row in the viewer (the format infers nesting from
 ``ts``/``dur`` within one ``tid``).  Externally-timed work — a farm job
 that ran in a worker process, whose wall time the parent learns from

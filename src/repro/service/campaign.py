@@ -19,27 +19,32 @@
   apart.
 
 Failures follow the server's retry policy (lease expiry re-queues, N
-retries, then ``failed``); downstream jobs are marked ``blocked``
-exactly as the local runner does.
+retries, then ``failed``).  The readiness rule, ``blocked``
+propagation and the manifest writer are the local runner's own,
+inherited from :class:`repro.farm.runner.GraphRunner`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.farm.jobs import Job, JobGraph, resolve_refs
 from repro.farm.manifest import RunManifest
-from repro.farm.runner import CampaignError, RunReport, _job_icount
-from repro.observe import hooks
+from repro.farm.runner import (
+    CampaignError,
+    GraphRunner,
+    RunReport,
+    _job_icount,
+)
 from repro.service.client import ServiceClient, ServiceError
 
 #: How long one ``wait`` long-poll blocks server-side.
 _WAIT_SLICE_S = 0.5
 
 
-class ServiceCampaignRunner:
+class ServiceCampaignRunner(GraphRunner):
     """Executes :class:`JobGraph`s against a checkpoint service."""
 
     def __init__(self, client: ServiceClient,
@@ -53,40 +58,6 @@ class ServiceCampaignRunner:
         self.priority = priority
         self.retries = retries
         self.report = RunReport()
-
-    # -- manifest (same record shape as FarmRunner._record) ----------------
-
-    def _record(self, job: Job, state: str, cache: str, wall_s: float,
-                worker: Any, attempts: int, error: str = "",
-                icount: Optional[int] = None) -> None:
-        self.report.states[job.name] = state
-        self.report.cache[job.name] = cache
-        if state != "ok":
-            self.report.failures[job.name] = error or state
-        wall = round(wall_s, 6)
-        if self.manifest is not None:
-            self.manifest.append({
-                "job": job.name,
-                "stage": job.stage,
-                "key": job.key,
-                "state": state,
-                "cache": cache,
-                "wall_s": wall,
-                "worker": worker,
-                "attempts": attempts,
-                "error": error,
-                "icount": icount,
-            })
-        obs = hooks.OBS
-        if obs.enabled:
-            obs.count("farm.jobs")
-            obs.count("farm.cache.%s" % cache)
-            if state != "ok":
-                obs.count("farm.%s" % state)
-            if wall:
-                obs.observe("farm.job_wall_s", wall)
-
-    # -- execution ---------------------------------------------------------
 
     def run(self, graph: JobGraph, strict: bool = True) -> Dict[str, Any]:
         """Run every job via the service; returns ``{name: result}``."""
@@ -102,33 +73,12 @@ class ServiceCampaignRunner:
                 break
             if not progressed and not inflight:
                 # jobs remain but none can ever become ready
-                for name in remaining:
-                    self._record(graph.jobs[name], "blocked", "none",
-                                 0.0, None, 0, "dependency never completed")
-                    done[name] = "blocked"
+                self._settle(graph, done, remaining, "blocked",
+                             "dependency never completed")
                 break
         if strict and self.report.failures:
             raise CampaignError(dict(self.report.failures))
         return results
-
-    def _ready(self, graph: JobGraph, done: Dict[str, str],
-               inflight: Dict[str, dict]) -> List[Job]:
-        ready: List[Job] = []
-        for name in graph.order():
-            if name in done or name in inflight:
-                continue
-            job = graph.jobs[name]
-            dep_states = [done.get(dep) for dep in job.deps]
-            if any(state in ("failed", "blocked") for state in dep_states):
-                self._record(job, "blocked", "none", 0.0, None, 0,
-                             "upstream failure: %s" % ", ".join(
-                                 dep for dep in job.deps
-                                 if done.get(dep) in ("failed", "blocked")))
-                done[name] = "blocked"
-                continue
-            if all(state == "ok" for state in dep_states):
-                ready.append(job)
-        return ready
 
     def _result_key(self, job: Job) -> str:
         # keyless jobs still need a store slot for the wire round trip;
@@ -145,29 +95,23 @@ class ServiceCampaignRunner:
                 self._run_local(job, args, kwargs, results, done, graph)
                 progressed = True
                 continue
-            response = self.client.submit(
+            submit = dict(
                 name=job.name, fn=job.fn, args=args, kwargs=kwargs,
                 key=job.key, result_key=self._result_key(job),
                 kind=job.kind, stage=job.stage, priority=self.priority,
                 retries=job.retries if job.retries is not None
                 else self.retries)
-            status = response["status"]
-            if status == "cached":
+            response = self.client.submit(**submit)
+            if response["status"] == "cached":
                 if self._serve_cached(job, results, done, graph):
                     progressed = True
                     continue
                 # corrupt cache entry: force a recompute
-                response = self.client.submit(
-                    name=job.name, fn=job.fn, args=args, kwargs=kwargs,
-                    key=job.key, result_key=self._result_key(job),
-                    kind=job.kind, stage=job.stage, priority=self.priority,
-                    retries=job.retries if job.retries is not None
-                    else self.retries, force=True)
-                status = response["status"]
+                response = self.client.submit(force=True, **submit)
             inflight[job.name] = {
                 "job_id": response["job"]["job_id"],
                 "result_key": self._result_key(job),
-                "duplicate": status == "duplicate",
+                "duplicate": response["status"] == "duplicate",
             }
             progressed = True
         return progressed
@@ -239,11 +183,6 @@ class ServiceCampaignRunner:
                              view.get("error") or view["state"])
         return progressed
 
-    def _finish(self, job: Job, result: Any, graph: JobGraph,
-                results: Dict[str, Any]) -> None:
-        if job.expand is not None:
-            job.expand(result, graph, results)
-
 
 def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,
                          manifest_path: Optional[str] = None,
@@ -259,37 +198,18 @@ def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,
                          validations: Sequence[Any] = ()) -> Dict[str, Any]:
     """Run the PinPoints pipeline for several apps through the service.
 
-    The service twin of
-    :func:`repro.simpoint.pinpoints.run_pinpoints_campaign`: the same
-    graph, the same keys, the same results — executed by remote workers
-    against the shared sharded store instead of a local pool.  Returns
-    ``{app: FarmAppOutcome}``.
+    The same graph, keys and results as
+    :func:`repro.simpoint.pinpoints.run_pinpoints_campaign`, executed
+    by remote workers against the shared sharded store instead of a
+    local pool.  Returns ``{app: FarmAppOutcome}``.
     """
-    from repro.simpoint.pinpoints import FarmAppOutcome, add_pinpoints_jobs
+    from repro.pipeline import run_campaign
+    from repro.simpoint.pinpoints import BBV_SIMPOINT
 
-    obs = hooks.OBS
-    with obs.span("campaign.build", "service", apps=sorted(images)):
-        graph = JobGraph()
-        for app_name, image in images.items():
-            add_pinpoints_jobs(graph, image, app_name,
-                               slice_size=slice_size, warmup=warmup,
-                               max_k=max_k, seed=seed,
-                               max_alternates=max_alternates, marker=marker,
-                               perf_exit=perf_exit,
-                               cluster_seed=cluster_seed,
-                               validations=validations)
     runner = ServiceCampaignRunner(client, manifest_path=manifest_path,
                                    run_id=run_id, priority=priority)
-    with obs.span("campaign.run", "service", apps=sorted(images)):
-        results = runner.run(graph)
-    return {
-        app_name: FarmAppOutcome(
-            result=results["%s/assemble" % app_name],
-            validations={
-                validation.label:
-                    results["%s/validate/%s" % (app_name, validation.label)]
-                for validation in validations
-            },
-        )
-        for app_name in images
-    }
+    return run_campaign(
+        BBV_SIMPOINT, images, runner=runner, validations=validations,
+        slice_size=slice_size, warmup=warmup, max_k=max_k, seed=seed,
+        max_alternates=max_alternates, marker=marker, perf_exit=perf_exit,
+        cluster_seed=cluster_seed)

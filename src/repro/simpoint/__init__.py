@@ -9,9 +9,10 @@ This package provides the full selection pipeline:
   BIC model selection (maxK),
 - :mod:`repro.simpoint.simpoint` -- representative and alternate slice
   selection with weights,
-- :mod:`repro.simpoint.pinpoints` -- the end-to-end PinPoints driver
-  (profile, cluster, capture a fat pinball per representative), both
-  direct and farm-backed (parallel, store-memoized campaigns),
+- :mod:`repro.simpoint.pinpoints` -- the BBV-SimPoint selector of the
+  shared region pipeline (:mod:`repro.pipeline`: profile, cluster,
+  capture a fat pinball per representative, convert), run directly or
+  as a parallel, store-memoized farm campaign,
 - :mod:`repro.simpoint.validation` -- prediction-error computation,
   ELFie-based and simulation-based validation, coverage with
   alternates.
@@ -19,12 +20,11 @@ This package provides the full selection pipeline:
 
 from repro.simpoint.bbv import BBVProfile, collect_bbv
 from repro.simpoint.kmeans import KMeansResult, cluster_points, cluster_vectors
-from repro.simpoint.simpoint import SimPointResult, pick_regions, select_simpoints
+from repro.simpoint.simpoint import SimPointResult, select_simpoints
 from repro.simpoint.pinpoints import (
+    BBV_SIMPOINT,
     FarmAppOutcome,
     FarmValidation,
-    PinPointsResult,
-    add_pinpoints_jobs,
     elfie_validation,
     fidelity_validation,
     run_pinpoints,
@@ -35,6 +35,7 @@ from repro.simpoint.validation import (
     RegionMeasurement,
     ValidationResult,
     prediction_error,
+    validate_regions,
     validate_with_elfies,
     validate_with_simulator,
 )
@@ -46,12 +47,10 @@ __all__ = [
     "cluster_points",
     "cluster_vectors",
     "SimPointResult",
-    "pick_regions",
     "select_simpoints",
-    "PinPointsResult",
+    "BBV_SIMPOINT",
     "FarmAppOutcome",
     "FarmValidation",
-    "add_pinpoints_jobs",
     "elfie_validation",
     "fidelity_validation",
     "run_pinpoints",
@@ -60,6 +59,7 @@ __all__ = [
     "RegionMeasurement",
     "ValidationResult",
     "prediction_error",
+    "validate_regions",
     "validate_with_elfies",
     "validate_with_simulator",
 ]

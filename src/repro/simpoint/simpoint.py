@@ -101,11 +101,3 @@ def select_simpoints(profile: BBVProfile, max_k: int = 50,
         )
     return SimPointResult(slice_size=profile.slice_size, clusters=clusters,
                           kmeans=kmeans)
-
-
-def pick_regions(profile: BBVProfile, max_k: int = 50, warmup: int = 0,
-                 seed: int = 42,
-                 name_prefix: str = "r") -> List[RegionSpec]:
-    """One-call convenience: profile -> representative regions."""
-    result = select_simpoints(profile, max_k=max_k, seed=seed)
-    return result.regions(warmup=warmup, name_prefix=name_prefix)

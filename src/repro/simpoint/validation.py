@@ -14,12 +14,16 @@ CPIs.  The paper computes the true value two ways:
 
 Both are implemented here.  Failed ELFies (signal exits, short runs)
 are replaced by their cluster's alternate representatives, reproducing
-the paper's coverage-recovery strategy.
+the paper's coverage-recovery strategy.  :func:`validate_regions` is
+that trials-and-alternates loop for both selectors; they differ only in
+the per-trial meter (an icount window here, a marker-crossing window in
+:mod:`repro.looppoint.validate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.elfie import prepare_elfie_machine, run_to_marker
@@ -27,7 +31,7 @@ from repro.core.pinball2elf import ElfieArtifact
 from repro.machine.machine import ExitStatus, Machine
 from repro.machine.vfs import FileSystem
 from repro.pinplay.regions import RegionSpec
-from repro.simpoint.pinpoints import PinPointsResult
+from repro.pipeline import PipelineResult
 
 
 def prediction_error(true_value: float, predicted: float) -> float:
@@ -166,7 +170,83 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
                              detail=detail)
 
 
-def validate_with_elfies(result: PinPointsResult,
+#: ``meter(artifact, region)`` gives the region's per-trial measurement
+#: ``trial(seed=...)``, or None when the region has no window to meter.
+TrialMeter = Callable[..., RegionMeasurement]
+Meter = Callable[[ElfieArtifact, RegionSpec], Optional[TrialMeter]]
+
+
+def _mean(values: List[Optional[float]]) -> Optional[float]:
+    """Mean over trials; None if any trial has none (a window with no
+    work crossings has no per-work rate, and the prediction skips it)."""
+    if any(value is None for value in values):
+        return None
+    return sum(values) / len(values)
+
+
+def validate_regions(result: PipelineResult, meter: Meter, seed: int,
+                     trials: int, use_alternates: bool,
+                     cls: type = ValidationResult) -> ValidationResult:
+    """Measure every primary region of *result* into a *cls* validation.
+
+    The validation core both selectors share: each region's ELFie is
+    metered ``trials`` times under seeds ``seed + 101 * trial`` and the
+    rates averaged; a region whose ELFie is missing or fails a trial
+    falls back to its cluster's alternates, best first, keeping the
+    primary's weight.
+    """
+    validation = cls(app_name=result.app_name,
+                     whole_program_cpi=result.profile.whole_program_cpi)
+    for region in result.primary_regions:
+        validation.measurements.append(_measure_with_alternates(
+            result, region, meter, seed, trials, use_alternates))
+    return validation
+
+
+def _measure_with_alternates(result: PipelineResult, region: RegionSpec,
+                             meter: Meter, seed: int, trials: int,
+                             use_alternates: bool) -> RegionMeasurement:
+    candidates = [region]
+    if use_alternates:
+        candidates += result.alternates_for(region)
+    last: Optional[RegionMeasurement] = None
+    for candidate in candidates:
+        artifact = result.elfies.get(candidate.name)
+        trial = meter(artifact, candidate) if artifact is not None else None
+        if trial is None:
+            continue
+        runs: List[RegionMeasurement] = []
+        failure: Optional[RegionMeasurement] = None
+        for index in range(trials):
+            measurement = trial(seed=seed + index * 101)
+            if measurement.ok:
+                runs.append(measurement)
+            else:
+                failure = measurement
+                break
+        if runs and failure is None:
+            return RegionMeasurement(
+                region=RegionSpec(
+                    start=candidate.start, length=candidate.length,
+                    warmup=candidate.warmup, name=candidate.name,
+                    weight=region.weight,
+                ),
+                cpi=_mean([m.cpi for m in runs]),
+                ok=True,
+                used_alternate=(candidate.name
+                                if candidate.name != region.name else None),
+                cycles_per_work=_mean([m.cycles_per_work for m in runs]),
+                icount_per_work=_mean([m.icount_per_work for m in runs]),
+            )
+        last = failure
+    if last is not None:
+        return RegionMeasurement(region=region, cpi=None, ok=False,
+                                 detail=last.detail)
+    return RegionMeasurement(region=region, cpi=None, ok=False,
+                             detail="no ELFie available")
+
+
+def validate_with_elfies(result: PipelineResult,
                          seed: int = 0,
                          trials: int = 3,
                          fs: Optional[FileSystem] = None,
@@ -178,62 +258,14 @@ def validate_with_elfies(result: PinPointsResult,
     measurement).  When a primary region's ELFie fails, the cluster's
     alternates are tried in order.
     """
-    validation = ValidationResult(
-        app_name=result.app_name,
-        whole_program_cpi=result.profile.whole_program_cpi,
-    )
-    for region in result.primary_regions:
-        measurement = _measure_with_alternates(
-            result, region, seed=seed, trials=trials, fs=fs,
-            use_alternates=use_alternates)
-        validation.measurements.append(measurement)
-    return validation
+    def meter(artifact: ElfieArtifact, region: RegionSpec) -> TrialMeter:
+        return partial(measure_elfie_region, artifact, region, fs=fs)
 
-
-def _measure_with_alternates(result: PinPointsResult, region: RegionSpec,
-                             seed: int, trials: int,
-                             fs: Optional[FileSystem],
-                             use_alternates: bool) -> RegionMeasurement:
-    candidates = [region]
-    if use_alternates:
-        candidates += result.alternates_for(region)
-    last: Optional[RegionMeasurement] = None
-    for candidate in candidates:
-        artifact = result.elfies.get(candidate.name)
-        if artifact is None:
-            continue
-        cpis: List[float] = []
-        failure: Optional[RegionMeasurement] = None
-        for trial in range(trials):
-            measurement = measure_elfie_region(
-                artifact, candidate, seed=seed + trial * 101, fs=fs)
-            if measurement.ok:
-                cpis.append(measurement.cpi)
-            else:
-                failure = measurement
-                break
-        if cpis and failure is None:
-            return RegionMeasurement(
-                region=RegionSpec(
-                    start=candidate.start, length=candidate.length,
-                    warmup=candidate.warmup, name=candidate.name,
-                    weight=region.weight,
-                ),
-                cpi=sum(cpis) / len(cpis),
-                ok=True,
-                used_alternate=(candidate.name
-                                if candidate.name != region.name else None),
-            )
-        last = failure
-    if last is not None:
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail=last.detail)
-    return RegionMeasurement(region=region, cpi=None, ok=False,
-                             detail="no ELFie available")
+    return validate_regions(result, meter, seed, trials, use_alternates)
 
 
 def validate_with_simulator(
-        result: PinPointsResult,
+        result: PipelineResult,
         whole_cpi_fn: Callable[[], float],
         region_cpi_fn: Callable[[ElfieArtifact, RegionSpec], Optional[float]],
 ) -> ValidationResult:

@@ -52,8 +52,10 @@ def join_workers(workers):
 def test_service_campaign_bit_identical_to_farm_run(tmp_path, mcf_image):
     # reference: the local multiprocessing path
     local_store = ArtifactStore(str(tmp_path / "local"))
+    local_manifest = str(tmp_path / "local.jsonl")
     local = run_pinpoints_farm(
         mcf_image, "505.mcf_r", local_store, jobs=1,
+        manifest_path=local_manifest,
         validations=[elfie_validation("v", trials=1)], **PIPELINE)
 
     with ServerThread(str(tmp_path / "svc"), shards=2,
@@ -91,6 +93,14 @@ def test_service_campaign_bit_identical_to_farm_run(tmp_path, mcf_image):
                         for record in executed_jobs(cold_records)
                         if record["stage"] != "assemble"}
         assert cold_workers and cold_workers <= {"w0", "w1", None}
+
+        # the service writes the very record shape `farm run` writes
+        local_records = read_manifest(local_manifest)
+        assert {frozenset(record) for record in cold_records} == \
+            {frozenset(record) for record in local_records}
+        assert {record["job"]: record["selector"]
+                for record in cold_records} == \
+            {record["job"]: record["selector"] for record in local_records}
 
         # warm re-submit: >= 90% of keyed jobs served from the store
         warm_manifest = str(tmp_path / "warm.jsonl")
