@@ -4,16 +4,13 @@ The perf claim of the interpreter work, measured tier by tier on the
 Table I micro workloads:
 
 - ``slow``     — the classic per-instruction dispatch loop (baseline),
-- ``block``    — superblock translation cache (round 1: ~2.4x),
-- ``chain``    — superblock chaining across block exits,
-- ``compiled`` — threaded-code compilation of hot blocks, with
-  self-loop blocks spinning inside the generated code.
+- ``compiled`` — the superblock cache with threaded-code compilation of
+  hot blocks, self-loop blocks spinning inside the generated code.
 
-All tiers must produce bit-identical architectural results; the bench
+Both tiers must produce bit-identical architectural results; the bench
 asserts it on every run for both a single-threaded and a two-thread
-workload.  Tier repeats are interleaved (slow, block, chain, cold,
-compiled, slow, ...) so each tier's best-of-N samples the same
-host-noise environment.  The compiled-function cache is process-wide,
+workload.  Row repeats are interleaved (slow, cold, compiled, slow,
+...) so each row's best-of-N samples the same host-noise environment.  The compiled-function cache is process-wide,
 so the ``compiled`` row measures steady-state throughput (every shape
 already generated, as for all but the first job of a farm worker),
 while the ``cold`` row empties that cache before each run and so pays
@@ -41,15 +38,13 @@ from repro.workloads import PhaseSpec, ProgramBuilder
 #: committed baseline before CI fails the build.
 RATIO_TOLERANCE = 0.20
 
-#: Hard floors, independent of the committed baseline: the superblock
-#: cache at least doubles throughput, and the compiled tier at least
-#: quintuples it (the round-2 contract).
-BLOCK_FLOOR = 2.0
+#: Hard floor, independent of the committed baseline: the compiled tier
+#: at least quintuples throughput (the round-2 contract).
 COMPILED_FLOOR = 5.0
 
 #: Table rows: the dispatch tiers, plus ``cold`` (the compiled tier
 #: with the process-wide codegen cache emptied before the run).
-ROWS = ("slow", "block", "chain", "cold", "compiled")
+ROWS = ("slow", "cold", "compiled")
 
 _RATIO_RE = re.compile(r"^speedup_ratio:\s*([0-9.]+)", re.MULTILINE)
 
@@ -127,9 +122,7 @@ def run_bench(repeats=5):
     ratios = {r: st_mips[r] / st_mips["slow"] for r in ROWS}
     ratio = ratios["compiled"]
     cpu = st_machines["compiled"].cpu
-    # Chained transitions reach cached blocks without a cache lookup.
-    served = cpu.block_hits + cpu.chain_hits
-    hit_rate = served / max(1, served + cpu.block_misses)
+    hit_rate = cpu.block_hits / max(1, cpu.block_hits + cpu.block_misses)
 
     table = Table(
         title="Interpreter MIPS by dispatch tier (Table I micro workload)",
@@ -149,18 +142,15 @@ def run_bench(repeats=5):
         "cache",
         "block entries served from cache %.4f (compiled tier, ST)"
         % hit_rate,
-        "compiled blocks %d, compiled calls %d, chain hits %d" % (
-            cpu.compiled_blocks, cpu.compiled_calls, cpu.chain_hits),
+        "compiled blocks %d, compiled calls %d" % (
+            cpu.compiled_blocks, cpu.compiled_calls),
         "speedup_ratio: %.3f" % ratio,
     ]
     publish("interp_mips", table.render() + "\n" + "\n".join(footer))
     return ratio, ratios, baseline, st_mips
 
 
-def _check(ratio, ratios, baseline):
-    assert ratios["block"] >= BLOCK_FLOOR, \
-        "block tier only %.2fx over the per-instruction loop" \
-        % ratios["block"]
+def _check(ratio, baseline):
     assert ratio >= COMPILED_FLOOR, \
         "compiled tier only %.2fx over the per-instruction loop" % ratio
     if baseline is not None:
@@ -171,9 +161,9 @@ def _check(ratio, ratios, baseline):
 
 
 def test_interp_mips(benchmark):
-    ratio, ratios, baseline, _ = benchmark.pedantic(
+    ratio, _, baseline, _ = benchmark.pedantic(
         run_bench, rounds=1, iterations=1)
-    _check(ratio, ratios, baseline)
+    _check(ratio, baseline)
 
 
 def main():
@@ -182,7 +172,7 @@ def main():
         "%s %.2f (%.2fx)" % (r, st_mips[r], ratios[r]) for r in ROWS))
     print("baseline %s" % ("%.2fx" % baseline if baseline else "none"))
     try:
-        _check(ratio, ratios, baseline)
+        _check(ratio, baseline)
     except AssertionError as exc:
         raise SystemExit(str(exc))
 

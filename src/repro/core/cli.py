@@ -44,6 +44,7 @@ from typing import List, Optional
 from repro.core.markers import MarkerSpec
 from repro.core.pinball2elf import Pinball2Elf, Pinball2ElfOptions
 from repro.core.elfie import run_elfie
+from repro.machine.cpu import DISPATCH_TIERS
 from repro.observe import hooks
 from repro.pinplay.logger import LogOptions, log_region
 from repro.pinplay.pinball import Pinball
@@ -761,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_run.add_argument("--json", metavar="FILE", default=None,
                             help="write the fidelity report as JSON")
     verify_run.add_argument("--dispatch", default=None,
-                            choices=("slow", "block", "chain", "compiled"),
+                            choices=DISPATCH_TIERS,
                             help="pin the interpreter dispatch tier for "
                                  "every machine in the verification")
     verify_run.set_defaults(func=_cmd_verify_run)
@@ -783,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="persist fuzz progress here; a preempted "
                                   "run resumes from the last finished case")
     verify_fuzz.add_argument("--dispatch", default=None,
-                             choices=("slow", "block", "chain", "compiled"),
+                             choices=DISPATCH_TIERS,
                              help="pin the dispatch tier for every machine "
                                   "and cross-check it against the slow "
                                   "loop per case")

@@ -35,8 +35,8 @@ class _RoiWatcher(Tool):
     its first block entry at a captured ``.tN.start`` address (the
     target of the startup's final jump).  Neither hook needs
     per-instruction callbacks, so the run stays on the fast path; the
-    block hook (which turns off block chaining) is attached only when
-    *roi_rips* is non-empty.
+    block hook (which makes compiled self-loops run one iteration per
+    dispatch) is attached only when *roi_rips* is non-empty.
     """
 
     wants_instructions = False

@@ -685,7 +685,7 @@ def _generate(shape: tuple) -> Optional[Tuple[str, tuple, bool,
         body.append("        return %d" % n)
 
     # _kmax defaults to 1 so callers that must see every block entry
-    # (block tools disabling chaining) get single-iteration behavior.
+    # (the fast loop under block tools) get single-iteration behavior.
     signature = ("def _cfn(cpu, thread, _base, _kmax=1):" if loop
                  else "def _cfn(cpu, thread, _base):")
     source = _assemble(gen, body, signature, n, prefix[n])

@@ -98,8 +98,7 @@ BLOCK_LIMIT = 512
 
 #: Entry cap for the per-Cpu superblock cache.  SMC-heavy and fuzz
 #: workloads churn code pages without bound; past the cap the
-#: oldest-stamped eighth of the cache is evicted (eviction severs chain
-#: edges exactly like page invalidation does).  The compiled-function
+#: oldest-stamped eighth of the cache is evicted.  The compiled-function
 #: cache is process-wide and capped separately
 #: (``compile.COMPILED_CACHE_LIMIT``).
 BLOCK_CACHE_LIMIT = 8192
@@ -108,18 +107,15 @@ BLOCK_CACHE_LIMIT = 8192
 #: threaded-code compiler.
 COMPILE_THRESHOLD = 4
 
-#: Dispatch tiers, weakest to strongest.  Each tier includes everything
-#: below it: "block" adds the superblock cache over per-instruction
-#: interpretation, "chain" links block exits to cached successors, and
-#: "compiled" additionally runs hot blocks as generated Python
-#: functions.  All four are architecturally bit-identical; the knob
-#: exists for differential testing (``verify fuzz --dispatch``) and for
-#: benchmarking the tiers against each other.
-DISPATCH_TIERS = ("slow", "block", "chain", "compiled")
+#: Dispatch tiers: "slow" is per-instruction interpretation (the
+#: reference semantics); "compiled" runs cached superblocks, hot ones as
+#: generated Python functions, and interprets the rest (cold,
+#: uncompilable, or under memory hooks) block by block.  The two are
+#: architecturally bit-identical; the knob exists for differential
+#: testing (``verify fuzz --dispatch``) and for benchmarking.
+DISPATCH_TIERS = ("slow", "compiled")
 
-_default_dispatch = os.environ.get("REPRO_DISPATCH", "compiled")
-if _default_dispatch not in DISPATCH_TIERS:  # pragma: no cover
-    _default_dispatch = "compiled"
+_default_dispatch = "compiled"
 
 
 def default_dispatch() -> str:
@@ -142,9 +138,8 @@ def set_default_dispatch(tier: str) -> str:
     return previous
 
 
-#: Sentinel for "this chain slot has never been linked" (distinct from a
-#: severed slot, whose pc marker is reset so it can relink).
-_NO_PC = -1
+# An unknown tier name is an error, not a silent fallback to "compiled".
+set_default_dispatch(os.environ.get("REPRO_DISPATCH") or _default_dispatch)
 
 
 class Block:
@@ -155,24 +150,12 @@ class Block:
     with the successor PC precomputed and the handler/cost resolved so
     the hot loop does no dict lookup, enum conversion, or property
     access.  A branch (taken or not) can only ever be the final step.
-
-    Chain slots link a block's exit directly to the successor Block so
-    the fast loop flows block-to-block without re-entering the dispatch
-    header: ``chain_next`` for fall-through/unconditional exits, and a
-    taken/not-taken slot pair (keyed by the exit pc that selected them)
-    for conditional branches.  ``in_edges`` is the reverse index: every
-    predecessor that may hold a chain reference to this block, so that
-    dropping the block from the cache (invalidation or eviction) can
-    sever all inbound edges — a chained transition never consults
-    ``block_cache``, so a stale edge would execute dead code.
     """
 
     __slots__ = (
         "entry", "steps", "n", "ends_branch", "ends_syscall", "ends_marker",
         "pages", "ops", "hits", "compiled", "compiled_loop", "compiled_part",
         "no_compile", "stamp",
-        "in_edges", "chain_next", "chain_taken", "chain_taken_pc",
-        "chain_not_taken", "chain_not_taken_pc",
     )
 
     def __init__(self, entry: int, steps: List[tuple], ends_branch: bool,
@@ -201,12 +184,6 @@ class Block:
         self.no_compile = False
         #: LRU stamp, bumped on every dispatch-header hit.
         self.stamp = 0
-        self.in_edges: List["Block"] = []
-        self.chain_next: Optional["Block"] = None
-        self.chain_taken: Optional["Block"] = None
-        self.chain_taken_pc = _NO_PC
-        self.chain_not_taken: Optional["Block"] = None
-        self.chain_not_taken_pc = _NO_PC
 
 
 class Cpu:
@@ -222,9 +199,7 @@ class Cpu:
         # block entry PCs whose bytes live (at least partly) on that page.
         self._decode_index: Dict[int, set] = {}
         self._block_index: Dict[int, set] = {}
-        #: True when no instruction tools are attached (Machine keeps
-        #: this in sync) and the dispatch tier is above "slow"; selects
-        #: the superblock fast path.
+        #: Selects the superblock fast path; derived by set_dispatch.
         self.fast_dispatch = True
         # Set by _invalidate_code_page while the fast loop is inside a
         # block whose backing bytes just changed (self-modifying code).
@@ -233,7 +208,6 @@ class Cpu:
         self.block_misses = 0
         self.block_invalidations = 0
         self.block_evictions = 0
-        self.chain_hits = 0
         self.compiled_blocks = 0
         self.compiled_calls = 0
         self.compiled_bailouts = 0
@@ -241,7 +215,6 @@ class Cpu:
         self._reported_misses = 0
         self._reported_invalidations = 0
         self._reported_evictions = 0
-        self._reported_chain_hits = 0
         self._reported_compiled_blocks = 0
         self._reported_compiled_calls = 0
         self._reported_compiled_bailouts = 0
@@ -261,23 +234,19 @@ class Cpu:
         self.write_hook: Optional[Callable[["Thread", int, int], None]] = None
         self._handlers = _build_handlers()
         self.mem.exec_invalidate_hook = self._invalidate_code_page
-        self.dispatch_tier = "compiled"
-        self.chain_enabled = True
-        self.compile_enabled = True
         self.set_dispatch(default_dispatch())
 
     def set_dispatch(self, tier: str) -> None:
         """Select the dispatch tier (see :data:`DISPATCH_TIERS`).
 
-        Derives ``fast_dispatch``/``chain_enabled``/``compile_enabled``;
-        per-instruction tools still force the slow path regardless of
-        tier (Machine._rebuild_tool_lists owns that conjunction).
+        Derives ``fast_dispatch``, the one place that rule lives: the
+        superblock path runs unless the tier is "slow" or a
+        per-instruction tool is attached.  Machine._rebuild_tool_lists
+        re-applies the current tier whenever the tool set changes.
         """
         if tier not in DISPATCH_TIERS:
             raise ValueError("unknown dispatch tier: %r" % (tier,))
         self.dispatch_tier = tier
-        self.chain_enabled = tier in ("chain", "compiled")
-        self.compile_enabled = tier == "compiled"
         instr_tools = getattr(self.machine, "instr_tools", None)
         self.fast_dispatch = tier != "slow" and not instr_tools
 
@@ -316,34 +285,8 @@ class Cpu:
                             refs = block_index.get(other)
                             if refs is not None:
                                 refs.discard(entry)
-                    self._unlink_block(block)
             self.block_invalidations += len(entries)
         self._smc_dirty = True
-
-    def _unlink_block(self, block: Block) -> None:
-        """Sever every chain edge into and out of *block*.
-
-        Must run whenever a block leaves ``block_cache``: chained
-        execution follows edges without consulting the cache, so any
-        surviving inbound edge would keep executing the dead block.
-        ``in_edges`` may hold stale predecessors (themselves already
-        dropped) — the identity check makes those entries inert.
-        """
-        for pred in block.in_edges:
-            if pred.chain_next is block:
-                pred.chain_next = None
-            if pred.chain_taken is block:
-                pred.chain_taken = None
-                pred.chain_taken_pc = _NO_PC
-            if pred.chain_not_taken is block:
-                pred.chain_not_taken = None
-                pred.chain_not_taken_pc = _NO_PC
-        block.in_edges = []
-        block.chain_next = None
-        block.chain_taken = None
-        block.chain_taken_pc = _NO_PC
-        block.chain_not_taken = None
-        block.chain_not_taken_pc = _NO_PC
 
     def _evict_blocks(self) -> None:
         """LRU-evict the oldest-stamped eighth of the block cache."""
@@ -360,7 +303,6 @@ class Cpu:
                     refs.discard(block.entry)
                     if not refs:
                         block_index.pop(page, None)
-            self._unlink_block(block)
         self.block_evictions += len(victims)
         # Blocks may be mid-execution in the fast loop; force it back to
         # the dispatch header at the next boundary, same as invalidation.
@@ -538,39 +480,37 @@ class Cpu:
         expiry spills mid-block by indexing a prefix of the pre-bound
         trace.
 
-        On the "chain" and "compiled" tiers the inner loop follows
-        chain edges from one block's exit straight to the cached
-        successor, re-entering the dispatch header only when a chain
-        boundary is hit: quantum exhaustion, an armed PMU trap or icount
-        limit within reach of the next block, SMC invalidation, a
-        syscall terminator (the kernel may block the thread, remap code,
-        or stop the run), a MARKER terminator (marker tools fire there),
-        or a missing edge.  Block tools disable chaining entirely so
-        every block entry still fires the hooks.
+        Every block entry passes the dispatch header at the top of the
+        loop, which checks the stop/yield flags, the icount limit and
+        the block tools' hooks, then looks the block up in
+        ``block_cache``.  Hot blocks run as compiled functions; a
+        compiled self-loop spins inside the generated code unless block
+        tools are attached (they must see every iteration's entry).
 
         With *extend*, a slice end is not a return: at a block boundary
         the machine picks the next slice in place, and a block that
         straddles the boundary (or a self-loop spinning across several)
         runs whole, after which the picks for the boundaries it crossed
         are committed (a fault inside it commits those before the
-        faulting instruction; see ``Machine.run``).  Straddles stay on the spill path for syscall
-        blocks (the kernel and syscall tools must see the scheduler
-        after the pick) and under memory tools (which may stop the run
-        mid-block).
+        faulting instruction; see ``Machine.run``).  Straddles stay on
+        the spill path for syscall blocks (the kernel and syscall tools
+        must see the scheduler after the pick) and under memory tools
+        (which may stop the run mid-block).
         """
         machine = self.machine
         regs = thread.regs
         bcache = self.block_cache
         block_tools = machine.block_tools
-        chain_ok = self.chain_enabled and not block_tools
-        unhooked = self.read_hook is None and self.write_hook is None
-        compile_ok = self.compile_enabled and unhooked
-        straddle_ok = extend and unhooked
+        loop_ok = not block_tools
+        # Generated code calls mem.read/write directly, bypassing the
+        # cpu-level memory hooks, so memory tools keep every block on
+        # the interpreted block loop.
+        compile_ok = self.read_hook is None and self.write_hook is None
+        straddle_ok = extend and compile_ok
         executed = 0
-        # Telemetry deltas batched per call (flushed before return; a
-        # propagating fault abandons the in-flight call's deltas).
+        # Telemetry delta batched per call (flushed before return; a
+        # propagating fault abandons the in-flight call's delta).
         calls_delta = 0
-        chain_delta = 0
 
         while True:
             if executed >= quantum:
@@ -616,201 +556,128 @@ class Cpu:
                     executed += self._run_slow(thread, 1)
                     break
 
-            # -- chained execution: run block after block without
-            # re-entering the dispatch header until a boundary breaks
-            # the chain.  The trap/limit bound is loop-invariant: only a
-            # syscall can rearm either one, and syscall blocks always
-            # break the chain.
-            limit = thread.pmu_trap_at
-            if thread.icount_limit < limit:
-                limit = thread.icount_limit
-            # Local countdown to the bound: icount advances by exactly
-            # ``ran`` per block, so the guard needs no attribute reads.
-            headroom = limit - thread.icount
-            while True:
-                n = block.n
-                if n >= headroom:
-                    # Within trap/limit range: step exactly up to the
-                    # boundary (both are > icount here, so room >= 1).
-                    executed += self._run_slow(
-                        thread, min(headroom, quantum - executed))
-                    break
-                remaining = quantum - executed
-                if n > remaining and not (
-                        straddle_ok and not block.ends_syscall
-                        and machine.slice_room(thread) >= n - remaining):
-                    # Quantum expires mid-block: a branch can only be
-                    # the final step, so any prefix is a valid
-                    # straight-line run.  Hot blocks carry a compiled
-                    # partial variant that runs exactly ``remaining``
-                    # steps (remaining < n here, so it never reaches
-                    # the terminator); the trap/limit guard above
-                    # ensures no PMU boundary falls inside the prefix.
-                    pfn = block.compiled_part
-                    if pfn is not None and compile_ok:
-                        calls_delta += 1
-                        self._smc_dirty = False
-                        executed += pfn(self, thread, block.entry,
-                                        remaining)
-                        self._smc_dirty = False
-                        break
-                    # Indexing (not slicing) avoids copying the trace
-                    # on every spill.
-                    steps = block.steps
-                    before = thread.icount
-                    self._smc_dirty = False
-                    for index in range(remaining):
-                        next_pc, handler, operands, cost = steps[index]
-                        regs.rip = next_pc
-                        handler(self, thread, operands)
-                        thread.cycles += cost
-                        thread.icount += 1
-                        if self._smc_dirty:
-                            self._smc_dirty = False
-                            break
-                    executed += thread.icount - before
-                    break
-
-                fn = block.compiled
-                if fn is None and compile_ok and not block.no_compile:
-                    count = block.hits = block.hits + 1
-                    if count >= COMPILE_THRESHOLD:
-                        fn = self._compile_block(block)
-                self._smc_dirty = False
-                if fn is not None and compile_ok:
+            # Distance to the nearer of an armed PMU trap and the icount
+            # limit; no block may run across either.
+            headroom = thread.pmu_trap_at
+            if thread.icount_limit < headroom:
+                headroom = thread.icount_limit
+            headroom -= thread.icount
+            n = block.n
+            if n >= headroom:
+                # Within trap/limit range: step exactly up to the
+                # boundary (both are > icount here, so room >= 1).
+                executed += self._run_slow(
+                    thread, min(headroom, quantum - executed))
+                continue
+            remaining = quantum - executed
+            if n > remaining and not (
+                    straddle_ok and not block.ends_syscall
+                    and machine.slice_room(thread) >= n - remaining):
+                # Quantum expires mid-block: a branch can only be the
+                # final step, so any prefix is a valid straight-line
+                # run.  Hot blocks carry a compiled partial variant that
+                # runs exactly ``remaining`` steps (remaining < n here,
+                # so it never reaches the terminator); the trap/limit
+                # guard above ensures no PMU boundary falls inside the
+                # prefix.
+                pfn = block.compiled_part
+                if pfn is not None and compile_ok:
                     calls_delta += 1
-                    if block.compiled_loop and chain_ok:
-                        # Self-loop variant: spin inside the generated
-                        # code, bounded so no iteration can cross the
-                        # trap/limit headroom (h >= 1 as n < headroom)
-                        # or the slice end -- unless the machine lets
-                        # a lone thread run past it, in which case the
-                        # budget bounds the spin and the picks for the
-                        # slice ends it crossed are committed below.
-                        k = remaining // n
-                        h = (headroom - 1) // n
-                        if k < h and straddle_ok:
-                            room = (remaining
-                                    + machine.slice_room(thread)) // n
-                            if room > k:
-                                k = room
-                        if h < k:
-                            k = h
-                        if not k:
-                            k = 1   # an approved straddle
-                        ran = fn(self, thread, block.entry, k)
-                    else:
-                        ran = fn(self, thread, block.entry)
-                else:
-                    before = thread.icount
-                    for next_pc, handler, operands, cost in block.steps:
-                        regs.rip = next_pc
-                        handler(self, thread, operands)
-                        thread.cycles += cost
-                        thread.icount += 1
-                        if self._smc_dirty:
-                            break
-                    ran = thread.icount - before
-                executed += ran
-                headroom -= ran
-                while quantum < executed:
-                    # The block ran across the slice end: commit the
-                    # pick(s) the run loop would have made there.
-                    quantum += machine.next_slice()
-                if ran != n:
-                    full, part = divmod(ran, n)
-                    if part or full == 0:
-                        # The block was invalidated under our feet
-                        # (self-modifying code) and stopped at a step
-                        # boundary; re-dispatch at the current rip
-                        # against freshly decoded bytes.  A self-loop
-                        # may have completed `full` iterations first,
-                        # each retiring its branch.
-                        thread.branches += full
+                    self._smc_dirty = False
+                    executed += pfn(self, thread, block.entry, remaining)
+                    self._smc_dirty = False
+                    continue
+                # Indexing (not slicing) avoids copying the trace on
+                # every spill.
+                steps = block.steps
+                before = thread.icount
+                self._smc_dirty = False
+                for index in range(remaining):
+                    next_pc, handler, operands, cost = steps[index]
+                    regs.rip = next_pc
+                    handler(self, thread, operands)
+                    thread.cycles += cost
+                    thread.icount += 1
+                    if self._smc_dirty:
                         self._smc_dirty = False
                         break
-                    # A compiled self-loop spun `full` complete
-                    # iterations: account the branch retires and the
-                    # fused self-transitions.
-                    thread.new_block = True
-                    thread.branches += full
-                    chain_delta += full - 1
-                else:
-                    if block.ends_branch:
-                        thread.new_block = True
-                        thread.branches += 1
-                    if block.ends_syscall:
-                        # Only a syscall can move the trap/limit bound
-                        # under the chain; the loop-invariant guard
-                        # covers every other block.
-                        if thread.icount >= thread.pmu_trap_at:
-                            # The syscall armed a trap with a threshold
-                            # of zero; fires at the same retire boundary
-                            # as the per-instruction loop.
-                            self._pmu_redirect(thread)
-                        break
-                    if block.ends_marker:
-                        # Marker tools fire here, between blocks, where
-                        # icount and cycles are exact; a stop they
-                        # request lands right after the marker.
-                        if machine.marker_tools:
-                            machine.on_marker(thread)
-                        break
-                if self._smc_dirty:
-                    # Final step invalidated its own block; rip is
-                    # already the architectural successor.
-                    self._smc_dirty = False
-                    break
-                if not chain_ok:
-                    break
-                if executed >= quantum:
-                    # Slice end between chained blocks: an extended
-                    # slice keeps following the chain.
-                    if not extend:
-                        break
-                    more = machine.extend_slice(thread)
-                    if not more:
-                        break
-                    quantum += more
+                executed += thread.icount - before
+                continue
 
-                # -- resolve the chain edge for the exit we just took.
-                rip = regs.rip
-                if block.ends_branch:
-                    if rip == block.chain_taken_pc:
-                        nxt = block.chain_taken
-                    elif rip == block.chain_not_taken_pc:
-                        nxt = block.chain_not_taken
-                    else:
-                        nxt = bcache.get(rip)
-                        if nxt is None:
-                            break
-                        if rip == block.steps[-1][0]:
-                            block.chain_not_taken = nxt
-                            block.chain_not_taken_pc = rip
-                        else:
-                            # Taken edge; indirect branches relink this
-                            # slot as their target moves.
-                            block.chain_taken = nxt
-                            block.chain_taken_pc = rip
-                        nxt.in_edges.append(block)
+            fn = block.compiled
+            if fn is None and compile_ok and not block.no_compile:
+                count = block.hits = block.hits + 1
+                if count >= COMPILE_THRESHOLD:
+                    fn = self._compile_block(block)
+            self._smc_dirty = False
+            if fn is not None and compile_ok:
+                calls_delta += 1
+                if block.compiled_loop and loop_ok:
+                    # Self-loop variant: spin inside the generated code,
+                    # bounded so no iteration can cross the trap/limit
+                    # headroom (h >= 1 as n < headroom) or the slice end
+                    # -- unless the machine lets a lone thread run past
+                    # it, in which case the budget bounds the spin and
+                    # the picks for the slice ends it crossed are
+                    # committed below.
+                    k = remaining // n
+                    h = (headroom - 1) // n
+                    if k < h and straddle_ok:
+                        room = (remaining
+                                + machine.slice_room(thread)) // n
+                        if room > k:
+                            k = room
+                    if h < k:
+                        k = h
+                    if not k:
+                        k = 1   # an approved straddle
+                    ran = fn(self, thread, block.entry, k)
                 else:
-                    nxt = block.chain_next
-                    if nxt is None:
-                        nxt = bcache.get(rip)
-                        if nxt is None:
-                            break
-                        block.chain_next = nxt
-                        nxt.in_edges.append(block)
-                if nxt is None:
-                    # Severed edge (pc marker survives an unlink only
-                    # until the slot relinks); fall back to the header.
-                    break
-                chain_delta += 1
-                block = nxt
+                    ran = fn(self, thread, block.entry)
+            else:
+                before = thread.icount
+                for next_pc, handler, operands, cost in block.steps:
+                    regs.rip = next_pc
+                    handler(self, thread, operands)
+                    thread.cycles += cost
+                    thread.icount += 1
+                    if self._smc_dirty:
+                        break
+                ran = thread.icount - before
+            executed += ran
+            while quantum < executed:
+                # The block ran across the slice end: commit the pick(s)
+                # the run loop would have made there.
+                quantum += machine.next_slice()
+            if ran != n:
+                full, part = divmod(ran, n)
+                # A compiled self-loop completed `full` iterations, each
+                # retiring its branch.
+                thread.branches += full
+                if part or full == 0:
+                    # The block was invalidated under our feet
+                    # (self-modifying code) and stopped at a step
+                    # boundary; the header re-dispatches at the current
+                    # rip against freshly decoded bytes.
+                    continue
+                thread.new_block = True
+            else:
+                if block.ends_branch:
+                    thread.new_block = True
+                    thread.branches += 1
+                if block.ends_syscall:
+                    if thread.icount >= thread.pmu_trap_at:
+                        # The syscall armed a trap with a threshold of
+                        # zero; fires at the same retire boundary as the
+                        # per-instruction loop.
+                        self._pmu_redirect(thread)
+                elif block.ends_marker and machine.marker_tools:
+                    # Marker tools fire here, between blocks, where
+                    # icount and cycles are exact; a stop they request
+                    # lands right after the marker.
+                    machine.on_marker(thread)
         if calls_delta:
             self.compiled_calls += calls_delta
-        if chain_delta:
-            self.chain_hits += chain_delta
         return executed
 
     def _compile_block(self, block: Block) -> Optional[Callable]:
@@ -904,10 +771,6 @@ class Cpu:
         if delta:
             obs.count("cpu.block_cache.evictions", delta)
             self._reported_evictions = self.block_evictions
-        delta = self.chain_hits - self._reported_chain_hits
-        if delta:
-            obs.count("cpu.block_cache.chain_hits", delta)
-            self._reported_chain_hits = self.chain_hits
         delta = self.compiled_blocks - self._reported_compiled_blocks
         if delta:
             obs.count("cpu.compiled.blocks", delta)

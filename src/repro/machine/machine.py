@@ -163,15 +163,10 @@ class Machine:
         self._syscall_tools = list(self.tools)
         # Instruction tools need exact per-instruction callbacks; block,
         # memory, marker, and syscall tools all fire on the superblock
-        # fast path.
-        # Block tools additionally suppress superblock chaining (every
-        # block entry must pass the dispatch header that fires their
-        # hooks) and memory tools suppress the compiled tier (generated
-        # code calls mem.read/write directly, bypassing the cpu-level
-        # read/write hooks) — both of those conjunctions live in
-        # Cpu._run_fast, re-evaluated per run_thread call.
-        self.cpu.fast_dispatch = (not self.instr_tools
-                                  and self.cpu.dispatch_tier != "slow")
+        # fast path.  Re-applying the tier lets the Cpu re-derive
+        # fast_dispatch; how block and memory tools narrow the fast path
+        # is decided in Cpu._run_fast, per run_thread call.
+        self.cpu.set_dispatch(self.cpu.dispatch_tier)
         mem_tools = [t for t in self.tools if t.wants_memory]
         if mem_tools:
             def read_hook(thread: Thread, addr: int, size: int) -> None:

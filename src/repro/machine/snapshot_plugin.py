@@ -108,7 +108,6 @@ class MachineSnapshotPlugin(SnapshotPlugin):
                 "block_misses": cpu.block_misses,
                 "block_invalidations": cpu.block_invalidations,
                 "block_evictions": cpu.block_evictions,
-                "chain_hits": cpu.chain_hits,
                 "compiled_blocks": cpu.compiled_blocks,
                 "compiled_calls": cpu.compiled_calls,
                 "compiled_bailouts": cpu.compiled_bailouts,
@@ -116,7 +115,6 @@ class MachineSnapshotPlugin(SnapshotPlugin):
                 "reported_misses": cpu._reported_misses,
                 "reported_invalidations": cpu._reported_invalidations,
                 "reported_evictions": cpu._reported_evictions,
-                "reported_chain_hits": cpu._reported_chain_hits,
                 "reported_compiled_blocks": cpu._reported_compiled_blocks,
                 "reported_compiled_calls": cpu._reported_compiled_calls,
                 "reported_compiled_bailouts": cpu._reported_compiled_bailouts,
@@ -177,16 +175,16 @@ class MachineSnapshotPlugin(SnapshotPlugin):
         cpu._reported_hits = cpu_state["reported_hits"]
         cpu._reported_misses = cpu_state["reported_misses"]
         cpu._reported_invalidations = cpu_state["reported_invalidations"]
-        # Chaining/compilation counters post-date some snapshots; the
-        # caches themselves (chain edges, compiled functions) are
-        # derived state — never captured, rebuilt lazily on demand.
+        # Eviction/compilation counters post-date some snapshots, and
+        # older ones also carry chain_hits/reported_chain_hits from a
+        # since-removed dispatch tier, which are ignored.  The caches
+        # themselves (blocks, compiled functions) are derived state —
+        # never captured, rebuilt lazily on demand.
         cpu.block_evictions = cpu_state.get("block_evictions", 0)
-        cpu.chain_hits = cpu_state.get("chain_hits", 0)
         cpu.compiled_blocks = cpu_state.get("compiled_blocks", 0)
         cpu.compiled_calls = cpu_state.get("compiled_calls", 0)
         cpu.compiled_bailouts = cpu_state.get("compiled_bailouts", 0)
         cpu._reported_evictions = cpu_state.get("reported_evictions", 0)
-        cpu._reported_chain_hits = cpu_state.get("reported_chain_hits", 0)
         cpu._reported_compiled_blocks = cpu_state.get(
             "reported_compiled_blocks", 0)
         cpu._reported_compiled_calls = cpu_state.get(

@@ -28,11 +28,12 @@ class Tool:
     invoking unused hook categories on the hot path.
 
     Only ``wants_instructions`` pins the machine to per-instruction
-    interpretation.  Marker tools (``wants_markers``) run on every
-    dispatch tier: superblocks end at MARKER, so compiled and chained
-    code return to the dispatch header right after one retires, with
-    exact icount and cycles, and the hook fires there.  A stop requested
-    from ``on_marker`` lands immediately after the marker.
+    interpretation.  Marker tools (``wants_markers``) run on both
+    dispatch tiers: superblocks end at MARKER, so compiled and
+    interpreted blocks return to the dispatch header right after one
+    retires, with exact icount and cycles, and the hook fires there.  A
+    stop requested from ``on_marker`` lands immediately after the
+    marker.
     """
 
     #: Set false in subclasses that do not need per-instruction callbacks.

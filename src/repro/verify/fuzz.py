@@ -294,10 +294,10 @@ def _main_action(feature: str, rng: random.Random, index: int,
         ]
     elif feature == "smcwrite":
         # Copy `func` into an RWX mapping, call it enough times to heat
-        # the copy into the superblock chain and the compiled tier, then
+        # the copy into the block cache and the compiled tier, then
         # copy over it again *in place*: every st1 of the second pass
         # writes into a now-executable page, so the interpreter must
-        # sever the chained edges and drop the compiled body mid-run.
+        # drop the cached blocks and the compiled body mid-run.
         lines += [
             "    mov rax, 9          ; mmap(0, 4096, RWX, PRIV|ANON)",
             "    mov rdi, 0", "    mov rsi, 4096", "    mov rdx, 7",

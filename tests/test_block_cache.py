@@ -8,11 +8,15 @@ reuse through mmap/munmap/mprotect.
 """
 
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.isa.instructions import Op, instruction_size
 from repro.machine import Machine, load_elf
+from repro.machine import cpu as cpu_module
 from repro.machine.compile import COMPILER
 from repro.machine.cpu import DISPATCH_TIERS, set_default_dispatch
 from repro.machine.memory import PROT_READ
@@ -537,26 +541,25 @@ def test_fast_forward_runs_without_instruction_tools():
     assert machine.cpu.fast_dispatch is True
 
 
-# -- dispatch tiers: chaining + threaded-code compilation ---------------------
+# -- dispatch tiers: superblocks + threaded-code compilation -------------------
 
 
-def _chain_edges_target_live_blocks(cpu):
-    """No surviving chain edge may point outside ``block_cache``:
-    chained execution follows edges without consulting the cache, so a
-    stale edge would execute dead code."""
-    live = {id(block) for block in cpu.block_cache.values()}
-    for block in cpu.block_cache.values():
-        for edge in (block.chain_next, block.chain_taken,
-                     block.chain_not_taken):
-            if edge is not None and id(edge) not in live:
-                return False
-    return True
+@pytest.fixture(params=("slow", "block", "compiled"))
+def tier(request, monkeypatch):
+    """The dispatch tier a parametrized test runs on.  "block" is the
+    compiled tier with codegen held off, so every block runs on the
+    interpreted block loop (the path cold, uncompilable and
+    memory-hooked blocks take)."""
+    if request.param == "block":
+        monkeypatch.setattr(cpu_module, "COMPILE_THRESHOLD", sys.maxsize)
+        return "compiled"
+    return request.param
 
 
 def test_all_dispatch_tiers_bit_identical_racy_mt():
-    """Every tier — superblocks, chained superblocks, threaded-code
-    compilation — must retire the identical architectural state on a
-    racy multi-threaded workload, across scheduler seeds."""
+    """Both tiers — per-instruction interpretation and superblocks with
+    threaded-code compilation — must retire the identical architectural
+    state on a racy multi-threaded workload, across scheduler seeds."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
     for seed in range(4):
         reference = None
@@ -568,15 +571,15 @@ def test_all_dispatch_tiers_bit_identical_racy_mt():
             else:
                 assert state == reference, (tier, seed)
             if seed == 0 and tier == "compiled":
-                # The fast tiers must actually engage, not silently
-                # fall back to per-block dispatch.
+                # The compiled tier must actually engage, not silently
+                # fall back to the interpreted block loop.
                 assert machine.cpu.compiled_calls > 0
-                assert machine.cpu.chain_hits > 0
+                assert machine.cpu.block_hits > 0
                 assert machine.cpu.compiled_blocks > 0
 
 
 def test_stepped_run_matches_straight_run_per_tier():
-    """Budget stops land mid-chain and mid-compiled-block (quantum
+    """Budget stops land mid-block and mid-compiled-block (quantum
     spills); a stepped run must be indistinguishable from a straight
     one on every tier."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
@@ -595,22 +598,23 @@ def test_stepped_run_matches_straight_run_per_tier():
             == _arch_state(straight, done), tier
 
 
-def test_page_invalidation_severs_chain_edges():
-    """Dropping one code page mid-run must leave the chain graph
-    consistent (no edge into a dead block) and not perturb execution."""
+def test_page_invalidation_mid_run_matches_slow():
+    """Dropping one code page mid-run on the compiled tier re-decodes
+    its blocks and does not perturb execution."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
     machine = Machine(seed=0)
     load_elf(machine, image)
-    machine.cpu.set_dispatch("chain")
+    machine.cpu.set_dispatch("compiled")
     assert machine.run(max_instructions=2000).kind == "stopped"
     cpu = machine.cpu
-    assert cpu.chain_hits > 0
+    assert cpu.compiled_calls > 0
     page = next(iter(cpu._block_index))
     dropped = cpu.block_invalidations
     cpu._invalidate_code_page(page)
     assert cpu.block_invalidations > dropped
     assert page not in cpu._block_index
-    assert _chain_edges_target_live_blocks(cpu)
+    assert not any(page in block.pages
+                   for block in cpu.block_cache.values())
     status = machine.run()
 
     slow = Machine(seed=0)
@@ -623,8 +627,7 @@ def test_page_invalidation_severs_chain_edges():
 def test_block_cache_lru_eviction_under_tiny_cap():
     """Past the cap the coldest blocks are evicted, from the per-Cpu
     block cache and from the process-wide compiled-shape cache alike;
-    eviction severs inbound chain edges and never changes architectural
-    results."""
+    eviction never changes architectural results."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
     reference = _arch_state(*_run(image, seed=1, tier="slow"))
     machine = Machine(seed=1)
@@ -635,7 +638,6 @@ def test_block_cache_lru_eviction_under_tiny_cap():
     cpu = machine.cpu
     assert cpu.block_evictions > 0
     assert len(cpu.block_cache) <= 4
-    assert _chain_edges_target_live_blocks(cpu)
     assert _arch_state(machine, status) == reference
 
     limit, evictions = COMPILER.cache_limit, COMPILER.evictions
@@ -766,7 +768,6 @@ again:
 """
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_self_loop_spin_exits_count_completed_branches(tier):
     """A fault or an SMC break inside a compiled self-loop spin still
     counts the branch of every iteration completed before it."""
@@ -786,7 +787,7 @@ def test_self_loop_spin_exits_count_completed_branches(tier):
 
 
 #: RACY_SOURCE with a MARKER inside both threads' hot loops, so marker
-#: blocks get chained and compiled.
+#: blocks get compiled.
 MARKER_SOURCE = RACY_SOURCE.replace(
     "add rbx, 1", "add rbx, 1\n        marker 0x42")
 
@@ -826,7 +827,6 @@ def _marker_run(image, tier, seed, stop_at=None):
     return machine, log.events, stopped, _arch_state(machine, status)
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_marker_hook_fires_identically_on_every_tier(tier):
     """One event per retired MARKER, with the same thread, icount and
     cycles on every tier, and a stop requested in the hook lands at the
@@ -845,11 +845,13 @@ def test_marker_hook_fires_identically_on_every_tier(tier):
             assert got[1:] == want[1:], (seed, stop_at)
             assert got[3] == state
     if tier == "compiled":
-        assert machine.cpu.compiled_calls > 0
-        assert machine.cpu.chain_hits > 0
+        # Marker blocks run from the cache, compiled unless codegen is
+        # held off.
+        assert machine.cpu.block_hits > 0
+        assert (machine.cpu.compiled_calls > 0) \
+            == (cpu_module.COMPILE_THRESHOLD != sys.maxsize)
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_marker_block_split_keeps_state_digests(tier):
     """Blocks end at MARKER whether or not a marker tool is attached;
     per-thread state digests at every step of a stepped run still match
@@ -871,8 +873,8 @@ def test_marker_block_split_keeps_state_digests(tier):
     assert digests(tier) == digests("slow")
 
 
-def test_snapshot_mid_chained_execution_round_trips():
-    """Capturing mid-chained-execution drops derived state (block and
+def test_snapshot_mid_compiled_execution_round_trips():
+    """Capturing mid-compiled-execution drops derived state (block and
     compiled caches), round-trips digest-identically, and the resumed
     run finishes bit-identically to a straight run."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
@@ -886,7 +888,7 @@ def test_snapshot_mid_chained_execution_round_trips():
         interrupted = Machine(seed=3)
         load_elf(interrupted, image)
         assert interrupted.run(max_instructions=1500).kind == "stopped"
-        assert interrupted.cpu.chain_hits > 0
+        assert interrupted.cpu.compiled_calls > 0
         first = capture(interrupted)
         resumed = restore(first)
         # Derived state never travels: the resumed machine re-decodes
@@ -901,6 +903,55 @@ def test_snapshot_mid_chained_execution_round_trips():
             == _arch_state(straight, done)[4]
     finally:
         set_default_dispatch(previous)
+
+
+def test_snapshot_with_removed_chain_counters_resumes():
+    """Snapshots written before the chained tier was removed carry
+    ``chain_hits``/``reported_chain_hits`` in the cpu state; they still
+    restore and resume bit-identically to a straight run."""
+    image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
+    straight = Machine(seed=3)
+    load_elf(straight, image)
+    done = straight.run()
+
+    interrupted = Machine(seed=3)
+    load_elf(interrupted, image)
+    assert interrupted.run(max_instructions=1500).kind == "stopped"
+    current = capture(interrupted)
+    legacy = capture(interrupted)
+    legacy.state["machine"]["cpu"].update(
+        chain_hits=123, reported_chain_hits=120)
+    for snapshot in (current, legacy):
+        resumed = restore(snapshot)
+        assert not hasattr(resumed.cpu, "chain_hits")
+        status = resumed.run()
+        assert status.kind == "exit"
+        assert resumed.mem.snapshot() == straight.mem.snapshot()
+        assert _arch_state(resumed, status) == _arch_state(straight, done)
+    assert snapshot_digest(capture(restore(legacy))) \
+        == snapshot_digest(current)
+
+
+def test_repro_dispatch_env_is_validated():
+    """An unknown ``REPRO_DISPATCH`` tier fails at import with the same
+    error ``set_default_dispatch`` raises; a known one is honoured."""
+    def default_under(value):
+        env = dict(os.environ, REPRO_DISPATCH=value,
+                   PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+        return subprocess.run(
+            [sys.executable, "-c",
+             "from repro.machine.cpu import default_dispatch; "
+             "print(default_dispatch())"],
+            env=env, capture_output=True, text=True)
+
+    for removed in ("chain", "block"):
+        proc = default_under(removed)
+        assert proc.returncode != 0
+        assert "ValueError: unknown dispatch tier: %r" % removed \
+            in proc.stderr
+    proc = default_under("slow")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "slow"
 
 
 # -- slice boundaries of a lone thread ----------------------------------------
@@ -1011,7 +1062,6 @@ def _fault_case(fault, pad, seed):
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_lone_thread_fault_in_straddling_block(tier, fault):
     """A fault before the slice end leaves the scheduler untouched; one
     at or after it sees the pick already made, as on the per-slice
@@ -1026,7 +1076,6 @@ def test_lone_thread_fault_in_straddling_block(tier, fault):
     assert kinds == {"prefix", "at", "crossed"}
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_lone_thread_clone_at_slice_end(tier):
     """A clone retiring as the slice's last instruction hands the next
     pick back to round-robin: the child runs next."""
@@ -1088,7 +1137,6 @@ signote:
 """
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_lone_thread_kill_self_at_slice_end(tier):
     """kill(self) yields: around the slice end the signal is delivered
     at the same boundary and the shortened slice is recorded."""
@@ -1136,7 +1184,6 @@ def _stop_and_resume(image, tier, seed, budget):
     return _sched_state(resumed, resumed.run())
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_lone_thread_budget_stop_mid_straddle_resumes(tier):
     """A budget stop inside a block that straddles a slice end, then a
     snapshot round trip, resumes digest-identical to a straight run."""
@@ -1187,7 +1234,6 @@ class _InstructionCount(Tool):
         self.count += 1
 
 
-@pytest.mark.parametrize("tier", DISPATCH_TIERS)
 def test_lone_thread_tool_attached_mid_run_applies_next_slice(tier):
     """A tool attached from a hook takes effect at the next slice end on
     every tier; an extended slice must not carry the old tool lists."""
