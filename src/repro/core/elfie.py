@@ -10,22 +10,25 @@ The harness adds the conveniences the paper's workflows need:
   thread's ROI entry (the point where startup code jumps into captured
   code, identified by the thread's ROI marker or, without one, by its
   jump to a captured ``.tN.start`` address),
-- capture of the perfle counter output on stderr.
+- capture of the perfle counter output on stderr, and for simulators a
+  fast-forward over startup to the ROI marker (:func:`simulate_roi`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.isa.encoding import InstructionDecodeError, decode
-from repro.isa.instructions import Op
+from repro.isa.instructions import Op, instruction_size
 from repro.machine.cpu import OP_COST
 from repro.machine.loader import LoadedImage, LoaderError, load_elf
 from repro.machine.machine import ExitStatus, Machine
 from repro.machine.memory import PageFault
+from repro.machine.scheduler import Scheduler
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
+from repro.observe import hooks
 
 
 class _RoiWatcher(Tool):
@@ -77,18 +80,22 @@ def _startup_has_marker(machine: Machine, loaded: LoadedImage) -> bool:
 
 
 class _MarkerStop(Tool):
-    """Stops the run right after the first MARKER retires."""
+    """Stops right after the first MARKER retires; notes its tid and pc."""
 
     wants_instructions = False
     wants_markers = True
 
     def __init__(self) -> None:
         self.before: Optional[Tuple[int, int]] = None
+        self.tid: Optional[int] = None
+        self.pc = 0
 
     def on_marker(self, machine, thread) -> None:
         if self.before is None:
             self.before = (machine.total_icount() - 1,
                            machine.total_cycles() - OP_COST[Op.MARKER])
+            self.tid = thread.tid
+            self.pc = thread.regs.rip - instruction_size(Op.MARKER)
             machine.request_stop("ROI marker")
 
 
@@ -157,6 +164,41 @@ def prepare_elfie_machine(image: bytes, seed: int = 0,
     machine = Machine(seed=seed, fs=fs, root=workdir)
     loaded = load_elf(machine, image, argv=["elfie"], stack_seed=stack_seed)
     return machine, loaded
+
+
+def simulate_roi(image: bytes, tool: Tool, max_instructions: int,
+                 seed: int = 0, fs: Optional[FileSystem] = None,
+                 workdir: str = "/", scheduler: Optional[Scheduler] = None,
+                 on_enter: Optional[Callable[[int, int], None]] = None
+                 ) -> Tuple[ExitStatus, bool]:
+    """Load an ELFie, skip its startup, and run *tool* over the ROI.
+
+    Simulators skip startup via the ROI marker (§III-C): it runs to the
+    first MARKER with no tool attached, so compiled, and *tool* attaches
+    right after the marker retires, with ``on_enter(tid, pc)`` of the
+    marker called just before.  The whole run shares one absolute
+    *max_instructions* cap.  Returns the final status and whether the
+    ROI was reached.
+    """
+    machine, _ = prepare_elfie_machine(image, seed=seed, fs=fs,
+                                       workdir=workdir)
+    if scheduler is not None:
+        machine.scheduler = scheduler
+    stop = _MarkerStop()
+    with hooks.OBS.span("elfie.fast_forward", "elfie") as span:
+        machine.attach(stop)
+        status = machine.run(max_instructions=max_instructions)
+        machine.detach(stop)
+        if stop.tid is None:
+            return status, False
+        span.set(instructions=machine.total_icount(), tid=stop.tid,
+                 pc=stop.pc)
+    if on_enter is not None:
+        on_enter(stop.tid, stop.pc)
+    machine.attach(tool)
+    status = machine.run(max_instructions=max_instructions)
+    machine.detach(tool)
+    return status, True
 
 
 def run_elfie(image: bytes, seed: int = 0,

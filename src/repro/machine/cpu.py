@@ -579,7 +579,8 @@ class Cpu:
                 # runs exactly ``remaining`` steps (remaining < n here,
                 # so it never reaches the terminator); the trap/limit
                 # guard above ensures no PMU boundary falls inside the
-                # prefix.
+                # prefix, which never ends at a branch: no block entry.
+                thread.new_block = False
                 pfn = block.compiled_part
                 if pfn is not None and compile_ok:
                     calls_delta += 1
@@ -659,12 +660,16 @@ class Cpu:
                     # (self-modifying code) and stopped at a step
                     # boundary; the header re-dispatches at the current
                     # rip against freshly decoded bytes.
+                    thread.new_block = False
                     continue
                 thread.new_block = True
             else:
+                # Exact with or without block tools (mid-run attach).
                 if block.ends_branch:
                     thread.new_block = True
                     thread.branches += 1
+                else:
+                    thread.new_block = False
                 if block.ends_syscall:
                     if thread.icount >= thread.pmu_trap_at:
                         # The syscall armed a trap with a threshold of
@@ -741,6 +746,8 @@ class Cpu:
             if insn.is_branch:
                 thread.new_block = True
                 thread.branches += 1
+            else:
+                thread.new_block = False
             if marker_tools and opint == marker_op:
                 machine.on_marker(thread)
             if thread.icount >= thread.pmu_trap_at:

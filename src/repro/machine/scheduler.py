@@ -123,7 +123,15 @@ class Scheduler:
                 if self.record:
                     self.trace.append(entry)
                 return entry
-        # round-robin with jittered quantum
+        chosen = self.choose(tids)
+        if self.record:
+            self.trace.append(chosen)
+        return chosen
+
+    def choose(self, tids: List[int]) -> ScheduleSlice:
+        """The free-run pick among the sorted *tids*: round-robin, with
+        a jittered quantum.  Subclasses override this, not :meth:`pick`,
+        which must first finish a parked slice remainder."""
         candidates = [tid for tid in tids if tid >= self._next_index]
         tid = candidates[0] if candidates else tids[0]
         self._next_index = tid + 1
@@ -137,11 +145,7 @@ class Scheduler:
                     -spread, spread)
         else:
             quantum = self.base_quantum
-        quantum = max(1, quantum)
-        chosen = ScheduleSlice(tid=tid, quantum=quantum)
-        if self.record:
-            self.trace.append(chosen)
-        return chosen
+        return ScheduleSlice(tid=tid, quantum=max(1, quantum))
 
     def note_partial(self, slice_: ScheduleSlice, executed: int,
                      resumable: bool = False) -> None:

@@ -17,6 +17,10 @@ shared LLC, I/D TLBs, a next-line prefetcher, and a bimodal branch
 predictor — enough microarchitectural surface for the Table IV
 comparison (instruction counts, runtime, TLB/cache pressure, data
 footprint, prefetcher traffic).
+
+The timing model attaches right after an ELFie's ROI marker, after the
+startup ran compiled (:func:`~repro.core.elfie.simulate_roi`), so all
+it sees is ROI; whole-program mode attaches it at load.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.elfie import prepare_elfie_machine
+from repro.core.elfie import simulate_roi
 from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
@@ -83,7 +87,6 @@ class _CoreSimTool(Tool):
         self.ring3_instructions = 0
         self.ring0_instructions = 0
         self.prefetch_lines = 0
-        self.roi_active = False
         self.roi_budget = roi_budget
         #: ROI instructions that warm microarchitectural state without
         #: being measured (the PinPoints warmup region).
@@ -128,10 +131,6 @@ class _CoreSimTool(Tool):
             self._pending_branch = None
             self.cycles += self.predictor.predict_and_update(
                 branch_pc, pc != fallthrough)
-        if not self.roi_active:
-            if insn.op is Op.MARKER:
-                self.roi_active = True
-            return
         self.cycles += self._instr_cost
         cost = self._long_op_cost.get(int(insn.op))
         if cost is not None:
@@ -151,10 +150,9 @@ class _CoreSimTool(Tool):
             machine.request_stop("coresim budget")
 
     def on_basic_block(self, machine, thread, pc) -> None:
-        if self.roi_active:
-            self.cycles += self.hierarchy.fetch_access(pc)
+        self.cycles += self.hierarchy.fetch_access(pc)
 
-    def _data(self, addr: int) -> None:
+    def on_memory_read(self, machine, thread, addr, size) -> None:
         before = self.hierarchy.l1d.misses
         self.cycles += self.hierarchy.data_access(addr)
         if (self.config.prefetch_next_line
@@ -163,17 +161,9 @@ class _CoreSimTool(Tool):
             self.llc.access(addr + 64)
             self.prefetch_lines += 1
 
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
-
-    def on_memory_write(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
+    on_memory_write = on_memory_read
 
     def on_syscall_after(self, machine, thread, number, result) -> None:
-        if not self.roi_active:
-            return
         self.cycles += self.config.syscall_trap_cycles
         if self.config.frontend == "simics":
             self._kernel_episodes += 1
@@ -269,13 +259,10 @@ class CoreSim:
         measured window of *roi_budget* instructions begins, matching
         the PinPoints warmup methodology.
         """
-        machine, _ = prepare_elfie_machine(image, seed=seed, fs=fs,
-                                           workdir=workdir)
         tool = _CoreSimTool(self.config, roi_budget=roi_budget,
                             warmup_budget=warmup_budget)
-        machine.attach(tool)
-        status = machine.run(max_instructions=max_instructions)
-        machine.detach(tool)
+        status, _ = simulate_roi(image, tool, max_instructions, seed=seed,
+                                 fs=fs, workdir=workdir)
         result = self._finish(tool, status)
         if tool.warmup_cycles is not None:
             result.measured_instructions = (tool.ring3_instructions
@@ -295,7 +282,6 @@ class CoreSim:
         machine = Machine(seed=seed, fs=fs)
         load_elf(machine, image)
         tool = _CoreSimTool(self.config, roi_budget=None)
-        tool.roi_active = True
         machine.attach(tool)
         status = machine.run(max_instructions=max_instructions)
         machine.detach(tool)

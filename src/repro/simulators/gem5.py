@@ -4,7 +4,9 @@ gem5 is not Pin-based: it loads the binary itself and provides system
 services directly (Syscall Emulation mode).  This model does the same —
 it loads an ELFie (or any PX ELF executable) with its own copy of the
 loader and emulates execution, feeding an out-of-order analytical core
-model.
+model.  The ELFie's startup runs functionally to the ROI marker (on
+the compiled tier, via :func:`~repro.core.elfie.simulate_roi`); the
+core model is attached only from there on.
 
 The core model is interval-style: instructions dispatch at the
 configured width; long-latency (off-chip) misses stall the ROB for the
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.elfie import prepare_elfie_machine
+from repro.core.elfie import simulate_roi
 from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
@@ -70,14 +72,14 @@ HASWELL_LIKE = Gem5Config(name="haswell-like", width=4, rob=192, lsq=72,
 
 
 class _Gem5Tool(Tool):
-    """Interval-model accounting over the functional execution."""
+    """Interval-model accounting over the ROI's functional execution."""
 
     wants_instructions = True
     wants_memory = True
     wants_blocks = True
 
     def __init__(self, config: Gem5Config,
-                 roi_budget: Optional[int], roi_armed: bool,
+                 roi_budget: Optional[int],
                  warmup_budget: int = 0) -> None:
         self.config = config
         self.llc = Cache("LLC", config.llc_kb, 16, 30)
@@ -88,7 +90,6 @@ class _Gem5Tool(Tool):
         self.instructions = 0
         self.base_cycles = 0.0
         self.stall_cycles = 0.0
-        self.roi_active = roi_armed
         self.roi_budget = roi_budget
         self.warmup_budget = warmup_budget
         self.warmup_cycles: Optional[float] = None
@@ -111,10 +112,6 @@ class _Gem5Tool(Tool):
             self._pending_branch = None
             self.stall_cycles += self.predictor.predict_and_update(
                 branch_pc, pc != fallthrough)
-        if not self.roi_active:
-            if insn.op is Op.MARKER:
-                self.roi_active = True
-            return
         self.instructions += 1
         self.base_cycles += 1.0 / self.config.width
         self.stall_cycles += self._long_op_cost.get(int(insn.op), 0.0)
@@ -128,14 +125,12 @@ class _Gem5Tool(Tool):
             machine.request_stop("gem5 budget")
 
     def on_basic_block(self, machine, thread, pc) -> None:
-        if not self.roi_active:
-            return
         before = self.llc.misses
         self.hierarchy.fetch_access(pc)
         if self.llc.misses > before:
             self.stall_cycles += self._miss_stall
 
-    def _data(self, addr: int) -> None:
+    def on_memory_read(self, machine, thread, addr, size) -> None:
         l2_before = self.hierarchy.l2.misses
         l1_before = self.hierarchy.l1d.misses
         self.hierarchy.data_access(addr)
@@ -146,13 +141,7 @@ class _Gem5Tool(Tool):
             self.stall_cycles += max(
                 0.0, 10.0 - self.config.hidden_latency / 8.0)
 
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
-
-    def on_memory_write(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
+    on_memory_write = on_memory_read
 
 
 @dataclass
@@ -197,13 +186,10 @@ class Gem5Sim:
         the microarchitectural state but are excluded from the reported
         instruction/cycle counts.
         """
-        machine, _ = prepare_elfie_machine(image, seed=seed, fs=fs,
-                                           workdir=workdir)
         tool = _Gem5Tool(self.config, roi_budget=roi_budget,
-                         roi_armed=False, warmup_budget=warmup_budget)
-        machine.attach(tool)
-        status = machine.run(max_instructions=max_instructions)
-        machine.detach(tool)
+                         warmup_budget=warmup_budget)
+        status, _ = simulate_roi(image, tool, max_instructions, seed=seed,
+                                 fs=fs, workdir=workdir)
         cycles = tool.base_cycles + tool.stall_cycles
         instructions = tool.instructions
         if warmup_budget and tool.warmup_cycles is not None:

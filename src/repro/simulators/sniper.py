@@ -4,11 +4,13 @@ Sniper is a Pin-based x86 multi-core simulator; this model is likewise
 built as an instrumentation tool over the platform's Pin-style hooks.
 It simulates:
 
-- **ELFies** without any simulator modification: load the binary, wait
-  for the ROI marker, simulate until an end condition — either a
-  ``(PC, count)`` pair (the paper's choice for multi-threaded regions,
-  with the count determined by a separate profiling run) or an
-  aggregate instruction budget;
+- **ELFies** without any simulator modification: load the binary, run
+  the startup to the ROI marker with no tool attached (compiled, via
+  :func:`~repro.core.elfie.simulate_roi`), then attach the timing tool
+  and simulate until an end condition — either a ``(PC, count)`` pair
+  (the paper's choice for multi-threaded regions, with the count
+  determined by a separate profiling run) or an aggregate instruction
+  budget;
 - **pinballs** in constrained-replay mode (Sniper + PinPlay library):
   system-call injection and the recorded thread order are enforced
   while the same timing model runs, so thread interleaving is
@@ -22,10 +24,11 @@ predictor.  Threads map to cores round-robin.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.elfie import prepare_elfie_machine
+from repro.core.elfie import simulate_roi
 from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
@@ -53,10 +56,7 @@ class _TimingDrivenScheduler(Scheduler):
         super().__init__(seed=0, base_quantum=quantum, jitter=0.0)
         self._tool = tool
 
-    def pick(self, runnable_tids):
-        tids = sorted(runnable_tids)
-        if not tids:
-            raise RuntimeError("no runnable threads (deadlock)")
+    def choose(self, tids):
         cycles = self._tool.core_cycles
         cores = self._tool.config.cores
         tid = min(tids, key=lambda t: (cycles[t % cores], t))
@@ -78,15 +78,15 @@ class SniperConfig:
 
 
 class _SniperTool(Tool):
-    """The timing model, attached as a Pin tool."""
+    """The timing model, attached as a Pin tool for the ROI only."""
 
     wants_instructions = True
     wants_memory = True
     wants_blocks = True
 
-    def __init__(self, config: SniperConfig, roi_armed: bool,
-                 end_pc: Optional[int], end_count: int,
-                 roi_budget: Optional[int]) -> None:
+    def __init__(self, config: SniperConfig, end_pc: Optional[int] = None,
+                 end_count: int = 0,
+                 roi_budget: Optional[int] = None) -> None:
         self.config = config
         self.llc = Cache("LLC", config.llc_kb, config.llc_assoc, 30)
         self.cores: List[CacheHierarchy] = [
@@ -99,7 +99,6 @@ class _SniperTool(Tool):
             for _ in range(config.cores)]
         self.core_cycles = [0.0] * config.cores
         self.core_instructions = [0] * config.cores
-        self.roi_active = roi_armed
         self.end_pc = end_pc
         self.end_count = end_count
         self._end_seen = 0
@@ -118,12 +117,6 @@ class _SniperTool(Tool):
             taken = pc != fallthrough
             self.core_cycles[branch_core] += self.predictors[
                 branch_core].predict_and_update(branch_pc, taken)
-        if not self.roi_active:
-            if insn.op is Op.MARKER:
-                self.roi_active = True
-                hooks.OBS.instant("sniper.roi_enter", "sniper",
-                                  tid=thread.tid, pc=pc)
-            return
         self.core_cycles[core] += self._instr_cost
         self.core_instructions[core] += 1
         if insn.is_cond_branch:
@@ -142,19 +135,14 @@ class _SniperTool(Tool):
             machine.request_stop("sniper instruction budget")
 
     def on_basic_block(self, machine, thread, pc) -> None:
-        if self.roi_active:
-            core = self._core(thread.tid)
-            self.core_cycles[core] += self.cores[core].fetch_access(pc)
+        core = self._core(thread.tid)
+        self.core_cycles[core] += self.cores[core].fetch_access(pc)
 
     def on_memory_read(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            core = self._core(thread.tid)
-            self.core_cycles[core] += self.cores[core].data_access(addr)
+        core = self._core(thread.tid)
+        self.core_cycles[core] += self.cores[core].data_access(addr)
 
-    def on_memory_write(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            core = self._core(thread.tid)
-            self.core_cycles[core] += self.cores[core].data_access(addr)
+    on_memory_write = on_memory_read
 
 
 @dataclass
@@ -223,16 +211,16 @@ class SniperSim:
         threads progress in simulated time rather than round-robin by
         retired instructions.
         """
-        machine, _ = prepare_elfie_machine(image, seed=seed, fs=fs,
-                                           workdir=workdir)
-        tool = _SniperTool(self.config, roi_armed=False, end_pc=end_pc,
+        tool = _SniperTool(self.config, end_pc=end_pc,
                            end_count=end_count, roi_budget=roi_budget)
-        if timing_driven:
-            machine.scheduler = _TimingDrivenScheduler(tool)
-        machine.attach(tool)
         with hooks.OBS.span("sniper.simulate_elfie", "sniper"):
-            status = machine.run(max_instructions=max_instructions)
-        machine.detach(tool)
+            status, _ = simulate_roi(
+                image, tool, max_instructions, seed=seed, fs=fs,
+                workdir=workdir,
+                scheduler=_TimingDrivenScheduler(tool) if timing_driven
+                else None,
+                on_enter=lambda tid, pc: hooks.OBS.instant(
+                    "sniper.roi_enter", "sniper", tid=tid, pc=pc))
         return self._finish(tool, status, constrained=False)
 
     def simulate_pinball(self, pinball: Pinball, seed: int = 0,
@@ -242,8 +230,7 @@ class SniperSim:
         session = ReplaySession(pinball, injection=True, seed=seed, fs=fs,
                                 instrument=False)
         machine = session.machine
-        tool = _SniperTool(self.config, roi_armed=True, end_pc=None,
-                           end_count=0, roi_budget=None)
+        tool = _SniperTool(self.config)
         machine.attach(tool)
         with hooks.OBS.span("sniper.simulate_pinball", "sniper",
                             pinball=pinball.name):
@@ -251,6 +238,36 @@ class SniperSim:
         machine.detach(tool)
         session.result()
         return self._finish(tool, status, constrained=True)
+
+
+class _PcProfiler(Tool):
+    """Histograms every executed PC and marks the code near a PAUSE."""
+
+    wants_instructions = True
+
+    def __init__(self, spin_radius: int) -> None:
+        self.spin_radius = spin_radius
+        self.counts: Dict[int, int] = {}
+        self.spin: set = set()
+        self.recent: deque = deque(maxlen=512)
+
+    def on_instruction(self, machine, thread, pc, insn) -> None:
+        self.counts[pc] = self.counts.get(pc, 0) + 1
+        self.recent.append(pc)
+        if insn.op is Op.PAUSE:
+            for delta in range(-self.spin_radius, self.spin_radius + 1):
+                self.spin.add(pc + delta)
+
+
+def _profile_replay(pinball: Pinball, seed: int,
+                    spin_radius: int = 64) -> _PcProfiler:
+    """The separate profiling run: a constrained replay of *pinball*."""
+    session = ReplaySession(pinball, injection=True, seed=seed, fs=None,
+                            instrument=False)
+    profiler = _PcProfiler(spin_radius)
+    session.machine.attach(profiler)
+    session.run()
+    return profiler
 
 
 def find_end_condition(pinball: Pinball, seed: int = 0,
@@ -265,28 +282,7 @@ def find_end_condition(pinball: Pinball, seed: int = 0,
     PAUSE as spin code, and return the most recently executed non-spin
     PC together with its accumulated count at region end.
     """
-    from collections import deque
-
-    class _Profiler(Tool):
-        wants_instructions = True
-
-        def __init__(self) -> None:
-            self.counts: Dict[int, int] = {}
-            self.spin: set = set()
-            self.recent: deque = deque(maxlen=512)
-
-        def on_instruction(self, machine, thread, pc, insn) -> None:
-            self.counts[pc] = self.counts.get(pc, 0) + 1
-            self.recent.append(pc)
-            if insn.op is Op.PAUSE:
-                for delta in range(-spin_radius, spin_radius + 1):
-                    self.spin.add(pc + delta)
-
-    session = ReplaySession(pinball, injection=True, seed=seed, fs=None,
-                            instrument=False)
-    profiler = _Profiler()
-    session.machine.attach(profiler)
-    session.run()
+    profiler = _profile_replay(pinball, seed, spin_radius)
     for pc in reversed(profiler.recent):
         if pc not in profiler.spin:
             return pc, profiler.counts[pc]
@@ -297,27 +293,6 @@ def find_end_condition(pinball: Pinball, seed: int = 0,
 
 def profile_end_condition(pinball: Pinball, end_pc: int,
                           seed: int = 0) -> Tuple[int, int]:
-    """Determine the global execution count of *end_pc* in the region.
-
-    The paper picks a PC at the end of the code region outside any
-    spin loop and counts its executions in a separate profiling run;
-    here the profiling run is a constrained replay of the pinball.
-    Returns ``(end_pc, count)`` ready for :meth:`SniperSim.simulate_elfie`.
-    """
-
-    class _Counter(Tool):
-        wants_instructions = True
-
-        def __init__(self) -> None:
-            self.count = 0
-
-        def on_instruction(self, machine, thread, pc, insn) -> None:
-            if pc == end_pc:
-                self.count += 1
-
-    session = ReplaySession(pinball, injection=True, seed=seed, fs=None,
-                            instrument=False)
-    counter = _Counter()
-    session.machine.attach(counter)
-    session.run()
-    return end_pc, counter.count
+    """``(end_pc, count)`` for :meth:`SniperSim.simulate_elfie`: the
+    global execution count of *end_pc* in the profiling run."""
+    return end_pc, _profile_replay(pinball, seed).counts.get(end_pc, 0)

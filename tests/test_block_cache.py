@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.core.elfie import run_to_marker
 from repro.isa.instructions import Op, instruction_size
 from repro.machine import Machine, load_elf
 from repro.machine import cpu as cpu_module
@@ -1253,3 +1254,44 @@ def test_lone_thread_tool_attached_mid_run_applies_next_slice(tier):
     count, state = counted(tier)
     assert count > 0
     assert (count, state) == counted("slow")
+
+
+class _BlockEntries(Tool):
+    """Records every basic-block entry."""
+
+    wants_instructions = False
+    wants_blocks = True
+
+    def __init__(self):
+        self.entries = []
+
+    def on_basic_block(self, machine, thread, pc):
+        self.entries.append((thread.tid, thread.icount, pc))
+
+
+def test_block_tool_attached_mid_run_sees_only_true_entries(tier):
+    """``Thread.new_block`` stays exact with no block tool attached, so
+    a block tool attached after the ROI marker or a budget stop sees
+    exactly the tail of the entries a tool attached at load sees -- no
+    phantom entry where a thread stopped inside a block."""
+    image = build_executable(MARKER_SOURCE, data_source=RACY_DATA)
+
+    def entries(stop):
+        machine = Machine(seed=2)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch(tier)
+        if stop is not None:
+            stop(machine)
+        tool = _BlockEntries()
+        machine.attach(tool)
+        machine.run()
+        return tool.entries
+
+    full = entries(None)
+    # The budget stops cut both threads' last slices inside a block.
+    for stop in (lambda m: run_to_marker(m, 10**6),
+                 lambda m: m.run(max_instructions=703),
+                 lambda m: m.run(max_instructions=709)):
+        tail = entries(stop)
+        assert 0 < len(tail) < len(full)
+        assert tail == full[-len(tail):]

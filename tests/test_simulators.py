@@ -1,8 +1,18 @@
 """Tests for the Sniper-like, CoreSim-like and gem5-like simulators."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import MarkerSpec, Pinball2Elf, Pinball2ElfOptions
+from repro.core.elfie import prepare_elfie_machine, run_to_marker, \
+    simulate_roi
+from repro.isa.encoding import decode
+from repro.isa.instructions import Op
+from repro.machine import Machine, load_elf
+from repro.machine import cpu as cpu_module
+from repro.machine.tool import Tool
+from repro.observe import Tracer, hooks
 from repro.pinplay import RegionSpec, log_region
 from repro.simulators import (
     BranchPredictor,
@@ -16,6 +26,7 @@ from repro.simulators import (
     SniperSim,
     Tlb,
 )
+from repro.simulators import sniper
 from repro.simulators.sniper import profile_end_condition
 from repro.workloads import PhaseSpec, ProgramBuilder, build_executable
 
@@ -319,3 +330,189 @@ def test_gem5_config_window_properties():
     assert HASWELL_LIKE.effective_window > NEHALEM_LIKE.effective_window
     assert HASWELL_LIKE.mlp > NEHALEM_LIKE.mlp
     assert HASWELL_LIKE.hidden_latency > NEHALEM_LIKE.hidden_latency
+
+
+# -- ROI fast-forward ---------------------------------------------------------
+
+
+def _pinned_runs(st, mt):
+    """Every field of a set of simulator runs over the fixture ELFies."""
+    st_pinball, st_artifact = st
+    mt_pinball, mt_artifact = mt
+    end_pc, end_count = _mt_end_condition(mt_pinball)
+    budget = st_pinball.region_icount
+    runs = {
+        "sniper-mt-end": SniperSim().simulate_elfie(
+            mt_artifact.image, end_pc=end_pc, end_count=end_count, seed=11),
+        "sniper-mt-budget": SniperSim().simulate_elfie(
+            mt_artifact.image, roi_budget=30_000, seed=3,
+            timing_driven=False),
+        "sniper-st-budget": SniperSim().simulate_elfie(
+            st_artifact.image, roi_budget=budget),
+        "gem5-warmup": Gem5Sim(NEHALEM_LIKE).simulate_elfie(
+            st_artifact.image, roi_budget=20_000, warmup_budget=5_000),
+    }
+    for frontend in ("sde", "simics"):
+        runs["coresim-" + frontend] = CoreSim(
+            CoreSimConfig(frontend=frontend)).simulate_elfie(
+                st_artifact.image, roi_budget=budget, warmup_budget=5_000)
+    return {name: dataclasses.asdict(result)
+            for name, result in runs.items()}
+
+
+def _status(kind, detail):
+    return dict(kind=kind, code=0, signal=0, detail=detail,
+                fault_address=None)
+
+
+#: ``_pinned_runs`` as recorded when the timing tools were attached at
+#: load and gated themselves on the first MARKER.
+PINNED = {
+    "sniper-mt-end": dict(
+        config_name="gainestown-8", constrained=False, instructions=60079,
+        core_instructions=[16330, 14400, 14693, 14656, 0, 0, 0, 0],
+        core_cycles=[7264.5, 7268.0, 7273.25, 7258.0, 0.0, 0.0, 0.0, 0.0],
+        status=_status("stopped", "sniper end condition"), llc_misses=17,
+        branch_mispredict_rate=0.0007334066740007334),
+    "sniper-mt-budget": dict(
+        config_name="gainestown-8", constrained=False, instructions=30000,
+        core_instructions=[7581, 7608, 7249, 7562, 0, 0, 0, 0],
+        core_cycles=[3607.25, 4214.0, 4058.25, 4194.5, 0.0, 0.0, 0.0, 0.0],
+        status=_status("stopped", "sniper instruction budget"),
+        llc_misses=17, branch_mispredict_rate=0.001471129091577786),
+    "sniper-st-budget": dict(
+        config_name="gainestown-8", constrained=False, instructions=60000,
+        core_instructions=[60000, 0, 0, 0, 0, 0, 0, 0],
+        core_cycles=[55332.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        status=_status("stopped", "sniper instruction budget"),
+        llc_misses=2, branch_mispredict_rate=0.00015001500150015003),
+    "gem5-warmup": dict(
+        config_name="nehalem-like", status=_status("stopped", "gem5 budget"),
+        instructions=20000, cycles=6111.5, llc_misses=2,
+        branch_mispredict_rate=0.00036010082823190496),
+    "coresim-sde": dict(
+        config_name="skylake", frontend="sde",
+        status=_status("exit", "last thread exited"),
+        instructions_ring3=60139, instructions_ring0=0,
+        runtime_cycles=71244.75, llc_misses=10, dtlb_misses=3,
+        itlb_misses=2, data_footprint_bytes=640, prefetch_lines=3,
+        branch_mispredict_rate=0.0005989817310572028,
+        measured_instructions=55139, measured_cycles=65158.75),
+    "coresim-simics": dict(
+        config_name="skylake", frontend="simics",
+        status=_status("exit", "last thread exited"),
+        instructions_ring3=60139, instructions_ring0=5940,
+        runtime_cycles=198855.75, llc_misses=728, dtlb_misses=255,
+        itlb_misses=9, data_footprint_bytes=46592, prefetch_lines=3,
+        branch_mispredict_rate=0.0005989817310572028,
+        measured_instructions=55139, measured_cycles=192769.75),
+}
+
+
+def test_simulator_numbers_are_pinned(st_pinball_and_elfie,
+                                      mt_pinball_and_elfie):
+    """Starting the timing tool at the ROI marker instead of at load
+    moves no field of any simulator result."""
+    assert _pinned_runs(st_pinball_and_elfie, mt_pinball_and_elfie) \
+        == PINNED
+
+
+def test_sniper_tool_runs_only_inside_the_roi(mt_pinball_and_elfie,
+                                              monkeypatch):
+    """Startup runs compiled with no tool attached; the timing tool
+    then sees exactly the instructions it reports as ROI."""
+    tools = []
+
+    class CountingTool(sniper._SniperTool):
+        def on_attach(self, machine):
+            self.compiled_calls = machine.cpu.compiled_calls
+            self.calls = 0
+            tools.append(self)
+
+        def on_instruction(self, machine, thread, pc, insn):
+            self.calls += 1
+            super().on_instruction(machine, thread, pc, insn)
+
+    monkeypatch.setattr(cpu_module, "_default_dispatch", "compiled")
+    monkeypatch.setattr(sniper, "_SniperTool", CountingTool)
+    pinball, artifact = mt_pinball_and_elfie
+    end_pc, end_count = _mt_end_condition(pinball)
+    result = SniperSim().simulate_elfie(artifact.image, end_pc=end_pc,
+                                        end_count=end_count, seed=11)
+    (tool,) = tools
+    assert tool.compiled_calls > 0
+    assert tool.calls == result.instructions > 0
+
+
+def test_fast_forward_reports_marker_thread_and_pc(st_pinball_and_elfie):
+    """One ``elfie.fast_forward`` span names the startup's instruction
+    count and the marker's thread and address; Sniper's ROI-entry
+    instant carries the same thread and address."""
+    pinball, artifact = st_pinball_and_elfie
+    tracer = Tracer()
+    with hooks.observed(tracer=tracer):
+        SniperSim().simulate_elfie(artifact.image, roi_budget=1000)
+    (forward,) = [e for e in tracer.events()
+                  if e["name"] == "elfie.fast_forward"]
+    (enter,) = [e for e in tracer.events()
+                if e["name"] == "sniper.roi_enter"]
+    args = forward["args"]
+    machine, _ = prepare_elfie_machine(artifact.image)
+    insn, _ = decode(machine.mem.fetch(args["pc"]))
+    assert insn.op is Op.MARKER
+    before, _ = run_to_marker(machine, 10**6)
+    assert args["instructions"] == before[0] + 1
+    assert (enter["args"]["tid"], enter["args"]["pc"]) \
+        == (args["tid"], args["pc"]) == (0, args["pc"])
+    # the span closes before the ROI-entry instant fires
+    assert forward["ts"] + forward["dur"] <= enter["ts"]
+
+
+def test_simulate_roi_without_marker_never_attaches_the_tool():
+    class Never(Tool):
+        def on_attach(self, machine):
+            raise AssertionError("attached without a ROI marker")
+
+    image = build_executable("""
+        _start:
+            mov rax, 231
+            mov rdi, 3
+            syscall
+        """)
+    status, reached = simulate_roi(image, Never(), max_instructions=1000)
+    assert not reached
+    assert (status.kind, status.code) == ("exit", 3)
+
+
+def test_timing_driven_stepped_run_matches_straight_run():
+    """A budget stop parks the rest of the cut slice, and the pick
+    finishes it before the timing-driven choice, so stepping neither
+    changes the interleaving nor leaves the machine mid-slice (which
+    would defer signal delivery for good)."""
+    image = ProgramBuilder(
+        name="td", threads=3,
+        phases=[PhaseSpec("compute", 300, buffer_kb=4),
+                PhaseSpec("stream", 300, buffer_kb=4)],
+    ).build()
+
+    def run(step):
+        machine = Machine(seed=0)
+        load_elf(machine, image)
+        tool = sniper._SniperTool(SniperConfig())
+        machine.scheduler = sniper._TimingDrivenScheduler(tool)
+        machine.attach(tool)
+        budget = step
+        while True:
+            status = machine.run(max_instructions=budget)
+            if status.kind != "stopped":
+                break
+            budget += step
+        threads = sorted((t.tid, t.icount, t.cycles)
+                         for t in machine.threads.values())
+        return machine, (status, threads, tool.core_cycles)
+
+    straight, want = run(None)
+    stepped, got = run(777)
+    assert got == want
+    assert stepped.executed_total > 10 * 777
+    assert not stepped.scheduler.mid_slice
