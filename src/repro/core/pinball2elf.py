@@ -8,8 +8,8 @@ The conversion follows the paper's mapping (Fig. 3):
 - the pinball's program-stack pages become **non-allocatable**
   ``.stack.<addr>`` sections, so the system loader never maps them and
   the new process stack can be placed freely (the stack-collision fix,
-  Fig. 4); their contents travel in an allocatable staging section the
-  startup code copies back,
+  Fig. 4); their non-zero span travels in an allocatable staging area
+  the startup code copies into the zero-filled remapped range,
 - per-thread register contexts are packed into a data section placed in
   an address range the pinball does not use,
 - a generated startup-code section at the entry point remaps the stack,
@@ -194,7 +194,11 @@ class Pinball2Elf:
     def to_executable(self) -> ElfieArtifact:
         """Emit the statically linked, self-contained ELFie executable."""
         options = self.options
-        generator = StartupGenerator(
+        # Items hold label references until assemble(), so the blob is
+        # emitted once at base 0, sized, and then placed clear of
+        # pinball pages.
+        asm = Assembler(base=0)
+        plan = StartupGenerator(
             self.pinball,
             marker=options.marker,
             perf_exit=options.perf_exit,
@@ -204,27 +208,8 @@ class Pinball2Elf:
             user_code=options.user_code,
             user_defines=options.user_defines,
             remap_stack=options.stack_fix,
-        )
-        # Assemble the startup blob at a base clear of pinball pages.
-        # Size depends only on content, not base, so assemble once at a
-        # probe base to size it, then at the real base.
-        probe = Assembler(base=0)
-        plan = generator.emit(probe)
-        blob_size = probe.current_offset
-        base = self._pick_startup_base(blob_size)
-        generator = StartupGenerator(
-            self.pinball,
-            marker=options.marker,
-            perf_exit=options.perf_exit,
-            perf_exit_slack=options.perf_exit_slack,
-            with_monitor=options.monitor,
-            sysstate=options.sysstate,
-            user_code=options.user_code,
-            user_defines=options.user_defines,
-            remap_stack=options.stack_fix,
-        )
-        asm = Assembler(base=base)
-        plan = generator.emit(asm)
+        ).emit(asm)
+        base = asm.base = self._pick_startup_base(asm.current_offset)
         program = asm.assemble()
 
         builder = ElfBuilder(e_type=ET_EXEC, entry=program.labels["_elfie_start"])

@@ -6,8 +6,9 @@ application code:
 1. **Stack remap** (Fig. 5): immediately switch off the loader-provided
    stack onto a scratch stack, ``mmap`` the parent pinball's stack range
    (whose sections are non-allocatable in the ELF, so the loader never
-   mapped them), and copy the captured stack bytes from an allocatable
-   staging area.
+   mapped them), and copy in the captured stack's non-zero span (first
+   to last non-zero word) from an allocatable staging area; the fresh
+   mapping is zero-filled, so this restores every captured byte.
 2. **Sysstate restore** (§II-C2): ``prctl(PR_SET_MM)`` the heap break
    back to the captured layout and pre-open every ``FD_n`` proxy file,
    ``dup2``-ing it onto the original descriptor number.
@@ -68,6 +69,40 @@ PR_SET_MM_START_BRK = 6
 PR_SET_MM_BRK = 7
 
 
+def _nonzero_span(data: bytes) -> Tuple[int, bytes]:
+    """Byte offset and bytes of *data*'s 8-byte words from the first
+    non-zero word to the last; ``(0, b"")`` when every byte is zero.
+    *data*'s length must be a multiple of 8."""
+    end = len(data.rstrip(b"\x00"))
+    if not end:
+        return 0, b""
+    start = (len(data) - len(data.lstrip(b"\x00"))) & ~7
+    return start, data[start:(end + 7) & ~7]
+
+
+def _copy_loop(label: str, src: str, dst: str, words: int,
+               offset: int = 0) -> str:
+    """Loop copying *words* quads from label *src* to *offset* bytes past
+    *dst* (an address or a register); empty when there is nothing to
+    copy."""
+    if not words:
+        return ""
+    add = f"\n    add rdi, {offset}" if offset else ""
+    return f"""
+    mov rsi, {src}
+    mov rdi, {dst}{add}
+    mov rcx, {words}
+{label}:
+    ld rbx, [rsi]
+    st [rdi], rbx
+    add rsi, 8
+    add rdi, 8
+    sub rcx, 1
+    cmp rcx, 0
+    jnz {label}
+"""
+
+
 def _mask_bits(mask: int) -> List[int]:
     """Signal numbers present in a pending/blocked bitmask."""
     return [bit + 1 for bit in range(64) if (mask >> bit) & 1]
@@ -124,17 +159,21 @@ class StartupGenerator:
 
     # -- helpers -----------------------------------------------------------
 
-    def _stack_runs(self) -> List[Tuple[int, int]]:
-        """(start, length) of the pinball's stack page runs (empty when
-        the stack was not captured — lazy pinballs — or when the
-        stack-collision fix is disabled)."""
+    def _stack_runs(self) -> List[Tuple[int, int, int, bytes]]:
+        """(start, length, span offset, span bytes) of the pinball's
+        stack page runs, with the non-zero span of each run's captured
+        bytes (empty when the stack was not captured — lazy pinballs —
+        or when the stack-collision fix is disabled)."""
         if not self.remap_stack:
             return []
         stack = self.pinball.try_stack_range()
         if stack is None:
             return []
         start, end = stack
-        return [(start, end - start)]
+        pages = self.pinball.pages
+        captured = b"".join(pages[addr][1]
+                            for addr in range(start, end, PAGE_SIZE))
+        return [(start, end - start, *_nonzero_span(captured))]
 
     def _thread_records(self):
         return sorted(self.pinball.threads, key=lambda r: r.tid)
@@ -158,8 +197,10 @@ class StartupGenerator:
         return [(shmid, segments.get(shmid))
                 for shmid in range(1, limit + 1)]
 
-    def _shm_staging_bytes(self, segment: dict) -> bytes:
-        """Content to copy into the restored segment, 8-byte padded.
+    def _shm_staging(self, segment: dict) -> Tuple[int, bytes]:
+        """Offset and bytes of the non-zero span to copy into the
+        restored segment (its content, 8-byte padded; shmget zero-fills
+        the rest).
 
         For a segment attached at capture time the live bytes are the
         captured *pages* of the attached range (the ``data`` field is
@@ -169,19 +210,14 @@ class StartupGenerator:
         size = segment["size"]
         attached_at = segment.get("attached_at")
         if attached_at is not None:
-            out = bytearray()
-            addr = attached_at
+            pages = self.pinball.pages
             end = attached_at + segment.get("attached_len", 0)
-            while addr < end:
-                page = self.pinball.pages.get(addr)
-                out += page[1] if page else b"\x00" * PAGE_SIZE
-                addr += PAGE_SIZE
-            blob = bytes(out[:size])
+            blob = b"".join(
+                pages[addr][1] if addr in pages else bytes(PAGE_SIZE)
+                for addr in range(attached_at, end, PAGE_SIZE))[:size]
         else:
             blob = bytes.fromhex(segment.get("data", ""))[:size]
-        blob += b"\x00" * (size - len(blob))
-        pad = (-len(blob)) % 8
-        return blob + b"\x00" * pad
+        return _nonzero_span(blob.ljust((size + 7) & ~7, b"\x00"))
 
     def _channel_plans(self) -> List[dict]:
         """Restore plans for pipe/socket descriptors open at region
@@ -258,8 +294,10 @@ class StartupGenerator:
     def _emit_entry(self, asm: Assembler) -> None:
         lines: List[str] = ["_elfie_start:"]
         lines.append("    mov rsp, __elfie_scratch_top")
-        # 1. stack remap (Fig. 5)
-        for index, (start, length) in enumerate(self._stack_runs()):
+        # 1. stack remap (Fig. 5): mmap zero-fills, so only the
+        # non-zero span of the captured stack is copied in.
+        for index, (start, length, offset, staged) in enumerate(
+                self._stack_runs()):
             lines.append(f"""
     mov rax, 9                  ; mmap(stack, len, RW, FIXED|PRIV|ANON)
     mov rdi, 0x{start:x}
@@ -269,18 +307,10 @@ class StartupGenerator:
     mov r8, -1
     mov r9, 0
     syscall
-    mov rsi, __elfie_staging_{index}
-    mov rdi, 0x{start:x}
-    mov rcx, {length // 8}
-__elfie_copy_{index}:
-    ld rbx, [rsi]
-    st [rdi], rbx
-    add rsi, 8
-    add rdi, 8
-    sub rcx, 1
-    cmp rcx, 0
-    jnz __elfie_copy_{index}
 """)
+            lines.append(_copy_loop(
+                f"__elfie_copy_{index}", f"__elfie_staging_{index}",
+                f"0x{start + offset:x}", len(staged) // 8))
         # 2. sysstate restore
         if self.sysstate is not None:
             brk_start = self.pinball.brk_start
@@ -398,7 +428,6 @@ __elfie_copy_{index}:
 """)
                 continue
             size = segment["size"]
-            words = (size + 7) // 8
             attached_at = segment.get("attached_at")
             lines.append(f"""
     mov rax, 29                 ; shmget(key 0x{segment['key']:x}) -> id {shmid}
@@ -426,20 +455,10 @@ __elfie_copy_{index}:
     syscall
     mov r13, rax
 """)
-            if words:
-                lines.append(f"""
-    mov rsi, __elfie_shm_{shmid}
-    mov rdi, r13
-    mov rcx, {words}
-__elfie_shmcopy_{shmid}:
-    ld rbx, [rsi]
-    st [rdi], rbx
-    add rsi, 8
-    add rdi, 8
-    sub rcx, 1
-    cmp rcx, 0
-    jnz __elfie_shmcopy_{shmid}
-""")
+            offset, staged = self._shm_staging(segment)
+            lines.append(_copy_loop(f"__elfie_shmcopy_{shmid}",
+                                    f"__elfie_shm_{shmid}", "r13",
+                                    len(staged) // 8, offset))
             if attached_at is None:
                 lines.append("""
     mov rax, 67                 ; shmdt: back to detached
@@ -712,11 +731,13 @@ __elfie_shmcopy_{shmid}:
             asm.define_label(f"__elfie_ctx_{position}")
             asm.emit_bytes(pack_context(record.regs))
             self._note_context_symbols(position, record)
-        # stack staging copies
-        for index, (start, length) in enumerate(self._stack_runs()):
-            asm.add(".align 8")
-            asm.define_label(f"__elfie_staging_{index}")
-            asm.emit_bytes(self._stack_bytes(start, length))
+        # stack staging copies: the non-zero span only
+        for index, (_start, _length, _offset, staged) in enumerate(
+                self._stack_runs()):
+            if staged:
+                asm.add(".align 8")
+                asm.define_label(f"__elfie_staging_{index}")
+                asm.emit_bytes(staged)
         # kernel-IPC staging: shm segment content, pipe() result slot,
         # channel buffer refills, listener sockaddrs
         shm_plan = self._shm_plan()
@@ -725,10 +746,10 @@ __elfie_shmcopy_{shmid}:
             for shmid, segment in shm_plan:
                 if segment is None:
                     continue
-                blob = self._shm_staging_bytes(segment)
-                if blob:
+                _offset, staged = self._shm_staging(segment)
+                if staged:
                     asm.define_label(f"__elfie_shm_{shmid}")
-                    asm.emit_bytes(blob)
+                    asm.emit_bytes(staged)
         channel_plans = self._channel_plans()
         if channel_plans:
             asm.add(".align 8")
@@ -793,12 +814,3 @@ __elfie_shmcopy_{shmid}:
                 ctx,
                 CTX_POP_OFFSET + 24 + slot * 8,
             ))
-
-    def _stack_bytes(self, start: int, length: int) -> bytes:
-        out = bytearray()
-        addr = start
-        while addr < start + length:
-            prot, data = self.pinball.pages[addr]
-            out += data
-            addr += PAGE_SIZE
-        return bytes(out)

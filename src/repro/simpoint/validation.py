@@ -150,7 +150,7 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
     # region, which is less than the nominal warmup when the region
     # starts early in the program.
     effective_warmup = region.start - region.warmup_start
-    # Budget: startup (stack copy) + warmup + region, with headroom.
+    # Budget: startup (remap + live stack span copy) + warmup + region.
     budget = budget_factor * (region.warmup + region.length) + 2_000_000
     before, status = run_to_marker(machine, budget)
     if before is not None:

@@ -1,5 +1,8 @@
 """Tests for pinball2elf: the paper's core contribution."""
 
+import dataclasses
+import struct
+
 import pytest
 
 from repro.core import (
@@ -9,8 +12,11 @@ from repro.core import (
     run_elfie,
 )
 from repro.core.markers import decode_marker, marker_tag
+from repro.core.startup import StartupGenerator
 from repro.elf import ElfFile, ET_EXEC, ET_REL, PT_LOAD, SHF_ALLOC
+from repro.isa.assembler import Assembler
 from repro.isa.instructions import Op
+from repro.machine.memory import PAGE_SIZE
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.pinplay import LogOptions, RegionSpec, extract_sysstate, log_region
@@ -510,3 +516,206 @@ def test_fat_pinball_elfie_survives_where_lazy_dies():
     run = run_elfie(artifact.image, seed=0, max_instructions=2_000_000)
     assert run.status.kind == "exit"
     assert run.status.code == 77
+
+
+# -- startup stack copy: only the live span ----------------------------------
+
+
+def _state_at_marker(pinball):
+    """Convert with a ROI marker and run the ELFie's startup up to it:
+    ``(instructions before the marker, machine)``."""
+    from repro.core.elfie import prepare_elfie_machine, run_to_marker
+
+    artifact = Pinball2Elf(pinball, Pinball2ElfOptions(
+        perf_exit=True, marker=MarkerSpec("sniper", 5))).convert()
+    machine, _ = prepare_elfie_machine(artifact.image, seed=1)
+    before, status = run_to_marker(machine, 10**7)
+    assert before is not None, status
+    return before[0], machine
+
+
+def _assert_stack_restored(pinball, machine):
+    stack_start, stack_end = pinball.stack_range()
+    for addr in range(stack_start, stack_end, PAGE_SIZE):
+        assert machine.mem.page_bytes(addr // PAGE_SIZE) \
+            == pinball.pages[addr][1], hex(addr)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_remapped_stack_equals_captured_pages_at_marker(
+        loop_pinball, four_thread_pinball, threads):
+    pinball = loop_pinball if threads == 1 else four_thread_pinball
+    _, machine = _state_at_marker(pinball)
+    _assert_stack_restored(pinball, machine)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_startup_retires_few_instructions_before_marker(
+        loop_pinball, four_thread_pinball, threads):
+    """The zero-filled remap leaves only the live stack words to copy,
+    not the whole captured run."""
+    pinball = loop_pinball if threads == 1 else four_thread_pinball
+    before, _ = _state_at_marker(pinball)
+    assert before <= 512
+
+
+def _with_stack_words(pinball, words):
+    """*pinball* with its stack run replaced by zeros plus *words*
+    (word index -> value)."""
+    stack_start, stack_end = pinball.stack_range()
+    run = bytearray(stack_end - stack_start)
+    for index, value in words.items():
+        struct.pack_into("<Q", run, 8 * index, value)
+    pages = dict(pinball.pages)
+    for addr in range(stack_start, stack_end, PAGE_SIZE):
+        offset = addr - stack_start
+        pages[addr] = (pages[addr][0], bytes(run[offset:offset + PAGE_SIZE]))
+    return dataclasses.replace(pinball, pages=pages)
+
+
+def test_all_zero_stack_emits_no_copy_loop_and_no_staging(loop_pinball):
+    pinball = _with_stack_words(loop_pinball, {})
+    generator = StartupGenerator(pinball, perf_exit=True)
+    ((_start, _length, _offset, staged),) = generator._stack_runs()
+    assert staged == b""
+    asm = Assembler()
+    generator.emit(asm)
+    labels = asm.assemble().labels
+    assert "__elfie_copy_0" not in labels
+    assert "__elfie_staging_0" not in labels
+    _, machine = _state_at_marker(pinball)
+    _assert_stack_restored(pinball, machine)
+
+
+@pytest.mark.parametrize("words,span", [
+    ({0: 0x1100}, (0, 1)),                          # lowest word only
+    ({8191: 0x2222}, (8191 * 8, 1)),                # highest word only
+    ({0: 1, 8191: 2 << 56}, (0, 8192)),             # both ends
+    ({300: 3 << 40, 302: 4, 4000: 5}, (2400, 3701)),  # zero gaps inside
+], ids=["lowest", "highest", "both-ends", "gaps"])
+def test_stack_copy_spans_first_to_last_nonzero_word(loop_pinball, words,
+                                                     span):
+    pinball = _with_stack_words(loop_pinball, words)
+    start, end = pinball.stack_range()
+    assert end - start == 8192 * 8
+    ((_start, _length, offset, staged),) = StartupGenerator(
+        pinball)._stack_runs()
+    assert (offset, len(staged) // 8) == span
+    _, machine = _state_at_marker(pinball)
+    _assert_stack_restored(pinball, machine)
+
+
+@pytest.mark.parametrize("stack_fix", [True, False])
+def test_startup_is_emitted_once_like_the_two_pass_reference(
+        loop_pinball, monkeypatch, stack_fix):
+    """One emission at base 0, then placement, gives the same ELFie as
+    sizing at a probe base and emitting afresh at the chosen base."""
+    from repro.core import pinball2elf
+
+    options = Pinball2ElfOptions(perf_exit=True, stack_fix=stack_fix,
+                                 marker=MarkerSpec("sniper", 5))
+    bases = []
+    emit = StartupGenerator.emit
+
+    def counting_emit(self, asm):
+        bases.append(asm.base)
+        return emit(self, asm)
+
+    monkeypatch.setattr(StartupGenerator, "emit", counting_emit)
+    single = Pinball2Elf(loop_pinball, options).convert()
+    assert bases == [0]
+
+    class TwoPass(Assembler):
+        def assemble(self):
+            placed = Assembler(base=self.base)
+            StartupGenerator(loop_pinball, marker=options.marker,
+                             perf_exit=True,
+                             remap_stack=stack_fix).emit(placed)
+            return placed.assemble()
+
+    monkeypatch.setattr(pinball2elf, "Assembler", TwoPass)
+    reference = Pinball2Elf(loop_pinball, options).convert()
+    assert bases == [0, 0, single.startup_base]
+    assert reference.image == single.image
+
+
+SHM_SOURCE = """
+_start:
+    mov rax, 29             ; shmget(IPC_PRIVATE, 4096): stays attached
+    mov rdi, 0
+    mov rsi, 4096
+    mov rdx, 512
+    syscall
+    mov rdi, rax
+    mov rax, 30
+    mov rsi, 0
+    mov rdx, 0
+    syscall
+    mov r12, rax
+    mov rcx, 0x1122334455
+    st [r12+24], rcx        ; leading zero words
+    mov rcx, 7
+    st [r12+800], rcx       ; zero gap, then trailing zero words
+    mov rax, 29             ; shmget(key 9, 100): detached at capture
+    mov rdi, 9
+    mov rsi, 100
+    mov rdx, 512
+    syscall
+    mov rdi, rax
+    mov rax, 30
+    mov rsi, 0
+    mov rdx, 0
+    syscall
+    mov r13, rax
+    mov rcx, 0x66
+    st [r13+16], rcx
+    mov rcx, 0x77777777
+    st4 [r13+96], rcx       ; the segment's last, partial word
+    mov rax, 67
+    mov rdi, r13
+    syscall
+    mov rcx, 20000
+loop:
+    ld rax, [r12+24]
+    add rax, rcx
+    st [r12+24], rax
+    sub rcx, 1
+    cmp rcx, 0
+    jnz loop
+    mov rax, 231
+    mov rdi, 0
+    syscall
+"""
+
+
+def test_shm_segments_restore_byte_identical_content():
+    """Attached and detached segments come back byte for byte although
+    only their non-zero spans are staged and copied."""
+    image = build_executable(SHM_SOURCE)
+    pinball = log_region(image, RegionSpec(start=5000, length=20000,
+                                           name="shm.r0"))
+    segments = pinball.shm_segments
+    assert sorted(seg["attached_at"] is None
+                  for seg in segments.values()) == [False, True]
+    generator = StartupGenerator(pinball)
+    for shmid, segment in segments.items():
+        offset, staged = generator._shm_staging(segment)
+        assert offset > 0
+        assert staged[:8] != bytes(8) and staged[-8:] != bytes(8)
+    _, machine = _state_at_marker(pinball)
+    kernel = machine.kernel
+    for shmid, segment in segments.items():
+        restored = kernel.shm_segments[shmid]
+        size = segment["size"]
+        if segment["attached_at"] is None:
+            assert restored.attached_at is None
+            assert bytes(restored.data) == bytes.fromhex(segment["data"])
+        else:
+            base = segment["attached_at"]
+            assert restored.attached_at == base
+            captured = b"".join(
+                pinball.pages[addr][1]
+                for addr in range(base, base + restored.attached_len,
+                                  PAGE_SIZE))
+            assert machine.mem.read(base, size, access=0x1) \
+                == captured[:size]
