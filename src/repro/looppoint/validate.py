@@ -50,9 +50,9 @@ class _MarkerMeter(Tool):
     """Measures cycles between work-marker crossing counts.
 
     Attached once the ROI marker has retired (the ELFie startup runs on
-    the fast path), it counts executions of the work loop heads (every
-    loop-head execution is one crossing, exactly as the profiler counts
-    them at block entry).  Measurement spans crossing counts
+    the fast path), it counts block entries at the work loop heads,
+    exactly the crossings the profiler counts (a fall-through into a
+    loop head is not a crossing).  Measurement spans crossing counts
     (skip, skip + measure]; the CPI denominator is the realized global
     instruction count of that span.  With ``skip == 0`` the span opens
     just before the ROI marker, and the caller sets the start.
@@ -75,7 +75,7 @@ class _MarkerMeter(Tool):
         self.start_icount = machine.total_icount()
 
     def on_instruction(self, machine, thread, pc, insn) -> None:
-        if pc not in self.work_addrs:
+        if not thread.new_block or pc not in self.work_addrs:
             return
         self.crossings += 1
         if self.start_cycles is None:

@@ -13,15 +13,46 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
 class ScheduleSlice:
-    """One scheduling decision: run thread *tid* for *quantum* instructions."""
+    """One scheduling decision: run thread *tid* for *quantum* instructions.
+
+    Build slices with :func:`intern_slice`, which hands out one shared
+    object per ``(tid, quantum)``; equality is by value, and identity
+    carries no meaning.
+    """
 
     tid: int
     quantum: int
+
+    def __reduce__(self):
+        # A plain constructor call, so pickle memoizes each interned
+        # slice once and a schedule ships as a few objects plus memo
+        # references (the dataclass default goes through per-entry
+        # __getstate__/__setstate__).
+        return (ScheduleSlice, (self.tid, self.quantum))
+
+
+#: The shared slice per ``(tid, quantum)``.  A run needs a few dozen
+#: (every pick, remainder and joined cut is at most the largest
+#: jittered quantum); past the cap, as a decoded hostile schedule could
+#: push it, new pairs get unshared slices.
+_INTERNED: Dict[Tuple[int, int], ScheduleSlice] = {}
+_INTERN_CAP = 1 << 16
+
+
+def intern_slice(tid: int, quantum: int) -> ScheduleSlice:
+    """The shared :class:`ScheduleSlice` for ``(tid, quantum)``."""
+    key = (tid, quantum)
+    entry = _INTERNED.get(key)
+    if entry is None:
+        entry = ScheduleSlice(tid, quantum)
+        if len(_INTERNED) < _INTERN_CAP:
+            _INTERNED[key] = entry
+    return entry
 
 
 class Scheduler:
@@ -58,6 +89,8 @@ class Scheduler:
         self._pending_resumable = False
         self.trace: List[ScheduleSlice] = []
         self.record = False
+        #: Index in :attr:`trace` of the current pick (-1: not recorded).
+        self._picked = -1
 
     def replay(self, log: Sequence[ScheduleSlice]) -> None:
         """Switch to replay mode, consuming *log* slice by slice."""
@@ -92,48 +125,46 @@ class Scheduler:
         tids = sorted(runnable_tids)
         if not tids:
             raise RuntimeError("no runnable threads (deadlock)")
-        if self._replay_pending is not None:
+        entry = self._replay_pending
+        if entry is not None:
             # Remainder of a slice that was interrupted early (an epoch
             # boundary or snapshot point clamped the quantum): finish it
             # before drawing the next decision, so a stepped or
             # suspended/resumed run sees the same interleaving as an
-            # uninterrupted one.
-            entry = self._replay_pending
+            # uninterrupted one.  If the thread blocked or exited at the
+            # interruption point, the trim semantics drop the rest.
             self._replay_pending = None
             self._pending_resumable = False
-            if entry.tid in tids:
-                if self.record:
-                    self.trace.append(entry)
-                return entry
-            # The thread blocked or exited at the interruption point;
-            # the trim semantics drop the rest of the slice.
-        if self._replay_log is not None:
-            if self._replay_pos >= len(self._replay_log):
-                # Log exhausted: fall through to free-run (used by
-                # injection-less replay past the recorded region).
-                pass
-            else:
-                entry = self._replay_log[self._replay_pos]
-                self._replay_pos += 1
-                if entry.tid not in tids:
-                    raise RuntimeError(
-                        "replay schedule names thread %d which is not runnable"
-                        % entry.tid
-                    )
-                if self.record:
-                    self.trace.append(entry)
-                return entry
-        chosen = self.choose(tids)
+            if entry.tid not in tids:
+                entry = None
+        log = self._replay_log
+        if entry is None and log is not None and self._replay_pos < len(log):
+            # (An exhausted log falls through to free-run, used by
+            # injection-less replay past the recorded region.)
+            entry = log[self._replay_pos]
+            self._replay_pos += 1
+            if entry.tid not in tids:
+                raise RuntimeError(
+                    "replay schedule names thread %d which is not runnable"
+                    % entry.tid
+                )
+        if entry is None:
+            entry = self.choose(tids)
         if self.record:
-            self.trace.append(chosen)
-        return chosen
+            self._picked = len(self.trace)
+            self.trace.append(entry)
+        else:
+            self._picked = -1
+        return entry
 
     def choose(self, tids: List[int]) -> ScheduleSlice:
         """The free-run pick among the sorted *tids*: round-robin, with
         a jittered quantum.  Subclasses override this, not :meth:`pick`,
         which must first finish a parked slice remainder."""
-        candidates = [tid for tid in tids if tid >= self._next_index]
-        tid = candidates[0] if candidates else tids[0]
+        tid = tids[0]
+        if len(tids) > 1 and tid < self._next_index:
+            # The first tid at or past the rotation point, else wrap.
+            tid = next((t for t in tids if t >= self._next_index), tid)
         self._next_index = tid + 1
         if self.jitter:
             spread = int(self.base_quantum * self.jitter)
@@ -145,7 +176,7 @@ class Scheduler:
                     -spread, spread)
         else:
             quantum = self.base_quantum
-        return ScheduleSlice(tid=tid, quantum=max(1, quantum))
+        return intern_slice(tid, max(1, quantum))
 
     def note_partial(self, slice_: ScheduleSlice, executed: int,
                      resumable: bool = False) -> None:
@@ -163,10 +194,10 @@ class Scheduler:
         schedule-transparent: the interleaving matches an uninterrupted
         run, in free-run and replay mode alike.
         """
-        if self.record and self.trace and self.trace[-1] is slice_:
-            self.trace[-1] = ScheduleSlice(tid=slice_.tid, quantum=executed)
+        if self.record and self._picked >= 0:
+            self.trace[self._picked] = intern_slice(slice_.tid, executed)
         if executed < slice_.quantum and (resumable
                                           or self._replay_log is not None):
-            self._replay_pending = ScheduleSlice(
-                tid=slice_.tid, quantum=slice_.quantum - executed)
+            self._replay_pending = intern_slice(
+                slice_.tid, slice_.quantum - executed)
             self._pending_resumable = resumable

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.isa.registers import RegisterFile
 from repro.machine.cpu import NO_TRAP
 from repro.machine.kernel import Listener, ShmSegment
-from repro.machine.scheduler import ScheduleSlice
+from repro.machine.scheduler import intern_slice
 from repro.machine.vfs import Channel, OpenFile, _Inode
 from repro.snapshot.plugins import SnapshotPlugin, register_plugin
 
@@ -69,7 +69,7 @@ def _slices(entries) -> list:
 
 
 def _unslices(entries) -> list:
-    return [ScheduleSlice(tid=tid, quantum=quantum) for tid, quantum in entries]
+    return [intern_slice(tid, quantum) for tid, quantum in entries]
 
 
 class MachineSnapshotPlugin(SnapshotPlugin):
@@ -158,8 +158,7 @@ class MachineSnapshotPlugin(SnapshotPlugin):
         scheduler._replay_pos = sched_state["replay_pos"]
         pending = sched_state["replay_pending"]
         scheduler._replay_pending = (
-            None if pending is None
-            else ScheduleSlice(tid=pending[0], quantum=pending[1]))
+            None if pending is None else intern_slice(*pending))
         scheduler.record = sched_state["record"]
         scheduler.trace = _unslices(sched_state["trace"])
         scheduler._pending_resumable = sched_state.get(

@@ -35,7 +35,7 @@ from repro.machine.kernel import NR
 from repro.machine.loader import load_elf
 from repro.machine.machine import Machine
 from repro.machine.memory import PAGE_SHIFT
-from repro.machine.scheduler import ScheduleSlice
+from repro.machine.scheduler import ScheduleSlice, intern_slice
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.observe import hooks
@@ -265,8 +265,7 @@ def _window_schedule(trace: Sequence[ScheduleSlice], cuts: Set[int],
         entry = trace[index]
         if index in cuts and index > first:
             head = schedule.pop()
-            entry = ScheduleSlice(tid=head.tid,
-                                  quantum=head.quantum + entry.quantum)
+            entry = intern_slice(head.tid, head.quantum + entry.quantum)
         schedule.append(entry)
     return schedule
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.isa.registers import RegisterFile
 from repro.machine.memory import PAGE_SIZE
-from repro.machine.scheduler import ScheduleSlice
+from repro.machine.scheduler import ScheduleSlice, intern_slice
 from repro.pinplay.regions import RegionSpec
 
 _TEXT_MAGIC = b"PBTX0001"
@@ -406,7 +406,7 @@ class Pinball:
         with open(prefix + ".sel") as handle:
             syscalls = [SyscallRecord.from_json(item) for item in json.load(handle)]
         with open(prefix + ".race") as handle:
-            schedule = [ScheduleSlice(tid=tid, quantum=quantum)
+            schedule = [intern_slice(tid, quantum)
                         for tid, quantum in json.load(handle)]
         return cls._from_parts(meta, pages, threads, syscalls, schedule)
 
@@ -446,6 +446,5 @@ class Pinball:
             pages,
             [ThreadRecord.from_json(item) for item in meta["threads"]],
             [SyscallRecord.from_json(item) for item in meta["syscalls"]],
-            [ScheduleSlice(tid=tid, quantum=quantum)
-             for tid, quantum in meta["schedule"]],
+            [intern_slice(tid, quantum) for tid, quantum in meta["schedule"]],
         )

@@ -35,7 +35,7 @@ from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.observe import hooks
 from repro.pinplay.pinball import Pinball
-from repro.machine.scheduler import Scheduler, ScheduleSlice
+from repro.machine.scheduler import Scheduler, intern_slice
 from repro.pinplay.replayer import ReplaySession
 from repro.simulators.branch import BranchPredictor
 from repro.simulators.cachesim import Cache, CacheHierarchy
@@ -60,7 +60,7 @@ class _TimingDrivenScheduler(Scheduler):
         cycles = self._tool.core_cycles
         cores = self._tool.config.cores
         tid = min(tids, key=lambda t: (cycles[t % cores], t))
-        return ScheduleSlice(tid=tid, quantum=self.base_quantum)
+        return intern_slice(tid, self.base_quantum)
 
 
 @dataclass

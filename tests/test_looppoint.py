@@ -31,6 +31,8 @@ from repro.looppoint import (
     select_loop_regions,
     validate_looppoint,
 )
+from repro.looppoint.validate import _MarkerMeter
+from repro.machine import Machine, load_elf
 from repro.machine.tool import Tool
 from repro.simpoint.validation import RegionMeasurement
 from repro.verify import verify_pinball
@@ -281,7 +283,8 @@ def test_validate_looppoint_marker_metered(mt_result):
 
 class _ReferenceMarkerMeter(Tool):
     """The per-instruction marker meter, kept as the oracle: watches
-    every instruction from ELFie entry, arming at the first MARKER."""
+    every instruction from ELFie entry, arming at the first MARKER, and
+    counts block entries at work loop heads (the profiler's crossings)."""
 
     wants_instructions = True
 
@@ -304,7 +307,7 @@ class _ReferenceMarkerMeter(Tool):
                 if self.skip == 0:
                     self.start = self._totals(machine)
             return
-        if pc not in self.work_addrs:
+        if not thread.new_block or pc not in self.work_addrs:
             return
         self.crossings += 1
         if self.start is None:
@@ -351,6 +354,19 @@ def test_marker_meter_matches_per_instruction_reference(mt_result):
                 artifact, region, work_addrs, skip, measure, seed=7), \
                 (region.name, skip, measure)
             assert got.ok, got.detail
+
+
+def test_marker_meter_counts_the_profilers_crossings(mt_image, mt_profile):
+    """Over a whole run under the profiling seed, the meter counts
+    exactly the profiler's work crossings: block entries at work loop
+    heads, not fall-through executions of them."""
+    machine = Machine(seed=0)
+    load_elf(machine, mt_image)
+    meter = _MarkerMeter(mt_profile.marker_map.work_addresses(),
+                         skip=1 << 62, measure=0)
+    machine.attach(meter)
+    machine.run(max_instructions=50_000_000)
+    assert meter.crossings == mt_profile.work_crossings > 0
 
 
 def test_validate_looppoint_skips_zero_measure_window(mt_result):

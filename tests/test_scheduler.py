@@ -1,8 +1,16 @@
 """Tests for the seeded scheduler and its record/replay modes."""
 
+import pickle
+import random
+
 import pytest
 
-from repro.machine.scheduler import ScheduleSlice, Scheduler
+from repro.farm import codec
+from repro.isa.registers import RegisterFile
+from repro.machine.memory import PAGE_SIZE
+from repro.machine.scheduler import ScheduleSlice, Scheduler, intern_slice
+from repro.pinplay.pinball import Pinball, ThreadRecord
+from repro.pinplay.regions import RegionSpec
 
 
 def test_round_robin_rotation():
@@ -78,3 +86,128 @@ def test_validation_of_parameters():
         Scheduler(base_quantum=0)
     with pytest.raises(ValueError):
         Scheduler(jitter=1.5)
+
+
+# -- interned slices ---------------------------------------------------------
+
+
+def _reference_choose(scheduler, tids):
+    """The free-run pick before slices were interned, kept as the
+    oracle: a candidate scan and a fresh slice on every pick."""
+    candidates = [tid for tid in tids if tid >= scheduler._next_index]
+    tid = candidates[0] if candidates else tids[0]
+    scheduler._next_index = tid + 1
+    if scheduler.jitter:
+        spread = int(scheduler.base_quantum * scheduler.jitter)
+        if spread and scheduler._randbelow is not None:
+            quantum = (scheduler.base_quantum - spread
+                       + scheduler._randbelow(2 * spread + 1))
+        else:
+            quantum = scheduler.base_quantum + scheduler._rng.randint(
+                -spread, spread)
+    else:
+        quantum = scheduler.base_quantum
+    return ScheduleSlice(tid=tid, quantum=max(1, quantum))
+
+
+@pytest.mark.parametrize("base_quantum", [1, 2, 64])
+@pytest.mark.parametrize("jitter", [0.0, 0.5])
+def test_interned_choose_matches_reference(base_quantum, jitter):
+    for seed in range(4):
+        tid_sets = random.Random(seed + 1000)
+        got = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
+        want = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
+        for _ in range(300):
+            tids = sorted(tid_sets.sample(range(5), tid_sets.randint(1, 4)))
+            picked = got.choose(tids)
+            expected = _reference_choose(want, tids)
+            assert (picked.tid, picked.quantum) == (
+                expected.tid, expected.quantum)
+            assert got._next_index == want._next_index
+        assert got._rng.getstate() == want._rng.getstate()
+
+
+def test_unit_quantum_with_jitter_still_draws_through_randint():
+    scheduler = Scheduler(seed=3, base_quantum=1, jitter=0.5)
+    draws = []
+    randint = scheduler._rng.randint
+    scheduler._rng.randint = lambda a, b: draws.append((a, b)) or randint(a, b)
+    before = scheduler._rng.getstate()
+    assert [scheduler.pick([0]).quantum for _ in range(5)] == [1] * 5
+    assert draws == [(0, 0)] * 5
+    assert scheduler._rng.getstate() != before
+
+
+def test_equal_picks_share_one_slice():
+    first = Scheduler(seed=2)
+    second = Scheduler(seed=2)
+    picks = [first.pick([0, 1]) for _ in range(200)]
+    for a, b in zip(picks, (second.pick([0, 1]) for _ in range(200))):
+        assert a is b
+    assert len({id(s) for s in picks}) == len(set(picks))
+    assert intern_slice(1, 7) is intern_slice(1, 7)
+    assert intern_slice(1, 7) == ScheduleSlice(tid=1, quantum=7)
+
+
+def _st_trace(picks=1559):
+    scheduler = Scheduler(seed=1)
+    scheduler.record = True
+    for _ in range(picks):
+        scheduler.pick([0])
+    return scheduler.trace
+
+
+def _pickled_bytes_per_entry(schedule):
+    blob = pickle.dumps(schedule)
+    assert pickle.loads(blob) == schedule
+    return len(blob) / len(schedule)
+
+
+def test_st_schedule_pickles_compactly():
+    trace = _st_trace()
+    assert len(trace) == 1559
+    assert _pickled_bytes_per_entry(trace) <= 3.0
+
+
+def test_decoded_schedule_is_interned_and_pickles_compactly(tmp_path):
+    trace = _st_trace()
+    length = sum(entry.quantum for entry in trace)
+    pinball = Pinball(
+        name="st",
+        region=RegionSpec(start=0, length=length, name="st"),
+        pages={0x1000: (5, b"\xab" * PAGE_SIZE)},
+        threads=[ThreadRecord(tid=0, regs=RegisterFile(),
+                              region_icount=length)],
+        syscalls=[],
+        schedule=trace,
+        brk_start=0x600000,
+        brk_end=0x640000,
+        program_icount=length,
+        next_tid=1,
+    )
+    meta, blocks = codec.encode_pinball(pinball)
+    decoded = codec.decode_pinball(meta, blocks.__getitem__)
+    assert decoded.schedule == pinball.schedule
+    assert all(entry is intern_slice(entry.tid, entry.quantum)
+               for entry in decoded.schedule)
+    assert _pickled_bytes_per_entry(decoded.schedule) <= 3.0
+    pinball.save(str(tmp_path))
+    loaded = Pinball.load(str(tmp_path), "st")
+    assert all(a is b for a, b in zip(loaded.schedule, decoded.schedule))
+
+
+def test_note_partial_rewrites_only_the_current_pick():
+    scheduler = Scheduler(seed=0, jitter=0.0, base_quantum=64)
+    scheduler.record = True
+    first = scheduler.pick([0])
+    current = scheduler.pick([0])
+    assert first is current  # the earlier entry is the same object
+    scheduler.note_partial(current, 10)
+    assert [s.quantum for s in scheduler.trace] == [64, 10]
+    # An unrecorded pick rewrites nothing, even if the last entry is
+    # the same interned slice.
+    scheduler.record = False
+    unrecorded = scheduler.pick([0])
+    scheduler.record = True
+    scheduler.note_partial(unrecorded, 5)
+    assert [s.quantum for s in scheduler.trace] == [64, 10]
