@@ -5,22 +5,30 @@ Table I micro workloads:
 
 - ``slow``     — the classic per-instruction dispatch loop (baseline),
 - ``compiled`` — the superblock cache with threaded-code compilation of
-  hot blocks, self-loop blocks spinning inside the generated code.
+  hot blocks, hot loops of up to ``compile.LOOP_BLOCKS`` blocks spinning
+  inside one generated function.
 
-Both tiers must produce bit-identical architectural results; the bench
-asserts it on every run for both a single-threaded and a two-thread
-workload.  Row repeats are interleaved (slow, cold, compiled, slow,
-...) so each row's best-of-N samples the same host-noise environment.  The compiled-function cache is process-wide,
+Three workloads: single-threaded (compute + stream, 1-block loops),
+two-thread MT, and ``branchy`` (the branchy kernel alone: a 3-way
+if/else body, so its hot loop spans several blocks).  Both tiers must
+produce bit-identical architectural results; the bench asserts it on
+every run of every workload.  Row repeats are interleaved (slow, cold,
+compiled, slow, ...) so each row's best-of-N samples the same
+host-noise environment.  The compiled-function cache is process-wide,
 so the ``compiled`` row measures steady-state throughput (every shape
 already generated, as for all but the first job of a farm worker),
 while the ``cold`` row empties that cache before each run and so pays
 the codegen a fresh worker process pays.
 
-The published artifact carries a machine-readable ``speedup_ratio:``
-footer (compiled/slow on the ST workload); CI reruns this bench in
-smoke mode (``REPRO_BENCH_FAST=1``) and fails if the fresh ratio drops
-more than 20% below the committed baseline.  The ratio — not raw MIPS —
-is the gate, because it is host-machine-independent.
+The published artifact carries machine-readable ``speedup_ratio:``
+(compiled/slow on the ST workload) and ``branchy_speedup_ratio:``
+footers; CI reruns this bench in smoke mode (``REPRO_BENCH_FAST=1``)
+and fails if either fresh ratio drops more than 20% below its committed
+baseline or under its hard floor.  The ratios — not raw MIPS — are the
+gate, because they are host-machine-independent.  One more footer line
+tracks BBV profiling (``collect_bbv``) against a bare compiled run of
+the same program, ungated: block tools see every block entry, so only
+self-loops spin under the BBV counter.
 """
 
 import os
@@ -32,6 +40,7 @@ from conftest import FAST, RESULTS_DIR, publish
 from repro.analysis import Table
 from repro.machine import Machine, load_elf
 from repro.machine.compile import COMPILER
+from repro.simpoint.bbv import collect_bbv
 from repro.workloads import PhaseSpec, ProgramBuilder
 
 #: Allowed regression of the compiled/slow speedup ratio vs the
@@ -42,11 +51,19 @@ RATIO_TOLERANCE = 0.20
 #: at least quintuples throughput (the round-2 contract).
 COMPILED_FLOOR = 5.0
 
+#: Hard floor for the branchy workload, whose hot loop spans several
+#: blocks: one compiled call per block reads ~6x, so 10x holds only
+#: while the loop spins inside one generated function.
+BRANCHY_FLOOR = 10.0
+
+#: BBV slice size for the collect_bbv/bare line.
+BBV_SLICE = 10_000
+
 #: Table rows: the dispatch tiers, plus ``cold`` (the compiled tier
 #: with the process-wide codegen cache emptied before the run).
 ROWS = ("slow", "cold", "compiled")
 
-_RATIO_RE = re.compile(r"^speedup_ratio:\s*([0-9.]+)", re.MULTILINE)
+_RATIO_RE = re.compile(r"^(\w*)speedup_ratio:\s*([0-9.]+)", re.MULTILINE)
 
 
 def _program(scale, threads=1):
@@ -54,6 +71,13 @@ def _program(scale, threads=1):
         name="mips", threads=threads,
         phases=[PhaseSpec("compute", scale, buffer_kb=16),
                 PhaseSpec("stream", scale, buffer_kb=16)],
+    ).build()
+
+
+def _branchy_program(scale):
+    return ProgramBuilder(
+        name="mips-branchy",
+        phases=[PhaseSpec("branchy", 2 * scale, buffer_kb=16)],
     ).build()
 
 
@@ -94,39 +118,67 @@ def _measure_tiers(image, repeats):
     return machines, best
 
 
-def _baseline_ratio():
-    """Speedup ratio from the committed results file, if present."""
+def _bbv_ratio(image, machine, wall, repeats):
+    """collect_bbv MIPS over the bare compiled MIPS of *machine*'s run
+    (best of *repeats*); the profile must retire the same count."""
+    icount = sum(t.icount for t in machine.threads.values())
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        profile = collect_bbv(image, BBV_SLICE, seed=1)
+        best = min(best, time.perf_counter() - started)
+        assert profile.total_icount == icount
+    return wall / best
+
+
+def _baseline_ratios():
+    """Speedup ratios from the committed results file, by footer prefix
+    (``""`` for ST, ``"branchy_"``); empty when absent."""
     path = os.path.join(RESULTS_DIR, "interp_mips.txt")
     try:
         with open(path) as handle:
-            match = _RATIO_RE.search(handle.read())
+            text = handle.read()
     except OSError:
-        return None
-    return float(match.group(1)) if match else None
+        return {}
+    return {prefix: float(value)
+            for prefix, value in _RATIO_RE.findall(text)}
 
 
 def run_bench(repeats=5):
     # Smoke scale stays large enough that best-of-N wall times are not
     # dominated by scheduler jitter on a busy CI host.
     scale = 10_000 if FAST else 20_000
-    baseline = _baseline_ratio()  # read before publish() overwrites it
+    baseline = _baseline_ratios()  # read before publish() overwrites it
 
-    st_machines, st_walls = _measure_tiers(_program(scale), repeats)
+    st_image = _program(scale)
+    branchy_image = _branchy_program(scale)
+    st_machines, st_walls = _measure_tiers(st_image, repeats)
     mt_machines, mt_walls = _measure_tiers(
         _program(scale // 2, threads=2), max(2, repeats - 2))
+    br_machines, br_walls = _measure_tiers(branchy_image, repeats)
 
-    st_icount = sum(t.icount for t in st_machines["slow"].threads.values())
-    mt_icount = sum(t.icount for t in mt_machines["slow"].threads.values())
-    st_mips = {r: st_icount / st_walls[r] / 1e6 for r in ROWS}
-    mt_mips = {r: mt_icount / mt_walls[r] / 1e6 for r in ROWS}
+    def mips(machines, walls):
+        icount = sum(t.icount for t in machines["slow"].threads.values())
+        return icount, {r: icount / walls[r] / 1e6 for r in ROWS}
+
+    st_icount, st_mips = mips(st_machines, st_walls)
+    mt_icount, mt_mips = mips(mt_machines, mt_walls)
+    br_icount, br_mips = mips(br_machines, br_walls)
     ratios = {r: st_mips[r] / st_mips["slow"] for r in ROWS}
     ratio = ratios["compiled"]
+    branchy_ratio = br_mips["compiled"] / br_mips["slow"]
+    bbv_st = _bbv_ratio(st_image, st_machines["compiled"],
+                        st_walls["compiled"], repeats)
+    bbv_branchy = _bbv_ratio(branchy_image, br_machines["compiled"],
+                             br_walls["compiled"], repeats)
     cpu = st_machines["compiled"].cpu
     hit_rate = cpu.block_hits / max(1, cpu.block_hits + cpu.block_misses)
+    br_cpu = br_machines["compiled"].cpu
 
     table = Table(
         title="Interpreter MIPS by dispatch tier (Table I micro workload)",
-        headers=["tier", "ST MIPS", "ST speedup", "MT MIPS", "MT speedup"],
+        headers=["tier", "ST MIPS", "ST speedup", "MT MIPS", "MT speedup",
+                 "branchy MIPS", "branchy speedup"],
     )
     for row in ROWS:
         table.add_row(
@@ -135,44 +187,61 @@ def run_bench(repeats=5):
             "%.2fx" % ratios[row],
             "%.3f" % mt_mips[row],
             "%.2fx" % (mt_mips[row] / mt_mips["slow"]),
+            "%.3f" % br_mips[row],
+            "%.2fx" % (br_mips[row] / br_mips["slow"]),
         )
     footer = [
-        "ST instructions %d, MT instructions %d" % (st_icount, mt_icount),
+        "ST instructions %d, MT instructions %d, branchy instructions %d"
+        % (st_icount, mt_icount, br_icount),
         "cold = compiled tier after emptying the process-wide codegen "
         "cache",
         "block entries served from cache %.4f (compiled tier, ST)"
         % hit_rate,
-        "compiled blocks %d, compiled calls %d" % (
-            cpu.compiled_blocks, cpu.compiled_calls),
+        "compiled blocks %d, compiled calls %d (ST); compiled calls %d "
+        "(branchy)" % (cpu.compiled_blocks, cpu.compiled_calls,
+                       br_cpu.compiled_calls),
+        "collect_bbv / bare compiled MIPS: ST %.3f, branchy %.3f"
+        % (bbv_st, bbv_branchy),
         "speedup_ratio: %.3f" % ratio,
+        "branchy_speedup_ratio: %.3f" % branchy_ratio,
     ]
     publish("interp_mips", table.render() + "\n" + "\n".join(footer))
-    return ratio, ratios, baseline, st_mips
+    return {"": ratio, "branchy_": branchy_ratio}, ratios, baseline, st_mips
 
 
-def _check(ratio, baseline):
-    assert ratio >= COMPILED_FLOOR, \
-        "compiled tier only %.2fx over the per-instruction loop" % ratio
-    if baseline is not None:
-        floor = baseline * (1.0 - RATIO_TOLERANCE)
-        assert ratio >= floor, \
-            "speedup regressed: %.2fx < %.2fx (baseline %.2fx - 20%%)" \
-            % (ratio, floor, baseline)
+#: Hard floor per gated ratio, by footer prefix.
+_FLOORS = {"": COMPILED_FLOOR, "branchy_": BRANCHY_FLOOR}
+
+
+def _check(gated, baseline):
+    for prefix, ratio in gated.items():
+        name = prefix + "speedup_ratio"
+        assert ratio >= _FLOORS[prefix], \
+            "%s: compiled tier only %.2fx over the per-instruction loop" \
+            % (name, ratio)
+        if prefix in baseline:
+            floor = baseline[prefix] * (1.0 - RATIO_TOLERANCE)
+            assert ratio >= floor, \
+                "%s regressed: %.2fx < %.2fx (baseline %.2fx - 20%%)" \
+                % (name, ratio, floor, baseline[prefix])
 
 
 def test_interp_mips(benchmark):
-    ratio, _, baseline, _ = benchmark.pedantic(
+    gated, _, baseline, _ = benchmark.pedantic(
         run_bench, rounds=1, iterations=1)
-    _check(ratio, baseline)
+    _check(gated, baseline)
 
 
 def main():
-    ratio, ratios, baseline, st_mips = run_bench()
+    gated, ratios, baseline, st_mips = run_bench()
     print("ST MIPS:", "  ".join(
         "%s %.2f (%.2fx)" % (r, st_mips[r], ratios[r]) for r in ROWS))
-    print("baseline %s" % ("%.2fx" % baseline if baseline else "none"))
+    print("branchy %.2fx" % gated["branchy_"])
+    print("baseline %s" % (", ".join(
+        "%sspeedup_ratio %.2fx" % item for item in sorted(baseline.items()))
+        or "none"))
     try:
-        _check(ratio, baseline)
+        _check(gated, baseline)
     except AssertionError as exc:
         raise SystemExit(str(exc))
 

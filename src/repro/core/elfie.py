@@ -37,13 +37,16 @@ class _RoiWatcher(Tool):
     Entry is the thread's ROI marker or, in an ELFie built without one,
     its first block entry at a captured ``.tN.start`` address (the
     target of the startup's final jump).  Neither hook needs
-    per-instruction callbacks, so the run stays on the fast path; the
-    block hook (which makes compiled self-loops run one iteration per
-    dispatch) is attached only when *roi_rips* is non-empty.
+    per-instruction callbacks, so the run stays on the fast path.  The
+    block hook is attached only when *roi_rips* is non-empty; it keeps
+    the first entry only, so it merges re-entries and compiled
+    self-loops keep spinning under it, but multi-block compiled loops
+    run one block per dispatch while it is attached.
     """
 
     wants_instructions = False
     wants_markers = True
+    merges_reentries = True
 
     def __init__(self, roi_rips: Iterable[int]) -> None:
         self.roi_rips = set(roi_rips)

@@ -56,9 +56,15 @@ class _MarkerMeter(Tool):
     (skip, skip + measure]; the CPI denominator is the realized global
     instruction count of that span.  With ``skip == 0`` the span opens
     just before the ROI marker, and the caller sets the start.
+
+    A block tool, so the measured window runs on the compiled tier.  It
+    counts every crossing, so it does not merge re-entries: compiled
+    loops return to the dispatch header at every block while it is
+    attached.
     """
 
-    wants_instructions = True
+    wants_instructions = False
+    wants_blocks = True
 
     def __init__(self, work_addrs, skip: int, measure: int) -> None:
         self.work_addrs = frozenset(work_addrs)
@@ -74,8 +80,8 @@ class _MarkerMeter(Tool):
         self.start_cycles = machine.total_cycles()
         self.start_icount = machine.total_icount()
 
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if not thread.new_block or pc not in self.work_addrs:
+    def on_basic_block(self, machine, thread, pc) -> None:
+        if pc not in self.work_addrs:
             return
         self.crossings += 1
         if self.start_cycles is None:
@@ -135,6 +141,8 @@ def measure_elfie_region_markers(artifact: ElfieArtifact,
         if skip == 0:
             meter.start_icount, meter.start_cycles = before
         machine.attach(meter)
+        # Any instruction tool would pin the window to the slow tier.
+        assert not machine.instr_tools, machine.instr_tools
         status = machine.run(max_instructions=budget)
         machine.detach(meter)
     cpi = meter.cpi

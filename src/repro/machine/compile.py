@@ -39,13 +39,18 @@ builds a fresh Machine per job pays codegen once per distinct shape.
 Codegen bails out (returns ``None``) on any unsupported handler —
 SYSCALL, RDTSC (reads mid-block cycles), XSAVE/XRSTOR — and the fast
 path permanently falls back to the interpreted trace for that block.
+
+A hot loop of up to ``LOOP_BLOCKS`` blocks compiles into one more
+function, :func:`_generate_loop`: the member bodies, emitted exactly as
+above, sit in a state dispatch that moves between them without
+returning to the fast path's dispatch header.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Op
 from repro.isa.registers import Flags
@@ -142,9 +147,11 @@ def _dead_flags(ops: Tuple[int, ...]) -> List[bool]:
 class _Gen:
     """Accumulates generated source plus the hoist set it needs.
 
-    In loop mode (``loop_n`` nonzero) the body sits one level deeper
-    inside a ``while True`` spin and every exit scales the hoisted
-    icount/cycles flush by ``_it`` completed iterations.
+    In loop mode the member bodies sit deeper (``extra``) inside the
+    loop function's ``while True`` state dispatch, fault indices are
+    offset by the member's first entry in the shared fault table
+    (``fault_base``), and an SMC exit leaves the spin through the
+    loop's common exit instead of returning.
     """
 
     def __init__(self) -> None:
@@ -152,11 +159,15 @@ class _Gen:
         self.needs: set = set()
         self.rip_written = False
         self.extra = 0          # indent shift for loop-mode bodies
-        self.loop_n = 0         # instructions per iteration (0 = no loop)
-        self.loop_total = 0     # static cycle cost per iteration
+        self.loop = False
+        self.fault_base = 0
 
     def emit(self, line: str, indent: int = 2) -> None:
         self.lines.append("    " * (indent + self.extra) + line)
+
+    def fault_point(self, index: int) -> None:
+        """Record step *index* as the one a raised fault belongs to."""
+        self.emit("_f = %d" % (self.fault_base + index))
 
     def charge(self, indent: int = 2) -> None:
         """Cache-model charge for the address in ``_a``."""
@@ -187,12 +198,10 @@ class _Gen:
         e("if cpu._smc_dirty:")
         if not rip_set:
             e("regs.rip = (_base + %d) & %s" % (off, _MASK), 3)
-        if self.loop_n:
-            e("thread.icount += _it * %d + %d"
-              % (self.loop_n, index + 1), 3)
-            e("thread.cycles += _cyd + _it * %d + %d"
-              % (self.loop_total, prefix_incl), 3)
-            e("return _it * %d + %d" % (self.loop_n, index + 1), 3)
+        if self.loop:
+            e("_pi = %d" % (index + 1), 3)
+            e("_pk = %d" % prefix_incl, 3)
+            e("break", 3)
         else:
             e("thread.icount += %d" % (index + 1), 3)
             e("thread.cycles += _cyd + %d" % prefix_incl, 3)
@@ -266,7 +275,7 @@ def _alu_flags(gen: _Gen) -> None:
 
 
 def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
-               prefix_incl: int, skip_flags: bool, is_last: bool) -> None:
+               prefix_incl: int, skip_flags: bool) -> None:
     e = gen.emit
     needs = gen.needs
 
@@ -279,7 +288,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         e("thread.spin_pauses += 1")
         return
     if op == int(Op.HLT):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         e('raise InvalidOpcode("hlt executed in user mode at 0x%%x"'
           ' %% ((_base + %d) & %s))' % (off, _MASK))
         return
@@ -319,7 +328,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
             _alu_flags(gen)
         return
     if op in (int(Op.DIV_RR), int(Op.MOD_RR)):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         e("_y = gpr[%d]" % ops[1])
         e("if _y == 0:")
         e('raise DivideError("divide by zero at 0x%%x"'
@@ -357,14 +366,14 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
 
     if op == int(Op.LD):
         needs.add("_fb")
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[1])
         gen.charge()
         _inline_load(gen, 8,
                      lambda v: 'gpr[%d] = _fb(%s, "little")' % (ops[0], v))
         return
     if op == int(Op.ST):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         _inline_store(gen, 8, '(gpr[%d] & %s).to_bytes(8, "little")'
@@ -373,14 +382,14 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.LD4):
         needs.add("_fb")
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[1])
         gen.charge()
         _inline_load(gen, 4,
                      lambda v: 'gpr[%d] = _fb(%s, "little")' % (ops[0], v))
         return
     if op == int(Op.ST4):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         _inline_store(gen, 4, '(gpr[%d] & 4294967295).to_bytes(4, "little")'
@@ -388,13 +397,13 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         gen.smc_check(i, off, prefix_incl, rip_set=False)
         return
     if op == int(Op.LD1):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[1])
         gen.charge()
         _inline_load(gen, 1, lambda v: "gpr[%d] = %s" % (ops[0], v))
         return
     if op == int(Op.ST1):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         _inline_store(gen, 1, "gpr[%d] & 255" % ops[1])
@@ -402,7 +411,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
 
     if op == int(Op.PUSH) or op == int(Op.PUSHF):
-        e("_f = %d" % i)
+        gen.fault_point(i)
         if op == int(Op.PUSH):
             e("_v = gpr[%d]" % ops[0])
         else:
@@ -415,7 +424,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.POP):
         needs.add("_fb")
-        e("_f = %d" % i)
+        gen.fault_point(i)
         e("_a = gpr[4]")
         gen.charge()
         _inline_load(gen, 8, lambda v: '_v = _fb(%s, "little")' % v)
@@ -424,7 +433,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.POPF):
         needs.add("_fb")
-        e("_f = %d" % i)
+        gen.fault_point(i)
         e("_a = gpr[4]")
         gen.charge()
         _inline_load(gen, 8, lambda v: '_v = _fb(%s, "little")' % v)
@@ -451,7 +460,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op in (int(Op.CALL), int(Op.CALL_R)):
         gen.rip_written = True
-        e("_f = %d" % i)
+        gen.fault_point(i)
         e("_v = (_base + %d) & %s" % (off, _MASK))
         e("_a = (gpr[4] - 8) & %s" % _MASK)
         e("gpr[4] = _a")
@@ -468,7 +477,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
     if op == int(Op.RET):
         needs.add("_fb")
         gen.rip_written = True
-        e("_f = %d" % i)
+        gen.fault_point(i)
         e("_a = gpr[4]")
         gen.charge()
         _inline_load(gen, 8, lambda v: 'regs.rip = _fb(%s, "little")' % v)
@@ -477,7 +486,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
 
     if op == int(Op.XADD):
         needs.update(("_mr", "_mw", "_fb"))
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         e('_v = _fb(_mr(_a, 8), "little")')
@@ -491,7 +500,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.CMPXCHG):
         needs.update(("_mr", "_mw", "_fb"))
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         e('_v = _fb(_mr(_a, 8), "little")')
@@ -505,7 +514,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.XCHG):
         needs.update(("_mr", "_mw", "_fb"))
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         e('_v = _fb(_mr(_a, 8), "little")')
@@ -527,7 +536,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.FLD):
         needs.add("xmm")
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[1])
         gen.charge()
         _inline_load(gen, 8,
@@ -535,7 +544,7 @@ def _emit_step(gen: _Gen, i: int, op: int, ops: tuple, off: int,
         return
     if op == int(Op.FST):
         needs.add("xmm")
-        e("_f = %d" % i)
+        gen.fault_point(i)
         _ea_expr(gen, ops[0])
         gen.charge()
         _inline_store(gen, 8, '_pack("<d", xmm[%d])' % ops[1])
@@ -603,99 +612,59 @@ _HOIST_LINES = {
 }
 
 
-def _self_loop(ends_branch: bool, ops: tuple, operands: tuple,
-               offs: tuple) -> bool:
-    """True when the terminator's taken edge targets the block entry.
-
-    Only the taken edge can self-loop: fall-through is the terminator's
-    own next_pc, which is always past the entry.  Such blocks compile
-    into an internal spin bounded by a caller-supplied iteration budget.
-    """
-    if not ends_branch:
-        return False
-    last = ops[-1]
-    if last not in _COND and last != int(Op.JMP):
-        return False
-    return offs[-1] + operands[-1][0] == 0
-
-
-def _generate(shape: tuple) -> Optional[Tuple[str, tuple, bool,
-                                              Optional[str]]]:
-    """Emit source + fault-metadata for one block shape, or None.
-
-    Returns ``(source, fault_meta, is_loop, part_source)``;
-    *part_source* is the partial-execution spill variant (None when the
-    shape is a single step or hits an unsupported op).
-    """
+def _prefix_costs(ops: Tuple[int, ...]) -> List[int]:
+    """Static cycles retired before each step (``n + 1`` entries)."""
     from repro.machine.cpu import OP_COST
 
+    prefix = [0]
+    for op in ops:
+        prefix.append(prefix[-1] + OP_COST[op])
+    return prefix
+
+
+def _generate(shape: tuple) -> Optional[Tuple[str, tuple]]:
+    """Emit source + fault-metadata for one block shape, or None."""
     ends_branch, ops, operands, offs = shape
     n = len(ops)
-    costs = [OP_COST[op] for op in ops]
-    prefix = [0] * (n + 1)
-    for i, cost in enumerate(costs):
-        prefix[i + 1] = prefix[i] + cost
+    prefix = _prefix_costs(ops)
     skip = _dead_flags(ops)
-    loop = _self_loop(ends_branch, ops, operands, offs)
-
     gen = _Gen()
-    if loop:
-        gen.extra = 1
-        gen.loop_n = n
-        gen.loop_total = prefix[n]
     try:
-        for i in range(n - 1 if loop else n):
+        for i in range(n):
             _emit_step(gen, i, ops[i], operands[i], offs[i],
-                       prefix[i + 1], skip[i], i == n - 1)
+                       prefix[i + 1], skip[i])
     except _Unsupported:
         return None
-
     body = gen.lines
-    if loop:
-        # Terminator of a self-loop: taken spins (until the `_kmax`
-        # budget — the caller's quantum/trap headroom — runs out),
-        # fall-through exits.  Completed iterations flush in one shot;
-        # nothing observes icount/cycles/rip between iterations.
-        gen.rip_written = True
-        e = gen.emit
-        last = ops[-1]
-        if last in _COND:
-            e("if %s:" % _COND[last])
-            e("_it += 1", 3)
-            e("if _it < _kmax:", 3)
-            e("continue", 4)
-            e("regs.rip = _base", 3)
-            e("else:")
-            e("regs.rip = (_base + %d) & %s" % (offs[-1], _MASK), 3)
-            e("_it += 1", 3)
-        else:  # unconditional JMP-to-self: spin out the budget
-            e("_it += 1")
-            e("if _it < _kmax:")
-            e("continue", 3)
-            e("regs.rip = _base")
-        e("thread.icount += %d * _it" % n)
-        e("thread.cycles += _cyd + %d * _it" % prefix[n])
-        e("return %d * _it" % n)
-    else:
-        if not gen.rip_written:
-            body.append("        regs.rip = (_base + %d) & %s"
-                        % (offs[-1], _MASK))
-        body.append("        thread.icount += %d" % n)
-        body.append("        thread.cycles += _cyd + %d" % prefix[n])
-        body.append("        return %d" % n)
-
-    # _kmax defaults to 1 so callers that must see every block entry
-    # (the fast loop under block tools) get single-iteration behavior.
-    signature = ("def _cfn(cpu, thread, _base, _kmax=1):" if loop
-                 else "def _cfn(cpu, thread, _base):")
-    source = _assemble(gen, body, signature, n, prefix[n])
+    if not gen.rip_written:
+        body.append("        regs.rip = (_base + %d) & %s"
+                    % (offs[-1], _MASK))
+    body.append("        thread.icount += %d" % n)
+    body.append("        thread.cycles += _cyd + %d" % prefix[n])
+    body.append("        return %d" % n)
+    source = _assemble(gen, "def _cfn(cpu, thread, _base):", body)
     meta = tuple((offs[i], i, prefix[i]) for i in range(n))
-    return source, meta, loop, _generate_part(shape, prefix)
+    return source, meta
 
 
-def _assemble(gen: _Gen, body: List[str], signature: str,
-              n: int, total: int) -> str:
-    """Wrap a generated body with the hoist prologue and fault epilogue."""
+#: Except-path flush of a single-block function: the faulting step's
+#: metadata gives RIP past it and the retired prefix.
+_FAULT_FLUSH = (
+    "        thread.icount += _m[1]",
+    "        thread.cycles += _cyd + _m[2]",
+)
+
+
+def _assemble(gen: _Gen, signature: str, body: List[str],
+              init: Sequence[str] = (),
+              fault: Sequence[str] = _FAULT_FLUSH,
+              tail: Sequence[str] = ()) -> str:
+    """Wrap a generated body with the hoist prologue and fault epilogue.
+
+    *init* lines follow the hoists, *fault* lines run in the except
+    path after RIP is set from ``_META[_f]``, and *tail* lines follow
+    the try statement.
+    """
     lines = [signature,
              "    regs = thread.regs",
              "    gpr = regs.gpr",
@@ -708,29 +677,19 @@ def _assemble(gen: _Gen, body: List[str], signature: str,
             lines.append("    " + _HOIST_LINES[name])
     lines.append("    _cyd = 0")
     lines.append("    _f = 0")
-    if gen.loop_n:
-        lines.append("    _it = 0")
+    lines.extend(init)
     lines.append("    try:")
-    if gen.loop_n:
-        lines.append("        while True:")
     lines.extend(body)
     lines.append("    except BaseException:")
     lines.append("        _m = _META[_f]")
     lines.append("        regs.rip = (_base + _m[0]) & %s" % _MASK)
-    if gen.loop_n:
-        # Every completed iteration retired its terminating branch.
-        lines.append("        thread.icount += _it * %d + _m[1]" % n)
-        lines.append("        thread.cycles += _cyd + _it * %d + _m[2]"
-                     % total)
-        lines.append("        thread.branches += _it")
-    else:
-        lines.append("        thread.icount += _m[1]")
-        lines.append("        thread.cycles += _cyd + _m[2]")
+    lines.extend(fault)
     lines.append("        raise")
+    lines.extend(tail)
     return "\n".join(lines) + "\n"
 
 
-def _generate_part(shape: tuple, prefix: List[int]) -> Optional[str]:
+def _generate_part(shape: tuple) -> Optional[str]:
     """Emit the partial-execution variant: run exactly ``_stop`` steps.
 
     Used for quantum spills (``_stop`` < n always, so the terminator is
@@ -742,6 +701,7 @@ def _generate_part(shape: tuple, prefix: List[int]) -> Optional[str]:
     n = len(ops)
     if n < 2:
         return None  # a 1-step block can never spill
+    prefix = _prefix_costs(ops)
     gen = _Gen()
     try:
         for i in range(n - 1):
@@ -753,7 +713,7 @@ def _generate_part(shape: tuple, prefix: List[int]) -> Optional[str]:
                 gen.emit("thread.cycles += _cyd + %d" % prefix[i], 3)
                 gen.emit("return %d" % i, 3)
             _emit_step(gen, i, ops[i], operands[i], offs[i],
-                       prefix[i + 1], False, False)
+                       prefix[i + 1], False)
     except _Unsupported:
         return None
     body = gen.lines
@@ -762,18 +722,147 @@ def _generate_part(shape: tuple, prefix: List[int]) -> Optional[str]:
     body.append("        thread.icount += %d" % (n - 1))
     body.append("        thread.cycles += _cyd + %d" % prefix[n - 1])
     body.append("        return %d" % (n - 1))
-    return _assemble(gen, body, "def _cfn(cpu, thread, _base, _stop):",
-                     n, prefix[n])
+    return _assemble(gen, "def _cfn(cpu, thread, _base, _stop):", body)
+
+
+# -- compiled loops -------------------------------------------------------
+
+#: Most blocks one loop function may hold.
+LOOP_BLOCKS = 8
+
+
+def loop_successors(block) -> Optional[Tuple[int, ...]]:
+    """Successor entry PCs of a block that may sit inside a compiled
+    loop, or None when it cannot: a loop member ends in a direct branch
+    (JMP or a conditional jump, so both edges are static) and holds no
+    op codegen refuses.  Blocks ending in SYSCALL or MARKER end in
+    neither, so they never join a loop.
+    """
+    if not block.ends_branch:
+        return None
+    last = block.ops[-1]
+    if last != int(Op.JMP) and last not in _COND:
+        return None
+    if not _UNSUPPORTED.isdisjoint(block.ops):
+        return None
+    next_pc, _handler, operands, _cost = block.steps[-1]
+    taken = (next_pc + operands[0]) & ((1 << 64) - 1)
+    if last == int(Op.JMP):
+        return (taken,)
+    return (taken, next_pc)
+
+
+def _loop_edge(gen: _Gen, target: int, indent: int, members: Dict[int, int],
+               sizes: List[int]) -> None:
+    """Leave a member block along the edge to loop-relative *target*.
+
+    An edge to a member continues the spin if that member fits in what
+    is left of the budget, and otherwise returns to the dispatch header
+    at its entry; any other edge is a side exit.
+    """
+    e = gen.emit
+    rip = "regs.rip = (_base + %d) & %s" % (target, _MASK)
+    member = members.get(target)
+    if member is None:
+        e(rip, indent)
+        e("break", indent)
+        return
+    e("if _room < %d:" % sizes[member], indent)
+    e(rip, indent + 1)
+    e("break", indent + 1)
+    if len(sizes) > 1:
+        e("_s = %d" % member, indent)
+
+
+def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
+    """Emit source + fault-metadata for one loop shape, or None.
+
+    *shape* is ``("loop", ((rel, block_shape), ...))``: member blocks by
+    entry offset from the head (member 0, offset 0).  The function
+    ``_cfn(cpu, thread, _base, _budget)`` runs the head, then moves
+    between members through a ``while True`` state dispatch (``_s``)
+    until an edge leaves the loop, the next member would not fit in
+    the remaining ``_budget`` instructions, an SMC store breaks it, or
+    a step faults.  Every exit flushes what the per-block loop would
+    have accrued: icount, static and cache-charged cycles, one branch
+    per completed member, and ``new_block`` (false only after an SMC
+    break, which stops between two steps of one block).  Completed
+    members are counted per member except the head, whose count
+    follows from the retired total.
+    """
+    _, loop = shape
+    members = {rel: index for index, (rel, _) in enumerate(loop)}
+    sizes = [len(block_shape[1]) for _, block_shape in loop]
+    multi = len(loop) > 1
+    totals = []
+    meta: List[tuple] = []
+    gen = _Gen()
+    gen.loop = True
+    gen.extra = 2 if multi else 1
+    try:
+        for index, (rel, (_, ops, operands, offs)) in enumerate(loop):
+            n = len(ops)
+            prefix = _prefix_costs(ops)
+            totals.append(prefix[n])
+            skip = _dead_flags(ops)
+            if multi:
+                gen.emit("if _s == %d:" % index, 1)
+            gen.fault_base = len(meta)
+            meta.extend((rel + offs[i], i, prefix[i]) for i in range(n))
+            for i in range(n - 1):
+                _emit_step(gen, i, ops[i], operands[i], rel + offs[i],
+                           prefix[i + 1], skip[i])
+            gen.emit("_room -= %d" % n)
+            if index:
+                gen.emit("_c%d += 1" % index)
+            last = ops[-1]
+            taken = rel + offs[-1] + operands[-1][0]
+            if last == int(Op.JMP):
+                _loop_edge(gen, taken, 2, members, sizes)
+            else:
+                gen.emit("if %s:" % _COND[last])
+                _loop_edge(gen, taken, 3, members, sizes)
+                gen.emit("else:")
+                _loop_edge(gen, rel + offs[-1], 3, members, sizes)
+    except _Unsupported:
+        return None
+
+    counted = range(1, len(loop))
+    flush = [
+        "_n = _budget - _room",
+        "_c0 = (_n%s) // %d" % ("".join(
+            " - %d * _c%d" % (sizes[i], i) for i in counted), sizes[0]),
+        "thread.icount += _n + _pi",
+        "thread.cycles += _cyd + _pk + %s" % " + ".join(
+            "%d * _c%d" % (totals[i], i) for i in range(len(loop))),
+        "thread.branches += %s" % " + ".join(
+            "_c%d" % i for i in range(len(loop))),
+    ]
+    init = ["    _room = _budget", "    _pi = 0", "    _pk = 0"]
+    if multi:
+        init.append("    _s = 0")
+        init.extend("    _c%d = 0" % i for i in counted)
+    fault = ["        _pi = _m[1]", "        _pk = _m[2]"]
+    fault.extend("        " + line for line in flush)
+    tail = ["    " + line for line in flush]
+    tail.append("    thread.new_block = not _pi")
+    tail.append("    return _n + _pi")
+    body = ["        while True:"] + gen.lines
+    source = _assemble(gen, "def _cfn(cpu, thread, _base, _budget):",
+                       body, init, fault, tail)
+    return source, tuple(meta)
 
 
 class BlockCompiler:
     """Owns codegen and the shape-keyed compiled-function cache.
 
-    The cache maps block shapes to compiled functions (or ``None`` for
-    shapes that bailed out, so an uncompilable shape is analysed once).
-    Insertion-ordered dict doubles as the eviction queue: past the cap
-    the oldest entries are dropped — attached ``Block.compiled``
-    references stay valid, only shape-level reuse is lost.
+    The cache maps block shapes — and loop shapes, tuples of member
+    block shapes keyed by their entry offset from the loop head — to
+    compiled functions (or ``None`` for shapes that bailed out, so an
+    uncompilable shape is analysed once).  Insertion-ordered dict
+    doubles as the eviction queue: past the cap the oldest entries are
+    dropped — attached ``Block.compiled`` and ``Block.loop`` references
+    stay valid, only shape-level reuse is lost.
     """
 
     def __init__(self) -> None:
@@ -804,13 +893,29 @@ class BlockCompiler:
         shape = self.shape_of(block)
         if shape is None:
             return None
+        return self._lookup(shape, len(shape[1]))
+
+    def compile_loop(self, blocks) -> Optional[object]:
+        """The loop function for *blocks*, head first (see
+        :func:`_generate_loop`); all sit on the head's code page."""
+        head = blocks[0].entry
+        loop = []
+        for block in blocks:
+            shape = self.shape_of(block)
+            if shape is None:
+                return None
+            loop.append((block.entry - head, shape))
+        return self._lookup(("loop", tuple(loop)),
+                            sum(len(shape[1]) for _, shape in loop))
+
+    def _lookup(self, shape: tuple, n: int) -> Optional[object]:
         cache = self.cache
         obs = hooks.OBS
         if shape in cache:
             if obs.enabled:
                 obs.count("cpu.compiled.shape_hits")
             return cache[shape]
-        with obs.span("compile.codegen", "cpu", n=len(shape[1])):
+        with obs.span("compile.codegen", "cpu", n=n):
             fn = _build(shape)
         if len(cache) >= self.cache_limit:
             # pop, not del: machines on other threads share the cache.
@@ -823,11 +928,17 @@ class BlockCompiler:
 
 
 def _build(shape: tuple) -> Optional[object]:
-    """Generate and compile the function (plus spill variant) for *shape*."""
-    generated = _generate(shape)
+    """Generate and compile the function for a block shape (plus its
+    spill variant) or for a loop shape."""
+    if shape[0] == "loop":
+        generated = _generate_loop(shape)
+        part_source = None
+    else:
+        generated = _generate(shape)
+        part_source = None if generated is None else _generate_part(shape)
     if generated is None:
         return None
-    source, meta, loop, part_source = generated
+    source, meta = generated
     namespace = {
         "DivideError": _cpu().DivideError,
         "InvalidOpcode": _cpu().InvalidOpcode,
@@ -840,7 +951,8 @@ def _build(shape: tuple) -> Optional[object]:
     exec(compile(source, "<px-block>", "exec"), namespace)
     fn = namespace["_cfn"]
     fn.__px_source__ = source
-    fn.__px_loop__ = loop
+    if shape[0] == "loop":
+        fn.__px_loop__ = len(shape[1])    # member blocks
     if part_source is not None:
         part_ns = dict(namespace)
         exec(compile(part_source, "<px-block-part>", "exec"), part_ns)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.isa.encoding import decode, InstructionDecodeError
 from repro.isa.instructions import Instruction, Op
-from repro.machine.compile import COMPILER
+from repro.machine.compile import COMPILER, LOOP_BLOCKS, loop_successors
 from repro.machine.memory import AddressSpace, PAGE_SHIFT, PageFault
 from repro.observe import hooks
 
@@ -154,8 +154,8 @@ class Block:
 
     __slots__ = (
         "entry", "steps", "n", "ends_branch", "ends_syscall", "ends_marker",
-        "pages", "ops", "hits", "compiled", "compiled_loop", "compiled_part",
-        "no_compile", "stamp",
+        "pages", "ops", "hits", "compiled", "compiled_part", "loop",
+        "self_loop", "no_compile", "stamp",
     )
 
     def __init__(self, entry: int, steps: List[tuple], ends_branch: bool,
@@ -175,12 +175,16 @@ class Block:
         #: Compiled function (cpu, thread, base) -> instructions retired,
         #: or None while cold / after a codegen bailout.
         self.compiled: Optional[Callable] = None
-        #: True when ``compiled`` is a self-loop variant taking an extra
-        #: iteration-budget argument and spinning internally.
-        self.compiled_loop = False
         #: Partial-execution variant for quantum spills: runs exactly
         #: ``_stop`` < n steps with bit-exact state at every stop point.
         self.compiled_part: Optional[Callable] = None
+        #: Loop function (cpu, thread, base, budget) -> instructions
+        #: retired, when this block heads a compiled loop of up to
+        #: ``compile.LOOP_BLOCKS`` blocks on its page; ``self_loop`` is
+        #: the one-block loop of a block whose taken edge targets its
+        #: own entry (the same function when that is the whole loop).
+        self.loop: Optional[Callable] = None
+        self.self_loop: Optional[Callable] = None
         self.no_compile = False
         #: LRU stamp, bumped on every dispatch-header hit.
         self.stamp = 0
@@ -483,13 +487,15 @@ class Cpu:
         Every block entry passes the dispatch header at the top of the
         loop, which checks the stop/yield flags, the icount limit and
         the block tools' hooks, then looks the block up in
-        ``block_cache``.  Hot blocks run as compiled functions; a
-        compiled self-loop spins inside the generated code unless block
-        tools are attached (they must see every iteration's entry).
+        ``block_cache``.  Hot blocks run as compiled functions, and a
+        hot block that heads a compiled loop spins inside it, moving
+        between member blocks without returning here, unless block
+        tools are attached: they must see every block entry, except
+        that tools merging re-entries still let self-loops spin.
 
         With *extend*, a slice end is not a return: at a block boundary
         the machine picks the next slice in place, and a block that
-        straddles the boundary (or a self-loop spinning across several)
+        straddles the boundary (or a loop spinning across several)
         runs whole, after which the picks for the boundaries it crossed
         are committed (a fault inside it commits those before the
         faulting instruction; see ``Machine.run``).  Straddles stay on
@@ -501,7 +507,11 @@ class Cpu:
         regs = thread.regs
         bcache = self.block_cache
         block_tools = machine.block_tools
+        # Compiled loops spin only where no block tool would miss an
+        # entry: freely without block tools, and as self-loops from a
+        # reported entry when every block tool merges re-entries.
         loop_ok = not block_tools
+        merge_ok = all(tool.merges_reentries for tool in block_tools)
         # Generated code calls mem.read/write directly, bypassing the
         # cpu-level memory hooks, so memory tools keep every block on
         # the interpreted block loop.
@@ -546,6 +556,7 @@ class Cpu:
                 self.block_hits += 1
                 block.stamp = self._stamp = self._stamp + 1
 
+            spin = loop_ok
             if block_tools and thread.new_block:
                 thread.new_block = False
                 for tool in block_tools:
@@ -555,6 +566,7 @@ class Cpu:
                     # retires before the stop lands, as on the slow path.
                     executed += self._run_slow(thread, 1)
                     break
+                spin = merge_ok
 
             # Distance to the nearer of an armed PMU trap and the icount
             # limit; no block may run across either.
@@ -613,28 +625,27 @@ class Cpu:
             self._smc_dirty = False
             if fn is not None and compile_ok:
                 calls_delta += 1
-                if block.compiled_loop and loop_ok:
-                    # Self-loop variant: spin inside the generated code,
-                    # bounded so no iteration can cross the trap/limit
-                    # headroom (h >= 1 as n < headroom) or the slice end
-                    # -- unless the machine lets a lone thread run past
-                    # it, in which case the budget bounds the spin and
-                    # the picks for the slice ends it crossed are
-                    # committed below.
-                    k = remaining // n
-                    h = (headroom - 1) // n
-                    if k < h and straddle_ok:
-                        room = (remaining
-                                + machine.slice_room(thread)) // n
-                        if room > k:
-                            k = room
-                    if h < k:
-                        k = h
-                    if not k:
-                        k = 1   # an approved straddle
-                    ran = fn(self, thread, block.entry, k)
-                else:
-                    ran = fn(self, thread, block.entry)
+                loop = (block.loop if loop_ok
+                        else block.self_loop if spin else None)
+                if loop is not None:
+                    # Spin inside the generated loop for as many member
+                    # blocks as fit the budget: the slice remainder --
+                    # or, when the machine lets a lone thread run past
+                    # the slice end, what is left of its room -- capped
+                    # below the trap/limit headroom (n < headroom, so
+                    # the head always fits).  The loop leaves the thread
+                    # as the per-block loop would (new_block, branches).
+                    budget = remaining
+                    cap = headroom - 1
+                    if budget < cap and straddle_ok:
+                        budget += machine.slice_room(thread)
+                    if budget > cap:
+                        budget = cap
+                    executed += loop(self, thread, pc, budget)
+                    while quantum < executed:
+                        quantum += machine.next_slice()
+                    continue
+                ran = fn(self, thread, block.entry)
             else:
                 before = thread.icount
                 for next_pc, handler, operands, cost in block.steps:
@@ -647,40 +658,33 @@ class Cpu:
                 ran = thread.icount - before
             executed += ran
             while quantum < executed:
-                # The block ran across the slice end: commit the pick(s)
-                # the run loop would have made there.
+                # The block (or loop) ran across the slice end: commit
+                # the pick(s) the run loop would have made there.
                 quantum += machine.next_slice()
             if ran != n:
-                full, part = divmod(ran, n)
-                # A compiled self-loop completed `full` iterations, each
-                # retiring its branch.
-                thread.branches += full
-                if part or full == 0:
-                    # The block was invalidated under our feet
-                    # (self-modifying code) and stopped at a step
-                    # boundary; the header re-dispatches at the current
-                    # rip against freshly decoded bytes.
-                    thread.new_block = False
-                    continue
+                # The block was invalidated under our feet (self-
+                # modifying code) and stopped at a step boundary; the
+                # header re-dispatches at the current rip against
+                # freshly decoded bytes.
+                thread.new_block = False
+                continue
+            # Exact with or without block tools (mid-run attach).
+            if block.ends_branch:
                 thread.new_block = True
+                thread.branches += 1
             else:
-                # Exact with or without block tools (mid-run attach).
-                if block.ends_branch:
-                    thread.new_block = True
-                    thread.branches += 1
-                else:
-                    thread.new_block = False
-                if block.ends_syscall:
-                    if thread.icount >= thread.pmu_trap_at:
-                        # The syscall armed a trap with a threshold of
-                        # zero; fires at the same retire boundary as the
-                        # per-instruction loop.
-                        self._pmu_redirect(thread)
-                elif block.ends_marker and machine.marker_tools:
-                    # Marker tools fire here, between blocks, where
-                    # icount and cycles are exact; a stop they request
-                    # lands right after the marker.
-                    machine.on_marker(thread)
+                thread.new_block = False
+            if block.ends_syscall:
+                if thread.icount >= thread.pmu_trap_at:
+                    # The syscall armed a trap with a threshold of zero;
+                    # fires at the same retire boundary as the
+                    # per-instruction loop.
+                    self._pmu_redirect(thread)
+            elif block.ends_marker and machine.marker_tools:
+                # Marker tools fire here, between blocks, where icount
+                # and cycles are exact; a stop they request lands right
+                # after the marker.
+                machine.on_marker(thread)
         if calls_delta:
             self.compiled_calls += calls_delta
         return executed
@@ -698,10 +702,59 @@ class Cpu:
             self.compiled_bailouts += 1
             return None
         block.compiled = fn
-        block.compiled_loop = getattr(fn, "__px_loop__", False)
         block.compiled_part = getattr(fn, "__px_part__", None)
         self.compiled_blocks += 1
+        self._compile_loop(block)
         return fn
+
+    def _compile_loop(self, head: Block) -> None:
+        """Attach the loop functions of a hot block that heads a loop.
+
+        The loop is the set of cached blocks on *head*'s page that lie
+        on a cycle through it, following the static edges of blocks
+        that may join a loop (:func:`compile.loop_successors`).  Past
+        ``LOOP_BLOCKS`` blocks only a self-loop is kept.  Any such set
+        runs correctly, since every edge out of it is a side exit; a
+        member evicted later keeps running from the generated code (its
+        bytes are unchanged), and invalidating the page drops the head
+        with its loop.
+        """
+        page = head.pages
+        successors = loop_successors(head) if len(page) == 1 else None
+        if successors is None:
+            return
+        bcache = self.block_cache
+        edges = {head.entry: successors}
+        reached = [head]
+        for block in reached:
+            if len(reached) > 4 * LOOP_BLOCKS:
+                break
+            for pc in edges[block.entry]:
+                other = bcache.get(pc)
+                if (pc in edges or other is None or other.pages != page
+                        or other.no_compile):
+                    continue
+                successors = loop_successors(other)
+                if successors is not None:
+                    edges[pc] = successors
+                    reached.append(other)
+        inside = {head.entry}
+        grew = True
+        while grew:
+            grew = False
+            for block in reached:
+                if (block.entry not in inside
+                        and not inside.isdisjoint(edges[block.entry])):
+                    inside.add(block.entry)
+                    grew = True
+        if head.entry in edges[head.entry]:
+            head.self_loop = head.loop = COMPILER.compile_loop([head])
+        if 1 < len(inside) <= LOOP_BLOCKS:
+            members = sorted((block for block in reached
+                              if block.entry in inside and block is not head),
+                             key=lambda block: block.entry)
+            head.loop = (COMPILER.compile_loop([head] + members)
+                         or head.self_loop)
 
     def _run_slow(self, thread: "Thread", quantum: int) -> int:
         """Exact per-instruction interpretation (tools, PMU, faults)."""

@@ -395,7 +395,7 @@ class Machine:
         lists.  Only a syscall can change any of them (a clone or futex
         wake adds a runnable thread), and syscalls end a block, so the
         fast loop may ask ahead of a block that straddles the boundary
-        or of a self-loop spin.
+        or of a compiled loop's spin.
         """
         cpu = self.cpu
         if (cpu.stop_flag is not None or cpu.yield_flag or self._retooled

@@ -28,7 +28,20 @@ class Tool:
     invoking unused hook categories on the hot path.
 
     Only ``wants_instructions`` pins the machine to per-instruction
-    interpretation.  Marker tools (``wants_markers``) run on both
+    interpretation.  Block tools (``wants_blocks``) run on the compiled
+    tier too, and there they see every block entry: hot loops that the
+    compiler turned into one generated function (up to
+    ``compile.LOOP_BLOCKS`` blocks on one page, spinning without a
+    return to the dispatch header) run only while no block tool is
+    attached.  The one exception is ``merges_reentries``: when every
+    attached block tool sets it, a block whose taken edge targets its
+    own entry keeps spinning in its self-loop function once the tools
+    have seen the entry, so its repeated entries reach them merged into
+    that one call.  Set it only if such a run of entries is equivalent
+    for the tool to one entry followed by the run's instructions (the
+    BBV counter attributes icount deltas lazily; the ROI watcher keeps
+    the first entry), and never request a stop from a merged hook.
+    Marker tools (``wants_markers``) run on both
     dispatch tiers: superblocks end at MARKER, so compiled and
     interpreted blocks return to the dispatch header right after one
     retires, with exact icount and cycles, and the hook fires there.  A
@@ -44,6 +57,9 @@ class Tool:
     wants_blocks: bool = False
     #: Set true to receive MARKER-retired callbacks.
     wants_markers: bool = False
+    #: Set true if a block tool may see repeated entries of a self-loop
+    #: block merged into one ``on_basic_block`` call (see above).
+    merges_reentries: bool = False
 
     def on_attach(self, machine: "Machine") -> None:
         """Called when the tool is attached to a machine."""

@@ -40,7 +40,10 @@ class _BlockCounter(Tool):
     consecutive block entries of the same thread, which for a stable
     loop equals the static block length (the standard BBV weighting).
     A block-only tool: it needs no per-instruction callback, so BBV
-    profiling runs on the interpreter's superblock fast path.
+    profiling runs on the interpreter's superblock fast path.  Because
+    it attributes each delta lazily, at the next entry, a compiled
+    self-loop's merged re-entries sum to the same counts, so it lets
+    self-loops spin (``merges_reentries``).
 
     Vector keys are module+offset-relative (block pc minus the module's
     text base), so a profile of the same module loaded at a different
@@ -49,6 +52,7 @@ class _BlockCounter(Tool):
 
     wants_instructions = False
     wants_blocks = True
+    merges_reentries = True
 
     def __init__(self, module_base: int = 0) -> None:
         self.module_base = module_base

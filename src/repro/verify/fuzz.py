@@ -1,8 +1,8 @@
 """Fidelity fuzzing: randomized PX workloads through the round-trip.
 
 ``generate_case`` derives a randomized workload — threads, self-
-modifying stores, mmap churn, file reads, syscalls, mid-block PMU traps
-— from a seed, and ``run_case`` drives it through the full
+modifying stores, mmap churn, file reads, syscalls, mid-block PMU
+traps, multi-block loops — from a seed, and ``run_case`` drives it through the full
 record -> constrained replay -> ELFie pipeline under the differential
 verifier.  ``fuzz`` loops generation under a wall-clock budget;
 ``minimize_case`` shrinks a failing case (fewer features, threads,
@@ -55,6 +55,8 @@ ALL_FEATURES: Tuple[str, ...] = (
     "shm",        # SysV shmget/shmat/store/shmdt (sometimes leaked)
     "aslr",       # load the image at a randomized base (not an action:
                   # the whole pipeline runs with an ASLR slide)
+    "ifloops",    # counted if/else loops with a side exit: hot enough
+                  # to run as multi-block compiled loops
 )
 
 _INPUT_PATH = "/fuzz_in.dat"
@@ -277,6 +279,29 @@ def _main_action(feature: str, rng: random.Random, index: int,
             "    sub rcx, 1",
             "    cmp rcx, 0",
             "    jnz loop_%d" % index,
+        ]
+    elif feature == "ifloops":
+        # The test, both arms, the exit check and the latch form one
+        # multi-block loop; its side exit fires mid-count half the time.
+        trips = rng.randint(12, 40)
+        exit_at = (rng.randint(1, trips - 1) if rng.random() < 0.5
+                   else 0)
+        odd, even = rng.randint(1, 63), rng.randint(1, 63)
+        lines += [
+            "    mov rcx, %d" % trips,
+            "ifl_top_%d:" % index,
+            "    mov rdx, rcx", "    and rdx, 1", "    cmp rdx, 0",
+            "    jz ifl_even_%d" % index,
+            "    add rbx, %d" % odd,
+            "    jmp ifl_next_%d" % index,
+            "ifl_even_%d:" % index,
+            "    xor rbx, %d" % even,
+            "ifl_next_%d:" % index,
+            "    cmp rcx, %d" % exit_at,
+            "    jz ifl_out_%d" % index,
+            "    sub rcx, 1", "    cmp rcx, 0",
+            "    jnz ifl_top_%d" % index,
+            "ifl_out_%d:" % index,
         ]
     elif feature == "smc":
         lines += [

@@ -679,7 +679,8 @@ def test_self_loop_blocks_compile_to_spinning_functions():
     cpu = machine.cpu
     assert cpu.compiled_calls > 0
     blocks = list(cpu.block_cache.values())
-    assert any(b.compiled is not None and b.compiled_loop for b in blocks)
+    assert any(b.compiled is not None and b.self_loop is not None
+               and b.loop is b.self_loop for b in blocks)
     assert any(b.compiled_part is not None for b in blocks)
     reference = _arch_state(*_run(image, tier="slow"))
     assert _arch_state(machine, status) == reference
@@ -1295,3 +1296,457 @@ def test_block_tool_attached_mid_run_sees_only_true_entries(tier):
         tail = entries(stop)
         assert 0 < len(tail) < len(full)
         assert tail == full[-len(tail):]
+
+
+# -- compiled loops -----------------------------------------------------------
+#
+# Hot loops of up to compile.LOOP_BLOCKS blocks on one page run inside
+# one generated function.  Every way out of it -- a side exit, the
+# budget (quantum, lone-thread room, PMU trap, icount limit), an SMC
+# break, a fault -- must leave exactly the state the per-block loop
+# leaves, schedule included.
+
+#: A 6-block loop with an if/else body and a side exit on every edge
+#: that leaves it: m0 and m3/m4 exit when taken, m2 and m5 fall out.
+#: ``t0``..``t5`` are the passes (``rcx``) at which each exit fires; m2
+#: runs on odd passes and m3 on even ones.  Exits set ``r15`` to the
+#: member number and jump to ``done``.
+_LOOP6 = """
+    mov rcx, 0
+    jmp m0
+m0:
+    add rcx, 1
+    add rbx, rcx
+    cmp rcx, {t0}
+    jz exit0
+m1:
+    mov rdx, rcx
+    and rdx, 1
+    cmp rdx, 0
+    jz m3
+m2:
+    add rbx, 3
+    cmp rcx, {t2}
+    jnz m4
+    mov r15, 2
+    jmp done
+m3:
+{m3}
+    xor rbx, rcx
+    cmp rcx, {t3}
+    jz exit3
+m4:
+    add rbx, 7
+    cmp rcx, {t4}
+    jz exit4
+m5:
+    sub rbx, 1
+    cmp rcx, {t5}
+    jnz m0
+    mov r15, 5
+    jmp done
+exit0:
+    mov r15, 0
+    jmp done
+exit3:
+    mov r15, 3
+    jmp done
+exit4:
+    mov r15, 4
+    jmp done
+"""
+
+#: A 2-block loop: the head exits when taken, the body falls out.
+_LOOP2 = """
+    mov rcx, 0
+    jmp head
+head:
+    add rcx, 1
+    add rbx, rcx
+    cmp rcx, {t0}
+    jz exit0
+body:
+    xor rbx, rcx
+    cmp rcx, {t1}
+    jnz head
+    mov r15, 1
+    jmp done
+exit0:
+    mov r15, 0
+    jmp done
+"""
+
+_NEVER = 1 << 30
+
+_EXIT_WITH_R15 = """
+done:
+    mov rdi, r15
+    mov rax, 231
+    syscall
+"""
+
+
+def _loop_body(loop, m3="", **exits):
+    thresholds = {"t%d" % i: _NEVER for i in range(6)}
+    thresholds.update(exits)
+    return loop.format(m3=m3, **thresholds)
+
+
+def _loop_program(loop, head="", tail=_EXIT_WITH_R15, **exits):
+    return "_start:\n" + head + _loop_body(loop, **exits) + tail
+
+
+def _loop_sizes(machine):
+    """Member counts of the multi-block loops the compiled tier built."""
+    return sorted(block.loop.__px_loop__
+                  for block in machine.cpu.block_cache.values()
+                  if block.loop is not None
+                  and block.loop is not block.self_loop)
+
+
+def _compiles(machine):
+    """True when *machine* ran on the compiled tier with codegen on."""
+    return (machine.cpu.dispatch_tier == "compiled"
+            and cpu_module.COMPILE_THRESHOLD != sys.maxsize)
+
+
+@pytest.mark.parametrize("members, exit_id, exits", [
+    (2, 0, {"t0": 301}),
+    (2, 1, {"t1": 301}),
+    (6, 0, {"t0": 301}),
+    (6, 2, {"t2": 301}),
+    (6, 3, {"t3": 300}),
+    (6, 4, {"t4": 301}),
+    (6, 5, {"t5": 301}),
+])
+def test_loop_side_exits_match_slow(tier, members, exit_id, exits):
+    """Leaving a 2-block or a 6-block compiled loop through each of its
+    side edges retires what the per-instruction loop retires."""
+    loop = _LOOP2 if members == 2 else _LOOP6
+    image = build_executable(_loop_program(loop, **exits))
+    for seed in range(3):
+        slow, slow_status = _sched_run(image, "slow", seed)
+        assert slow_status.kind == "exit"
+        assert slow_status.code == exit_id
+        machine, status = _sched_run(image, tier, seed)
+        assert _sched_state(machine, status) \
+            == _sched_state(slow, slow_status), seed
+        if _compiles(machine):
+            assert members in _loop_sizes(machine)
+
+
+_LOOP_MT = """
+_start:
+    mov rax, 56
+    mov rdi, 0x100
+    mov rsi, stack_top
+    mov rdx, child
+    syscall
+""" + _loop_body(_LOOP6, t5=601) + """
+done:
+    cmp r14, 0
+    jnz child_done
+wait:
+    ld rbx, [done_flag]
+    cmp rbx, 1
+    jnz wait
+    mov rdi, r15
+    mov rax, 231
+    syscall
+child_done:
+    mov rbx, 1
+    st [done_flag], rbx
+    mov rax, 60
+    mov rdi, 0
+    syscall
+child:
+    mov r14, 1
+    mov rcx, 301
+    jmp m0
+"""
+
+
+def test_loop_quantum_expiry_with_two_runnable_threads(tier):
+    """With two runnable threads every slice end is a hard stop: the
+    loop returns before a member that would cross it, and the header
+    spills that member, as the per-block loop does."""
+    image = build_executable(_LOOP_MT, data_source=RACY_DATA)
+    for seed in range(4):
+        slow, slow_status = _sched_run(image, "slow", seed)
+        assert slow_status.kind == "exit" and slow_status.code == 5
+        machine, status = _sched_run(image, tier, seed)
+        assert _sched_state(machine, status) \
+            == _sched_state(slow, slow_status), seed
+        if _compiles(machine):
+            assert 6 in _loop_sizes(machine)
+
+
+def test_loop_lone_thread_straddles_many_slices(tier):
+    """A lone thread's loop spins across many slice ends in one call;
+    the picks for every boundary it crossed are committed after it."""
+    image = build_executable(_loop_program(_LOOP6, t5=3001))
+    for seed in range(3):
+        slow, slow_status = _sched_run(image, "slow", seed)
+        machine, status = _sched_run(image, tier, seed)
+        assert _sched_state(machine, status) \
+            == _sched_state(slow, slow_status), seed
+        if _compiles(machine):
+            assert 10 * machine.cpu.compiled_calls \
+                < len(machine.scheduler.trace)
+
+
+_PMU_HEAD = """
+    mov rax, 298
+    mov rdi, 0
+    mov rsi, {threshold}
+    mov rdx, handler
+    syscall
+"""
+_PMU_TAIL = """
+done:
+    mov rdi, r15
+    mov rax, 231
+    syscall
+handler:
+    mov rax, 334        ; perf_read(INSTRUCTIONS)
+    mov rdi, 0
+    syscall
+    mov rdi, rax
+    and rdi, 0xff
+    mov rax, 231
+    syscall
+"""
+
+
+def test_loop_pmu_trap_and_icount_limit_land_inside(tier):
+    """A PMU trap and an icount limit armed to land anywhere inside a
+    spinning loop fire at the exact instruction."""
+    for threshold in range(300, 340, 3):
+        image = build_executable(_loop_program(
+            _LOOP6, head=_PMU_HEAD.format(threshold=threshold),
+            tail=_PMU_TAIL))
+        slow, slow_status = _sched_run(image, "slow", 1)
+        assert slow_status.kind == "exit"
+        assert slow_status.code == (5 + threshold + 2) & 0xff
+        machine, status = _sched_run(image, tier, 1)
+        assert _sched_state(machine, status) \
+            == _sched_state(slow, slow_status), threshold
+
+    image = build_executable(_loop_program(_LOOP6, t5=201))
+
+    def limited(dispatch, limit):
+        machine = Machine(seed=2)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch(dispatch)
+        machine.scheduler.record = True
+        machine.threads[0].icount_limit = limit
+        stopped = machine.run()
+        assert stopped.kind == "stopped"
+        assert machine.threads[0].icount == limit
+        first = _sched_state(machine, stopped)
+        machine.threads[0].icount_limit = cpu_module.NO_TRAP
+        return first, _sched_state(machine, machine.run())
+
+    for limit in range(1000, 1040, 3):
+        assert limited(tier, limit) == limited("slow", limit), limit
+
+
+def test_loop_fault_in_non_head_member(tier):
+    """A divide fault in m3, which is never the loop head, materializes
+    the exact state: completed members, the retired prefix, picks."""
+    image = build_executable(_loop_program(
+        _LOOP6, m3="    mov rsi, 400\n    sub rsi, rcx\n    div rax, rsi"))
+    for seed in range(3):
+        slow, slow_status = _sched_run(image, "slow", seed)
+        assert slow_status.kind == "signal" and slow_status.signal == 8
+        machine, status = _sched_run(image, tier, seed)
+        assert _sched_state(machine, status) \
+            == _sched_state(slow, slow_status), seed
+
+
+#: A 2-block loop copied into an RWX page: from pass 8 on, the head's
+#: ``st1`` patches the immediate of ``mov rbx, 11`` in the other member
+#: (before that it stores to ``scratch``).
+LOOP_SMC_SOURCE = SPIN_SMC_SOURCE.split("func:")[0] + """
+func:
+    mov rcx, 0
+    jmp floop
+fbody:
+    mov rbx, 11
+    add rdx, rbx
+    cmp rcx, 12
+    jnz floop
+    ret
+floop:
+    add rcx, 1
+    mov rdi, rcx
+    shr rdi, 3
+    imul rdi, r13
+    add rdi, r12
+    st1 [rdi], r15
+    jmp fbody
+func_end:
+    nop
+"""
+_LOOP_PATCH = instruction_size(Op.MOV_RI) + instruction_size(Op.JMP) + 2
+
+
+def test_loop_smc_store_into_its_own_page(tier):
+    """A store from inside a compiled loop into its own code page breaks
+    the spin at the store, drops the head with its loop, and the patched
+    member runs with its new bytes."""
+    image = build_executable(LOOP_SMC_SOURCE % _LOOP_PATCH,
+                             data_source="scratch:\n    .quad 0\n")
+    for seed in range(3):
+        machine, status = _run(image, seed=seed, tier=tier)
+        assert status.kind == "exit"
+        assert status.code == (7 * 11 + 5 * 33) & 0xff
+        assert _arch_state(machine, status) \
+            == _arch_state(*_run(image, seed=seed, tier="slow"))
+        if _compiles(machine):
+            assert machine.cpu.block_invalidations > 0
+
+    # Under the merge-safe BBV counter the self-loop spins; its SMC
+    # break stops between two steps, which is no block entry.
+    spin = build_executable(SPIN_SMC_SOURCE % _SPIN_PATCH,
+                            data_source="scratch:\n    .quad 0\n")
+
+    def vectors(counter, dispatch):
+        machine = Machine(seed=0)
+        load_elf(machine, spin)
+        machine.cpu.set_dispatch(dispatch)
+        machine.attach(counter)
+        machine.run()
+        return counter.take(machine)
+
+    assert vectors(_BlockCounter(), tier) \
+        == vectors(_ReferenceBlockCounter(), "slow")
+
+
+def test_loop_survives_lru_eviction_of_a_member(tier):
+    """Evicting a member block while the head stays cached changes
+    nothing: the loop runs on from its generated code (the member's
+    bytes are unchanged), and a return to the header rebuilds it."""
+    image = build_executable(_loop_program(_LOOP6, t5=601))
+    slow, slow_status = _sched_run(image, "slow", 1)
+    machine, stopped = _sched_run(image, tier, 1, 2000)
+    assert stopped.kind == "stopped"
+    cpu = machine.cpu
+    heads = [block for block in cpu.block_cache.values()
+             if block.loop is not None]
+    if _compiles(machine):
+        head = heads[0]
+        assert head.loop.__px_loop__ == 6
+        for block in cpu.block_cache.values():
+            block.stamp = 0 if block is not head else cpu._stamp
+        cpu.block_cache_limit = len(cpu.block_cache)
+        evicted = cpu.block_evictions
+        cpu._evict_blocks()
+        assert cpu.block_evictions > evicted
+        assert cpu.block_cache.get(head.entry) is head
+    status = machine.run()
+    assert _sched_state(machine, status)[:3] \
+        == _sched_state(slow, slow_status)[:3]
+
+
+def test_loop_snapshot_mid_loop_resumes(tier):
+    """A budget stop inside a spinning loop, then a snapshot round
+    trip, resumes digest-identical to a straight run."""
+    image = build_executable(_loop_program(_LOOP6, t5=101))
+    seed = 2
+    slow, slow_status = _sched_run(image, "slow", seed)
+    reference = _sched_state(slow, slow_status)
+    for budget in range(301, 1200, 41):
+        state = _stop_and_resume(image, tier, seed, budget)
+        # The budget cut splits one recorded slice in two; everything
+        # else matches the straight run.
+        assert state[:5] + state[6:] == reference[:5] + reference[6:]
+        assert state == _stop_and_resume(image, "slow", seed, budget)
+
+
+class _ReferenceBlockCounter(Tool):
+    """Per-instruction BBV oracle: every retired instruction counts for
+    the most recently entered block of its thread."""
+
+    wants_instructions = True
+    wants_blocks = True
+
+    def __init__(self):
+        self.current = {}
+        self._open = {}
+
+    def on_basic_block(self, machine, thread, pc):
+        self._open[thread.tid] = pc
+
+    def on_instruction(self, machine, thread, pc, insn):
+        block = self._open.get(thread.tid)
+        if block is not None:
+            self.current[block] = self.current.get(block, 0) + 1
+
+    def take(self, machine):
+        vector = self.current
+        self.current = {}
+        return vector
+
+
+#: A self-loop nested in a 3-block loop (its block heads both: it turns
+#: hot once the outer blocks are cached), a self-loop entered by
+#: fall-through from the block a MARKER ends (its first pass is no
+#: block entry), then a 6-block loop.
+_BBV_LOOPS = """
+_start:
+    mov r8, 0
+outer:
+    mov rcx, 0
+    jmp inner
+inner:
+    add rcx, 1
+    add rbx, rcx
+    cmp rcx, 3
+    jnz inner
+    add r8, 1
+    cmp r8, 250
+    jnz outer
+    mov rcx, 0
+    marker 0x11
+spin:
+    add rcx, 1
+    sub rbx, rcx
+    cmp rcx, 300
+    jnz spin
+""" + _loop_body(_LOOP6, t5=401) + _EXIT_WITH_R15
+
+
+def test_loop_bbv_matches_per_instruction_reference():
+    """Under the merge-safe BBV counter, self-loops keep spinning --
+    one nested in a larger compiled loop, and one first entered by
+    fall-through -- and multi-block loops run block by block; the
+    vectors equal the per-instruction oracle's at every slice stop."""
+    image = build_executable(_BBV_LOOPS)
+
+    def drive(counter, tier):
+        machine = Machine(seed=1)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch(tier)
+        machine.attach(counter)
+        vectors = []
+        index = 0
+        while True:
+            status = machine.run(max_instructions=(index + 1) * 500)
+            vectors.append(counter.take(machine))
+            index += 1
+            if status.kind != "stopped":
+                return machine, vectors
+
+    class _Unmerged(_BlockCounter):
+        merges_reentries = False
+
+    _, expected = drive(_ReferenceBlockCounter(), "slow")
+    merged, got = drive(_BlockCounter(), "compiled")
+    assert got == expected
+    unmerged, got = drive(_Unmerged(), "compiled")
+    assert got == expected
+    # Merging let both self-loops spin: the nested one saved two of
+    # its three dispatches per outer pass, the other almost all 300.
+    assert merged.cpu.compiled_calls + 700 < unmerged.cpu.compiled_calls
+    assert 3 in _loop_sizes(merged)
