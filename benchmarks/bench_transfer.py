@@ -60,21 +60,19 @@ class _CapturingRunner(FarmRunner):
         #: (stage, "args" | "result", payload)
         self.payloads = []
 
-    def _run_inline(self, job, args, kwargs, results, done, graph,
-                    attempts, resume=None):
+    def _run_inline(self, job, args, kwargs, resume=None):
         if not job.local:
             self.payloads.append(
                 (job.stage, "args", (job.fn, args, kwargs, resume)))
-        super()._run_inline(job, args, kwargs, results, done, graph,
-                            attempts, resume)
+        super()._run_inline(job, args, kwargs, resume)
 
-    def _complete(self, job, result, wall, worker, attempts, results,
-                  done, graph):
-        if not job.local:
+    def _settle(self, job, state, cache="", result=None, wall_s=0.0,
+                worker=None, **record):
+        if state == "ok" and not job.local:
             self.payloads.append(
-                (job.stage, "result", (worker, wall, result)))
-        super()._complete(job, result, wall, worker, attempts, results,
-                          done, graph)
+                (job.stage, "result", (worker, wall_s, result)))
+        super()._settle(job, state, cache, result, wall_s, worker,
+                        **record)
 
 
 def _pinballs(value, seen):

@@ -306,15 +306,23 @@ def _cmd_looppoint_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_looppoint_select(args: argparse.Namespace) -> int:
-    from repro.looppoint import REGION_SELECTOR, run_looppoint
+def _run_looppoint(args: argparse.Namespace, capture: bool):
+    """(result, name): ``run_looppoint`` on the selection flags."""
+    from repro.looppoint import run_looppoint
 
     image, name = _looppoint_image(args)
-    result = run_looppoint(image, name, slice_markers=args.slice_markers,
-                           warmup_slices=args.warmup_slices,
-                           max_k=args.max_k, seed=args.seed,
-                           max_alternates=args.alternates,
-                           cluster_seed=args.cluster_seed, capture=False)
+    return run_looppoint(image, name, slice_markers=args.slice_markers,
+                         warmup_slices=args.warmup_slices,
+                         max_k=args.max_k, seed=args.seed,
+                         max_alternates=args.alternates,
+                         cluster_seed=args.cluster_seed,
+                         capture=capture), name
+
+
+def _cmd_looppoint_select(args: argparse.Namespace) -> int:
+    from repro.looppoint import REGION_SELECTOR
+
+    result, name = _run_looppoint(args, capture=False)
     regions, primaries = result.regions, result.primary_regions
     print("%s: %d clusters -> %d regions (+%d alternates)"
           % (name, len(result.selection.clusters), len(primaries),
@@ -349,14 +357,9 @@ def _cmd_looppoint_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_looppoint_validate(args: argparse.Namespace) -> int:
-    from repro.looppoint import run_looppoint, validate_looppoint
+    from repro.looppoint import validate_looppoint
 
-    image, name = _looppoint_image(args)
-    result = run_looppoint(image, name, slice_markers=args.slice_markers,
-                           warmup_slices=args.warmup_slices,
-                           max_k=args.max_k,
-                           seed=args.seed, max_alternates=args.alternates,
-                           cluster_seed=args.cluster_seed)
+    result, name = _run_looppoint(args, capture=True)
     validation = validate_looppoint(result, seed=args.validate_seed,
                                     trials=args.trials)
     print("%s: %d regions, %d ELFies" % (name, len(result.primary_regions),
@@ -846,6 +849,15 @@ def build_parser() -> argparse.ArgumentParser:
                             help="work-marker crossings per slice")
         parser.add_argument("--seed", type=int, default=0)
 
+    def _selection_flags(parser: argparse.ArgumentParser) -> None:
+        """The clustering flags ``looppoint select`` and ``validate``
+        share."""
+        parser.add_argument("--max-k", type=int, default=12)
+        parser.add_argument("--cluster-seed", type=int, default=42)
+        parser.add_argument("--warmup-slices", type=int, default=1,
+                            help="warmup depth in whole marker slices")
+        parser.add_argument("--alternates", type=int, default=2)
+
     def _campaign_flags(parser: argparse.ArgumentParser) -> None:
         """The campaign flags ``farm run`` and ``service submit`` share."""
         parser.add_argument("--app", action="append", required=True,
@@ -882,11 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     lp_select = looppoint_sub.add_parser(
         "select", help="cluster marker slices and pick representatives")
     _looppoint_common(lp_select)
-    lp_select.add_argument("--max-k", type=int, default=12)
-    lp_select.add_argument("--cluster-seed", type=int, default=42)
-    lp_select.add_argument("--warmup-slices", type=int, default=1,
-                           help="warmup depth in whole marker slices")
-    lp_select.add_argument("--alternates", type=int, default=2)
+    _selection_flags(lp_select)
     lp_select.add_argument("--json", default=None,
                            help="write the region list (with marker "
                                 "windows) as JSON")
@@ -896,11 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="capture marker-delimited ELFies and check the "
                          "predicted-vs-true CPI error")
     _looppoint_common(lp_validate)
-    lp_validate.add_argument("--max-k", type=int, default=12)
-    lp_validate.add_argument("--cluster-seed", type=int, default=42)
-    lp_validate.add_argument("--warmup-slices", type=int, default=1,
-                             help="warmup depth in whole marker slices")
-    lp_validate.add_argument("--alternates", type=int, default=2)
+    _selection_flags(lp_validate)
     lp_validate.add_argument("--validate-seed", type=int, default=0)
     lp_validate.add_argument("--trials", type=int, default=1)
     lp_validate.add_argument("--max-error", type=float, default=100.0,

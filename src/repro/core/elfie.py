@@ -139,10 +139,6 @@ class ElfieRun:
     def graceful(self) -> bool:
         return self.status.kind == "exit"
 
-    @property
-    def total_app_icount(self) -> int:
-        return sum(self.app_icounts.values())
-
     def perfle_counters(self) -> List[int]:
         """Counter values printed by the perfle exit handler."""
         values = []

@@ -80,18 +80,6 @@ class LinkerScript:
         return cls(entry_symbol=entry, regions=regions,
                    user_code_base=user_base)
 
-    @classmethod
-    def from_elf(cls, elf: ElfFile, entry_symbol: str = "_start",
-                 user_code_base: int = 0) -> "LinkerScript":
-        """Derive the layout contract from an ELFie object's sections."""
-        regions = [
-            LinkerRegion(section.name, section.addr, len(section.data))
-            for section in elf.sections
-            if section.name and section.addr
-        ]
-        return cls(entry_symbol=entry_symbol, regions=regions,
-                   user_code_base=user_code_base)
-
     def link(self, elfie_object: ElfFile, user_object: Optional[ElfFile],
              entry: int) -> bytes:
         """Link an ELFie object (plus optional user object) into an

@@ -1,6 +1,8 @@
 """The campaign runner: execute a job graph over a worker pool.
 
-Scheduling rules:
+:class:`GraphRunner` holds the one DAG loop every campaign executor
+shares; :class:`FarmRunner` is the local executor (the networked one
+is :class:`repro.service.campaign.ServiceCampaignRunner`).  Rules:
 
 - a job is *ready* once all dependencies completed successfully;
 - ready jobs whose memoization key is present in the artifact store are
@@ -19,11 +21,12 @@ warm run.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Container, Dict, List, Optional
+from typing import Any, Container, Dict, Iterator, List, Optional
 
 from repro.farm.jobs import Job, JobGraph, resolve_refs
 from repro.farm.manifest import RunManifest
@@ -42,10 +45,11 @@ class CampaignError(Exception):
 
 
 def _call_job(fn, args, kwargs, resume=None):
-    """Worker-side wrapper: returns (worker pid, wall seconds, result)."""
+    """Run one job body in this process (a pool worker or the parent);
+    returns (pid, wall seconds, result)."""
     if resume is not None:
-        # Seed the pool worker's process-global preemption context so
-        # the job body resumes from the shipped checkpoint.
+        # Seed the process-global preemption context so the job body
+        # resumes from the shipped checkpoint.
         from repro.snapshot import preempt
         preempt.GLOBAL.take_resume()  # drop any stale slot
         preempt.set_resume(resume)
@@ -83,16 +87,6 @@ def _job_icount(result: Any) -> Optional[int]:
 
 
 @dataclass
-class _Pending:
-    """Book-keeping for one submitted-but-unfinished job."""
-
-    job: Job
-    async_result: Any
-    attempts: int
-    submitted: float
-
-
-@dataclass
 class RunReport:
     """What a campaign runner observed, beyond the results dict."""
 
@@ -105,22 +99,129 @@ class RunReport:
         return sum(1 for value in self.cache.values() if value == "hit")
 
 
-class GraphRunner:
-    """What every campaign runner shares (the local farm, the service).
+@dataclass
+class _Pending:
+    """A farm job on its way through the pool (retries included)."""
 
-    Subclasses execute ready jobs their own way; the readiness rule,
-    blocked-propagation, ``expand`` callbacks and the manifest record
-    are defined once here, so the runners' manifests cannot drift
-    apart.
+    job: Job
+    args: tuple
+    kwargs: dict
+    attempts: int = 1
+    async_result: Any = None
+
+
+class GraphRunner:
+    """The one campaign loop, shared by the local farm and the service.
+
+    :meth:`run` owns every scheduling rule: readiness, ``Ref``
+    resolution, ``local`` jobs run inline under the retry rule, the
+    settle step (results, manifest record, ``expand`` callback),
+    ``blocked``/``deferred`` settling and the strict
+    :class:`CampaignError`.  An executor only moves non-local jobs:
+
+    - ``_start(job, args, kwargs)`` serves a ready job from its cache
+      or puts it in flight in ``self._inflight``;
+    - ``_poll()`` settles finished jobs; True if anything progressed;
+    - ``_store_result(job, result)`` memoizes a keyed job run inline;
+    - ``_busy()`` names the jobs not to schedule again (default: the
+      in-flight ones), ``_executor()`` holds per-run resources.
     """
 
     manifest: Optional[RunManifest] = None
     report: RunReport
+    #: default retry budget of a job run inline (None: one attempt),
+    #: with capped exponential backoff between attempts
+    retries: Optional[int] = None
+    backoff = 0.05
+    max_backoff = 2.0
+    #: cooperate with :mod:`repro.snapshot.preempt` (see FarmRunner)
+    preemptible = False
 
-    def _record(self, job: Job, state: str, cache: str, wall_s: float,
-                worker: Any, attempts: int, error: str = "",
+    def run(self, graph: JobGraph, strict: bool = True) -> Dict[str, Any]:
+        """Run every job; returns ``{job name: result}``.
+
+        With ``strict`` (default) raises :class:`CampaignError` after
+        the graph drains if anything failed; non-strict returns the
+        partial results.
+        """
+        self.report = RunReport()
+        self._graph, self._results = graph, {}
+        self._done: Dict[str, str] = {}  # name -> terminal state
+        self._inflight: Dict[str, Any] = {}
+        with self._executor():
+            while True:
+                progressed = False
+                if not self._preempt_requested():  # draining: poll only
+                    for job in self._ready():
+                        args = resolve_refs(job.args, self._results)
+                        kwargs = resolve_refs(job.kwargs, self._results)
+                        if job.local:
+                            self._run_inline(job, args, kwargs)
+                        else:
+                            self._start(job, args, kwargs)
+                        progressed = True
+                progressed |= self._poll()
+                busy = self._busy()
+                remaining = [name for name in graph.order()
+                             if name not in self._done]
+                if not remaining and not busy:
+                    break
+                if progressed:
+                    continue
+                if busy:
+                    time.sleep(0.003)
+                    continue
+                # nothing in flight and nothing ready: drained after a
+                # preemption (the rest resumes from the store next
+                # run), or waiting on a dependency that never ran
+                state, error = (("deferred", "campaign preempted")
+                                if self._preempt_requested() else
+                                ("blocked", "dependency never completed"))
+                for name in remaining:
+                    self._settle(graph.jobs[name], state, "none",
+                                 error=error)
+                break
+        if strict and self.report.failures:
+            raise CampaignError(dict(self.report.failures))
+        return self._results
+
+    def _executor(self):
+        """Context holding one run's executor resources."""
+        return contextlib.nullcontext()
+
+    def _busy(self) -> Container[str]:
+        return self._inflight
+
+    def _ready(self) -> List[Job]:
+        """Jobs whose dependencies all succeeded, not yet done or busy;
+        jobs downstream of a failure are settled ``blocked`` on the
+        way."""
+        done, busy = self._done, self._busy()
+        ready: List[Job] = []
+        for name in self._graph.order():
+            if name in done or name in busy:
+                continue
+            job = self._graph.jobs[name]
+            failed = [dep for dep in job.deps
+                      if done.get(dep) in ("failed", "blocked")]
+            if failed:
+                self._settle(job, "blocked", "none", error=(
+                    "upstream failure: %s" % ", ".join(failed)))
+            elif all(done.get(dep) == "ok" for dep in job.deps):
+                ready.append(job)
+        return ready
+
+    def _settle(self, job: Job, state: str, cache: str = "",
+                result: Any = None, wall_s: float = 0.0, worker: Any = None,
+                attempts: int = 0, error: str = "",
                 icount: Optional[int] = None) -> None:
-        """Note one job's terminal state: report, manifest, telemetry."""
+        """End *job* in *state*: results, report, manifest, telemetry,
+        then the ``expand`` callback of an ``ok`` job.  *cache*
+        defaults to ``miss`` for keyed jobs and ``none`` otherwise."""
+        cache = cache or ("miss" if job.key else "none")
+        self._done[job.name] = state
+        if state == "ok":
+            self._results[job.name] = result
         self.report.states[job.name] = state
         self.report.cache[job.name] = cache
         if state != "ok":
@@ -158,40 +259,63 @@ class GraphRunner:
                              cat="farm.%s" % (job.stage or "job"),
                              state=state, cache=cache, worker=worker,
                              attempts=attempts)
+        if state == "ok" and job.expand is not None:
+            job.expand(result, self._graph, self._results)
 
-    def _ready(self, graph: JobGraph, done: Dict[str, str],
-               busy: Container[str]) -> List[Job]:
-        """Jobs whose dependencies all succeeded, not yet done or *busy*;
-        jobs downstream of a failure are marked ``blocked`` on the way."""
-        ready: List[Job] = []
-        for name in graph.order():
-            if name in done or name in busy:
+    def _run_inline(self, job: Job, args: tuple, kwargs: dict,
+                    resume: Any = None) -> None:
+        """Run *job* in this process under the retry rule, settle it."""
+        attempts = 1
+        while True:
+            start = time.perf_counter()
+            try:
+                worker, wall, result = _call_job(job.fn, args, kwargs,
+                                                 resume)
+            except Exception as exc:
+                if self._preempted(job, exc, time.perf_counter() - start,
+                                   os.getpid(), attempts):
+                    return
+                if attempts >= self._attempts(job):
+                    self._settle(job, "failed", worker=os.getpid(),
+                                 attempts=attempts, error="%s: %s" % (
+                                     type(exc).__name__, exc))
+                    return
+                time.sleep(self._delay(attempts))
+                attempts += 1
                 continue
-            job = graph.jobs[name]
-            dep_states = [done.get(dep) for dep in job.deps]
-            if any(state in ("failed", "blocked") for state in dep_states):
-                self._record(job, "blocked", "none", 0.0, None, 0,
-                             "upstream failure: %s" % ", ".join(
-                                 dep for dep in job.deps
-                                 if done.get(dep) in ("failed", "blocked")))
-                done[name] = "blocked"
-                continue
-            if all(state == "ok" for state in dep_states):
-                ready.append(job)
-        return ready
+            if job.key:
+                self._store_result(job, result)
+            self._settle(job, "ok", result=result, wall_s=wall,
+                         worker=worker, attempts=attempts,
+                         icount=_job_icount(result))
+            return
 
-    def _settle(self, graph: JobGraph, done: Dict[str, str],
-                names: List[str], state: str, error: str) -> None:
-        """End jobs that will not run in this campaign."""
-        for name in names:
-            self._record(graph.jobs[name], state, "none", 0.0, None, 0,
-                         error)
-            done[name] = state
+    def _attempts(self, job: Job) -> int:
+        retries = job.retries if job.retries is not None else self.retries
+        return 1 + (retries or 0)
 
-    def _finish(self, job: Job, result: Any, graph: JobGraph,
-                results: Dict[str, Any]) -> None:
-        if job.expand is not None:
-            job.expand(result, graph, results)
+    def _delay(self, attempt: int) -> float:
+        return min(self.backoff * (2 ** (attempt - 1)), self.max_backoff)
+
+    def _preempt_requested(self) -> bool:
+        if not self.preemptible:
+            return False
+        from repro.snapshot import preempt
+        return preempt.requested()
+
+    def _preempted(self, job: Job, exc: Exception, wall_s: float,
+                   worker: Any, attempts: int) -> bool:
+        """Park the checkpoint of a preempted job body; False if *exc*
+        is an ordinary failure."""
+        if not self.preemptible:
+            return False
+        from repro.snapshot.preempt import Preempted
+        if not isinstance(exc, Preempted):
+            return False
+        self._save_preemption(job, exc.snapshot)
+        self._settle(job, "preempted", wall_s=wall_s, worker=worker,
+                     attempts=attempts, error=str(exc))
+        return True
 
 
 class FarmRunner(GraphRunner):
@@ -221,59 +345,96 @@ class FarmRunner(GraphRunner):
     def snapshot_key(job_key: str) -> str:
         return "snap/" + job_key
 
-    # -- execution ---------------------------------------------------------
-
-    def run(self, graph: JobGraph, strict: bool = True) -> Dict[str, Any]:
-        """Run every job; returns ``{job name: result}``.
-
-        With ``strict`` (default) raises :class:`CampaignError` after
-        the graph drains if anything failed; non-strict returns the
-        partial results.
-        """
-        self.report = RunReport()
-        results: Dict[str, Any] = {}
-        done: Dict[str, str] = {}          # name -> ok|failed|blocked
-        inflight: Dict[str, _Pending] = {}
-        retry_at: Dict[str, tuple] = {}    # name -> (when, attempts)
-        pool = (multiprocessing.Pool(processes=self.jobs)
-                if self.jobs > 1 else None)
+    @contextlib.contextmanager
+    def _executor(self) -> Iterator[None]:
+        self._retry_at: Dict[str, tuple] = {}  # name -> (when, _Pending)
+        self._pool = (multiprocessing.Pool(processes=self.jobs)
+                      if self.jobs > 1 else None)
         try:
-            while True:
-                progressed = self._schedule(graph, results, done,
-                                            inflight, retry_at, pool)
-                progressed |= self._collect(graph, results, done,
-                                            inflight, retry_at, pool)
-                remaining = [name for name in graph.order()
-                             if name not in done]
-                if not remaining and not inflight:
-                    break
-                if not progressed:
-                    if inflight or retry_at:
-                        time.sleep(0.003)
-                    elif self._preempt_requested():
-                        # drained: the rest of the campaign resumes from
-                        # the store (results + checkpoints) next run
-                        self._settle(graph, done, remaining, "deferred",
-                                     "campaign preempted")
-                        break
-                    else:
-                        # jobs remain but none can ever become ready
-                        self._settle(graph, done, remaining, "blocked",
-                                     "dependency never completed")
-                        break
+            yield
+        except BaseException:
+            if self._pool is not None:
+                self._pool.terminate()
+            raise
         finally:
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-        if strict and self.report.failures:
-            raise CampaignError(dict(self.report.failures))
-        return results
+            if self._pool is not None:
+                # drained: idle workers exit on close()'s sentinels, not
+                # on a SIGTERM that an inherited preemption handler
+                # (``farm run --preemptible``) would swallow
+                self._pool.close()
+                self._pool.join()
 
-    def _preempt_requested(self) -> bool:
-        if not self.preemptible:
-            return False
-        from repro.snapshot import preempt
-        return preempt.requested()
+    def _busy(self) -> Container[str]:
+        return self._inflight.keys() | self._retry_at.keys()
+
+    def _start(self, job: Job, args: tuple, kwargs: dict) -> None:
+        # the cache lookup happens here, in the parent
+        if job.key and self.store is not None and \
+                self.store.contains(job.key):
+            try:
+                result = self.store.get(job.key)
+            except StoreCorruption:
+                # a damaged entry must never poison a campaign: drop it
+                # and recompute
+                self.store.delete(job.key)
+            else:
+                self._settle(job, "ok", "hit", result)
+                return
+        self._launch(_Pending(job, args, kwargs))
+
+    def _launch(self, pending: _Pending) -> None:
+        job = pending.job
+        resume = self._resume_snapshot(job)
+        if self._pool is None:
+            self._run_inline(job, pending.args, pending.kwargs, resume)
+            return
+        pending.async_result = self._pool.apply_async(
+            _call_job, (job.fn, pending.args, pending.kwargs, resume))
+        self._inflight[job.name] = pending
+
+    def _poll(self) -> bool:
+        progressed = False
+        if self._preempt_requested():
+            self._retry_at.clear()  # deferred with the rest of the graph
+        now = time.time()
+        for name, (when, pending) in list(self._retry_at.items()):
+            if when <= now:
+                del self._retry_at[name]
+                self._launch(pending)
+                progressed = True
+        for name, pending in list(self._inflight.items()):
+            if not pending.async_result.ready():
+                continue
+            del self._inflight[name]
+            progressed = True
+            job = pending.job
+            try:
+                worker, wall, result = pending.async_result.get()
+            except Exception as exc:
+                if self._preempted(job, exc, 0.0, None, pending.attempts):
+                    continue
+                if pending.attempts < self._attempts(job):
+                    self._retry_at[name] = (
+                        time.time() + self._delay(pending.attempts),
+                        pending)
+                    pending.attempts += 1
+                else:
+                    self._settle(job, "failed", attempts=pending.attempts,
+                                 error="%s: %s" % (type(exc).__name__, exc))
+                continue
+            if job.key:
+                self._store_result(job, result)
+            self._settle(job, "ok", result=result, wall_s=wall,
+                         worker=worker, attempts=pending.attempts,
+                         icount=_job_icount(result))
+        return progressed
+
+    def _store_result(self, job: Job, result: Any) -> None:
+        if self.store is not None:
+            self.store.put(job.key, result, job.kind)
+            if self.preemptible:
+                # the job settled: its resume checkpoint is garbage now
+                self.store.delete(self.snapshot_key(job.key))
 
     def _resume_snapshot(self, job: Job):
         """The parked checkpoint for *job*, if a prior run left one."""
@@ -290,148 +451,3 @@ class FarmRunner(GraphRunner):
     def _save_preemption(self, job: Job, snapshot) -> None:
         if job.key and self.store is not None:
             self.store.put(self.snapshot_key(job.key), snapshot, "snapshot")
-
-    def _schedule(self, graph, results, done, inflight, retry_at,
-                  pool) -> bool:
-        if self._preempt_requested():
-            return False  # draining: collect in-flight work only
-        progressed = False
-        now = time.time()
-        # resubmit due retries
-        for name in list(retry_at):
-            when, attempts = retry_at[name]
-            if when <= now:
-                del retry_at[name]
-                job = graph.jobs[name]
-                progressed |= self._launch(job, results, done, inflight,
-                                           pool, attempts, graph)
-        busy = inflight.keys() | retry_at.keys()
-        for job in self._ready(graph, done, busy):
-            # cache lookup happens at schedule time, in the parent
-            if job.key and self.store is not None and \
-                    self.store.contains(job.key):
-                try:
-                    result = self.store.get(job.key)
-                except StoreCorruption:
-                    # a damaged entry must never poison a campaign:
-                    # drop it and recompute
-                    self.store.delete(job.key)
-                else:
-                    results[job.name] = result
-                    done[job.name] = "ok"
-                    self._record(job, "ok", "hit", 0.0, None, 0)
-                    self._finish(job, result, graph, results)
-                    progressed = True
-                    continue
-            progressed |= self._launch(job, results, done, inflight, pool,
-                                       attempts=1, graph=graph)
-        return progressed
-
-    def _launch(self, job: Job, results, done, inflight, pool,
-                attempts: int, graph) -> bool:
-        args = resolve_refs(job.args, results)
-        kwargs = resolve_refs(job.kwargs, results)
-        resume = self._resume_snapshot(job)
-        if pool is None or job.local:
-            self._run_inline(job, args, kwargs, results, done, graph,
-                             attempts, resume)
-            return True
-        async_result = pool.apply_async(_call_job,
-                                        (job.fn, args, kwargs, resume))
-        inflight[job.name] = _Pending(job=job, async_result=async_result,
-                                      attempts=attempts,
-                                      submitted=time.time())
-        return True
-
-    def _run_inline(self, job: Job, args, kwargs, results, done, graph,
-                    attempts: int, resume=None) -> None:
-        max_attempts = 1 + (job.retries if job.retries is not None
-                            else self.retries)
-        error = ""
-        while attempts <= max_attempts:
-            if resume is not None:
-                from repro.snapshot import preempt
-                preempt.GLOBAL.take_resume()
-                preempt.set_resume(resume)
-            start = time.perf_counter()
-            try:
-                result = job.fn(*args, **kwargs)
-            except Exception as exc:
-                if self.preemptible:
-                    from repro.snapshot.preempt import Preempted
-                    if isinstance(exc, Preempted):
-                        self._save_preemption(job, exc.snapshot)
-                        done[job.name] = "preempted"
-                        self._record(job, "preempted",
-                                     "miss" if job.key else "none",
-                                     time.perf_counter() - start,
-                                     os.getpid(), attempts, str(exc))
-                        return
-                error = "%s: %s" % (type(exc).__name__, exc)
-                if attempts < max_attempts:
-                    time.sleep(self._delay(attempts))
-                attempts += 1
-                continue
-            wall = time.perf_counter() - start
-            self._complete(job, result, wall, os.getpid(), attempts,
-                           results, done, graph)
-            return
-        done[job.name] = "failed"
-        self._record(job, "failed", "miss" if job.key else "none", 0.0,
-                     os.getpid(), max_attempts, error)
-
-    def _collect(self, graph, results, done, inflight, retry_at,
-                 pool) -> bool:
-        progressed = False
-        for name in list(inflight):
-            pending = inflight[name]
-            if not pending.async_result.ready():
-                continue
-            del inflight[name]
-            progressed = True
-            job = pending.job
-            try:
-                worker, wall, result = pending.async_result.get()
-            except Exception as exc:
-                if self.preemptible:
-                    from repro.snapshot.preempt import Preempted
-                    if isinstance(exc, Preempted):
-                        self._save_preemption(job, exc.snapshot)
-                        done[name] = "preempted"
-                        self._record(job, "preempted",
-                                     "miss" if job.key else "none",
-                                     0.0, None, pending.attempts, str(exc))
-                        continue
-                error = "%s: %s" % (type(exc).__name__, exc)
-                max_attempts = 1 + (job.retries if job.retries is not None
-                                    else self.retries)
-                if pending.attempts < max_attempts:
-                    retry_at[name] = (
-                        time.time() + self._delay(pending.attempts),
-                        pending.attempts + 1,
-                    )
-                else:
-                    done[name] = "failed"
-                    self._record(job, "failed",
-                                 "miss" if job.key else "none",
-                                 0.0, None, pending.attempts, error)
-                continue
-            self._complete(job, result, wall, worker, pending.attempts,
-                           results, done, graph)
-        return progressed
-
-    def _delay(self, attempt: int) -> float:
-        return min(self.backoff * (2 ** (attempt - 1)), self.max_backoff)
-
-    def _complete(self, job: Job, result, wall: float, worker: int,
-                  attempts: int, results, done, graph) -> None:
-        if job.key and self.store is not None:
-            self.store.put(job.key, result, job.kind)
-            if self.preemptible:
-                # the job settled: its resume checkpoint is garbage now
-                self.store.delete(self.snapshot_key(job.key))
-        results[job.name] = result
-        done[job.name] = "ok"
-        self._record(job, "ok", "miss" if job.key else "none", wall,
-                     worker, attempts, icount=_job_icount(result))
-        self._finish(job, result, graph, results)

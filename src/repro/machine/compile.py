@@ -689,42 +689,6 @@ def _assemble(gen: _Gen, signature: str, body: List[str],
     return "\n".join(lines) + "\n"
 
 
-def _generate_part(shape: tuple) -> Optional[str]:
-    """Emit the partial-execution variant: run exactly ``_stop`` steps.
-
-    Used for quantum spills (``_stop`` < n always, so the terminator is
-    never reached).  Every stop point is a retire boundary the scheduler
-    can observe, so dead-flag elimination is disabled — flags are
-    architecturally exact at each step.
-    """
-    ends_branch, ops, operands, offs = shape
-    n = len(ops)
-    if n < 2:
-        return None  # a 1-step block can never spill
-    prefix = _prefix_costs(ops)
-    gen = _Gen()
-    try:
-        for i in range(n - 1):
-            if i:
-                gen.emit("if _stop == %d:" % i)
-                gen.emit("regs.rip = (_base + %d) & %s"
-                         % (offs[i - 1], _MASK), 3)
-                gen.emit("thread.icount += %d" % i, 3)
-                gen.emit("thread.cycles += _cyd + %d" % prefix[i], 3)
-                gen.emit("return %d" % i, 3)
-            _emit_step(gen, i, ops[i], operands[i], offs[i],
-                       prefix[i + 1], False)
-    except _Unsupported:
-        return None
-    body = gen.lines
-    body.append("        regs.rip = (_base + %d) & %s"
-                % (offs[n - 2], _MASK))
-    body.append("        thread.icount += %d" % (n - 1))
-    body.append("        thread.cycles += _cyd + %d" % prefix[n - 1])
-    body.append("        return %d" % (n - 1))
-    return _assemble(gen, "def _cfn(cpu, thread, _base, _stop):", body)
-
-
 # -- compiled loops -------------------------------------------------------
 
 #: Most blocks one loop function may hold.
@@ -928,14 +892,9 @@ class BlockCompiler:
 
 
 def _build(shape: tuple) -> Optional[object]:
-    """Generate and compile the function for a block shape (plus its
-    spill variant) or for a loop shape."""
-    if shape[0] == "loop":
-        generated = _generate_loop(shape)
-        part_source = None
-    else:
-        generated = _generate(shape)
-        part_source = None if generated is None else _generate_part(shape)
+    """Generate and compile the function for a block or a loop shape."""
+    generated = (_generate_loop(shape) if shape[0] == "loop"
+                 else _generate(shape))
     if generated is None:
         return None
     source, meta = generated
@@ -953,12 +912,6 @@ def _build(shape: tuple) -> Optional[object]:
     fn.__px_source__ = source
     if shape[0] == "loop":
         fn.__px_loop__ = len(shape[1])    # member blocks
-    if part_source is not None:
-        part_ns = dict(namespace)
-        exec(compile(part_source, "<px-block-part>", "exec"), part_ns)
-        pfn = part_ns["_cfn"]
-        pfn.__px_source__ = part_source
-        fn.__px_part__ = pfn
     return fn
 
 

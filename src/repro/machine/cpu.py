@@ -154,8 +154,8 @@ class Block:
 
     __slots__ = (
         "entry", "steps", "n", "ends_branch", "ends_syscall", "ends_marker",
-        "pages", "ops", "hits", "compiled", "compiled_part", "loop",
-        "self_loop", "no_compile", "stamp",
+        "pages", "ops", "hits", "compiled", "loop", "self_loop",
+        "no_compile", "stamp",
     )
 
     def __init__(self, entry: int, steps: List[tuple], ends_branch: bool,
@@ -175,9 +175,6 @@ class Block:
         #: Compiled function (cpu, thread, base) -> instructions retired,
         #: or None while cold / after a codegen bailout.
         self.compiled: Optional[Callable] = None
-        #: Partial-execution variant for quantum spills: runs exactly
-        #: ``_stop`` < n steps with bit-exact state at every stop point.
-        self.compiled_part: Optional[Callable] = None
         #: Loop function (cpu, thread, base, budget) -> instructions
         #: retired, when this block heads a compiled loop of up to
         #: ``compile.LOOP_BLOCKS`` blocks on its page; ``self_loop`` is
@@ -253,16 +250,6 @@ class Cpu:
         self.dispatch_tier = tier
         instr_tools = getattr(self.machine, "instr_tools", None)
         self.fast_dispatch = tier != "slow" and not instr_tools
-
-    def invalidate_decode_cache(self) -> None:
-        """Drop every cached decode and superblock (full clear)."""
-        if self.block_cache:
-            self.block_invalidations += len(self.block_cache)
-        self.decode_cache.clear()
-        self.block_cache.clear()
-        self._decode_index.clear()
-        self._block_index.clear()
-        self._smc_dirty = True
 
     def _invalidate_code_page(self, page: int) -> None:
         """Drop cached decodes and superblocks touching one code page.
@@ -587,21 +574,12 @@ class Cpu:
                     and machine.slice_room(thread) >= n - remaining):
                 # Quantum expires mid-block: a branch can only be the
                 # final step, so any prefix is a valid straight-line
-                # run.  Hot blocks carry a compiled partial variant that
-                # runs exactly ``remaining`` steps (remaining < n here,
-                # so it never reaches the terminator); the trap/limit
-                # guard above ensures no PMU boundary falls inside the
-                # prefix, which never ends at a branch: no block entry.
+                # run, stepped here (remaining < n, so it never reaches
+                # the terminator); the trap/limit guard above ensures
+                # no PMU boundary falls inside the prefix, which never
+                # ends at a branch: no block entry.  Indexing (not
+                # slicing) avoids copying the trace on every spill.
                 thread.new_block = False
-                pfn = block.compiled_part
-                if pfn is not None and compile_ok:
-                    calls_delta += 1
-                    self._smc_dirty = False
-                    executed += pfn(self, thread, block.entry, remaining)
-                    self._smc_dirty = False
-                    continue
-                # Indexing (not slicing) avoids copying the trace on
-                # every spill.
                 steps = block.steps
                 before = thread.icount
                 self._smc_dirty = False
@@ -702,7 +680,6 @@ class Cpu:
             self.compiled_bailouts += 1
             return None
         block.compiled = fn
-        block.compiled_part = getattr(fn, "__px_part__", None)
         self.compiled_blocks += 1
         self._compile_loop(block)
         return fn

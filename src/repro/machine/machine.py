@@ -266,12 +266,6 @@ class Machine:
     def total_cycles(self) -> int:
         return sum(t.cycles for t in self.threads.values())
 
-    def max_thread_cycles(self) -> int:
-        """Wall-clock proxy: the longest-running thread's cycles."""
-        if not self.threads:
-            return 0
-        return max(t.cycles for t in self.threads.values())
-
     def runnable_tids(self) -> List[int]:
         # Inlined `t.runnable` — this runs once per scheduler pick.
         return [t.tid for t in self.threads.values()

@@ -334,9 +334,6 @@ class AddressSpace:
             prot = self._perms[page]
         yield run_start << PAGE_SHIFT, (prev + 1) << PAGE_SHIFT, prot
 
-    def total_mapped_bytes(self) -> int:
-        return len(self._pages) * PAGE_SIZE
-
     def find_free_range(self, length: int, start_hint: int = 0x7F0000000000) -> int:
         """Find an unmapped, page-aligned range of *length* bytes.
 

@@ -90,14 +90,6 @@ class PMU:
         thread.pmu_trap_at = thread.icount + threshold
         thread.pmu_handler = handler_address
 
-    def disarm(self, tid: int) -> None:
-        """Remove any armed overflow trap on a thread."""
-        from repro.machine.cpu import NO_TRAP
-
-        thread = self._thread(tid)
-        thread.pmu_trap_at = NO_TRAP
-        thread.pmu_handler = None
-
     def snapshot(self, tid: int) -> Dict[str, int]:
         """All counters of one thread, keyed by event name."""
         thread = self._thread(tid)

@@ -388,9 +388,6 @@ class FileDescriptorTable:
     def is_console_fd(self, fd: int) -> bool:
         return self._get(fd).is_console
 
-    def fd_flags(self, fd: int) -> int:
-        return self._get(fd).flags
-
     def fd_path(self, fd: int) -> str:
         """Path behind a descriptor (for sysstate extraction)."""
         return self._get(fd).path

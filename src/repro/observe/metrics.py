@@ -36,9 +36,6 @@ class Counter:
         self.name = name
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
 
 class Gauge:
     __slots__ = ("name", "value")

@@ -239,9 +239,6 @@ class Pinball:
                 return record
         raise KeyError("no thread %d in pinball" % tid)
 
-    def syscalls_for(self, tid: int) -> List[SyscallRecord]:
-        return [record for record in self.syscalls if record.tid == tid]
-
     def memory_bytes(self) -> int:
         return len(self.pages) * PAGE_SIZE
 

@@ -40,10 +40,6 @@ from repro.pinplay.pinball import Pinball, SyscallRecord
 MASK64 = (1 << 64) - 1
 
 
-class ReplayDivergence(Exception):
-    """The replayed execution no longer matches the recorded log."""
-
-
 @dataclass(frozen=True)
 class DivergenceInfo:
     """Where and how a replay first left the recorded execution.

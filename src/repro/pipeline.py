@@ -338,8 +338,10 @@ def run_campaign(selector: Selector, images: Dict[str, bytes],
     Independent per-app jobs fan out across the runner's workers; with
     a *store* every completed keyed job is memoized, so re-running the
     same campaign is a warm, logger/converter-free pass.  *runner*
-    (a :class:`FarmRunner` or a ``ServiceCampaignRunner``) overrides
-    the ``FarmRunner(store, jobs, manifest_path)`` built by default.
+    (any :class:`GraphRunner`: a :class:`FarmRunner`, or a
+    ``ServiceCampaignRunner`` executing through the service under the
+    same campaign loop) overrides the ``FarmRunner(store, jobs,
+    manifest_path)`` built by default.
     *params* go to :func:`add_region_jobs`.
 
     With *preemptible*, a requested preemption (SIGTERM under

@@ -1,27 +1,26 @@
 """Drive a farm job graph through the checkpoint service.
 
-:class:`ServiceCampaignRunner` is the networked sibling of
-:class:`repro.farm.runner.FarmRunner`, and keeps its exact semantics:
+:class:`ServiceCampaignRunner` is the networked executor under the
+campaign loop of :class:`repro.farm.runner.GraphRunner`, which the
+local :class:`repro.farm.runner.FarmRunner` shares:
 
 - the **DAG stays in the client**: dependency tracking, ``Ref``
   resolution (including ``select`` lambdas, which are not picklable and
-  never cross the wire), ``local`` jobs, and ``expand`` callbacks all
-  run here — the server only ever sees flat, self-contained jobs;
+  never cross the wire), ``local`` jobs, ``expand`` callbacks and the
+  manifest record are the shared loop's, so downstream tooling cannot
+  tell the paths apart — the server only ever sees flat,
+  self-contained jobs;
 - resolved arguments ship with the submit, results come back through
   the content-addressed store, so a job's bytes-in/bytes-out are
   identical to the multiprocessing path — which is what makes service
   campaigns **bit-identical** to ``farm run``;
 - memoization is server-side (``status: "cached"``) against the shared
   store, plus in-flight dedup: two clients racing the same campaign
-  share single executions and both fetch the same artifacts;
-- every terminal state appends the same manifest record
-  ``farm run`` writes, so downstream tooling cannot tell the paths
-  apart.
+  share single executions and both fetch the same artifacts.
 
-Failures follow the server's retry policy (lease expiry re-queues, N
-retries, then ``failed``).  The readiness rule, ``blocked``
-propagation and the manifest writer are the local runner's own,
-inherited from :class:`repro.farm.runner.GraphRunner`.
+Remote failures follow the server's retry policy (lease expiry
+re-queues, N retries, then ``failed``); ``local`` jobs get one attempt
+unless *retries* says otherwise.
 """
 
 from __future__ import annotations
@@ -30,14 +29,9 @@ import os
 import time
 from typing import Any, Dict, Optional, Sequence
 
-from repro.farm.jobs import Job, JobGraph, resolve_refs
+from repro.farm.jobs import Job
 from repro.farm.manifest import RunManifest
-from repro.farm.runner import (
-    CampaignError,
-    GraphRunner,
-    RunReport,
-    _job_icount,
-)
+from repro.farm.runner import GraphRunner, RunReport
 from repro.service.client import ServiceClient, ServiceError
 
 #: How long one ``wait`` long-poll blocks server-side.
@@ -59,129 +53,61 @@ class ServiceCampaignRunner(GraphRunner):
         self.retries = retries
         self.report = RunReport()
 
-    def run(self, graph: JobGraph, strict: bool = True) -> Dict[str, Any]:
-        """Run every job via the service; returns ``{name: result}``."""
-        self.report = RunReport()
-        results: Dict[str, Any] = {}
-        done: Dict[str, str] = {}      # name -> ok|failed|blocked
-        inflight: Dict[str, dict] = {}  # name -> {job_id, result_key}
-        while True:
-            progressed = self._schedule(graph, results, done, inflight)
-            progressed |= self._collect(graph, results, done, inflight)
-            remaining = [name for name in graph.order() if name not in done]
-            if not remaining and not inflight:
-                break
-            if not progressed and not inflight:
-                # jobs remain but none can ever become ready
-                self._settle(graph, done, remaining, "blocked",
-                             "dependency never completed")
-                break
-        if strict and self.report.failures:
-            raise CampaignError(dict(self.report.failures))
-        return results
-
     def _result_key(self, job: Job) -> str:
         # keyless jobs still need a store slot for the wire round trip;
         # scope it to this run so concurrent campaigns cannot collide
         return job.key or "svc/%s/%s" % (self.run_id, job.name)
 
-    def _schedule(self, graph: JobGraph, results: Dict[str, Any],
-                  done: Dict[str, str], inflight: Dict[str, dict]) -> bool:
-        progressed = False
-        for job in self._ready(graph, done, inflight):
-            args = resolve_refs(job.args, results)
-            kwargs = resolve_refs(job.kwargs, results)
-            if job.local:
-                self._run_local(job, args, kwargs, results, done, graph)
-                progressed = True
-                continue
-            submit = dict(
-                name=job.name, fn=job.fn, args=args, kwargs=kwargs,
-                key=job.key, result_key=self._result_key(job),
-                kind=job.kind, stage=job.stage, priority=self.priority,
-                retries=job.retries if job.retries is not None
-                else self.retries)
-            response = self.client.submit(**submit)
-            if response["status"] == "cached":
-                if self._serve_cached(job, results, done, graph):
-                    progressed = True
-                    continue
-                # corrupt cache entry: force a recompute
+    def _start(self, job: Job, args: tuple, kwargs: dict) -> None:
+        submit = dict(
+            name=job.name, fn=job.fn, args=args, kwargs=kwargs,
+            key=job.key, result_key=self._result_key(job),
+            kind=job.kind, stage=job.stage, priority=self.priority,
+            retries=job.retries if job.retries is not None
+            else self.retries)
+        response = self.client.submit(**submit)
+        if response["status"] == "cached":
+            try:
+                result = self.client.get_artifact(job.key)
+            except ServiceError:
+                # a damaged entry must never poison a campaign: recompute
                 response = self.client.submit(force=True, **submit)
-            inflight[job.name] = {
-                "job_id": response["job"]["job_id"],
-                "result_key": self._result_key(job),
-                "duplicate": response["status"] == "duplicate",
-            }
-            progressed = True
-        return progressed
+            else:
+                self._settle(job, "ok", "hit", result)
+                return
+        self._inflight[job.name] = (response["job"]["job_id"],
+                                    response["status"] == "duplicate")
 
-    def _serve_cached(self, job: Job, results: Dict[str, Any],
-                      done: Dict[str, str], graph: JobGraph) -> bool:
-        try:
-            result = self.client.get_artifact(job.key)
-        except ServiceError:
-            return False  # damaged entry must never poison a campaign
-        results[job.name] = result
-        done[job.name] = "ok"
-        self._record(job, "ok", "hit", 0.0, None, 0)
-        self._finish(job, result, graph, results)
-        return True
-
-    def _run_local(self, job: Job, args: tuple, kwargs: dict,
-                   results: Dict[str, Any], done: Dict[str, str],
-                   graph: JobGraph) -> None:
-        start = time.perf_counter()
-        try:
-            result = job.fn(*args, **kwargs)
-        except Exception as exc:
-            done[job.name] = "failed"
-            self._record(job, "failed", "miss" if job.key else "none",
-                         0.0, os.getpid(), 1,
-                         "%s: %s" % (type(exc).__name__, exc))
-            return
-        wall = time.perf_counter() - start
-        if job.key:
-            self.client.put_artifact(job.key, result, job.kind)
-        results[job.name] = result
-        done[job.name] = "ok"
-        self._record(job, "ok", "miss" if job.key else "none", wall,
-                     os.getpid(), 1, icount=_job_icount(result))
-        self._finish(job, result, graph, results)
-
-    def _collect(self, graph: JobGraph, results: Dict[str, Any],
-                 done: Dict[str, str], inflight: Dict[str, dict]) -> bool:
-        if not inflight:
+    def _poll(self) -> bool:
+        if not self._inflight:
             return False
         states = self.client.wait(
-            [entry["job_id"] for entry in inflight.values()],
+            [job_id for job_id, _ in self._inflight.values()],
             timeout_s=_WAIT_SLICE_S)
         progressed = False
-        for name in list(inflight):
-            entry = inflight[name]
-            view = states.get(entry["job_id"])
+        for name, (job_id, duplicate) in list(self._inflight.items()):
+            view = states.get(job_id)
             if view is None or view["state"] in ("queued", "leased"):
                 continue
-            del inflight[name]
+            del self._inflight[name]
             progressed = True
-            job = graph.jobs[name]
-            cache = "miss" if job.key else "none"
-            if entry["duplicate"]:
-                cache = "hit" if job.key else cache
+            job = self._graph.jobs[name]
+            # a duplicate shared another client's execution of a key
+            cache = "hit" if duplicate and job.key else ""
+            ran = dict(wall_s=view.get("wall_s", 0.0),
+                       worker=view.get("worker"),
+                       attempts=view.get("attempts", 1))
             if view["state"] == "ok":
-                result = self.client.get_artifact(entry["result_key"])
-                results[name] = result
-                done[name] = "ok"
-                self._record(job, "ok", cache, view.get("wall_s", 0.0),
-                             view.get("worker"), view.get("attempts", 1),
-                             icount=view.get("icount"))
-                self._finish(job, result, graph, results)
+                result = self.client.get_artifact(self._result_key(job))
+                self._settle(job, "ok", cache, result,
+                             icount=view.get("icount"), **ran)
             else:
-                done[name] = "failed"
-                self._record(job, "failed", cache, view.get("wall_s", 0.0),
-                             view.get("worker"), view.get("attempts", 1),
-                             view.get("error") or view["state"])
+                self._settle(job, "failed", cache,
+                             error=view.get("error") or view["state"], **ran)
         return progressed
+
+    def _store_result(self, job: Job, result: Any) -> None:
+        self.client.put_artifact(job.key, result, job.kind)
 
 
 def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,

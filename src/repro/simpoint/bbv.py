@@ -121,10 +121,6 @@ class BBVProfile:
             return 0.0
         return self.slice_cycles[index] / self.slice_icounts[index]
 
-    def slice_start(self, index: int) -> int:
-        """Global instruction count where a slice begins."""
-        return index * self.slice_size
-
 
 def collect_bbv(image: bytes, slice_size: int, seed: int = 0,
                 fs: Optional[FileSystem] = None,

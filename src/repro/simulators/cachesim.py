@@ -59,13 +59,6 @@ class Cache:
             ways.pop(0)
         return cycles
 
-    def invalidate_all(self) -> None:
-        self._ways = [[] for _ in range(self.sets)]
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def footprint_bytes(self) -> int:
         """Bytes of distinct lines that passed through this cache."""
         return len(self.touched) * LINE_SIZE
@@ -101,10 +94,6 @@ class Tlb:
         if len(self._lru) > self.entries:
             self._lru.pop(0)
         return self.miss_penalty
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
 
 @dataclass

@@ -656,8 +656,8 @@ def test_block_cache_lru_eviction_under_tiny_cap():
 
 def test_self_loop_blocks_compile_to_spinning_functions():
     """A block whose taken edge targets its own entry compiles to a
-    generated function that spins internally; budget spills run the
-    compiled partial variant.  Both must stay bit-identical to the
+    generated function that spins internally; budget spills step the
+    interpreted prefix.  Both must stay bit-identical to the
     per-instruction loop."""
     image = build_executable(
         """
@@ -681,12 +681,11 @@ def test_self_loop_blocks_compile_to_spinning_functions():
     blocks = list(cpu.block_cache.values())
     assert any(b.compiled is not None and b.self_loop is not None
                and b.loop is b.self_loop for b in blocks)
-    assert any(b.compiled_part is not None for b in blocks)
     reference = _arch_state(*_run(image, tier="slow"))
     assert _arch_state(machine, status) == reference
 
-    # A budget that ends inside a block spills through the partial
-    # variant at every stop.
+    # A budget that ends inside a block spills through the interpreted
+    # prefix at every stop.
     stepped = Machine(seed=0)
     load_elf(stepped, image)
     stepped.cpu.set_dispatch("compiled")
