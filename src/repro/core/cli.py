@@ -401,20 +401,32 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
         store = open_store(args.store)
     images = _campaign_images(args)
     validations = _campaign_validations(args)
-    runner = None
-    if args.preemptible:
-        from repro.snapshot import preempt
+    if not args.preemptible:
+        return _farm_campaign(args, store, images, validations, None)
+    from repro.snapshot import preempt
 
-        preempt.reset()
-        runner = FarmRunner(store, jobs=args.jobs,
-                            manifest_path=args.manifest, preemptible=True)
+    preempt.reset()
+    runner = FarmRunner(store, jobs=args.jobs,
+                        manifest_path=args.manifest, preemptible=True)
 
-        def _drain(signum, frame):
-            sys.stderr.write("SIGTERM: draining — checkpointing the "
-                             "in-flight job\n")
-            preempt.request()
+    def _drain(signum, frame):
+        sys.stderr.write("SIGTERM: draining — checkpointing the "
+                         "in-flight job\n")
+        preempt.request()
 
-        signal.signal(signal.SIGTERM, _drain)
+    # The handler is process-wide, and pool workers forked later in
+    # this process would inherit it: restore the previous one after.
+    previous = signal.signal(signal.SIGTERM, _drain)
+    try:
+        return _farm_campaign(args, store, images, validations, runner)
+    finally:
+        signal.signal(signal.SIGTERM,
+                      signal.SIG_DFL if previous is None else previous)
+
+
+def _farm_campaign(args: argparse.Namespace, store, images: dict,
+                   validations: list, runner) -> int:
+    """Run ``farm run``'s campaign and report it (exit code)."""
     common = dict(
         jobs=args.jobs,
         manifest_path=args.manifest,

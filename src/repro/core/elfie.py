@@ -38,15 +38,16 @@ class _RoiWatcher(Tool):
     its first block entry at a captured ``.tN.start`` address (the
     target of the startup's final jump).  Neither hook needs
     per-instruction callbacks, so the run stays on the fast path.  The
-    block hook is attached only when *roi_rips* is non-empty; it keeps
-    the first entry only, so it merges re-entries and compiled
-    self-loops keep spinning under it, but multi-block compiled loops
-    run one block per dispatch while it is attached.
+    block hook is attached only when *roi_rips* is non-empty.  It keeps
+    the first entry only, and a thread's first entry at its
+    ``.tN.start`` is the startup's jump from another page, which the
+    dispatch header always reports, so compiled loops keep spinning
+    under it and their exits need no hook (``accepts_loop_exits``).
     """
 
     wants_instructions = False
     wants_markers = True
-    merges_reentries = True
+    accepts_loop_exits = True
 
     def __init__(self, roi_rips: Iterable[int]) -> None:
         self.roi_rips = set(roi_rips)

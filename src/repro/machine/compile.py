@@ -43,7 +43,9 @@ path permanently falls back to the interpreted trace for that block.
 A hot loop of up to ``LOOP_BLOCKS`` blocks compiles into one more
 function, :func:`_generate_loop`: the member bodies, emitted exactly as
 above, sit in a state dispatch that moves between them without
-returning to the fast path's dispatch header.
+returning to the fast path's dispatch header.  At every exit it can
+report the completed runs per member, so block tools that accept loop
+exits see a whole spin in one call.
 """
 
 from __future__ import annotations
@@ -743,16 +745,23 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
 
     *shape* is ``("loop", ((rel, block_shape), ...))``: member blocks by
     entry offset from the head (member 0, offset 0).  The function
-    ``_cfn(cpu, thread, _base, _budget)`` runs the head, then moves
-    between members through a ``while True`` state dispatch (``_s``)
-    until an edge leaves the loop, the next member would not fit in
-    the remaining ``_budget`` instructions, an SMC store breaks it, or
-    a step faults.  Every exit flushes what the per-block loop would
-    have accrued: icount, static and cache-charged cycles, one branch
-    per completed member, and ``new_block`` (false only after an SMC
-    break, which stops between two steps of one block).  Completed
+    ``_cfn(cpu, thread, _base, _budget, _exit)`` runs the head, then
+    moves between members through a ``while True`` state dispatch
+    (``_s``) until an edge leaves the loop, the next member would not
+    fit in the remaining ``_budget`` instructions, an SMC store breaks
+    it, or a step faults.  Every exit flushes what the per-block loop
+    would have accrued: icount, static and cache-charged cycles, one
+    branch per completed member, and ``new_block`` (false only after an
+    SMC break, which stops between two steps of one block).  Completed
     members are counted per member except the head, whose count
     follows from the retired total.
+
+    Unless ``_exit`` is None, every exit (the fault path before it
+    re-raises) also calls ``_exit(thread, _base, members, counts, stop,
+    partial)``: *members* holds each member's ``(offset, size)``,
+    *counts* its completed runs, and *stop* the member the spin ended
+    in -- the one a break or fault stopped *partial* steps into, else
+    the last one completed (*partial* 0).
     """
     _, loop = shape
     members = {rel: index for index, (rel, _) in enumerate(loop)}
@@ -792,6 +801,11 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
         return None
 
     counted = range(1, len(loop))
+    report = ("if _exit is not None: "
+              "_exit(thread, _base, %r, (%s,), %s, _pi)" % (
+                  tuple((rel, size) for (rel, _), size in zip(loop, sizes)),
+                  ", ".join("_c%d" % i for i in range(len(loop))),
+                  "_s" if multi else "0"))
     flush = [
         "_n = _budget - _room",
         "_c0 = (_n%s) // %d" % ("".join(
@@ -801,6 +815,7 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
             "%d * _c%d" % (totals[i], i) for i in range(len(loop))),
         "thread.branches += %s" % " + ".join(
             "_c%d" % i for i in range(len(loop))),
+        report,
     ]
     init = ["    _room = _budget", "    _pi = 0", "    _pk = 0"]
     if multi:
@@ -812,7 +827,7 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
     tail.append("    thread.new_block = not _pi")
     tail.append("    return _n + _pi")
     body = ["        while True:"] + gen.lines
-    source = _assemble(gen, "def _cfn(cpu, thread, _base, _budget):",
+    source = _assemble(gen, "def _cfn(cpu, thread, _base, _budget, _exit):",
                        body, init, fault, tail)
     return source, tuple(meta)
 

@@ -154,8 +154,8 @@ class Block:
 
     __slots__ = (
         "entry", "steps", "n", "ends_branch", "ends_syscall", "ends_marker",
-        "pages", "ops", "hits", "compiled", "loop", "self_loop",
-        "no_compile", "stamp",
+        "pages", "ops", "hits", "compiled", "loop", "no_compile",
+        "stamp",
     )
 
     def __init__(self, entry: int, steps: List[tuple], ends_branch: bool,
@@ -175,13 +175,11 @@ class Block:
         #: Compiled function (cpu, thread, base) -> instructions retired,
         #: or None while cold / after a codegen bailout.
         self.compiled: Optional[Callable] = None
-        #: Loop function (cpu, thread, base, budget) -> instructions
-        #: retired, when this block heads a compiled loop of up to
-        #: ``compile.LOOP_BLOCKS`` blocks on its page; ``self_loop`` is
-        #: the one-block loop of a block whose taken edge targets its
-        #: own entry (the same function when that is the whole loop).
+        #: Loop function (cpu, thread, base, budget, exit hook) ->
+        #: instructions retired, when this block heads a compiled loop
+        #: of up to ``compile.LOOP_BLOCKS`` blocks on its page (one, if
+        #: its taken edge targets its own entry).
         self.loop: Optional[Callable] = None
-        self.self_loop: Optional[Callable] = None
         self.no_compile = False
         #: LRU stamp, bumped on every dispatch-header hit.
         self.stamp = 0
@@ -441,9 +439,9 @@ class Cpu:
 
         With *extend* (the machine's run loop sets it for a lone
         runnable thread in free-run) the fast path does not return at
-        the end of the slice: it asks the machine for the next one
-        (:meth:`Machine.extend_slice`) and keeps going.  The slow path
-        ignores it and returns once per slice.
+        the end of the slice: if :meth:`Machine.slice_room` allows, it
+        commits the next one (:meth:`Machine.next_slices`) and keeps
+        going.  The slow path ignores it and returns once per slice.
         """
         if self.fast_dispatch:
             executed = self._run_fast(thread, quantum, extend)
@@ -476,29 +474,35 @@ class Cpu:
         the block tools' hooks, then looks the block up in
         ``block_cache``.  Hot blocks run as compiled functions, and a
         hot block that heads a compiled loop spins inside it, moving
-        between member blocks without returning here, unless block
-        tools are attached: they must see every block entry, except
-        that tools merging re-entries still let self-loops spin.
+        between member blocks without returning here: freely without
+        block tools, and from a reported head entry when every block
+        tool accepts loop exits (each spin then reaches them as one
+        ``Machine.on_loop_exit`` call).  Other block tools must see
+        every block entry, so loops do not spin under them.
 
         With *extend*, a slice end is not a return: at a block boundary
         the machine picks the next slice in place, and a block that
         straddles the boundary (or a loop spinning across several)
         runs whole, after which the picks for the boundaries it crossed
-        are committed (a fault inside it commits those before the
-        faulting instruction; see ``Machine.run``).  Straddles stay on
-        the spill path for syscall blocks (the kernel and syscall tools
-        must see the scheduler after the pick) and under memory tools
-        (which may stop the run mid-block).
+        are committed in one batch (a fault inside it commits those
+        before the faulting instruction; see ``Machine.run``).
+        Straddles stay on the spill path for syscall blocks (the kernel
+        and syscall tools must see the scheduler after the pick) and
+        under memory tools (which may stop the run mid-block).
         """
         machine = self.machine
         regs = thread.regs
         bcache = self.block_cache
         block_tools = machine.block_tools
         # Compiled loops spin only where no block tool would miss an
-        # entry: freely without block tools, and as self-loops from a
-        # reported entry when every block tool merges re-entries.
+        # entry: freely without block tools, and from a reported head
+        # entry, reporting the spin, when every block tool accepts
+        # loop exits.
         loop_ok = not block_tools
-        merge_ok = all(tool.merges_reentries for tool in block_tools)
+        exits = None
+        if block_tools and all(tool.accepts_loop_exits
+                               for tool in block_tools):
+            exits = machine.on_loop_exit
         # Generated code calls mem.read/write directly, bypassing the
         # cpu-level memory hooks, so memory tools keep every block on
         # the interpreted block loop.
@@ -511,12 +515,9 @@ class Cpu:
 
         while True:
             if executed >= quantum:
-                if not extend:
+                if not extend or machine.slice_room(thread) <= 0:
                     break
-                more = machine.extend_slice(thread)
-                if not more:
-                    break
-                quantum += more
+                quantum += machine.next_slices(1)
             if (self.stop_flag is not None or not thread.alive
                     or thread.blocked):
                 break
@@ -553,7 +554,7 @@ class Cpu:
                     # retires before the stop lands, as on the slow path.
                     executed += self._run_slow(thread, 1)
                     break
-                spin = merge_ok
+                spin = exits is not None
 
             # Distance to the nearer of an armed PMU trap and the icount
             # limit; no block may run across either.
@@ -603,8 +604,7 @@ class Cpu:
             self._smc_dirty = False
             if fn is not None and compile_ok:
                 calls_delta += 1
-                loop = (block.loop if loop_ok
-                        else block.self_loop if spin else None)
+                loop = block.loop if spin else None
                 if loop is not None:
                     # Spin inside the generated loop for as many member
                     # blocks as fit the budget: the slice remainder --
@@ -619,9 +619,9 @@ class Cpu:
                         budget += machine.slice_room(thread)
                     if budget > cap:
                         budget = cap
-                    executed += loop(self, thread, pc, budget)
-                    while quantum < executed:
-                        quantum += machine.next_slice()
+                    executed += loop(self, thread, pc, budget, exits)
+                    if quantum < executed:
+                        quantum += machine.next_slices(executed - quantum)
                     continue
                 ran = fn(self, thread, block.entry)
             else:
@@ -635,10 +635,10 @@ class Cpu:
                         break
                 ran = thread.icount - before
             executed += ran
-            while quantum < executed:
-                # The block (or loop) ran across the slice end: commit
-                # the pick(s) the run loop would have made there.
-                quantum += machine.next_slice()
+            if quantum < executed:
+                # The block ran across the slice end: commit the
+                # pick(s) the run loop would have made there.
+                quantum += machine.next_slices(executed - quantum)
             if ran != n:
                 # The block was invalidated under our feet (self-
                 # modifying code) and stopped at a step boundary; the
@@ -685,7 +685,7 @@ class Cpu:
         return fn
 
     def _compile_loop(self, head: Block) -> None:
-        """Attach the loop functions of a hot block that heads a loop.
+        """Attach the loop function of a hot block that heads a loop.
 
         The loop is the set of cached blocks on *head*'s page that lie
         on a cycle through it, following the static edges of blocks
@@ -724,14 +724,13 @@ class Cpu:
                         and not inside.isdisjoint(edges[block.entry])):
                     inside.add(block.entry)
                     grew = True
-        if head.entry in edges[head.entry]:
-            head.self_loop = head.loop = COMPILER.compile_loop([head])
         if 1 < len(inside) <= LOOP_BLOCKS:
             members = sorted((block for block in reached
                               if block.entry in inside and block is not head),
                              key=lambda block: block.entry)
-            head.loop = (COMPILER.compile_loop([head] + members)
-                         or head.self_loop)
+            head.loop = COMPILER.compile_loop([head] + members)
+        if head.loop is None and head.entry in edges[head.entry]:
+            head.loop = COMPILER.compile_loop([head])
 
     def _run_slow(self, thread: "Thread", quantum: int) -> int:
         """Exact per-instruction interpretation (tools, PMU, faults)."""

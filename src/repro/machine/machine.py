@@ -107,7 +107,7 @@ class Machine:
         #: Global retired-instruction counter across all threads.
         self.executed_total = 0
         # The slice in flight and its bounds in the thread's icount,
-        # plus run()'s budget (see extend_slice).
+        # plus run()'s budget (see next_slices).
         self._slice: Optional[ScheduleSlice] = None
         self._slice_start = 0
         self._slice_end = 0
@@ -229,6 +229,14 @@ class Machine:
         for tool in self.marker_tools:
             tool.on_marker(self, thread)
 
+    def on_loop_exit(self, thread: Thread, pc: int, members, counts,
+                     stop: int, partial: int) -> None:
+        """A compiled loop at *pc* stopped spinning: dispatch the block
+        tools (all of which accept loop exits; see ``Tool``)."""
+        for tool in self.block_tools:
+            tool.on_loop_exit(self, thread, pc, members, counts, stop,
+                              partial)
+
     def on_icount_limit(self, thread: Thread) -> None:
         """A thread reached its ``icount_limit`` exactly.
 
@@ -331,15 +339,15 @@ class Machine:
             self._extended = 0
             self._retooled = False
             # A lone runnable thread in free-run may take its following
-            # slices without leaving the fast loop (extend_slice).
+            # slices without leaving the fast loop (next_slices).
             extend = len(runnable) == 1 and not self.scheduler.replaying
             try:
                 executed = self.cpu.run_thread(thread, quantum, extend)
             except (PageFault, CpuFault) as exc:
                 # Commit the picks for every slice end the faulting
                 # block ran across, as the per-slice loop would have.
-                while extend and self._slice_end <= thread.icount:
-                    self.next_slice()
+                if extend and self._slice_end <= thread.icount:
+                    self.next_slices(thread.icount - self._slice_end + 1)
                 self._count_slices()
                 if isinstance(exc, PageFault):
                     self.deliver_fault(thread, SIGSEGV, str(exc),
@@ -408,33 +416,29 @@ class Machine:
         return budget - (self.executed_total + self._slice_end
                          - self._slice_start)
 
-    def next_slice(self) -> int:
-        """Close the current slice at its end and pick the next one for
-        the same thread, exactly as the run loop would; returns its
-        (budget-clamped) quantum.
+    def next_slices(self, need: int) -> int:
+        """Close the current slice at its end and pick the same thread's
+        next slices, exactly as the run loop would, until at least
+        *need* more instructions are allotted; returns how many were
+        (each pick budget-clamped).
 
-        The caller has checked :meth:`slice_room`.  The pick is the
-        real :meth:`Scheduler.pick`, so the RNG draw and the recorded
-        slice are those of the per-slice loop.
+        The caller has checked :meth:`slice_room` covers *need*.  The
+        picks are :meth:`Scheduler.extend`'s, which draws them as
+        :meth:`Scheduler.pick` would, one by one: the RNG stream and the
+        recorded slices are those of the per-slice loop.
         """
         self.executed_total += self._slice_end - self._slice_start
-        self._slice_start = self._slice_end
-        slice_ = self._slice = self.scheduler.pick((self._slice.tid,))
-        quantum = slice_.quantum
         budget = self._budget
-        if budget is not None and budget - self.executed_total < quantum:
-            quantum = budget - self.executed_total
-        self._slice_end += quantum
-        self._extended += 1
-        return quantum
-
-    def extend_slice(self, thread: Thread) -> int:
-        """*thread*'s slice just ended on the fast path: pick its next
-        slice in place if the run loop would, returning the new quantum
-        (0 when the thread must return to the run loop)."""
-        if self.slice_room(thread) > 0:
-            return self.next_slice()
-        return 0
+        room = NO_TRAP if budget is None else budget - self.executed_total
+        slice_, allotted, last, picks = self.scheduler.extend(
+            self._slice.tid, need, room)
+        self._slice = slice_
+        # Every pick but the last is closed already.
+        self.executed_total += allotted - last
+        self._slice_start = self._slice_end + allotted - last
+        self._slice_end += allotted
+        self._extended += picks
+        return allotted
 
     def _count_slices(self) -> None:
         obs = hooks.OBS

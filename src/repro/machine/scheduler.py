@@ -157,6 +157,46 @@ class Scheduler:
             self._picked = -1
         return entry
 
+    def extend(self, tid: int, need: int, room: int
+               ) -> Tuple[ScheduleSlice, int, int, int]:
+        """Pick lone thread *tid*'s next slices until they allot at
+        least *need* instructions, each allotment clamped to what is
+        left of *room*.
+
+        Returns ``(last slice, allotted, last allotment, picks)``.  The
+        picks, their RNG draws and their trace entries are those of as
+        many :meth:`pick` calls; the jittered quanta are drawn back to
+        back, unless a parked remainder, a replay log, an overridden
+        :meth:`choose` or an unjittered quantum needs :meth:`pick`.
+        """
+        spread = int(self.base_quantum * self.jitter)
+        randbelow = self._randbelow
+        batch = (self._replay_pending is None and self._replay_log is None
+                 and type(self).choose is Scheduler.choose
+                 and spread and randbelow is not None)
+        low = self.base_quantum - spread
+        width = 2 * spread + 1
+        record = self.record
+        trace = self.trace
+        tids = (tid,)
+        allotted = picks = 0
+        while allotted < need:
+            if batch:
+                quantum = low + randbelow(width)
+                if record:
+                    trace.append(intern_slice(tid, quantum))
+            else:
+                quantum = self.pick(tids).quantum
+            last = room - allotted
+            if quantum < last:
+                last = quantum
+            allotted += last
+            picks += 1
+        if batch:
+            self._next_index = tid + 1
+            self._picked = len(trace) - 1 if record else -1
+        return intern_slice(tid, quantum), allotted, last, picks
+
     def choose(self, tids: List[int]) -> ScheduleSlice:
         """The free-run pick among the sorted *tids*: round-robin, with
         a jittered quantum.  Subclasses override this, not :meth:`pick`,

@@ -13,7 +13,7 @@ reproduction's analog of Pin's dynamic-instrumentation overhead
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.isa.instructions import Instruction
@@ -33,14 +33,14 @@ class Tool:
     compiler turned into one generated function (up to
     ``compile.LOOP_BLOCKS`` blocks on one page, spinning without a
     return to the dispatch header) run only while no block tool is
-    attached.  The one exception is ``merges_reentries``: when every
-    attached block tool sets it, a block whose taken edge targets its
-    own entry keeps spinning in its self-loop function once the tools
-    have seen the entry, so its repeated entries reach them merged into
-    that one call.  Set it only if such a run of entries is equivalent
-    for the tool to one entry followed by the run's instructions (the
-    BBV counter attributes icount deltas lazily; the ROI watcher keeps
-    the first entry), and never request a stop from a merged hook.
+    attached, unless every attached block tool sets
+    ``accepts_loop_exits``.  Then a loop whose head entry the tools
+    have just seen keeps spinning, and the entries of its members
+    reach the tools as one ``on_loop_exit`` call per spin instead.
+    Set it only if that call is equivalent for the tool to the entries
+    it replaces (the BBV counter adds the members' instructions; the
+    ROI watcher's first entries never fall inside a spin), and never
+    request a stop from it.
     Marker tools (``wants_markers``) run on both
     dispatch tiers: superblocks end at MARKER, so compiled and
     interpreted blocks return to the dispatch header right after one
@@ -57,9 +57,9 @@ class Tool:
     wants_blocks: bool = False
     #: Set true to receive MARKER-retired callbacks.
     wants_markers: bool = False
-    #: Set true if a block tool may see repeated entries of a self-loop
-    #: block merged into one ``on_basic_block`` call (see above).
-    merges_reentries: bool = False
+    #: Set true if a block tool may see a compiled loop's spin as one
+    #: ``on_loop_exit`` call instead of its member entries (see above).
+    accepts_loop_exits: bool = False
 
     def on_attach(self, machine: "Machine") -> None:
         """Called when the tool is attached to a machine."""
@@ -78,6 +78,23 @@ class Tool:
                        pc: int) -> None:
         """Called at each basic-block entry (after any taken branch and
         at thread start)."""
+
+    def on_loop_exit(self, machine: "Machine", thread: "Thread", pc: int,
+                     members: Tuple[Tuple[int, int], ...],
+                     counts: Tuple[int, ...], stop: int,
+                     partial: int) -> None:
+        """A compiled loop headed at *pc* stopped spinning (tools that
+        set ``accepts_loop_exits`` only).
+
+        The head's entry was reported by ``on_basic_block``; this call
+        stands for every member entry after it.  *members* holds each
+        member's ``(offset from pc, instruction count)``, head first,
+        and *counts* how many times each ran to completion.  The spin
+        ended in member *stop*: *partial* instructions into it after an
+        SMC break or a fault (a fault raises right after this call),
+        else (*partial* 0) just after completing it.  ``thread.icount``
+        covers the whole spin.
+        """
 
     def on_marker(self, machine: "Machine", thread: "Thread") -> None:
         """Called right after *thread* retires a MARKER instruction.

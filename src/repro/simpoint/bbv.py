@@ -40,10 +40,12 @@ class _BlockCounter(Tool):
     consecutive block entries of the same thread, which for a stable
     loop equals the static block length (the standard BBV weighting).
     A block-only tool: it needs no per-instruction callback, so BBV
-    profiling runs on the interpreter's superblock fast path.  Because
-    it attributes each delta lazily, at the next entry, a compiled
-    self-loop's merged re-entries sum to the same counts, so it lets
-    self-loops spin (``merges_reentries``).
+    profiling runs on the interpreter's superblock fast path, and it
+    accepts loop exits, so compiled loops keep spinning under it: each
+    spin adds ``count * size`` per member, and the member the spin
+    stopped in is the open block from where it was entered (*partial*
+    instructions back) -- the counts the member entries would have
+    summed to.
 
     Vector keys are module+offset-relative (block pc minus the module's
     text base), so a profile of the same module loaded at a different
@@ -52,7 +54,7 @@ class _BlockCounter(Tool):
 
     wants_instructions = False
     wants_blocks = True
-    merges_reentries = True
+    accepts_loop_exits = True
 
     def __init__(self, module_base: int = 0) -> None:
         self.module_base = module_base
@@ -70,6 +72,19 @@ class _BlockCounter(Tool):
                     self.current.get(previous, 0) + retired)
         self._open_block[tid] = pc - self.module_base
         self._open_icount[tid] = thread.icount
+
+    def on_loop_exit(self, machine, thread, pc, members, counts, stop,
+                     partial) -> None:
+        # The head's entry opened it; the counts include that run, so
+        # the spin replaces the open block instead of closing it.
+        base = pc - self.module_base
+        current = self.current
+        for (offset, size), count in zip(members, counts):
+            if count:
+                key = base + offset
+                current[key] = current.get(key, 0) + count * size
+        self._open_block[thread.tid] = base + members[stop][0]
+        self._open_icount[thread.tid] = thread.icount - partial
 
     def take(self, machine) -> Dict[int, int]:
         # Attribute the instructions retired in each still-open block to

@@ -679,8 +679,8 @@ def test_self_loop_blocks_compile_to_spinning_functions():
     cpu = machine.cpu
     assert cpu.compiled_calls > 0
     blocks = list(cpu.block_cache.values())
-    assert any(b.compiled is not None and b.self_loop is not None
-               and b.loop is b.self_loop for b in blocks)
+    assert any(b.compiled is not None and b.loop is not None
+               and b.loop.__px_loop__ == 1 for b in blocks)
     reference = _arch_state(*_run(image, tier="slow"))
     assert _arch_state(machine, status) == reference
 
@@ -1400,7 +1400,7 @@ def _loop_sizes(machine):
     return sorted(block.loop.__px_loop__
                   for block in machine.cpu.block_cache.values()
                   if block.loop is not None
-                  and block.loop is not block.self_loop)
+                  and block.loop.__px_loop__ > 1)
 
 
 def _compiles(machine):
@@ -1716,36 +1716,247 @@ spin:
 """ + _loop_body(_LOOP6, t5=401) + _EXIT_WITH_R15
 
 
+def _bbv_drive(image, counter, tier, slice_size=500, seed=1):
+    """BBV vectors of *image* taken every *slice_size* instructions."""
+    machine = Machine(seed=seed)
+    load_elf(machine, image)
+    machine.cpu.set_dispatch(tier)
+    machine.attach(counter)
+    vectors = []
+    index = 0
+    while True:
+        status = machine.run(max_instructions=(index + 1) * slice_size)
+        vectors.append(counter.take(machine))
+        index += 1
+        if status.kind != "stopped":
+            return machine, vectors
+
+
+class _PerEntry(_BlockCounter):
+    """The BBV counter without loop exits: every entry is dispatched."""
+
+    accepts_loop_exits = False
+
+
 def test_loop_bbv_matches_per_instruction_reference():
-    """Under the merge-safe BBV counter, self-loops keep spinning --
-    one nested in a larger compiled loop, and one first entered by
-    fall-through -- and multi-block loops run block by block; the
-    vectors equal the per-instruction oracle's at every slice stop."""
+    """Under the BBV counter compiled loops keep spinning -- a 3-block
+    loop whose head is a self-loop, a self-loop first entered by
+    fall-through, and a 6-block loop -- and the vectors equal the
+    per-instruction oracle's at every slice stop."""
     image = build_executable(_BBV_LOOPS)
-
-    def drive(counter, tier):
-        machine = Machine(seed=1)
-        load_elf(machine, image)
-        machine.cpu.set_dispatch(tier)
-        machine.attach(counter)
-        vectors = []
-        index = 0
-        while True:
-            status = machine.run(max_instructions=(index + 1) * 500)
-            vectors.append(counter.take(machine))
-            index += 1
-            if status.kind != "stopped":
-                return machine, vectors
-
-    class _Unmerged(_BlockCounter):
-        merges_reentries = False
-
-    _, expected = drive(_ReferenceBlockCounter(), "slow")
-    merged, got = drive(_BlockCounter(), "compiled")
+    _, expected = _bbv_drive(image, _ReferenceBlockCounter(), "slow")
+    spun, got = _bbv_drive(image, _BlockCounter(), "compiled")
     assert got == expected
-    unmerged, got = drive(_Unmerged(), "compiled")
+    per_entry, got = _bbv_drive(image, _PerEntry(), "compiled")
     assert got == expected
-    # Merging let both self-loops spin: the nested one saved two of
-    # its three dispatches per outer pass, the other almost all 300.
-    assert merged.cpu.compiled_calls + 700 < unmerged.cpu.compiled_calls
-    assert 3 in _loop_sizes(merged)
+    # The loops spun: the outer loop's 250 passes and the two
+    # self-loops' ~1,000 iterations took a few dozen calls.
+    assert 3 in _loop_sizes(spun) and 6 in _loop_sizes(spun)
+    assert 10 * spun.cpu.compiled_calls < per_entry.cpu.compiled_calls
+
+
+class _LoopExitLog(_BlockCounter):
+    """The BBV counter, logging each loop exit's member count, stop
+    member and partial steps."""
+
+    def __init__(self):
+        super().__init__()
+        self.exits = []
+
+    def on_loop_exit(self, machine, thread, pc, members, counts, stop,
+                     partial):
+        self.exits.append((len(members), stop, partial))
+        super().on_loop_exit(machine, thread, pc, members, counts, stop,
+                             partial)
+
+
+@pytest.mark.parametrize("slice_size", [97, 500, 4001])
+def test_loop_bbv_spins_capped_by_slice_boundaries(tier, slice_size):
+    """A 6-block loop spins under the BBV counter until each slice
+    boundary caps it; the vectors equal the per-instruction oracle's."""
+    image = build_executable(_loop_program(_LOOP6, t5=3001))
+    _, expected = _bbv_drive(image, _ReferenceBlockCounter(), "slow",
+                             slice_size)
+    counter = _LoopExitLog()
+    machine, got = _bbv_drive(image, counter, tier, slice_size)
+    assert got == expected
+    if _compiles(machine):
+        assert 6 in _loop_sizes(machine)
+        spins = [entry for entry in counter.exits if entry[0] == 6]
+        # ~45K instructions: one spin per slice, not one call per block.
+        assert len(spins) >= len(got) - 2
+        assert machine.cpu.compiled_calls < 4 * len(got) + 50
+
+
+#: LOOP_SMC_SOURCE with the store moved out of the head: on passes
+#: 8-15 and 24-31, ``fbody``'s ``st1`` stores 33 over the immediate of
+#: ``mov rbx, 11`` in the head ``floop`` (elsewhen, to ``scratch``).
+LOOP_SMC_BODY_SOURCE = SPIN_SMC_SOURCE.split("func:")[0] + """
+func:
+    mov rcx, 0
+    jmp floop
+floop:
+    add rcx, 1
+    mov rbx, 11
+    add rdx, rbx
+    jmp fbody
+fbody:
+    mov rdi, rcx
+    shr rdi, 3
+    and rdi, 1
+    imul rdi, r13
+    add rdi, r12
+    st1 [rdi], r15
+    cmp rcx, 40
+    jnz floop
+    ret
+func_end:
+    nop
+"""
+_LOOP_BODY_PATCH = (instruction_size(Op.MOV_RI) + instruction_size(Op.JMP)
+                    + instruction_size(Op.ADD_RI) + 2)
+
+
+def test_loop_bbv_smc_break_in_non_head_member(tier):
+    """An SMC store in the loop's second member breaks the spin there:
+    the counter reopens that member *partial* steps back, and the
+    vectors equal the per-instruction oracle's."""
+    image = build_executable(LOOP_SMC_BODY_SOURCE % _LOOP_BODY_PATCH,
+                             data_source="scratch:\n    .quad 0\n")
+    for seed in range(3):
+        _, expected = _bbv_drive(image, _ReferenceBlockCounter(), "slow",
+                                 300, seed)
+        counter = _LoopExitLog()
+        machine, got = _bbv_drive(image, counter, tier, 300, seed)
+        assert got == expected
+        assert machine.threads[0].exit_code == (8 * 11 + 32 * 33) & 0xff
+        if _compiles(machine):
+            # The breaks: member 1, six steps in (the st1 retired).
+            assert (2, 1, 6) in counter.exits
+
+
+def test_loop_bbv_fault_in_non_head_member(tier):
+    """A divide fault in m3 ends the spin two steps into m3: the
+    counter credits the completed members and leaves m3 open, so the
+    last slice's vector holds the retired prefix."""
+    image = build_executable(_loop_program(
+        _LOOP6, m3="    mov rsi, 400\n    sub rsi, rcx\n    div rax, rsi"))
+    for seed in range(2):
+        oracle = _ReferenceBlockCounter()
+        _, expected = _bbv_drive(image, oracle, "slow", 700, seed)
+        # The oracle also counts the divide, which faulted unretired.
+        expected[-1][oracle._open[0]] -= 1
+        counter = _LoopExitLog()
+        machine, got = _bbv_drive(image, counter, tier, 700, seed)
+        assert machine.exit_status.signal == 8
+        assert got == expected
+        if _compiles(machine):
+            assert counter.exits[-1] == (6, 3, 2)
+
+
+def test_loop_bbv_preempted_profile_resumes_identically(tier):
+    """A preemptible ``collect_bbv`` suspended mid-profile, with a loop
+    spinning across its slices, resumes to the straight run's profile
+    (and that equals the per-instruction tier's)."""
+    import threading
+
+    from repro.simpoint.bbv import collect_bbv
+    from repro.snapshot import preempt
+    from repro.snapshot.preempt import Preempted
+
+    class _AfterPolls:
+        """A preemption flag that raises itself after *polls* polls."""
+
+        def __init__(self, polls):
+            self.polls = polls
+
+        def is_set(self):
+            self.polls -= 1
+            return self.polls < 0
+
+        def set(self):
+            self.polls = 0
+
+        def clear(self):
+            pass
+
+    image = build_executable(_loop_program(_LOOP6, t5=3001))
+    previous = set_default_dispatch(tier)
+    event = preempt.GLOBAL._event
+    try:
+        straight = collect_bbv(image, 700, seed=2)
+        preempt.reset()
+        preempt.GLOBAL._event = _AfterPolls(9)
+        with pytest.raises(Preempted) as caught:
+            collect_bbv(image, 700, seed=2, preemptible=True)
+        assert caught.value.snapshot.extra["index"] == 9
+        preempt.GLOBAL._event = threading.Event()
+        preempt.set_resume(caught.value.snapshot)
+        resumed = collect_bbv(image, 700, seed=2, preemptible=True)
+        set_default_dispatch("slow")
+        reference = collect_bbv(image, 700, seed=2)
+    finally:
+        set_default_dispatch(previous)
+        preempt.GLOBAL._event = event
+        preempt.reset()
+    for profile in (resumed, straight):
+        assert profile.vectors == reference.vectors
+        assert profile.slice_cycles == reference.slice_cycles
+        assert profile.slice_icounts == reference.slice_icounts
+
+
+def test_roi_watcher_first_entries_come_before_every_spin(tier):
+    """In an ELFie without a ROI marker, each thread's first entry at
+    its ``.tN.start`` is the startup's jump from another page, which
+    the dispatch header reports: every compiled loop spins only after
+    the entry the ROI watcher keeps, so its loop-exit hook does
+    nothing, and the entry counts equal a per-entry watcher's."""
+    from repro.core import Pinball2Elf, Pinball2ElfOptions
+    from repro.core.elfie import _RoiWatcher, prepare_elfie_machine
+    from repro.isa.encoding import decode
+    from repro.machine.memory import PAGE_SHIFT
+    from repro.pinplay import RegionSpec, log_region
+
+    image = build_executable(_loop_program(_LOOP6, t5=3001))
+    pinball = log_region(image, RegionSpec(start=1003, length=20000,
+                                           name="loop6.r0"))
+    elfie = Pinball2Elf(pinball, Pinball2ElfOptions(
+        perf_exit=True)).convert().image
+
+    class _Spy(_RoiWatcher):
+        spins = 0
+
+        def on_loop_exit(self, machine, thread, pc, members, *exit):
+            # Before its entry, a thread spins only in startup loops.
+            if thread.tid not in self.entry_icount:
+                assert self.roi_rips.isdisjoint(
+                    pc + offset for offset, _ in members)
+            else:
+                self.spins += 1
+
+    class _PerEntry(_RoiWatcher):
+        accepts_loop_exits = False
+
+    def entries(watcher_class, dispatch):
+        machine, loaded = prepare_elfie_machine(elfie, seed=1)
+        machine.cpu.set_dispatch(dispatch)
+        starts = [value for name, value in loaded.symbols.items()
+                  if name.startswith(".t") and name.endswith(".start")]
+        pc = loaded.symbols["__elfie_thread_init_0"]
+        insn, size = decode(machine.mem.fetch(pc))
+        while insn.op != Op.JMPABS:
+            pc += size
+            insn, size = decode(machine.mem.fetch(pc))
+        assert starts and all(start >> PAGE_SHIFT != pc >> PAGE_SHIFT
+                              for start in starts)
+        watcher = watcher_class(starts)
+        machine.attach(watcher)
+        assert machine.run().kind == "exit"
+        return machine, watcher
+
+    machine, spy = entries(_Spy, tier)
+    assert spy.entry_icount
+    assert spy.entry_icount == entries(_PerEntry, tier)[1].entry_icount \
+        == entries(_RoiWatcher, "slow")[1].entry_icount
+    if _compiles(machine):
+        assert spy.spins > 0

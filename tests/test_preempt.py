@@ -360,3 +360,24 @@ def test_farm_run_preemptible_resumes_to_identical_elfies(tmp_path, capsys):
     # settled jobs release their checkpoints
     assert [key for key in pre_store.keys()
             if pre_store.kind_of(key) == "snapshot"] == []
+
+
+def test_farm_run_preemptible_restores_sigterm_handler(tmp_path, capsys):
+    """``farm run --preemptible`` installs its draining SIGTERM handler
+    for the campaign only: pool workers forked later in the same
+    process must not inherit it (their ``terminate()`` would hang)."""
+
+    def before(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, before)
+    try:
+        preempt.GLOBAL._event = _Countdown(0)  # preempt at once
+        code = main(["farm", "run", "--store", str(tmp_path / "farm"),
+                     "--app", "505.mcf_r", "--preemptible"]
+                    + PIPELINE_ARGS)
+        capsys.readouterr()
+        assert code == 75
+        assert signal.getsignal(signal.SIGTERM) is before
+    finally:
+        signal.signal(signal.SIGTERM, previous)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.farm import codec
 from repro.isa.registers import RegisterFile
+from repro.machine.cpu import NO_TRAP
 from repro.machine.memory import PAGE_SIZE
 from repro.machine.scheduler import ScheduleSlice, Scheduler, intern_slice
 from repro.pinplay.pinball import Pinball, ThreadRecord
@@ -125,6 +126,84 @@ def test_interned_choose_matches_reference(base_quantum, jitter):
                 expected.tid, expected.quantum)
             assert got._next_index == want._next_index
         assert got._rng.getstate() == want._rng.getstate()
+
+
+# -- batched slice-end picks --------------------------------------------------
+
+
+def _sequential_extend(scheduler, tid, need, room):
+    """The oracle for :meth:`Scheduler.extend`: one :meth:`pick` per
+    slice end, each allotment clamped to what is left of *room*."""
+    allotted = picks = 0
+    while allotted < need:
+        entry = scheduler.pick([tid])
+        last = min(entry.quantum, room - allotted)
+        allotted += last
+        picks += 1
+    return entry, allotted, last, picks
+
+
+def _draw_state(scheduler):
+    return (list(scheduler.trace), scheduler._rng.getstate(),
+            scheduler._next_index, scheduler._picked)
+
+
+def _assert_extend_matches_picks(got, want, draws, rounds, tids=(0, 1, 2)):
+    for _ in range(rounds):
+        tid = draws.choice(tids)
+        need = draws.randint(1, 6 * got.base_quantum)
+        # Room from exactly *need* (the last allotment clamps) to none.
+        room = draws.choice((need, need + draws.randrange(64), NO_TRAP))
+        assert got.extend(tid, need, room) \
+            == _sequential_extend(want, tid, need, room)
+        assert _draw_state(got) == _draw_state(want)
+
+
+@pytest.mark.parametrize("base_quantum", [1, 2, 64])
+@pytest.mark.parametrize("jitter", [0.0, 0.5])
+@pytest.mark.parametrize("record", [False, True])
+def test_batched_extend_matches_sequential_picks(base_quantum, jitter,
+                                                 record):
+    for seed in range(4):
+        got = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
+        want = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
+        got.record = want.record = record
+        _assert_extend_matches_picks(got, want, random.Random(seed), 200)
+
+
+class _FixedQuantum(Scheduler):
+    """A subclass whose free-run pick the batch loop cannot draw."""
+
+    def choose(self, tids):
+        self._rng.random()
+        return intern_slice(tids[0], 5 + len(self.trace) % 3)
+
+
+def test_batched_extend_falls_back_to_pick():
+    """A parked remainder, a replay log and an overridden ``choose``
+    each need :meth:`Scheduler.pick`; the batch matches it."""
+    def pair(cls=Scheduler):
+        got, want = cls(seed=7), cls(seed=7)
+        got.record = want.record = True
+        return got, want
+
+    got, want = pair()
+    for scheduler in (got, want):
+        scheduler.note_partial(scheduler.pick([0]), 10, resumable=True)
+        assert scheduler.mid_slice
+    _assert_extend_matches_picks(got, want, random.Random(1), 1)
+    assert not got.mid_slice
+
+    log = [intern_slice(1, 20 + index % 7) for index in range(400)]
+    got, want = pair()
+    got.replay(log)
+    want.replay(log)
+    _assert_extend_matches_picks(got, want, random.Random(3), 20, (1,))
+    assert 0 < got._replay_pos == want._replay_pos < len(log)
+
+    got, want = pair(_FixedQuantum)
+    _assert_extend_matches_picks(got, want, random.Random(2), 50)
+    assert {entry.quantum for entry in got.trace} == {5, 6, 7}
 
 
 def test_unit_quantum_with_jitter_still_draws_through_randint():
