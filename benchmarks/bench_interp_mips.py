@@ -23,9 +23,13 @@ the codegen a fresh worker process pays.
 The published artifact carries machine-readable ``speedup_ratio:``
 (compiled/slow on the ST workload) and ``branchy_speedup_ratio:``
 footers; CI reruns this bench in smoke mode (``REPRO_BENCH_FAST=1``)
-and fails if either fresh ratio drops more than 20% below its committed
-baseline or under its hard floor.  The ratios — not raw MIPS — are the
-gate, because they are host-machine-independent.  One more footer line
+and fails if either fresh ratio drops more than ``RATIO_TOLERANCE``
+below its baseline (``BASELINE_RATIOS``) or under its hard floor.  The
+ratios — not raw MIPS — are the gate, because they are
+host-machine-independent.  The compiled tier's call counts are gated
+exactly (``COMPILED_CALLS``): a loop spinning inside one generated
+function is one call however many iterations it runs, so they show
+with no noise whether the hot loops spin.  One more footer line
 gives BBV profiling (``collect_bbv``) against a bare compiled run of
 the same program (the two interleaved, best of N each), on the ST and
 branchy workloads; both must stay above ``BBV_FLOOR``.  Compiled loops
@@ -34,11 +38,9 @@ per-member counts in one call, so profiling runs near bare speed; one
 dispatch per block entry reads well under the floor on branchy.
 """
 
-import os
-import re
 import time
 
-from conftest import FAST, RESULTS_DIR, publish
+from conftest import FAST, publish
 
 from repro.analysis import Table
 from repro.machine import Machine, load_elf
@@ -46,18 +48,33 @@ from repro.machine.compile import COMPILER
 from repro.simpoint.bbv import collect_bbv
 from repro.workloads import PhaseSpec, ProgramBuilder
 
-#: Allowed regression of the compiled/slow speedup ratio vs the
-#: committed baseline before CI fails the build.
-RATIO_TOLERANCE = 0.20
+#: Baseline compiled/slow speedup ratios, by footer prefix (``""`` for
+#: ST, ``"branchy_"``): the medians of nine full-mode runs on a 2-core
+#: VM, which read ST 6.39-11.28x and branchy 8.02-10.77x (six
+#: smoke-mode runs: 6.37-8.22x and 9.00-10.15x).
+BASELINE_RATIOS = {"": 7.05, "branchy_": 9.66}
 
-#: Hard floor, independent of the committed baseline: the compiled tier
-#: at least quintuples throughput (the round-2 contract).
-COMPILED_FLOOR = 5.0
+#: Allowed fall of a fresh ratio below its baseline before CI fails the
+#: build.  The lowest of the fifteen runs above read 0.90 (ST) and 0.83
+#: (branchy) of the median, so a fall within this margin is host noise.
+RATIO_TOLERANCE = 0.30
+
+#: Hard floor, independent of the baseline: the compiled tier at least
+#: 4.5x the per-instruction loop on ST.  With loop compilation disabled
+#: the ST ratio read 2.86-3.21x (smoke) and 3.59x (full).
+COMPILED_FLOOR = 4.5
 
 #: Hard floor for the branchy workload, whose hot loop spans several
-#: blocks: one compiled call per block reads ~6x, so 10x holds only
-#: while the loop spins inside one generated function.
-BRANCHY_FLOOR = 10.0
+#: blocks: one compiled call per block read 2.44-3.87x (smoke) and
+#: 2.99x (full), so 6x holds only while the loop spins inside one
+#: generated function.
+BRANCHY_FLOOR = 6.0
+
+#: Exact compiled-function calls of the compiled row, per workload, at
+#: both scales: each hot loop is entered once and spins inside its
+#: generated function.  One call per block entry reads 29,986 (ST) and
+#: 64,899 (branchy) in smoke mode, 59,986 and 129,849 in full mode.
+COMPILED_CALLS = {"ST": 3, "branchy": 1}
 
 #: BBV slice size for the collect_bbv/bare line.
 BBV_SLICE = 10_000
@@ -72,8 +89,6 @@ BBV_FLOOR = 0.75
 #: Table rows: the dispatch tiers, plus ``cold`` (the compiled tier
 #: with the process-wide codegen cache emptied before the run).
 ROWS = ("slow", "cold", "compiled")
-
-_RATIO_RE = re.compile(r"^(\w*)speedup_ratio:\s*([0-9.]+)", re.MULTILINE)
 
 
 def _program(scale, threads=1):
@@ -147,25 +162,10 @@ def _bbv_ratio(image, repeats):
     return bare / bbv
 
 
-def _baseline_ratios():
-    """Speedup ratios from the committed results file, by footer prefix
-    (``""`` for ST, ``"branchy_"``); empty when absent."""
-    path = os.path.join(RESULTS_DIR, "interp_mips.txt")
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError:
-        return {}
-    return {prefix: float(value)
-            for prefix, value in _RATIO_RE.findall(text)}
-
-
 def run_bench(repeats=5):
     # Smoke scale stays large enough that best-of-N wall times are not
     # dominated by scheduler jitter on a busy CI host.
     scale = 10_000 if FAST else 20_000
-    baseline = _baseline_ratios()  # read before publish() overwrites it
-
     st_image = _program(scale)
     branchy_image = _branchy_program(scale)
     st_machines, st_walls = _measure_tiers(st_image, repeats)
@@ -221,7 +221,8 @@ def run_bench(repeats=5):
         "branchy_speedup_ratio: %.3f" % branchy_ratio,
     ]
     publish("interp_mips", table.render() + "\n" + "\n".join(footer))
-    return ({"": ratio, "branchy_": branchy_ratio}, ratios, baseline,
+    calls = {"ST": cpu.compiled_calls, "branchy": br_cpu.compiled_calls}
+    return ({"": ratio, "branchy_": branchy_ratio}, ratios, calls,
             st_mips, bbv)
 
 
@@ -229,7 +230,10 @@ def run_bench(repeats=5):
 _FLOORS = {"": COMPILED_FLOOR, "branchy_": BRANCHY_FLOOR}
 
 
-def _check(gated, baseline, bbv):
+def _check(gated, calls, bbv):
+    assert calls == COMPILED_CALLS, \
+        "compiled calls %s, expected %s: hot loops no longer spin inside " \
+        "one generated function" % (calls, COMPILED_CALLS)
     for workload, ratio in bbv.items():
         assert ratio >= BBV_FLOOR, \
             "collect_bbv runs at only %.2fx of bare compiled MIPS (%s)" \
@@ -239,31 +243,30 @@ def _check(gated, baseline, bbv):
         assert ratio >= _FLOORS[prefix], \
             "%s: compiled tier only %.2fx over the per-instruction loop" \
             % (name, ratio)
-        if prefix in baseline:
-            floor = baseline[prefix] * (1.0 - RATIO_TOLERANCE)
-            assert ratio >= floor, \
-                "%s regressed: %.2fx < %.2fx (baseline %.2fx - 20%%)" \
-                % (name, ratio, floor, baseline[prefix])
+        floor = BASELINE_RATIOS[prefix] * (1.0 - RATIO_TOLERANCE)
+        assert ratio >= floor, \
+            "%s regressed: %.2fx < %.2fx (baseline %.2fx - %d%%)" \
+            % (name, ratio, floor, BASELINE_RATIOS[prefix],
+               round(100 * RATIO_TOLERANCE))
 
 
 def test_interp_mips(benchmark):
-    gated, _, baseline, _, bbv = benchmark.pedantic(
+    gated, _, calls, _, bbv = benchmark.pedantic(
         run_bench, rounds=1, iterations=1)
-    _check(gated, baseline, bbv)
+    _check(gated, calls, bbv)
 
 
 def main():
-    gated, ratios, baseline, st_mips, bbv = run_bench()
+    gated, ratios, calls, st_mips, bbv = run_bench()
     print("ST MIPS:", "  ".join(
         "%s %.2f (%.2fx)" % (r, st_mips[r], ratios[r]) for r in ROWS))
     print("branchy %.2fx" % gated["branchy_"])
     print("collect_bbv / bare: %s" % ", ".join(
         "%s %.2f" % item for item in sorted(bbv.items())))
-    print("baseline %s" % (", ".join(
-        "%sspeedup_ratio %.2fx" % item for item in sorted(baseline.items()))
-        or "none"))
+    print("compiled calls: %s" % ", ".join(
+        "%s %d" % item for item in sorted(calls.items())))
     try:
-        _check(gated, baseline, bbv)
+        _check(gated, calls, bbv)
     except AssertionError as exc:
         raise SystemExit(str(exc))
 

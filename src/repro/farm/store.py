@@ -131,8 +131,15 @@ def build_record(key: str, kind: str, meta: dict,
 
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except FileNotFoundError:
+        # First write into this fan-out directory, or it was removed
+        # behind the store's back (gc, by hand): create it and retry.
+        # Creating directories on demand keeps makedirs off the path of
+        # every other write.
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -256,9 +256,24 @@ MEM_WRITE_OPS = frozenset(
 )
 
 
+#: Control transfers: every opcode that ends a basic block.
+BLOCK_END_OPS = BRANCH_OPS | {Op.JMP_R, Op.CALL_R, Op.RET, Op.JMPABS}
+
+#: opcode -> encoded instruction size in bytes (computed once per opcode).
+OP_SIZE: Dict[Op, int] = {
+    op: 1 + sum(OPERAND_SIZE[kind] for kind in kinds)
+    for op, kinds in OPCODE_TABLE.items()
+}
+
+#: Conditional-branch opcode -> its size, i.e. the fall-through offset
+#: (timing models resolve "is it a conditional branch, and where does it
+#: fall through" with one probe).
+COND_BRANCH_SIZE: Dict[Op, int] = {op: OP_SIZE[op] for op in COND_BRANCH_OPS}
+
+
 def instruction_size(op: Op) -> int:
     """Encoded size in bytes of an instruction with opcode *op*."""
-    return 1 + sum(OPERAND_SIZE[kind] for kind in OPCODE_TABLE[op])
+    return OP_SIZE[op]
 
 
 @dataclass(frozen=True)
@@ -284,16 +299,15 @@ class Instruction:
     @property
     def size(self) -> int:
         """Encoded size of this instruction in bytes."""
-        return instruction_size(self.op)
+        return OP_SIZE[self.op]
 
     @property
     def is_branch(self) -> bool:
-        return (self.op in BRANCH_OPS
-                or self.op in (Op.JMP_R, Op.CALL_R, Op.RET, Op.JMPABS))
+        return self.op in BLOCK_END_OPS
 
     @property
     def is_cond_branch(self) -> bool:
-        return self.op in COND_BRANCH_OPS
+        return self.op in COND_BRANCH_SIZE
 
     @property
     def reads_memory(self) -> bool:

@@ -21,7 +21,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.isa.encoding import decode, InstructionDecodeError
-from repro.isa.instructions import Instruction, Op
+from repro.isa.instructions import OP_SIZE, Instruction, Op
 from repro.machine.compile import COMPILER, LOOP_BLOCKS, loop_successors
 from repro.machine.memory import AddressSpace, PAGE_SHIFT, PageFault
 from repro.observe import hooks
@@ -107,6 +107,35 @@ BLOCK_CACHE_LIMIT = 8192
 #: threaded-code compiler.
 COMPILE_THRESHOLD = 4
 
+#: A predecoded instruction, as both dispatch tiers consume it:
+#: ``(insn, size, opint, is_branch)``.  The per-instruction loop and the
+#: block builder unpack it instead of converting the opcode and probing
+#: the branch tables per executed instruction.
+Decoded = Tuple[Instruction, int, int, bool]
+
+#: Entry cap for the process-wide decode memo.  A whole campaign's guest
+#: code decodes to a few hundred distinct instructions; SMC-heavy and
+#: fuzz workloads can churn without bound, so past the cap the memo is
+#: cleared and refills from later decodes.
+DECODE_MEMO_LIMIT = 4096
+
+#: Process-wide decode memo: exact instruction bytes -> predecoded
+#: entry, shared by every Machine in the process (a farm worker builds
+#: several per job, all running the same code).  Keyed by bytes, not
+#: PC, so self-modifying code and remaps stay correct: a patched or
+#: remapped PC fetches other bytes, while the per-Cpu ``decode_cache``
+#: and its page index still drop PC entries on invalidation.  Decode
+#: errors are never memoized.
+_DECODE_MEMO: Dict[bytes, Decoded] = {}
+
+#: Opcode byte -> instruction length, for slicing the memo key out of a
+#: fetch.  An invalid opcode maps to 1: that one-byte key is never
+#: memoized, and a truncated fetch is shorter than every key of its
+#: opcode, so both miss and reach the decoder, which raises.
+_KEY_SIZE = [1] * 256
+for _op, _size in OP_SIZE.items():
+    _KEY_SIZE[int(_op)] = _size
+
 #: Dispatch tiers: "slow" is per-instruction interpretation (the
 #: reference semantics); "compiled" runs cached superblocks, hot ones as
 #: generated Python functions, and interprets the rest (cold,
@@ -191,7 +220,8 @@ class Cpu:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.mem: AddressSpace = machine.mem
-        self.decode_cache: Dict[int, Tuple[Instruction, int]] = {}
+        #: Predecoded entries (:data:`Decoded`), keyed by PC.
+        self.decode_cache: Dict[int, Decoded] = {}
         #: Superblock translation cache, keyed by entry PC.
         self.block_cache: Dict[int, Block] = {}
         # Page-granular invalidation indices: code page -> cached PCs /
@@ -297,24 +327,33 @@ class Cpu:
         # the dispatch header at the next boundary, same as invalidation.
         self._smc_dirty = True
 
-    def _decode_at(self, pc: int) -> Tuple[Instruction, int]:
-        """Decode (and cache + page-index) the instruction at *pc*."""
+    def _decode_at(self, pc: int) -> Decoded:
+        """Decode (and cache + page-index) the instruction at *pc*,
+        through the process-wide memo."""
         raw = self.mem.fetch(pc)
-        try:
-            insn, size = decode(raw)
-        except InstructionDecodeError as exc:
-            if exc.truncated:
-                raise PageFault(pc, 4, mapped=False) from exc
-            raise InvalidOpcode(
-                "invalid instruction at 0x%x: %s" % (pc, exc)
-            ) from exc
-        self.decode_cache[pc] = (insn, size)
+        key = raw[:_KEY_SIZE[raw[0]]]
+        entry = _DECODE_MEMO.get(key)
+        if entry is None:
+            try:
+                insn, size = decode(raw)
+            except InstructionDecodeError as exc:
+                if exc.truncated:
+                    raise PageFault(pc, 4, mapped=False) from exc
+                raise InvalidOpcode(
+                    "invalid instruction at 0x%x: %s" % (pc, exc)
+                ) from exc
+            entry = (insn, size, int(insn.op), insn.is_branch)
+            if len(_DECODE_MEMO) >= DECODE_MEMO_LIMIT:
+                _DECODE_MEMO.clear()
+            _DECODE_MEMO[key] = entry
+        size = entry[1]
+        self.decode_cache[pc] = entry
         page = pc >> PAGE_SHIFT
         self._decode_index.setdefault(page, set()).add(pc)
         last_page = (pc + size - 1) >> PAGE_SHIFT
         if last_page != page:
             self._decode_index.setdefault(last_page, set()).add(pc)
-        return insn, size
+        return entry
 
     def _build_block(self, entry_pc: int) -> Optional[Block]:
         """Decode the straight-line run starting at *entry_pc*.
@@ -349,14 +388,13 @@ class Cpu:
                     entry = self._decode_at(pc)
                 except (PageFault, CpuFault):
                     break
-            insn, size = entry
+            insn, size, opint, is_branch = entry
             next_pc = (pc + size) & MASK64
             pages.add((pc + size - 1) >> PAGE_SHIFT)
-            opint = int(insn.op)
             steps.append((next_pc, handlers[opint], insn.operands,
                           op_cost[opint]))
             ops.append(opint)
-            if insn.is_branch:
+            if is_branch:
                 ends_branch = True
                 break
             if opint == syscall_op:
@@ -754,9 +792,8 @@ class Cpu:
             pc = regs.rip
             entry = dcache.get(pc)
             if entry is None:
-                insn, size = self._decode_at(pc)
-            else:
-                insn, size = entry
+                entry = self._decode_at(pc)
+            insn, size, opint, is_branch = entry
 
             if block_tools and thread.new_block:
                 thread.new_block = False
@@ -767,12 +804,11 @@ class Cpu:
                     tool.on_instruction(machine, thread, pc, insn)
 
             regs.rip = (pc + size) & MASK64
-            opint = int(insn.op)
             handlers[opint](self, thread, insn.operands)
             thread.cycles += op_cost[opint]
             thread.icount += 1
             executed += 1
-            if insn.is_branch:
+            if is_branch:
                 thread.new_block = True
                 thread.branches += 1
             else:

@@ -9,8 +9,9 @@ footprint column).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import DefaultDict, Dict, List, Optional, Set
 
 LINE_SHIFT = 6
 LINE_SIZE = 1 << LINE_SHIFT
@@ -30,7 +31,9 @@ class Cache:
         self.assoc = assoc
         self.latency = latency
         self.parent = parent
-        self._ways: List[List[int]] = [[] for _ in range(self.sets)]
+        #: set index -> resident lines, LRU first; a set's list is
+        #: created on first touch (most sets of a short run stay empty).
+        self._ways: DefaultDict[int, List[int]] = defaultdict(list)
         self.accesses = 0
         self.misses = 0
         #: Distinct lines ever touched (footprint tracking).

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.elfie import simulate_roi
-from repro.isa.instructions import Op
+from repro.isa.instructions import COND_BRANCH_SIZE, Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
@@ -137,8 +137,9 @@ class _CoreSimTool(Tool):
             self.cycles += cost
         self.ring3_instructions += 1
         self._since_timer += 1
-        if insn.is_cond_branch:
-            self._pending_branch = (pc, pc + insn.size)
+        size = COND_BRANCH_SIZE.get(insn.op)
+        if size is not None:
+            self._pending_branch = (pc, pc + size)
         self._maybe_timer(machine)
         if (self.warmup_cycles is None
                 and self.ring3_instructions >= self.warmup_budget):

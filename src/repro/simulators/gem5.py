@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.elfie import simulate_roi
-from repro.isa.instructions import Op
+from repro.isa.instructions import COND_BRANCH_SIZE, Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
@@ -115,8 +115,9 @@ class _Gem5Tool(Tool):
         self.instructions += 1
         self.base_cycles += 1.0 / self.config.width
         self.stall_cycles += self._long_op_cost.get(int(insn.op), 0.0)
-        if insn.is_cond_branch:
-            self._pending_branch = (pc, pc + insn.size)
+        size = COND_BRANCH_SIZE.get(insn.op)
+        if size is not None:
+            self._pending_branch = (pc, pc + size)
         if (self.warmup_cycles is None
                 and self.instructions >= self.warmup_budget):
             self.warmup_cycles = self.base_cycles + self.stall_cycles

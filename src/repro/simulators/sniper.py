@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.elfie import simulate_roi
-from repro.isa.instructions import Op
+from repro.isa.instructions import COND_BRANCH_SIZE, Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
@@ -99,6 +99,8 @@ class _SniperTool(Tool):
             for _ in range(config.cores)]
         self.core_cycles = [0.0] * config.cores
         self.core_instructions = [0] * config.cores
+        #: Running total of ``core_instructions`` (the ROI budget test).
+        self.instructions = 0
         self.end_pc = end_pc
         self.end_count = end_count
         self._end_seen = 0
@@ -106,22 +108,23 @@ class _SniperTool(Tool):
         self._instr_cost = 1.0 / config.dispatch_width
         self._pending_branch: Dict[int, Tuple[int, int, int]] = {}
 
-    def _core(self, tid: int) -> int:
-        return tid % self.config.cores
-
     def on_instruction(self, machine, thread, pc, insn) -> None:
-        core = self._core(thread.tid)
-        pending = self._pending_branch.pop(thread.tid, None)
+        tid = thread.tid
+        core = tid % self.config.cores
+        cycles = self.core_cycles
+        pending = self._pending_branch.pop(tid, None)
         if pending is not None:
             branch_pc, fallthrough, branch_core = pending
             taken = pc != fallthrough
-            self.core_cycles[branch_core] += self.predictors[
+            cycles[branch_core] += self.predictors[
                 branch_core].predict_and_update(branch_pc, taken)
-        self.core_cycles[core] += self._instr_cost
+        cycles[core] += self._instr_cost
         self.core_instructions[core] += 1
-        if insn.is_cond_branch:
-            self._pending_branch[thread.tid] = (pc, pc + insn.size, core)
-        if self.end_pc is not None and pc == self.end_pc:
+        self.instructions += 1
+        size = COND_BRANCH_SIZE.get(insn.op)
+        if size is not None:
+            self._pending_branch[tid] = (pc, pc + size, core)
+        if pc == self.end_pc:
             self._end_seen += 1
             if self._end_seen >= self.end_count:
                 hooks.OBS.instant("sniper.roi_exit", "sniper",
@@ -129,17 +132,17 @@ class _SniperTool(Tool):
                 machine.request_stop("sniper end condition")
                 return
         if (self.roi_budget is not None
-                and sum(self.core_instructions) >= self.roi_budget):
+                and self.instructions >= self.roi_budget):
             hooks.OBS.instant("sniper.roi_exit", "sniper",
                               reason="instruction budget", pc=pc)
             machine.request_stop("sniper instruction budget")
 
     def on_basic_block(self, machine, thread, pc) -> None:
-        core = self._core(thread.tid)
+        core = thread.tid % self.config.cores
         self.core_cycles[core] += self.cores[core].fetch_access(pc)
 
     def on_memory_read(self, machine, thread, addr, size) -> None:
-        core = self._core(thread.tid)
+        core = thread.tid % self.config.cores
         self.core_cycles[core] += self.cores[core].data_access(addr)
 
     on_memory_write = on_memory_read
@@ -241,30 +244,27 @@ class SniperSim:
 
 
 class _PcProfiler(Tool):
-    """Histograms every executed PC and marks the code near a PAUSE."""
+    """Histograms every executed PC and records the PCs of PAUSEs."""
 
     wants_instructions = True
 
-    def __init__(self, spin_radius: int) -> None:
-        self.spin_radius = spin_radius
+    def __init__(self) -> None:
         self.counts: Dict[int, int] = {}
-        self.spin: set = set()
+        self.pauses: Set[int] = set()
         self.recent: deque = deque(maxlen=512)
 
     def on_instruction(self, machine, thread, pc, insn) -> None:
         self.counts[pc] = self.counts.get(pc, 0) + 1
         self.recent.append(pc)
         if insn.op is Op.PAUSE:
-            for delta in range(-self.spin_radius, self.spin_radius + 1):
-                self.spin.add(pc + delta)
+            self.pauses.add(pc)
 
 
-def _profile_replay(pinball: Pinball, seed: int,
-                    spin_radius: int = 64) -> _PcProfiler:
+def _profile_replay(pinball: Pinball, seed: int) -> _PcProfiler:
     """The separate profiling run: a constrained replay of *pinball*."""
     session = ReplaySession(pinball, injection=True, seed=seed, fs=None,
                             instrument=False)
-    profiler = _PcProfiler(spin_radius)
+    profiler = _PcProfiler()
     session.machine.attach(profiler)
     session.run()
     return profiler
@@ -282,9 +282,10 @@ def find_end_condition(pinball: Pinball, seed: int = 0,
     PAUSE as spin code, and return the most recently executed non-spin
     PC together with its accumulated count at region end.
     """
-    profiler = _profile_replay(pinball, seed, spin_radius)
+    profiler = _profile_replay(pinball, seed)
     for pc in reversed(profiler.recent):
-        if pc not in profiler.spin:
+        if not any(abs(pc - pause) <= spin_radius
+                   for pause in profiler.pauses):
             return pc, profiler.counts[pc]
     # everything near the end was spin code; fall back to the busiest PC
     pc = max(profiler.counts, key=profiler.counts.get)

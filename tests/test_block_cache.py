@@ -1960,3 +1960,143 @@ def test_roi_watcher_first_entries_come_before_every_spin(tier):
         == entries(_RoiWatcher, "slow")[1].entry_icount
     if _compiles(machine):
         assert spy.spins > 0
+
+
+# -- predecoded entries and the process-wide decode memo ----------------------
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty decode memo for one test (the real one is process-wide
+    and already warm from earlier tests)."""
+    memo = {}
+    monkeypatch.setattr(cpu_module, "_DECODE_MEMO", memo)
+    return memo
+
+
+def test_second_machine_reuses_decode_memo_entries(tier, fresh_memo):
+    image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
+    first, _ = _run(image, seed=3, tier=tier)
+    decoded = len(fresh_memo)
+    assert decoded and first.cpu.decode_cache
+    for insn, size, opint, is_branch in fresh_memo.values():
+        assert (size, opint, is_branch) == (insn.size, int(insn.op),
+                                            insn.is_branch)
+    second, status = _run(image, seed=3, tier=tier)
+    # No new decodes: the second machine's entries are the first's.
+    assert len(fresh_memo) == decoded
+    assert second.cpu.decode_cache.keys() == first.cpu.decode_cache.keys()
+    for pc, entry in second.cpu.decode_cache.items():
+        assert entry is first.cpu.decode_cache[pc]
+    fresh_memo.clear()
+    cold, cold_status = _run(image, seed=3, tier=tier)
+    assert _arch_state(second, status) == _arch_state(cold, cold_status)
+    assert arch_digest(second) == arch_digest(cold)
+
+
+_MEMO_SMC_SOURCE = """
+    _start:
+    patch_me:
+        mov rbx, 5
+        cmp rbx, 9
+        jnz patch_me
+        mov rax, 231
+        mov rdi, rbx
+        syscall
+"""
+
+
+@pytest.mark.parametrize("dispatch", DISPATCH_TIERS)
+def test_smc_after_warm_decode_memo_runs_the_new_bytes(dispatch, fresh_memo):
+    """The memo is keyed by instruction bytes, not PC: a patch made
+    after another machine decoded the old bytes at the same PC executes
+    the new instruction, whether the patch lands before the first fetch
+    or after this machine cached the old decode."""
+    image = build_executable(_MEMO_SMC_SOURCE)
+    warm, status = _run(image, tier=dispatch, max_instructions=1000)
+    assert status.kind == "stopped" and fresh_memo
+    for patch_first in (True, False):
+        machine = Machine(seed=0)
+        loaded = load_elf(machine, image)
+        machine.cpu.set_dispatch(dispatch)
+        if not patch_first:
+            assert machine.run(max_instructions=1000).kind == "stopped"
+        machine.mem.write(loaded.symbols["patch_me"] + 2, b"\x09",
+                          access=PROT_READ)
+        status = machine.run(max_instructions=200_000)
+        assert (status.kind, status.code) == ("exit", 9), patch_first
+
+
+_EDGE_PAGE = 0x30000000
+#: The stub copied to the end of the RWX page: ``add rcx, 1`` (6 bytes)
+#: then the first 3 bytes of a 10-byte ``mov rbx, imm64``.
+_EDGE_STUB = instruction_size(Op.ADD_RI) + 3
+_EDGE_SOURCE = """
+    _start:
+        mov rbx, 0x1122334455667788 ; the memo now holds this encoding
+        mov rax, 9          ; mmap(0x30000000, RWX, ANON|FIXED)
+        mov rdi, %(page)d
+        mov rsi, 4096
+        mov rdx, 7
+        mov r10, 0x32
+        mov r8, -1
+        mov r9, 0
+        syscall
+        mov rsi, stub
+        mov rdi, %(at)d
+        mov rcx, %(n)d
+    copy:
+        ld1 rbx, [rsi]
+        st1 [rdi], rbx
+        add rsi, 1
+        add rdi, 1
+        sub rcx, 1
+        cmp rcx, 0
+        jnz copy
+        mov r12, %(at)d
+        call r12
+    stub:
+        add rcx, 1
+        mov rbx, 0x1122334455667788
+""" % {"page": _EDGE_PAGE, "at": _EDGE_PAGE + 4096 - _EDGE_STUB,
+       "n": _EDGE_STUB}
+
+
+def test_truncated_fetch_at_exec_page_edge_faults_at_same_icount(fresh_memo):
+    """The memo holds the full ``mov rbx, imm64`` encoding, yet the same
+    opcode cut off by the end of the executable mapping still faults
+    before it retires, on every tier and with the memo cold or warm."""
+    image = build_executable(_EDGE_SOURCE)
+    states = []
+    for dispatch in DISPATCH_TIERS:
+        fresh_memo.clear()
+        for _ in ("cold", "warm"):
+            machine, status = _run(image, tier=dispatch)
+            assert (status.kind, status.signal) == ("signal", 11)
+            thread = machine.threads[0]
+            assert thread.regs.rip == _EDGE_PAGE + 4096 - 3
+            states.append(_arch_state(machine, status))
+    # mov + mmap (8) + 3 movs + the 7-instruction copy loop per byte +
+    # mov + call + the stub's add: the truncated mov never retires.
+    assert states[0][4][0][1] == 1 + 8 + 3 + 7 * _EDGE_STUB + 2 + 1
+    assert all(state == states[0] for state in states)
+
+
+def test_decode_memo_stays_within_its_bound(tier, monkeypatch, fresh_memo):
+    image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
+    reference, ref_status = _run(image, seed=2, tier=tier)
+    assert len(fresh_memo) > 8
+    fresh_memo.clear()
+    monkeypatch.setattr(cpu_module, "DECODE_MEMO_LIMIT", 8)
+    sizes = []
+    real_decode_at = cpu_module.Cpu._decode_at
+
+    def decode_at(self, pc):
+        entry = real_decode_at(self, pc)
+        sizes.append(len(fresh_memo))
+        return entry
+
+    monkeypatch.setattr(cpu_module.Cpu, "_decode_at", decode_at)
+    machine, status = _run(image, seed=2, tier=tier)
+    assert sizes and max(sizes) <= 8
+    assert _arch_state(machine, status) == _arch_state(reference, ref_status)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import time
 import zlib
 
@@ -139,6 +140,23 @@ def test_store_gc_sweeps_unreferenced_blocks(tmp_path):
     # the survivor must be fully readable after the sweep
     assert store.get("keep").pages[0x1000] == (5, shared)
     assert store.verify() == []
+
+
+def test_store_recreates_fan_out_dirs_removed_behind_its_back(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    page = b"\x55" * PAGE_SIZE
+    store.put("first", make_pinball("first", pages={0x1000: (5, page)}))
+    digest = codec_digest_of_first_page(store, "first")
+    record_dir = os.path.dirname(store._meta_path("first"))
+    # The whole fan-out directory of the page block and of the record
+    # vanish (by hand, or a sweep), and the store must re-create both.
+    shutil.rmtree(os.path.dirname(store._block_path(digest)))
+    shutil.rmtree(record_dir)
+    store.put("fifth", make_pinball("fifth", pages={0x1000: (5, page)}))
+    assert os.path.isdir(record_dir)
+    assert store.get("fifth").pages[0x1000] == (5, page)
+    assert store.verify() == []
+    assert not store.contains("first")
 
 
 def test_store_detects_corruption(tmp_path):

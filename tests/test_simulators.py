@@ -1,6 +1,7 @@
 """Tests for the Sniper-like, CoreSim-like and gem5-like simulators."""
 
 import dataclasses
+from collections import deque
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.machine import cpu as cpu_module
 from repro.machine.tool import Tool
 from repro.observe import Tracer, hooks
 from repro.pinplay import RegionSpec, log_region
+from repro.pinplay.replayer import ReplaySession
 from repro.simulators import (
     BranchPredictor,
     Cache,
@@ -27,8 +29,9 @@ from repro.simulators import (
     Tlb,
 )
 from repro.simulators import sniper
-from repro.simulators.sniper import profile_end_condition
-from repro.workloads import PhaseSpec, ProgramBuilder, build_executable
+from repro.simulators.sniper import find_end_condition, profile_end_condition
+from repro.workloads import MT_APPS, PhaseSpec, ProgramBuilder, \
+    build_executable
 
 
 # -- component models ---------------------------------------------------------
@@ -241,6 +244,130 @@ def test_sniper_end_condition_stops_simulation(st_pinball_and_elfie):
                                         end_count=count // 2)
     assert result.status.detail == "sniper end condition"
     assert result.instructions < pinball.region_icount
+
+
+class _ReferenceProfiler(Tool):
+    """The end-condition profiler spelled out: every executed PC within
+    +-radius bytes of an executed PAUSE goes into one spin set."""
+
+    wants_instructions = True
+
+    def __init__(self, radius):
+        self.radius = radius
+        self.counts = {}
+        self.spin = set()
+        self.pauses = set()
+        self.recent = deque(maxlen=512)
+
+    def on_instruction(self, machine, thread, pc, insn):
+        self.counts[pc] = self.counts.get(pc, 0) + 1
+        self.recent.append(pc)
+        if insn.op is Op.PAUSE:
+            self.pauses.add(pc)
+            self.spin.update(range(pc - self.radius, pc + self.radius + 1))
+
+
+def _reference_end_condition(pinball, seed=0, spin_radius=64):
+    session = ReplaySession(pinball, injection=True, seed=seed, fs=None,
+                            instrument=False)
+    reference = _ReferenceProfiler(spin_radius)
+    session.machine.attach(reference)
+    session.run()
+    for pc in reversed(reference.recent):
+        if pc not in reference.spin:
+            return (pc, reference.counts[pc]), reference
+    pc = max(reference.counts, key=reference.counts.get)
+    return (pc, reference.counts[pc]), reference
+
+
+@pytest.fixture(scope="module")
+def barrier_pinball():
+    """A window of an MT app whose threads spin on PAUSE at barriers."""
+    return log_region(MT_APPS["mt.barrier"].build("test"),
+                      RegionSpec(start=20000, length=20000, name="barrier"),
+                      seed=1)
+
+
+@pytest.mark.parametrize("spin_radius", [0, 16, 64, 300])
+def test_find_end_condition_matches_spin_set_reference(
+        st_pinball_and_elfie, mt_pinball_and_elfie, barrier_pinball,
+        spin_radius):
+    for pinball, seed in ((st_pinball_and_elfie[0], 0),
+                          (mt_pinball_and_elfie[0], 0),
+                          (barrier_pinball, 0),
+                          (barrier_pinball, 5)):
+        expected, _ = _reference_end_condition(pinball, seed, spin_radius)
+        assert find_end_condition(pinball, seed, spin_radius) == expected
+    _, reference = _reference_end_condition(barrier_pinball)
+    assert len(reference.pauses) > 1
+    assert any(pc in reference.spin for pc in reference.recent)
+
+
+#: One loop iteration of the PAUSE-edge program: 70 one-byte NOPs, the
+#: PAUSE, 70 more NOPs, then ``sub`` and ``jnz``; NOP k sits k bytes
+#: from the PAUSE, so the region's last PC can be put at any distance.
+_EDGE_BODY = 70 + 1 + 70 + 2
+
+
+@pytest.fixture(scope="module")
+def pause_edge_image():
+    nops = "\n".join(["    nop"] * 70)
+    return build_executable(
+        "_start:\n    mov rcx, 1000\nloop:\n" + nops + "\n    pause\n"
+        + nops + "\n    sub rcx, 1\n    jnz loop\n"
+        "    mov rax, 231\n    mov rdi, 0\n    syscall\n")
+
+
+@pytest.mark.parametrize("last, chosen", [
+    (+65, +65),   # just outside the window: the last PC itself
+    (+64, -65),   # the window's edge is spin code on both sides
+    (-64, -65),
+    (-65, -65),
+])
+def test_find_end_condition_at_the_spin_window_edges(pause_edge_image,
+                                                     last, chosen):
+    # The region starts at an iteration head and ends on the NOP *last*
+    # bytes from the PAUSE (70 is the PAUSE's slot in the body).
+    start = 1 + 10 * _EDGE_BODY
+    length = 3 * _EDGE_BODY + 70 + last + 1
+    pinball = log_region(pause_edge_image,
+                         RegionSpec(start=start, length=length, name="edge"))
+    expected, reference = _reference_end_condition(pinball)
+    (pause,) = reference.pauses
+    assert reference.recent[-1] == pause + last
+    assert expected[0] == pause + chosen
+    assert find_end_condition(pinball) == expected
+
+
+def test_find_end_condition_falls_back_to_the_busiest_pc():
+    image = build_executable("""
+        _start:
+            mov rcx, 1000
+        loop:
+            pause
+            sub rcx, 1
+            jnz loop
+            mov rax, 231
+            mov rdi, 0
+            syscall
+        """)
+    pinball = log_region(image, RegionSpec(start=100, length=900,
+                                           name="spin"))
+    expected, reference = _reference_end_condition(pinball)
+    # every recent PC is spin code, so the busiest PC is chosen
+    assert all(pc in reference.spin for pc in reference.recent)
+    assert expected[1] == max(reference.counts.values())
+    assert find_end_condition(pinball) == expected
+
+
+def test_profile_end_condition_counts_match_the_reference(
+        mt_pinball_and_elfie):
+    pinball, _ = mt_pinball_and_elfie
+    _, reference = _reference_end_condition(pinball)
+    for pc in sorted(reference.counts)[:: max(1, len(reference.counts) // 8)]:
+        assert profile_end_condition(pinball, pc) == (
+            pc, reference.counts[pc])
+    assert profile_end_condition(pinball, 0x10) == (0x10, 0)
 
 
 # -- CoreSim ------------------------------------------------------------------
