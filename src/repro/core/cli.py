@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.core.markers import MarkerSpec
 from repro.core.pinball2elf import Pinball2Elf, Pinball2ElfOptions
@@ -394,11 +395,10 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
 
     from repro.farm import FarmRunner, open_store
 
-    if args.shards:
-        from repro.service import ShardedStore
-        store = ShardedStore(args.store, shards=args.shards)
-    else:
-        store = open_store(args.store)
+    try:
+        store = open_store(args.store, shards=args.shards)
+    except ValueError as exc:  # --shards contradicts the store's layout
+        raise SystemExit("error: %s" % exc)
     images = _campaign_images(args)
     validations = _campaign_validations(args)
     if not args.preemptible:
@@ -516,10 +516,26 @@ def _report_campaign(outcomes: dict, manifest_path: Optional[str]) -> int:
     return 1 if failed_fidelity else 0
 
 
-def _cmd_farm_stats(args: argparse.Namespace) -> int:
-    from repro.farm import open_store
+def _existing_store(root: str, sharded: bool = False) -> Any:
+    """Open the store at *root* for a maintenance command.
 
-    stats = open_store(args.store).stats()
+    Maintenance never creates a store: a root without a layout marker
+    (the sharded one, when *sharded*) is an error, so a mistyped
+    ``--store`` cannot read as a clean, empty store.
+    """
+    from repro.farm import open_store
+    from repro.farm.store import SHARDS_MARKER, STORE_MARKER
+
+    markers = [SHARDS_MARKER] if sharded else [STORE_MARKER, SHARDS_MARKER]
+    if not any(os.path.exists(os.path.join(root, marker))
+               for marker in markers):
+        raise SystemExit("error: %s holds no %sstore"
+                         % (root, "sharded " if sharded else ""))
+    return open_store(root)
+
+
+def _cmd_farm_stats(args: argparse.Namespace) -> int:
+    stats = _existing_store(args.store).stats()
     print(json.dumps(stats.to_json(), indent=2))
     if args.json:
         return 0  # stdout stays pure JSON (pipe to jq)
@@ -538,9 +554,7 @@ def _cmd_farm_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_farm_gc(args: argparse.Namespace) -> int:
-    from repro.farm import open_store
-
-    result = open_store(args.store).gc(
+    result = _existing_store(args.store).gc(
         dry_run=args.dry_run,
         prune_snapshots=args.prune_snapshots,
         snapshot_roots=args.snapshot_root or ())
@@ -556,9 +570,7 @@ def _cmd_farm_gc(args: argparse.Namespace) -> int:
 
 
 def _cmd_farm_rebalance(args: argparse.Namespace) -> int:
-    from repro.service import ShardedStore
-
-    store = ShardedStore(args.store)
+    store = _existing_store(args.store, sharded=True)
     moved = store.rebalance(shards=args.shards, dry_run=args.dry_run)
     verb = "would move" if args.dry_run else "moved"
     print("%s %d blocks (%d bytes), %d records across %d shards"
@@ -568,9 +580,7 @@ def _cmd_farm_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_farm_scrub(args: argparse.Namespace) -> int:
-    from repro.service import ShardedStore
-
-    report = ShardedStore(args.store).scrub()
+    report = _existing_store(args.store).scrub()
     print("scrubbed %d objects (%d blocks): %d block repairs, "
           "%d record repairs, %d lost"
           % (report.objects, report.blocks_checked, report.repaired_blocks,
@@ -591,6 +601,8 @@ def _cmd_service_start(args: argparse.Namespace) -> int:
                           max_queued=args.max_queued, retries=args.retries))
     except KeyboardInterrupt:
         pass
+    except ValueError as exc:  # --shards contradicts the store's layout
+        raise SystemExit("error: %s" % exc)
     return 0
 
 
@@ -664,10 +676,9 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot_resume(args: argparse.Namespace) -> int:
-    from repro.farm import open_store
     from repro.snapshot import restore, snapshot_info
 
-    store = open_store(args.store)
+    store = _existing_store(args.store)
     if not store.contains(args.key):
         sys.stderr.write("no snapshot %r in %s\n" % (args.key, args.store))
         return 1
@@ -690,10 +701,9 @@ def _cmd_snapshot_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot_info(args: argparse.Namespace) -> int:
-    from repro.farm import open_store
     from repro.snapshot import snapshot_info
 
-    store = open_store(args.store)
+    store = _existing_store(args.store)
     if not store.contains(args.key):
         sys.stderr.write("no snapshot %r in %s\n" % (args.key, args.store))
         return 1
@@ -944,8 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="warmup depth in whole marker slices "
                                "(looppoint)")
     farm_run.add_argument("--shards", type=int, default=0, metavar="N",
-                          help="create/open the store sharded across N "
-                               "roots (default: plain single-root store)")
+                          help="create a new store sharded across N roots "
+                               "(default: plain single-root store); an "
+                               "existing store must match")
     farm_run.add_argument("--preemptible", action="store_true",
                           help="checkpoint running jobs on SIGTERM and exit "
                                "75; rerun the same command to resume")
@@ -983,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     farm_rebalance.set_defaults(func=_cmd_farm_rebalance)
 
     farm_scrub = farm_sub.add_parser(
-        "scrub", help="verify + read-repair every artifact across shards")
+        "scrub", help="verify every artifact (read-repairing across shards)")
     farm_scrub.add_argument("--store", default=".farm")
     farm_scrub.set_defaults(func=_cmd_farm_scrub)
 
@@ -997,7 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
         "start", help="run the checkpoint service in the foreground")
     service_start.add_argument("--store", default=".farm")
     service_start.add_argument("--shards", type=int, default=0, metavar="N",
-                               help="shard the store across N roots")
+                               help="create a new store sharded across N "
+                                    "roots; an existing store must match")
     service_start.add_argument("--host", default="127.0.0.1")
     service_start.add_argument("--port", type=int, default=7461)
     service_start.add_argument("--lease-timeout", type=float, default=30.0,

@@ -39,7 +39,6 @@ from repro.farm.store import (
     GCStats,
     StoreCorruption,
     StoreStats,
-    build_record,
     open_store,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "StoreStats",
     "GCStats",
     "StoreCorruption",
-    "build_record",
     "open_store",
 ]

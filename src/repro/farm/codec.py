@@ -254,13 +254,17 @@ def infer_kind(obj: Any) -> str:
 
 def encode(obj: Any, kind: str = "") -> Tuple[str, dict, Dict[str, bytes]]:
     kind = kind or infer_kind(obj)
-    if kind not in _CODECS:
-        raise ValueError("unknown artifact kind %r" % kind)
+    check_kind(kind)
     meta, blocks = _CODECS[kind][0](obj)
     return kind, meta, blocks
 
 
 def decode(kind: str, meta: dict, fetch: Fetch) -> Any:
+    check_kind(kind)
+    return _CODECS[kind][1](meta, fetch)
+
+
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless *kind* names a codec."""
     if kind not in _CODECS:
         raise ValueError("unknown artifact kind %r" % kind)
-    return _CODECS[kind][1](meta, fetch)

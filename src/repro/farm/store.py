@@ -15,27 +15,41 @@ Writes are crash-safe in the usual content-addressed way: blocks are
 written first (atomic rename, idempotent), the meta record last, so a
 partially written artifact is simply absent.  ``gc`` mark-sweeps the
 block pool against the live object set.
+
+The store operations are written once, over block and record
+primitives: :class:`ArtifactStore` supplies the single-root ones, and
+:class:`repro.service.shards.ShardedStore` the sharded ones.
+:func:`open_store` picks a root's layout from its marker file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.farm import codec
 from repro.observe import hooks
 
 _FORMAT = {"format": "repro-farm-store", "version": 1}
 
+#: The markers that name a root's layout: a plain store's format file,
+#: and the sharded store's ring configuration.
+STORE_MARKER = "store.json"
+SHARDS_MARKER = "shards.json"
+
 #: Temp files older than this are considered abandoned by a killed
 #: writer and are reclaimed by ``gc`` (an active writer holds its temp
 #: file for milliseconds, not minutes).
 STALE_TMP_S = 300.0
+
+#: A block digest: the hex SHA-256 its file is named by.
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 class StoreCorruption(Exception):
@@ -110,23 +124,23 @@ class GCStats:
                 "dry_run": self.dry_run}
 
 
-def build_record(key: str, kind: str, meta: dict,
-                 blocks: Dict[str, bytes]) -> dict:
-    """The meta record :meth:`ArtifactStore.put` writes for an artifact.
+@dataclass
+class ScrubStats:
+    """What a :meth:`scrub` pass checked, healed and found lost."""
 
-    Shared with the sharded store and the service's ``put-artifact``
-    verb so every writer produces byte-identical records for identical
-    content.
-    """
-    sizes = {digest: len(data) for digest, data in blocks.items()}
-    return {
-        "key": key,
-        "kind": kind,
-        "meta": meta,
-        "block_sizes": sizes,
-        "logical_bytes": sum(sizes[digest]
-                             for digest in _referenced_digests(meta)),
-    }
+    objects: int = 0
+    blocks_checked: int = 0
+    repaired_blocks: int = 0
+    repaired_records: int = 0
+    #: keys with at least one unrecoverable block
+    lost_keys: List[str] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        return {"objects": self.objects,
+                "blocks_checked": self.blocks_checked,
+                "repaired_blocks": self.repaired_blocks,
+                "repaired_records": self.repaired_records,
+                "lost_keys": sorted(self.lost_keys)}
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -150,120 +164,16 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-class ArtifactStore:
-    """A content-addressed repository for pinballs, ELFies and results."""
+class _Store:
+    """The store operations, written once over block and record primitives.
 
-    def __init__(self, root: str, compress_level: int = 6) -> None:
-        self.root = root
-        self.compress_level = compress_level
-        os.makedirs(self._blocks_dir, exist_ok=True)
-        os.makedirs(self._objects_dir, exist_ok=True)
-        marker = os.path.join(root, "store.json")
-        if not os.path.exists(marker):
-            _atomic_write(marker, json.dumps(_FORMAT).encode("utf-8"))
-
-    # -- paths -------------------------------------------------------------
-
-    @property
-    def _blocks_dir(self) -> str:
-        return os.path.join(self.root, "blocks")
-
-    @property
-    def _objects_dir(self) -> str:
-        return os.path.join(self.root, "objects")
-
-    def _block_path(self, digest: str) -> str:
-        return os.path.join(self._blocks_dir, digest[:2], digest)
-
-    def _meta_path(self, key: str) -> str:
-        # keys may contain "/" (the service's run-scoped result keys);
-        # they become sub-directories, but must never escape the store
-        if not key or key.startswith(("/", ".")) or ".." in key.split("/"):
-            raise ValueError("invalid store key %r" % key)
-        return os.path.join(self._objects_dir, key[:2], key + ".json")
-
-    # -- blocks ------------------------------------------------------------
-
-    def _write_block(self, digest: str, data: bytes) -> None:
-        path = self._block_path(digest)
-        obs = hooks.OBS
-        if os.path.exists(path):
-            if obs.enabled:
-                obs.count("store.blocks_deduped")
-                obs.count("store.bytes_deduped", len(data))
-            return  # content-addressed: existing contents are identical
-        compressed = zlib.compress(data, self.compress_level)
-        if obs.enabled:
-            obs.count("store.blocks_written")
-            obs.count("store.bytes_raw", len(data))
-            obs.count("store.bytes_stored", len(compressed))
-        _atomic_write(path, compressed)
-
-    def _read_block(self, digest: str) -> bytes:
-        obs = hooks.OBS
-        if obs.enabled:
-            obs.count("store.blocks_read")
-        path = self._block_path(digest)
-        try:
-            with open(path, "rb") as handle:
-                compressed = handle.read()
-        except FileNotFoundError:
-            raise StoreCorruption("missing block %s" % digest)
-        try:
-            data = zlib.decompress(compressed)
-        except zlib.error as exc:
-            self._drop_corrupt_block(path)
-            raise StoreCorruption("block %s: %s" % (digest, exc))
-        if codec.sha256_hex(data) != digest:
-            self._drop_corrupt_block(path)
-            raise StoreCorruption("block %s fails digest verification"
-                                  % digest)
-        return data
-
-    @staticmethod
-    def _drop_corrupt_block(path: str) -> None:
-        """Unlink a block that failed verification.
-
-        ``_write_block`` treats an existing file as authoritative (the
-        content-addressed invariant), so a damaged block must leave the
-        pool or a later re-put of the same content would be skipped and
-        the corruption would persist.
-        """
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    # Public block-level interface: the sharded store and the service's
-    # artifact verbs route individual blocks by digest, so the per-shard
-    # primitives must be reachable from outside this class.
-
-    def has_block(self, digest: str) -> bool:
-        return os.path.exists(self._block_path(digest))
-
-    def write_block(self, digest: str, data: bytes) -> None:
-        """Idempotent, atomic write of one verified raw block."""
-        self._write_block(digest, data)
-
-    def read_block(self, digest: str) -> bytes:
-        """Read and integrity-verify one block (raises StoreCorruption)."""
-        return self._read_block(digest)
-
-    def remove_block(self, digest: str) -> bool:
-        try:
-            os.unlink(self._block_path(digest))
-            return True
-        except FileNotFoundError:
-            return False
-
-    def block_digests(self) -> Iterator[str]:
-        """Digests of every block file in the pool."""
-        return self._iter_block_files()
-
-    def block_size(self, digest: str) -> int:
-        return os.path.getsize(self._block_path(digest))
-
-    # -- objects -----------------------------------------------------------
+    A layout supplies the primitives: ``write_block``, ``read_block``,
+    ``has_block``, ``block_digests``, ``block_size``, ``remove_block``
+    for the block pool, and ``put_record``, ``get_record``,
+    ``remove_record``, ``contains``, ``keys`` and ``sweep_tmp`` for the
+    artifact records.  Everything a campaign, the CLI or the service
+    does with a store is built here on top of them.
+    """
 
     def put(self, key: str, obj: Any, kind: str = "") -> str:
         """Store *obj* under *key*; returns the key.
@@ -272,40 +182,44 @@ class ArtifactStore:
         content-addressed, so re-putting identical content is free).
         """
         kind, meta, blocks = codec.encode(obj, kind)
-        for digest, data in blocks.items():
-            self._write_block(digest, data)
-        self.put_record(key, build_record(key, kind, meta, blocks))
+        self.commit(key, kind, meta, blocks)
         return key
 
-    def put_record(self, key: str, record: dict) -> None:
-        """Atomically install an artifact meta record.
+    def commit(self, key: str, kind: str, meta: dict,
+               blocks: Dict[str, bytes]) -> None:
+        """Install an encoded artifact: its blocks, then its record.
 
-        The record must only reference blocks that are already in the
-        pool — this is the commit point that makes a partially written
-        artifact simply absent rather than corrupt.
+        The record write is the commit point, so a partially written
+        artifact is simply absent.  *meta* may reference blocks already
+        in the pool besides the ones in *blocks*.  Raises ValueError,
+        having written nothing, when *kind* names no codec or a
+        referenced block is neither given nor intact in the pool, or is
+        not a SHA-256 digest (a digest names a file, so one taken from
+        the wire must never name a path outside the pool).
         """
-        _atomic_write(self._meta_path(key),
-                      json.dumps(record, sort_keys=True).encode("utf-8"))
-
-    def get_record(self, key: str) -> dict:
-        """The raw meta record for *key* (KeyError when absent)."""
-        return self._load_record(key)
-
-    def remove_record(self, key: str) -> bool:
+        codec.check_kind(kind)
         try:
-            os.unlink(self._meta_path(key))
-            return True
-        except FileNotFoundError:
-            return False
-
-    def _load_record(self, key: str) -> dict:
-        try:
-            with open(self._meta_path(key)) as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            raise KeyError(key)
-        except (ValueError, OSError) as exc:
-            raise StoreCorruption("meta record for %s: %s" % (key, exc))
+            referenced = list(_referenced_digests(meta))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise ValueError("malformed %s meta" % kind) from None
+        for digest in referenced:
+            if not isinstance(digest, str) or not _DIGEST.fullmatch(digest):
+                raise ValueError("invalid block digest %r" % (digest,))
+        sizes = {digest: len(data) for digest, data in blocks.items()}
+        logical = 0
+        for digest in referenced:
+            if digest not in sizes:
+                try:
+                    sizes[digest] = len(self.read_block(digest))
+                except StoreCorruption:
+                    raise ValueError("block %s is neither uploaded nor in "
+                                     "the store" % digest) from None
+            logical += sizes[digest]
+        for digest, data in blocks.items():
+            self.write_block(digest, data)
+        self.put_record(key, {"key": key, "kind": kind, "meta": meta,
+                              "block_sizes": sizes,
+                              "logical_bytes": logical})
 
     def get(self, key: str) -> Any:
         """Fetch and decode the artifact stored under *key*.
@@ -313,63 +227,51 @@ class ArtifactStore:
         Raises :class:`KeyError` when absent, :class:`StoreCorruption`
         when any referenced block fails verification.
         """
-        record = self._load_record(key)
-        return codec.decode(record["kind"], record["meta"], self._read_block)
+        record = self.get_record(key)
+        return codec.decode(record["kind"], record["meta"], self.read_block)
 
-    def contains(self, key: str) -> bool:
-        return os.path.exists(self._meta_path(key))
+    def fetch(self, key: str) -> Tuple[dict, Dict[str, bytes]]:
+        """The record for *key* and every block it references, verified."""
+        record = self.get_record(key)
+        return record, {digest: self.read_block(digest) for digest
+                        in dict.fromkeys(_referenced_digests(record["meta"]))}
 
     def kind_of(self, key: str) -> str:
-        return self._load_record(key)["kind"]
+        return self.get_record(key)["kind"]
 
     def delete(self, key: str) -> bool:
         """Drop the meta record (blocks are reclaimed by :meth:`gc`)."""
         return self.remove_record(key)
 
-    def keys(self) -> Iterator[str]:
-        for dirpath, dirnames, filenames in os.walk(self._objects_dir):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if not name.endswith(".json"):
-                    continue
-                relative = os.path.relpath(os.path.join(dirpath, name),
-                                           self._objects_dir)
-                parts = relative.split(os.sep)
-                # drop the two-char fan-out prefix; the rest is the key
-                yield "/".join(parts[1:])[:-len(".json")]
-
     # -- maintenance -------------------------------------------------------
 
-    def _iter_block_files(self) -> Iterator[str]:
-        for shard in sorted(os.listdir(self._blocks_dir)):
-            shard_dir = os.path.join(self._blocks_dir, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.startswith(".tmp-"):
-                    yield name
-
     def stats(self) -> StoreStats:
-        stats = StoreStats()
+        return self._tally(self._block_pool())[0]
+
+    def _block_pool(self) -> Dict[str, int]:
+        """Each pooled block's compressed on-disk size."""
+        return {digest: self.block_size(digest)
+                for digest in self.block_digests()}
+
+    def _tally(self, pool: Dict[str, int]) -> Tuple[StoreStats,
+                                                    Dict[str, dict]]:
+        """The aggregate stats over *pool*, and the records read for them."""
+        stats = StoreStats(blocks=len(pool), stored_bytes=sum(pool.values()))
+        records: Dict[str, dict] = {}
         unique: Dict[str, int] = {}
         for key in self.keys():
-            record = self._load_record(key)
+            record = records[key] = self.get_record(key)
             stats.objects += 1
             kind = record["kind"]
             stats.objects_by_kind[kind] = stats.objects_by_kind.get(kind, 0) + 1
             stats.logical_bytes += record.get("logical_bytes", 0)
-            unique.update({digest: size for digest, size
-                           in record.get("block_sizes", {}).items()})
-        for digest in self._iter_block_files():
-            stats.blocks += 1
-            stats.stored_bytes += os.path.getsize(self._block_path(digest))
-            # size known only for blocks some live object references
+            unique.update(record.get("block_sizes", {}))
+        # raw sizes are known only for blocks some live object references
         for digest, size in unique.items():
-            path = self._block_path(digest)
-            if os.path.exists(path):
+            if digest in pool:
+                stats.compressed_bytes += pool[digest]
                 stats.unique_bytes += size
-                stats.compressed_bytes += os.path.getsize(path)
-        return stats
+        return stats, records
 
     def gc(self, dry_run: bool = False,
            tmp_ttl_s: float = STALE_TMP_S,
@@ -396,26 +298,23 @@ class ArtifactStore:
         if prune_snapshots:
             roots = set(snapshot_roots)
             for key in list(self.keys()):
-                record = self._load_record(key)
-                if record["kind"] == "snapshot" and key not in roots:
+                if self.kind_of(key) == "snapshot" and key not in roots:
                     pruned.add(key)
                     result.removed_snapshots += 1
                     if not dry_run:
-                        self.remove_record(key)
+                        self.delete(key)
         live: set = set()
         for key in self.keys():
             if key in pruned:
                 continue  # dry_run keeps the record; mark as if gone
-            record = self._load_record(key)
-            live.update(_referenced_digests(record["meta"]))
-        for digest in list(self._iter_block_files()):
+            live.update(_referenced_digests(self.get_record(key)["meta"]))
+        for digest in list(self.block_digests()):
             if digest in live:
                 result.live_blocks += 1
                 continue
-            path = self._block_path(digest)
-            result.freed_bytes += os.path.getsize(path)
+            result.freed_bytes += self.block_size(digest)
             if not dry_run:
-                os.unlink(path)
+                self.remove_block(digest)
             result.removed_blocks += 1
         if not dry_run:
             self.sweep_tmp(tmp_ttl_s)
@@ -424,6 +323,191 @@ class ArtifactStore:
             obs.count("store.gc_removed_blocks", result.removed_blocks)
             obs.count("store.gc_freed_bytes", result.freed_bytes)
         return result
+
+    def scrub(self) -> ScrubStats:
+        """Re-hash every live reference, reporting what is lost.
+
+        Every block is read through :meth:`read_block`, so a layout that
+        can heal on read (the sharded store's read repair) heals here,
+        and reports the repairs; a plain store only reports.
+        """
+        report = ScrubStats()
+        for key in sorted(self.keys()):
+            report.objects += 1
+            record = self.get_record(key)
+            lost = False
+            for digest in set(_referenced_digests(record["meta"])):
+                report.blocks_checked += 1
+                try:
+                    self.read_block(digest)
+                except StoreCorruption:
+                    lost = True
+            if lost:
+                report.lost_keys.append(key)
+        return report
+
+    def verify(self) -> List[str]:
+        """Re-hash every live reference; returns the corrupt keys."""
+        return self.scrub().lost_keys
+
+
+class ArtifactStore(_Store):
+    """A content-addressed repository for pinballs, ELFies and results."""
+
+    def __init__(self, root: str, compress_level: int = 6) -> None:
+        self.root = root
+        self.compress_level = compress_level
+        marker = os.path.join(root, STORE_MARKER)
+        fresh = not os.path.exists(marker)
+        if fresh and os.path.exists(os.path.join(root, SHARDS_MARKER)):
+            raise ValueError("%s holds a sharded store; open it with "
+                             "open_store" % root)
+        os.makedirs(self._blocks_dir, exist_ok=True)
+        os.makedirs(self._objects_dir, exist_ok=True)
+        if fresh:
+            _atomic_write(marker, json.dumps(_FORMAT).encode("utf-8"))
+
+    # -- paths -------------------------------------------------------------
+
+    @property
+    def _blocks_dir(self) -> str:
+        return os.path.join(self.root, "blocks")
+
+    @property
+    def _objects_dir(self) -> str:
+        return os.path.join(self.root, "objects")
+
+    def _block_path(self, digest: str) -> str:
+        return os.path.join(self._blocks_dir, digest[:2], digest)
+
+    def _meta_path(self, key: str) -> str:
+        # keys may contain "/" (the service's run-scoped result keys);
+        # they become sub-directories, but must never escape the store
+        if not key or key.startswith(("/", ".")) or ".." in key.split("/"):
+            raise ValueError("invalid store key %r" % key)
+        return os.path.join(self._objects_dir, key[:2], key + ".json")
+
+    # -- blocks ------------------------------------------------------------
+
+    def write_block(self, digest: str, data: bytes) -> None:
+        """Idempotent, atomic write of one verified raw block."""
+        path = self._block_path(digest)
+        obs = hooks.OBS
+        if os.path.exists(path):
+            if obs.enabled:
+                obs.count("store.blocks_deduped")
+                obs.count("store.bytes_deduped", len(data))
+            return  # content-addressed: existing contents are identical
+        compressed = zlib.compress(data, self.compress_level)
+        if obs.enabled:
+            obs.count("store.blocks_written")
+            obs.count("store.bytes_raw", len(data))
+            obs.count("store.bytes_stored", len(compressed))
+        _atomic_write(path, compressed)
+
+    def read_block(self, digest: str) -> bytes:
+        """Read and integrity-verify one block (raises StoreCorruption)."""
+        obs = hooks.OBS
+        if obs.enabled:
+            obs.count("store.blocks_read")
+        path = self._block_path(digest)
+        try:
+            with open(path, "rb") as handle:
+                compressed = handle.read()
+        except FileNotFoundError:
+            raise StoreCorruption("missing block %s" % digest)
+        try:
+            data = zlib.decompress(compressed)
+        except zlib.error as exc:
+            self._drop_corrupt_block(path)
+            raise StoreCorruption("block %s: %s" % (digest, exc))
+        if codec.sha256_hex(data) != digest:
+            self._drop_corrupt_block(path)
+            raise StoreCorruption("block %s fails digest verification"
+                                  % digest)
+        return data
+
+    @staticmethod
+    def _drop_corrupt_block(path: str) -> None:
+        """Unlink a block that failed verification.
+
+        ``write_block`` treats an existing file as authoritative (the
+        content-addressed invariant), so a damaged block must leave the
+        pool or a later re-put of the same content would be skipped and
+        the corruption would persist.
+        """
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+    def has_block(self, digest: str) -> bool:
+        return os.path.exists(self._block_path(digest))
+
+    def remove_block(self, digest: str) -> bool:
+        try:
+            os.unlink(self._block_path(digest))
+            return True
+        except FileNotFoundError:
+            return False
+
+    def block_digests(self) -> Iterator[str]:
+        """Digests of every block file in the pool, in sorted order."""
+        for shard in sorted(os.listdir(self._blocks_dir)):
+            shard_dir = os.path.join(self._blocks_dir, shard)
+            if not os.path.isdir(shard_dir):
+                continue
+            for name in sorted(os.listdir(shard_dir)):
+                if not name.startswith(".tmp-"):
+                    yield name
+
+    def block_size(self, digest: str) -> int:
+        """Compressed on-disk bytes (FileNotFoundError when absent)."""
+        return os.path.getsize(self._block_path(digest))
+
+    # -- records -----------------------------------------------------------
+
+    def put_record(self, key: str, record: dict) -> None:
+        """Atomically install an artifact meta record.
+
+        The record must only reference blocks that are already in the
+        pool — this is the commit point that makes a partially written
+        artifact simply absent rather than corrupt.
+        """
+        _atomic_write(self._meta_path(key),
+                      json.dumps(record, sort_keys=True).encode("utf-8"))
+
+    def get_record(self, key: str) -> dict:
+        """The raw meta record for *key* (KeyError when absent)."""
+        try:
+            with open(self._meta_path(key)) as handle:
+                return json.load(handle)
+        except FileNotFoundError:
+            raise KeyError(key)
+        except (ValueError, OSError) as exc:
+            raise StoreCorruption("meta record for %s: %s" % (key, exc))
+
+    def remove_record(self, key: str) -> bool:
+        try:
+            os.unlink(self._meta_path(key))
+            return True
+        except FileNotFoundError:
+            return False
+
+    def contains(self, key: str) -> bool:
+        return os.path.exists(self._meta_path(key))
+
+    def keys(self) -> Iterator[str]:
+        for dirpath, dirnames, filenames in os.walk(self._objects_dir):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(".json"):
+                    continue
+                relative = os.path.relpath(os.path.join(dirpath, name),
+                                           self._objects_dir)
+                parts = relative.split(os.sep)
+                # drop the two-char fan-out prefix; the rest is the key
+                yield "/".join(parts[1:])[:-len(".json")]
 
     def sweep_tmp(self, ttl_s: float = STALE_TMP_S) -> int:
         """Unlink ``.tmp-`` files older than *ttl_s* (killed writers).
@@ -448,32 +532,24 @@ class ArtifactStore:
                         continue
         return removed
 
-    def verify(self) -> List[str]:
-        """Re-hash every live reference; returns corrupt keys."""
-        bad: List[str] = []
-        for key in self.keys():
-            record = self._load_record(key)
-            try:
-                for digest in set(_referenced_digests(record["meta"])):
-                    self._read_block(digest)
-            except StoreCorruption:
-                bad.append(key)
-        return bad
 
+def open_store(root: str, compress_level: int = 6, shards: int = 0) -> Any:
+    """Open (or create) the store at *root*; the one place that picks a
+    layout.
 
-def open_store(root: str, compress_level: int = 6) -> Any:
-    """Open whatever store lives at *root*.
-
-    A root carrying the ``shards.json`` marker opens as a
-    :class:`repro.service.shards.ShardedStore`; anything else (including
-    a fresh directory) opens as a plain single-root
-    :class:`ArtifactStore`.  This is what the CLI uses so ``farm`` and
-    ``service`` subcommands transparently accept either layout.
+    A root with the ``shards.json`` marker opens as a
+    :class:`repro.service.shards.ShardedStore`, a root with
+    ``store.json`` as a plain :class:`ArtifactStore`.  A new root is
+    sharded across *shards* roots when *shards* is given, plain
+    otherwise.  A *shards* count that contradicts an existing root (a
+    plain root, or a sharded one of another count) raises ValueError
+    and writes nothing.
     """
-    from repro.service.shards import SHARDS_MARKER, ShardedStore
+    from repro.service.shards import ShardedStore
 
-    if os.path.exists(os.path.join(root, SHARDS_MARKER)):
-        return ShardedStore(root, compress_level=compress_level)
+    if shards or os.path.exists(os.path.join(root, SHARDS_MARKER)):
+        return ShardedStore(root, shards=shards or None,
+                            compress_level=compress_level)
     return ArtifactStore(root, compress_level=compress_level)
 
 

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.farm import codec
-from repro.farm.store import build_record, open_store
+from repro.farm.store import open_store
 from repro.observe import hooks
 from repro.service import protocol
 from repro.service.scheduler import (
@@ -279,9 +279,10 @@ class CheckpointServer:
             if codec.sha256_hex(data) != digest:
                 raise protocol.ProtocolError(
                     "uploaded block %s fails digest verification" % digest)
-        for digest, data in blocks.items():
-            self.store.write_block(digest, data)
-        self.store.put_record(key, build_record(key, kind, meta, blocks))
+        try:
+            self.store.commit(key, kind, meta, blocks)
+        except ValueError as exc:  # unknown kind, block missing, bad key
+            raise protocol.ProtocolError(str(exc)) from None
 
     async def _verb_put_artifact(self, message: dict) -> dict:
         key = str(message["key"])
@@ -296,16 +297,9 @@ class CheckpointServer:
                       sum(len(data) for data in blocks.values()))
         return {"key": key}
 
-    def _get_artifact(self, key: str) -> Tuple[dict, Dict[str, bytes]]:
-        record = self.store.get_record(key)  # KeyError -> 404
-        blocks: Dict[str, bytes] = {}
-        for digest in set(_referenced(record["meta"])):
-            blocks[digest] = self.store.read_block(digest)
-        return record, blocks
-
     async def _verb_get_artifact(self, message: dict) -> dict:
         key = str(message["key"])
-        record, blocks = await self._store_call(self._get_artifact, key)
+        record, blocks = await self._store_call(self.store.fetch, key)
         obs = hooks.OBS
         if obs.enabled:
             obs.count("service.artifacts_got")
@@ -331,11 +325,6 @@ class CheckpointServer:
         return response
 
 
-def _referenced(meta: dict):
-    from repro.farm.store import _referenced_digests
-    return _referenced_digests(meta)
-
-
 class ServerThread:
     """Run a :class:`CheckpointServer` on a daemon thread.
 
@@ -348,14 +337,10 @@ class ServerThread:
                  host: str = "127.0.0.1", port: int = 0,
                  lease_timeout: float = 10.0, max_queued: int = 1024,
                  retries: int = 2) -> None:
-        if shards > 0:
-            from repro.service.shards import ShardedStore
-            store = ShardedStore(store_root, shards=shards)
-        else:
-            store = open_store(store_root)
         self.server = CheckpointServer(
-            store, host=host, port=port, lease_timeout=lease_timeout,
-            max_queued=max_queued, retries=retries)
+            open_store(store_root, shards=shards), host=host, port=port,
+            lease_timeout=lease_timeout, max_queued=max_queued,
+            retries=retries)
         self.loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run, daemon=True)
         self._started = threading.Event()
@@ -398,11 +383,7 @@ async def serve(store_root: str, shards: int = 0, host: str = "127.0.0.1",
                 port: int = 0, lease_timeout: float = 10.0,
                 max_queued: int = 1024, retries: int = 2) -> None:
     """Foreground server (the ``service start`` CLI entry point)."""
-    if shards > 0:
-        from repro.service.shards import ShardedStore
-        store = ShardedStore(store_root, shards=shards)
-    else:
-        store = open_store(store_root)
+    store = open_store(store_root, shards=shards)
     server = CheckpointServer(store, host=host, port=port,
                               lease_timeout=lease_timeout,
                               max_queued=max_queued, retries=retries)

@@ -9,7 +9,9 @@ Layout under the sharded root::
 
 Blocks are placed by their own SHA-256 digest on a consistent-hash
 ring (:mod:`repro.service.ring`); artifact meta records are placed by
-the SHA-256 of their key.  Everything inherits the single-shard store's
+the SHA-256 of their key.  The store operations themselves (put, get,
+gc, stats, scrub) are the plain store's, run over sharded block and
+record primitives.  Everything inherits the single-shard store's
 crash-safety discipline — write-temp-then-``os.replace`` for blocks and
 records — so concurrent writers (the service's workers) never expose a
 partially written block to readers.
@@ -35,23 +37,22 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.farm import codec
 from repro.farm.store import (
+    SHARDS_MARKER,
     STALE_TMP_S,
+    STORE_MARKER,
     ArtifactStore,
-    GCStats,
+    ScrubStats,
     StoreCorruption,
     StoreStats,
     _atomic_write,
-    _referenced_digests,
-    build_record,
+    _Store,
 )
 from repro.observe import hooks
 from repro.service.ring import HashRing
-
-SHARDS_MARKER = "shards.json"
 
 _FORMAT = "repro-farm-shards"
 _VERSION = 1
@@ -94,31 +95,15 @@ class RebalanceStats:
                 "dry_run": self.dry_run}
 
 
-@dataclass
-class ScrubStats:
-    """What a :meth:`ShardedStore.scrub` pass found and fixed."""
-
-    objects: int = 0
-    blocks_checked: int = 0
-    repaired_blocks: int = 0
-    repaired_records: int = 0
-    #: keys with at least one unrecoverable block
-    lost_keys: List[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"objects": self.objects,
-                "blocks_checked": self.blocks_checked,
-                "repaired_blocks": self.repaired_blocks,
-                "repaired_records": self.repaired_records,
-                "lost_keys": sorted(self.lost_keys)}
-
-
-class ShardedStore:
+class ShardedStore(_Store):
     """A content-addressed store spread over N shard roots.
 
-    Drop-in for :class:`ArtifactStore` wherever the farm runner or the
-    service touches a store: ``put/get/contains/kind_of/delete/keys/
-    stats/gc/verify`` all exist with the same semantics.
+    The store operations (``put/get/kind_of/stats/gc/verify/scrub``)
+    are the plain store's, run over sharded primitives: a block or
+    record is written to its home shard on the ring, and read from
+    there first.  Only placement, read repair, the per-shard stats
+    breakdown and :meth:`rebalance` are this class's own.  Aggregate
+    figures count each distinct block once, wherever its replicas lie.
     """
 
     def __init__(self, root: str, shards: Optional[int] = None,
@@ -137,13 +122,13 @@ class ShardedStore:
                 raise ValueError(
                     "store has %d shards; use rebalance(shards=%d) to "
                     "change the ring" % (len(names), shards))
+        elif os.path.exists(os.path.join(root, STORE_MARKER)):
+            raise ValueError("%s holds a plain store; it cannot be opened "
+                             "as sharded" % root)
         else:
             names = shard_names(shards if shards is not None else 2)
             os.makedirs(root, exist_ok=True)
-            _atomic_write(marker, json.dumps(
-                {"format": _FORMAT, "version": _VERSION,
-                 "shards": names, "vnodes": vnodes},
-                sort_keys=True).encode("utf-8"))
+            _write_marker(root, names, vnodes)
         self.compress_level = compress_level
         self.ring = HashRing(names, vnodes=vnodes)
         self._stores = {name: ArtifactStore(os.path.join(root, name),
@@ -175,13 +160,15 @@ class ShardedStore:
             if name != home:
                 yield self._stores[name]
 
+    def _home_first(self, home: str) -> Iterator[ArtifactStore]:
+        yield self._stores[home]
+        yield from self._others(home)
+
     # -- blocks ------------------------------------------------------------
 
     def has_block(self, digest: str) -> bool:
-        if self._stores[self.home_of_block(digest)].has_block(digest):
-            return True
         return any(store.has_block(digest)
-                   for store in self._others(self.home_of_block(digest)))
+                   for store in self._home_first(self.home_of_block(digest)))
 
     def write_block(self, digest: str, data: bytes) -> None:
         self._stores[self.home_of_block(digest)].write_block(digest, data)
@@ -219,14 +206,26 @@ class ShardedStore:
             return data
         raise StoreCorruption("block %s missing from every shard" % digest)
 
-    # -- records -----------------------------------------------------------
+    def remove_block(self, digest: str) -> bool:
+        """Drop the block from every shard that holds a copy."""
+        return any([store.remove_block(digest)
+                    for store in self._stores.values()])
 
-    def put(self, key: str, obj: Any, kind: str = "") -> str:
-        kind, meta, blocks = codec.encode(obj, kind)
-        for digest, data in blocks.items():
-            self.write_block(digest, data)
-        self.put_record(key, build_record(key, kind, meta, blocks))
-        return key
+    def block_digests(self) -> Iterator[str]:
+        """Each distinct block digest on any shard, in sorted order."""
+        return iter(sorted(set().union(*(
+            store.block_digests() for store in self._stores.values()))))
+
+    def block_size(self, digest: str) -> int:
+        """Compressed bytes of one copy, the home copy when present."""
+        for store in self._home_first(self.home_of_block(digest)):
+            try:
+                return store.block_size(digest)
+            except FileNotFoundError:
+                continue
+        raise FileNotFoundError(digest)
+
+    # -- records -----------------------------------------------------------
 
     def put_record(self, key: str, record: dict) -> None:
         self._stores[self.home_of_key(key)].put_record(key, record)
@@ -248,23 +247,14 @@ class ShardedStore:
             return record
         raise KeyError(key)
 
-    def get(self, key: str) -> Any:
-        record = self.get_record(key)
-        return codec.decode(record["kind"], record["meta"], self.read_block)
-
-    def contains(self, key: str) -> bool:
-        if self._stores[self.home_of_key(key)].contains(key):
-            return True
-        return any(store.contains(key)
-                   for store in self._others(self.home_of_key(key)))
-
-    def kind_of(self, key: str) -> str:
-        return self.get_record(key)["kind"]
-
-    def delete(self, key: str) -> bool:
+    def remove_record(self, key: str) -> bool:
         # strays from pre-rebalance layouts must die with the home copy
         return any([store.remove_record(key)
                     for store in self._stores.values()])
+
+    def contains(self, key: str) -> bool:
+        return any(store.contains(key)
+                   for store in self._home_first(self.home_of_key(key)))
 
     def keys(self) -> Iterator[str]:
         seen = set()
@@ -274,44 +264,41 @@ class ShardedStore:
                     seen.add(key)
                     yield key
 
+    def sweep_tmp(self, ttl_s: float = STALE_TMP_S) -> int:
+        return sum(store.sweep_tmp(ttl_s) for store in self._stores.values())
+
     # -- maintenance -------------------------------------------------------
 
     def stats(self) -> ShardedStoreStats:
-        stats = ShardedStoreStats()
+        """The aggregate stats plus the per-shard breakdown, from one
+        listing of each shard and one read of each record."""
+        copies = {name: store._block_pool()
+                  for name, store in self._stores.items()}
+        pool: Dict[str, int] = {}
+        for sizes in copies.values():
+            pool.update(sizes)  # replicas of a block hold the same bytes
+        aggregate, records = self._tally(pool)
+        stats = ShardedStoreStats(**vars(aggregate))
         per_shard = {
-            name: {"objects": 0, "blocks": 0, "stored_bytes": 0,
+            name: {"objects": 0, "blocks": len(copies[name]),
+                   "stored_bytes": sum(copies[name].values()),
                    "unique_bytes": 0, "logical_bytes": 0,
                    "hits": self.block_hits[name],
                    "repairs": self.block_repairs[name]}
             for name in self.ring.shards
         }
         unique: Dict[str, int] = {}
-        for key in self.keys():
-            record = self.get_record(key)
-            stats.objects += 1
-            kind = record["kind"]
-            stats.objects_by_kind[kind] = \
-                stats.objects_by_kind.get(kind, 0) + 1
-            stats.logical_bytes += record.get("logical_bytes", 0)
+        for key, record in records.items():
             per_shard[self.home_of_key(key)]["objects"] += 1
             for digest, size in record.get("block_sizes", {}).items():
                 unique[digest] = size
                 per_shard[self.home_of_block(digest)]["logical_bytes"] \
                     += size
-        for name, store in self._stores.items():
-            for digest in store.block_digests():
-                stats.blocks += 1
-                per_shard[name]["blocks"] += 1
-                size = store.block_size(digest)
-                stats.stored_bytes += size
-                per_shard[name]["stored_bytes"] += size
         for digest, size in unique.items():
             home = self.home_of_block(digest)
-            if self._stores[home].has_block(digest):
-                stats.unique_bytes += size
-                stats.compressed_bytes += self._stores[home].block_size(digest)
+            if digest in copies[home]:
                 per_shard[home]["unique_bytes"] += size
-        for name, entry in per_shard.items():
+        for entry in per_shard.values():
             entry["dedup_ratio"] = round(
                 entry["logical_bytes"] / entry["unique_bytes"], 3) \
                 if entry["unique_bytes"] else 1.0
@@ -321,93 +308,13 @@ class ShardedStore:
         stats.shards = per_shard
         return stats
 
-    def gc(self, dry_run: bool = False,
-           tmp_ttl_s: float = STALE_TMP_S,
-           prune_snapshots: bool = False,
-           snapshot_roots: Iterable[str] = ()) -> GCStats:
-        """Mark-sweep over every shard against the global live set.
-
-        A live block is kept on *any* shard it appears on (a stray
-        replica of a live block is future read-repair fodder, and
-        rebalance is the tool that canonicalizes placement, not gc).
-        ``prune_snapshots``/*snapshot_roots* behave as in
-        :meth:`repro.farm.store.ArtifactStore.gc`: non-root preemption
-        checkpoints are dropped before the mark phase.
-        """
-        result = GCStats(dry_run=dry_run)
-        pruned: set = set()
-        if prune_snapshots:
-            roots = set(snapshot_roots)
-            for key in list(self.keys()):
-                if self.get_record(key)["kind"] == "snapshot" \
-                        and key not in roots:
-                    pruned.add(key)
-                    result.removed_snapshots += 1
-                    if not dry_run:
-                        self.delete(key)
-        live: set = set()
-        for key in self.keys():
-            if key in pruned:
-                continue
-            live.update(_referenced_digests(self.get_record(key)["meta"]))
-        for store in self._stores.values():
-            for digest in list(store.block_digests()):
-                if digest in live:
-                    result.live_blocks += 1
-                    continue
-                result.freed_bytes += store.block_size(digest)
-                if not dry_run:
-                    store.remove_block(digest)
-                result.removed_blocks += 1
-            if not dry_run:
-                store.sweep_tmp(tmp_ttl_s)
-        return result
-
-    def verify(self) -> List[str]:
-        """Re-hash every live reference; returns unrecoverable keys.
-
-        Unlike the single-shard verify this *may heal the store*: a
-        reference satisfied by read repair from another shard counts as
-        good (and leaves a fresh home copy behind).
-        """
-        bad: List[str] = []
-        for key in sorted(self.keys()):
-            record = self.get_record(key)
-            try:
-                for digest in set(_referenced_digests(record["meta"])):
-                    self.read_block(digest)
-            except StoreCorruption:
-                bad.append(key)
-        return bad
-
     def scrub(self) -> ScrubStats:
-        """Walk every artifact, read-repairing what the shards allow.
-
-        The per-key loop is exactly a verifying read of each referenced
-        block through the repair path; the report separates healed
-        damage (``repaired_*``) from real loss (``lost_keys``).
-        """
-        report = ScrubStats()
-        repairs_before = dict(self.block_repairs)
-        records_before = dict(self.record_repairs)
-        for key in sorted(self.keys()):
-            report.objects += 1
-            record = self.get_record(key)
-            lost = False
-            for digest in set(_referenced_digests(record["meta"])):
-                report.blocks_checked += 1
-                try:
-                    self.read_block(digest)
-                except StoreCorruption:
-                    lost = True
-            if lost:
-                report.lost_keys.append(key)
-        report.repaired_blocks = sum(
-            self.block_repairs[name] - repairs_before[name]
-            for name in self.ring.shards)
-        report.repaired_records = sum(
-            self.record_repairs[name] - records_before[name]
-            for name in self.ring.shards)
+        """Verify every live reference, counting what read repair healed."""
+        blocks = sum(self.block_repairs.values())
+        records = sum(self.record_repairs.values())
+        report = super().scrub()
+        report.repaired_blocks = sum(self.block_repairs.values()) - blocks
+        report.repaired_records = sum(self.record_repairs.values()) - records
         return report
 
     def rebalance(self, shards: Optional[int] = None,
@@ -455,10 +362,7 @@ class ShardedStore:
             return result
         # commit the new ring only after every object reached its home,
         # so a crash mid-move leaves strays the read-repair path finds
-        _atomic_write(os.path.join(self.root, SHARDS_MARKER), json.dumps(
-            {"format": _FORMAT, "version": _VERSION,
-             "shards": new_names, "vnodes": self.ring.vnodes},
-            sort_keys=True).encode("utf-8"))
+        _write_marker(self.root, new_names, self.ring.vnodes)
         self.ring = new_ring
         self._stores = {name: stores[name] for name in new_names}
         for counter in (self.block_hits, self.block_repairs,
@@ -466,3 +370,10 @@ class ShardedStore:
             for name in new_names:
                 counter.setdefault(name, 0)
         return result
+
+
+def _write_marker(root: str, names: List[str], vnodes: int) -> None:
+    _atomic_write(os.path.join(root, SHARDS_MARKER), json.dumps(
+        {"format": _FORMAT, "version": _VERSION,
+         "shards": names, "vnodes": vnodes},
+        sort_keys=True).encode("utf-8"))

@@ -28,6 +28,7 @@ from repro.verify.verifier import (
     FidelityReport,
     NativeCursor,
     ReplayCursor,
+    StraightCursor,
     differential_verify,
     verify_elfie_entry,
     verify_pinball,
@@ -47,7 +48,6 @@ from repro.verify.lockstep import (
     LockstepOutcome,
     LockstepSweep,
     ResumedCursor,
-    StraightCursor,
     lockstep_corpus,
     mt_cases,
     run_lockstep_case,

@@ -29,57 +29,16 @@ from repro.machine.machine import ExitStatus, Machine
 from repro.machine.vfs import FileSystem
 from repro.snapshot.state import MachineSnapshot, capture, restore
 from repro.verify.corpus import CorpusCase, corpus_paths, load_corpus_case
-from repro.verify.digest import DirtyPageTracker, EpochDigest, epoch_digest
+from repro.verify.digest import DirtyPageTracker
 from repro.verify.fuzz import FuzzCase, build_case, generate_case
 from repro.verify.verifier import (
     DEFAULT_EPOCHS,
+    MEASURE_CAP,
     FidelityReport,
+    StraightCursor,
     _fork_fs,
     differential_verify,
 )
-
-#: Ceiling for measuring a workload's natural length.
-MEASURE_CAP = 2_000_000
-
-
-class StraightCursor:
-    """The uninterrupted reference run, advanced in icount steps."""
-
-    label = "straight"
-
-    def __init__(self, image: bytes, seed: int = 0,
-                 fs: Optional[FileSystem] = None,
-                 argv: Optional[Sequence[str]] = None,
-                 budget: int = MEASURE_CAP) -> None:
-        self.machine = Machine(seed=seed, fs=fs)
-        load_elf(self.machine, image, argv=argv)
-        self.budget = budget
-        self.tracker = DirtyPageTracker()
-        self.machine.attach(self.tracker)
-
-    @property
-    def executed(self) -> int:
-        return self.machine.executed_total
-
-    def step(self, target: int) -> ExitStatus:
-        return self.machine.run(max_instructions=min(target, self.budget))
-
-    def digest(self, index: int) -> EpochDigest:
-        return epoch_digest(self.machine, index, self.executed)
-
-    def structured_divergence(self):
-        return None
-
-    def checkpoint(self) -> MachineSnapshot:
-        return capture(self.machine, extra={"cursor": self.label,
-                                            "budget": self.budget})
-
-    def resume_clone(self, snapshot: MachineSnapshot) -> "StraightCursor":
-        cursor = object.__new__(StraightCursor)
-        cursor.tracker = DirtyPageTracker()
-        cursor.machine = restore(snapshot, tools=[cursor.tracker])
-        cursor.budget = snapshot.extra["budget"]
-        return cursor
 
 
 class ResumedCursor(StraightCursor):
@@ -127,6 +86,11 @@ class ResumedCursor(StraightCursor):
                     return status
             self._hop()
         return self.machine.run(max_instructions=limit)
+
+    def resume_clone(self, snapshot: MachineSnapshot) -> "ResumedCursor":
+        cursor = super().resume_clone(snapshot)
+        cursor._hops = []  # a probe from a snapshot runs straight on
+        return cursor
 
 
 def measure_budget(image: bytes, seed: int = 0,

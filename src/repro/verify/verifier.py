@@ -19,6 +19,7 @@ intact.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,7 @@ from repro.machine.vfs import FileSystem
 from repro.observe import hooks
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.replayer import DivergenceInfo, ReplaySession
+from repro.snapshot import MachineSnapshot, capture, restore
 from repro.verify.differ import side_by_side
 from repro.verify.digest import DirtyPageTracker, EpochDigest, epoch_digest
 
@@ -37,6 +39,9 @@ MASK64 = (1 << 64) - 1
 
 #: Default number of digest epochs per region.
 DEFAULT_EPOCHS = 16
+
+#: Ceiling for measuring a workload's natural length.
+MEASURE_CAP = 2_000_000
 
 
 def _fork_fs(fs: Optional[FileSystem]) -> Optional[FileSystem]:
@@ -61,14 +66,69 @@ def _region_tids(machine: Machine, pinball: Pinball) -> List[int]:
             if tid in keep or tid >= pinball.next_tid]
 
 
-class NativeCursor:
-    """The reference execution, advanced in instruction-count steps.
+class StraightCursor:
+    """An uninterrupted run of a workload, advanced in icount steps.
 
-    A fresh machine runs the original workload to the region start
-    (warmup included), then the recorded schedule is replayed over it —
-    the machine is deterministic, so driving the original code with the
-    realized slices reproduces the recorded execution exactly, giving
-    the verifier a ground-truth cursor with no injection involved.
+    Positions count from ``base``, the instructions retired before the
+    cursor's icount 0 (none for a whole run).
+    """
+
+    label = "straight"
+    base = 0
+
+    def __init__(self, image: bytes, seed: int = 0,
+                 fs: Optional[FileSystem] = None,
+                 argv: Optional[Sequence[str]] = None,
+                 budget: int = MEASURE_CAP,
+                 aslr_seed: Optional[int] = None) -> None:
+        self.machine = Machine(seed=seed, fs=fs)
+        load_elf(self.machine, image, argv=argv, aslr_seed=aslr_seed)
+        self.budget = budget
+        self._start()
+        self.tracker = DirtyPageTracker()
+        self.machine.attach(self.tracker)
+
+    def _start(self) -> None:
+        """Bring the loaded machine to icount 0 (a whole run is there)."""
+
+    @property
+    def executed(self) -> int:
+        return self.machine.executed_total - self.base
+
+    def step(self, target: int) -> ExitStatus:
+        return self.machine.run(
+            max_instructions=self.base + min(target, self.budget))
+
+    def digest(self, index: int) -> EpochDigest:
+        return epoch_digest(self.machine, index, self.executed)
+
+    def structured_divergence(self) -> Optional[DivergenceInfo]:
+        return None
+
+    def checkpoint(self) -> MachineSnapshot:
+        """Whole-machine snapshot at the current (stopped) position."""
+        return capture(self.machine, extra={
+            "cursor": self.label, "base": self.base, "budget": self.budget})
+
+    def resume_clone(self, snapshot: MachineSnapshot) -> "StraightCursor":
+        """Fresh cursor continuing from a checkpoint() of this cursor."""
+        cursor = copy.copy(self)
+        cursor.tracker = DirtyPageTracker()
+        cursor.machine = restore(snapshot, tools=[cursor.tracker])
+        cursor.base = snapshot.extra["base"]
+        cursor.budget = snapshot.extra["budget"]
+        return cursor
+
+
+class NativeCursor(StraightCursor):
+    """The reference execution of a pinball's region.
+
+    A straight run of the original workload to the region start
+    (warmup included), with the recorded schedule then replayed over it
+    — the machine is deterministic, so driving the original code with
+    the realized slices reproduces the recorded execution exactly,
+    giving the verifier a ground-truth cursor with no injection
+    involved.  Digests compare the region's threads only.
     """
 
     label = "native"
@@ -78,9 +138,13 @@ class NativeCursor:
                  argv: Optional[Sequence[str]] = None,
                  aslr_seed: Optional[int] = None) -> None:
         self.pinball = pinball
-        self.machine = Machine(seed=seed, fs=fs)
-        load_elf(self.machine, image, argv=argv, aslr_seed=aslr_seed)
-        start = pinball.region.warmup_start
+        budget = sum(s.quantum for s in pinball.schedule)
+        super().__init__(image, seed=seed, fs=fs, argv=argv,
+                         budget=budget or pinball.region_icount,
+                         aslr_seed=aslr_seed)
+
+    def _start(self) -> None:
+        start = self.pinball.region.warmup_start
         if start:
             status = self.machine.run(max_instructions=start)
             if status.kind != "stopped":
@@ -88,44 +152,11 @@ class NativeCursor:
                     "workload ended (%s) before region start at %d"
                     % (status.kind, start))
         self.base = self.machine.executed_total
-        self.machine.scheduler.replay(pinball.schedule)
-        budget = sum(s.quantum for s in pinball.schedule)
-        self.budget = budget or pinball.region_icount
-        self.tracker = DirtyPageTracker()
-        self.machine.attach(self.tracker)
-
-    @property
-    def executed(self) -> int:
-        """Region-relative instructions retired."""
-        return self.machine.executed_total - self.base
-
-    def step(self, target: int) -> ExitStatus:
-        return self.machine.run(
-            max_instructions=self.base + min(target, self.budget))
+        self.machine.scheduler.replay(self.pinball.schedule)
 
     def digest(self, index: int) -> EpochDigest:
         return epoch_digest(self.machine, index, self.executed,
                             tids=_region_tids(self.machine, self.pinball))
-
-    def structured_divergence(self) -> Optional[DivergenceInfo]:
-        return None
-
-    def checkpoint(self):
-        """Whole-machine snapshot at the current (stopped) position."""
-        from repro.snapshot import capture
-        return capture(self.machine, extra={
-            "cursor": self.label, "base": self.base, "budget": self.budget})
-
-    def resume_clone(self, snapshot) -> "NativeCursor":
-        """Fresh cursor continuing from a checkpoint() of this cursor."""
-        from repro.snapshot import restore
-        cursor = object.__new__(NativeCursor)
-        cursor.pinball = self.pinball
-        cursor.tracker = DirtyPageTracker()
-        cursor.machine = restore(snapshot, tools=[cursor.tracker])
-        cursor.base = snapshot.extra["base"]
-        cursor.budget = snapshot.extra["budget"]
-        return cursor
 
 
 class ReplayCursor:
@@ -175,7 +206,6 @@ class ReplayCursor:
 
     def checkpoint(self):
         """Whole-machine snapshot at the current (stopped) position."""
-        from repro.snapshot import capture
         return capture(self.machine, extra={
             "cursor": self.label, "budget": self.session.budget,
             "injection": self.session.injection})
@@ -190,7 +220,6 @@ class ReplayCursor:
         reconstruction.
         """
         from repro.pinplay.replayer import _InjectionTool
-        from repro.snapshot import restore
         cursor = object.__new__(ReplayCursor)
         cursor.pinball = self.pinball
         session = object.__new__(ReplaySession)

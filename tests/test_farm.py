@@ -29,6 +29,7 @@ from repro.machine.memory import PAGE_SIZE
 from repro.machine.scheduler import ScheduleSlice
 from repro.pinplay.pinball import Pinball, ThreadRecord
 from repro.pinplay.regions import RegionSpec
+from repro.service import ShardedStore
 from repro.simpoint import (
     elfie_validation,
     run_pinpoints,
@@ -61,88 +62,125 @@ def make_pinball(name="pb", pages=None, icount=500):
 # -- artifact store ---------------------------------------------------------
 
 
-def test_store_round_trips_pinball(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    pinball = make_pinball()
-    store.put("k1", pinball)
-    assert store.contains("k1")
-    assert store.kind_of("k1") == "pinball"
-    loaded = store.get("k1")
-    assert loaded.pages == pinball.pages
-    assert loaded.region == pinball.region
-    assert loaded.threads == pinball.threads
-    assert loaded.schedule == pinball.schedule
-    assert loaded.program_icount == pinball.program_icount
-    assert loaded.next_tid == pinball.next_tid
+@pytest.fixture
+def stores(tmp_path):
+    """An empty store of each layout: the store operations are written
+    once over the layouts' primitives, so each store test runs on both."""
+    return {"plain": ArtifactStore(str(tmp_path / "plain")),
+            "sharded": ShardedStore(str(tmp_path / "sharded"), shards=3)}
 
 
-def test_store_round_trips_pinball_group(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    group = {"a": make_pinball("a"), "b": make_pinball("b", icount=700)}
-    store.put("g", group)
-    assert store.kind_of("g") == "pinballs"
-    loaded = store.get("g")
-    assert sorted(loaded) == ["a", "b"]
-    assert loaded["a"].pages == group["a"].pages
-    assert loaded["b"].region_icount == 700
+def on_each_layout(stores, check):
+    """Run *check(store)* on every layout, then fail naming each layout
+    that failed.  One test per operation, not per layout, keeps each
+    test's id that of the single-layout test it extends."""
+    failures = {}
+    for layout, store in stores.items():
+        try:
+            check(store)
+        except Exception as exc:
+            failures[layout] = exc
+    if failures:
+        raise AssertionError("failed on %s" % "; ".join(
+            "%s layout: %r" % item for item in failures.items())
+        ) from next(iter(failures.values()))
 
 
-def test_store_round_trips_elfie(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    artifact = ElfieArtifact(
-        image=bytes(range(256)) * 40,
-        e_type=2,
-        entry=0x40_0000,
-        startup_base=0x30_0000,
-        plan=StartupPlan(tail_instructions={0: 7, 1: 9},
-                         symbol_labels=["elfie_entry"],
-                         context_symbols=[("t0.rip", "ctx0", 16)]),
-        linker_script="SECTIONS {}",
-        symbols=[("elfie_entry", 0x40_0000)],
-    )
-    store.put("e", artifact, kind="elfie")
-    loaded = store.get("e")
-    assert loaded.image == artifact.image
-    assert loaded.entry == artifact.entry
-    assert loaded.plan.tail_instructions == {0: 7, 1: 9}
-    assert loaded.plan.context_symbols == [("t0.rip", "ctx0", 16)]
-    assert loaded.linker_script == "SECTIONS {}"
-    assert loaded.symbols == [("elfie_entry", 0x40_0000)]
+def test_store_round_trips_pinball(stores):
+    def check(store):
+        pinball = make_pinball()
+        store.put("k1", pinball)
+        assert store.contains("k1")
+        assert store.kind_of("k1") == "pinball"
+        loaded = store.get("k1")
+        assert loaded.pages == pinball.pages
+        assert loaded.region == pinball.region
+        assert loaded.threads == pinball.threads
+        assert loaded.schedule == pinball.schedule
+        assert loaded.program_icount == pinball.program_icount
+        assert loaded.next_tid == pinball.next_tid
+
+    on_each_layout(stores, check)
 
 
-def test_store_deduplicates_shared_pages(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    pages = {0x1000: (5, b"\x11" * PAGE_SIZE), 0x2000: (5, b"\x22" * PAGE_SIZE)}
-    store.put("first", make_pinball("first", pages=dict(pages)))
-    blocks_after_first = store.stats().blocks
-    store.put("second", make_pinball("second", pages=dict(pages)))
-    stats = store.stats()
-    # the two artifacts share every page block; only the "rest" blob
-    # (metadata differs by name) adds a block
-    assert stats.blocks == blocks_after_first + 1
-    assert stats.objects == 2
-    assert stats.logical_bytes > stats.unique_bytes
-    assert stats.dedup_ratio > 1.0
-    assert stats.compression_ratio > 1.0
+def test_store_round_trips_pinball_group(stores):
+    def check(store):
+        group = {"a": make_pinball("a"), "b": make_pinball("b", icount=700)}
+        store.put("g", group)
+        assert store.kind_of("g") == "pinballs"
+        loaded = store.get("g")
+        assert sorted(loaded) == ["a", "b"]
+        assert loaded["a"].pages == group["a"].pages
+        assert loaded["b"].region_icount == 700
+
+    on_each_layout(stores, check)
 
 
-def test_store_gc_sweeps_unreferenced_blocks(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    shared = b"\x33" * PAGE_SIZE
-    store.put("keep", make_pinball("keep", pages={0x1000: (5, shared)}))
-    store.put("drop", make_pinball("drop", pages={0x1000: (5, shared),
-                                                  0x2000: (5, b"\x44" * PAGE_SIZE)}))
-    assert store.delete("drop")
-    assert not store.delete("drop")
-    result = store.gc()
-    assert result.removed_blocks > 0
-    assert result.live_blocks > 0
-    # the survivor must be fully readable after the sweep
-    assert store.get("keep").pages[0x1000] == (5, shared)
-    assert store.verify() == []
+def test_store_round_trips_elfie(stores):
+    def check(store):
+        artifact = ElfieArtifact(
+            image=bytes(range(256)) * 40,
+            e_type=2,
+            entry=0x40_0000,
+            startup_base=0x30_0000,
+            plan=StartupPlan(tail_instructions={0: 7, 1: 9},
+                             symbol_labels=["elfie_entry"],
+                             context_symbols=[("t0.rip", "ctx0", 16)]),
+            linker_script="SECTIONS {}",
+            symbols=[("elfie_entry", 0x40_0000)],
+        )
+        store.put("e", artifact, kind="elfie")
+        loaded = store.get("e")
+        assert loaded.image == artifact.image
+        assert loaded.entry == artifact.entry
+        assert loaded.plan.tail_instructions == {0: 7, 1: 9}
+        assert loaded.plan.context_symbols == [("t0.rip", "ctx0", 16)]
+        assert loaded.linker_script == "SECTIONS {}"
+        assert loaded.symbols == [("elfie_entry", 0x40_0000)]
+
+    on_each_layout(stores, check)
+
+
+def test_store_deduplicates_shared_pages(stores):
+    def check(store):
+        pages = {0x1000: (5, b"\x11" * PAGE_SIZE),
+                 0x2000: (5, b"\x22" * PAGE_SIZE)}
+        store.put("first", make_pinball("first", pages=dict(pages)))
+        blocks_after_first = store.stats().blocks
+        store.put("second", make_pinball("second", pages=dict(pages)))
+        stats = store.stats()
+        # the two artifacts share every page block; only the "rest" blob
+        # (metadata differs by name) adds a block
+        assert stats.blocks == blocks_after_first + 1
+        assert stats.objects == 2
+        assert stats.logical_bytes > stats.unique_bytes
+        assert stats.dedup_ratio > 1.0
+        assert stats.compression_ratio > 1.0
+
+    on_each_layout(stores, check)
+
+
+def test_store_gc_sweeps_unreferenced_blocks(stores):
+    def check(store):
+        shared = b"\x33" * PAGE_SIZE
+        store.put("keep", make_pinball("keep", pages={0x1000: (5, shared)}))
+        store.put("drop", make_pinball(
+            "drop", pages={0x1000: (5, shared),
+                           0x2000: (5, b"\x44" * PAGE_SIZE)}))
+        assert store.delete("drop")
+        assert not store.delete("drop")
+        result = store.gc()
+        assert result.removed_blocks > 0
+        assert result.live_blocks > 0
+        # the survivor must be fully readable after the sweep
+        assert store.get("keep").pages[0x1000] == (5, shared)
+        assert store.verify() == []
+
+    on_each_layout(stores, check)
 
 
 def test_store_recreates_fan_out_dirs_removed_behind_its_back(tmp_path):
+    # plain layout only: it removes the plain store's fan-out directories
     store = ArtifactStore(str(tmp_path))
     page = b"\x55" * PAGE_SIZE
     store.put("first", make_pinball("first", pages={0x1000: (5, page)}))
@@ -159,29 +197,40 @@ def test_store_recreates_fan_out_dirs_removed_behind_its_back(tmp_path):
     assert not store.contains("first")
 
 
-def test_store_detects_corruption(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    pinball = make_pinball()
-    store.put("k", pinball)
-    # tamper with one page block: valid zlib, wrong content
-    digest = codec_digest_of_first_page(store, "k")
-    with open(store._block_path(digest), "wb") as handle:
-        handle.write(zlib.compress(b"\x00" * PAGE_SIZE))
-    with pytest.raises(StoreCorruption):
-        store.get("k")
-    assert store.verify() == ["k"]
+def test_store_detects_corruption(stores):
+    def check(store):
+        pinball = make_pinball()
+        store.put("k", pinball)
+        # tamper with one page block: valid zlib, wrong content
+        digest = codec_digest_of_first_page(store, "k")
+        with open(block_file(store, digest), "wb") as handle:
+            handle.write(zlib.compress(b"\x00" * PAGE_SIZE))
+        with pytest.raises(StoreCorruption):
+            store.get("k")
+        assert store.verify() == ["k"]
+
+    on_each_layout(stores, check)
 
 
 def codec_digest_of_first_page(store, key):
-    record = store._load_record(key)
+    record = store.get_record(key)
     return record["meta"]["pages"][0][2]
 
 
-def test_store_missing_key_raises_keyerror(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    with pytest.raises(KeyError):
-        store.get("nope")
-    assert not store.contains("nope")
+def block_file(store, digest):
+    """The file holding *digest*'s home copy, on either layout."""
+    if isinstance(store, ShardedStore):
+        store = store.shard_store(store.home_of_block(digest))
+    return store._block_path(digest)
+
+
+def test_store_missing_key_raises_keyerror(stores):
+    def check(store):
+        with pytest.raises(KeyError):
+            store.get("nope")
+        assert not store.contains("nope")
+
+    on_each_layout(stores, check)
 
 
 # -- stable digests ---------------------------------------------------------
@@ -414,7 +463,7 @@ def test_runner_recovers_from_corrupt_cache_entry(tmp_path):
 
     FarmRunner(store, jobs=1).run(build())
     # smash the cached entry's blob on disk
-    record = store._load_record(key)
+    record = store.get_record(key)
     with open(store._block_path(record["meta"]["blob"]), "wb") as handle:
         handle.write(zlib.compress(b"garbage"))
     runner = FarmRunner(store, jobs=1)

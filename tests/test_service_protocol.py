@@ -122,6 +122,61 @@ def test_corrupt_block_upload_is_rejected(service):
     client.close()
 
 
+def test_undecodable_artifact_upload_is_rejected(service):
+    """put-artifact commits nothing a reader could not decode.
+
+    An unknown kind, or a meta referencing a block that was neither
+    uploaded nor is in the pool, is a 400 and leaves the key absent;
+    referencing a block the pool already holds is fine.
+    """
+    host, port = service.server.host, service.server.port
+    client = ServiceClient(host, port, client_id="sloppy", retries=0)
+    from repro.farm.codec import sha256_hex
+    from repro.service.client import ServiceError
+    blob = b"payload"
+    with pytest.raises(ServiceError) as bogus_kind:
+        client.call("put-artifact", key="victim/1", kind="bogus",
+                    meta={"blob": sha256_hex(blob)},
+                    blocks={sha256_hex(blob): protocol.pack_bytes(blob)})
+    assert bogus_kind.value.code == 400
+    with pytest.raises(ServiceError) as dangling:
+        client.call("put-artifact", key="victim/2", kind="object",
+                    meta={"blob": "cd" * 32}, blocks={})
+    assert dangling.value.code == 400
+    assert not client.has_artifact("victim/1")
+    assert not client.has_artifact("victim/2")
+    client.put_artifact("keep/2", {"v": 2}, "object")
+    meta = service.store.get_record("keep/2")["meta"]
+    client.call("put-artifact", key="alias/2", kind="object", meta=meta,
+                blocks={})
+    assert client.get_artifact("alias/2") == {"v": 2}
+    client.close()
+
+
+def test_artifact_digests_cannot_name_paths_outside_the_pool(tmp_path):
+    """A referenced digest names a block file, so one that is not hex
+    SHA-256 is a 400 before any file is opened: read verification would
+    otherwise drop the file it named as a corrupt block."""
+    root = tmp_path / "store"
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep me")
+    with ServerThread(str(root)) as server_thread:  # the plain layout
+        host, port = server_thread.server.host, server_thread.server.port
+        client = ServiceClient(host, port, client_id="prowler", retries=0)
+        from repro.service.client import ServiceError
+        # blocks/<d[:2]>/<d> with d = "../store/store.json" is the
+        # store's own marker; an absolute d replaces the whole path
+        for digest in ("../store/store.json", str(victim), 7):
+            with pytest.raises(ServiceError) as rejected:
+                client.call("put-artifact", key="escape/1", kind="object",
+                            meta={"blob": digest}, blocks={})
+            assert rejected.value.code == 400
+        assert (root / "store.json").exists()
+        assert victim.read_text() == "keep me"
+        assert not client.has_artifact("escape/1")
+        client.close()
+
+
 def test_worker_death_mid_lease_requeues_and_reruns(service):
     """A silent worker's lease expires; the job re-runs, nothing is
     lost and nothing runs twice-effectively."""

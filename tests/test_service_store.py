@@ -65,6 +65,55 @@ def test_open_store_dispatches_on_marker(tmp_path):
     assert opened.get("k") == 2
 
 
+def test_layout_conflicts_write_nothing(tmp_path, capsys):
+    """A root keeps the layout it was created with; scrub reads either."""
+    from repro.core.cli import main
+    from repro.service import ServerThread
+
+    plain = str(tmp_path / "plain")
+    ArtifactStore(plain).put("k", 123)
+    before = sorted(os.listdir(plain))
+    assert main(["farm", "scrub", "--store", plain]) == 0
+    assert "scrubbed 1 objects" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as rebalance:
+        main(["farm", "rebalance", "--store", plain, "--dry-run"])
+    assert rebalance.value.code != 0
+    with pytest.raises(ValueError, match="plain store"):
+        open_store(plain, shards=2)
+    with pytest.raises(ValueError, match="plain store"):
+        ServerThread(plain, shards=2)
+    with pytest.raises(ValueError, match="plain store"):
+        ShardedStore(plain)
+    assert sorted(os.listdir(plain)) == before
+    assert list(open_store(plain).keys()) == ["k"]
+    sharded = str(tmp_path / "sharded")
+    open_store(sharded, shards=2).put("k", 456)
+    before = sorted(os.listdir(sharded))
+    with pytest.raises(ValueError, match="rebalance"):
+        open_store(sharded, shards=3)
+    with pytest.raises(ValueError, match="sharded store"):
+        ArtifactStore(sharded)
+    assert sorted(os.listdir(sharded)) == before
+    assert open_store(sharded).get("k") == 456
+
+
+def test_maintenance_never_creates_a_store(tmp_path):
+    """The farm maintenance and snapshot read commands, on a root that
+    holds no store, exit non-zero and leave the path uncreated (a
+    mistyped --store)."""
+    from repro.core.cli import main
+
+    missing = str(tmp_path / "typo")
+    for argv in (["farm", "stats"], ["farm", "gc", "--dry-run"],
+                 ["farm", "scrub"], ["farm", "rebalance", "--dry-run"],
+                 ["snapshot", "info", "--key", "k"],
+                 ["snapshot", "resume", "--key", "k"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--store", missing])
+        assert exited.value.code != 0
+        assert not os.path.exists(missing)
+
+
 # -- read repair / scrub ----------------------------------------------------
 
 
