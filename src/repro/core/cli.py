@@ -975,8 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
     farm_gc.add_argument("--dry-run", action="store_true",
                          help="report what would be swept without deleting")
     farm_gc.add_argument("--prune-snapshots", action="store_true",
-                         help="also drop checkpoint artifacts not named "
-                              "by --snapshot-root")
+                         help="also drop preemption checkpoints (snapshots "
+                              "keyed snap/...) not named by --snapshot-root")
     farm_gc.add_argument("--snapshot-root", action="append", default=None,
                          metavar="KEY",
                          help="snapshot key to keep (repeatable); resumable "

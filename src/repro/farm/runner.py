@@ -30,7 +30,7 @@ from typing import Any, Container, Dict, Iterator, List, Optional
 
 from repro.farm.jobs import Job, JobGraph, resolve_refs
 from repro.farm.manifest import RunManifest
-from repro.farm.store import ArtifactStore, StoreCorruption
+from repro.farm.store import SNAPSHOT_PREFIX, ArtifactStore, StoreCorruption
 from repro.observe import hooks
 
 
@@ -343,7 +343,7 @@ class FarmRunner(GraphRunner):
 
     @staticmethod
     def snapshot_key(job_key: str) -> str:
-        return "snap/" + job_key
+        return SNAPSHOT_PREFIX + job_key
 
     @contextlib.contextmanager
     def _executor(self) -> Iterator[None]:

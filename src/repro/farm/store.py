@@ -48,6 +48,10 @@ SHARDS_MARKER = "shards.json"
 #: file for milliseconds, not minutes).
 STALE_TMP_S = 300.0
 
+#: Key namespace of preemption checkpoints, the snapshots a worker or
+#: the farm runner parks for a job to resume from; ``gc`` prunes here.
+SNAPSHOT_PREFIX = "snap/"
+
 #: A block digest: the hex SHA-256 its file is named by.
 _DIGEST = re.compile("[0-9a-f]{64}")
 
@@ -285,20 +289,22 @@ class _Store:
         (older than *tmp_ttl_s*).
 
         With ``prune_snapshots``, preemption checkpoints (records of
-        kind ``snapshot``) whose key is not in *snapshot_roots* are
-        deleted before the mark phase — a root is the checkpoint of a
-        job that is still queued or leased (the scheduler's
-        ``snapshot_roots()``), everything else is a drained worker's
-        leftover whose job has since settled.  Without the flag,
-        snapshot records are ordinary artifacts and keep their blocks
-        live.
+        kind ``snapshot`` keyed under :data:`SNAPSHOT_PREFIX`) whose key
+        is not in *snapshot_roots* are deleted before the mark phase —
+        a root is the checkpoint of a job that is still queued or
+        leased (the scheduler's ``snapshot_roots()``), everything else
+        is a drained worker's leftover whose job has since settled.
+        Snapshots saved under other keys (``snapshot save --key``) are
+        never pruned.  Without the flag, snapshot records are ordinary
+        artifacts and keep their blocks live.
         """
         result = GCStats(dry_run=dry_run)
         pruned: set = set()
         if prune_snapshots:
             roots = set(snapshot_roots)
             for key in list(self.keys()):
-                if self.kind_of(key) == "snapshot" and key not in roots:
+                if (key.startswith(SNAPSHOT_PREFIX) and key not in roots
+                        and self.kind_of(key) == "snapshot"):
                     pruned.add(key)
                     result.removed_snapshots += 1
                     if not dry_run:

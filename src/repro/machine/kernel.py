@@ -198,6 +198,20 @@ class ShmSegment:
     attached_at: Optional[int] = None
     attached_len: int = 0
 
+    def to_json(self) -> dict:
+        """Record fields, shared by pinballs and snapshots (no id)."""
+        return {"key": self.key, "size": self.size,
+                "data": bytes(self.data).hex(),
+                "attached_at": self.attached_at,
+                "attached_len": self.attached_len}
+
+    @classmethod
+    def from_json(cls, shmid: int, record: dict) -> "ShmSegment":
+        return cls(shmid=shmid, key=record["key"], size=record["size"],
+                   data=bytearray(bytes.fromhex(record.get("data", ""))),
+                   attached_at=record.get("attached_at"),
+                   attached_len=record.get("attached_len", 0))
+
 
 @dataclass
 class Listener:
@@ -212,6 +226,17 @@ class Listener:
     backlog: int
     queue: List[Tuple[int, int]] = field(default_factory=list)
     wait_cid: int = 0
+
+    def to_json(self) -> dict:
+        """Record fields, shared by pinballs and snapshots (no port)."""
+        return {"backlog": self.backlog, "wait_cid": self.wait_cid,
+                "queue": [[rc, wc] for rc, wc in self.queue]}
+
+    @classmethod
+    def from_json(cls, port: int, record: dict) -> "Listener":
+        return cls(port=port, backlog=record["backlog"],
+                   queue=[(rc, wc) for rc, wc in record.get("queue", [])],
+                   wait_cid=record.get("wait_cid", 0))
 
 
 class Kernel:

@@ -47,6 +47,10 @@ class Tool:
     retires, with exact icount and cycles, and the hook fires there.  A
     stop requested from ``on_marker`` lands immediately after the
     marker.
+
+    A tool whose cursors a suspended run must carry implements
+    :meth:`save_state` and :meth:`restore_state`, and names the
+    snapshot slice that holds them in ``SNAPSHOT_SLICE``.
     """
 
     #: Set false in subclasses that do not need per-instruction callbacks.
@@ -60,6 +64,15 @@ class Tool:
     #: Set true if a block tool may see a compiled loop's spin as one
     #: ``on_loop_exit`` call instead of its member entries (see above).
     accepts_loop_exits: bool = False
+    #: Snapshot slice (``pinplay`` or ``observe``) of :meth:`save_state`.
+    SNAPSHOT_SLICE: str = ""
+
+    def save_state(self) -> Optional[dict]:
+        """This tool's cursors as JSON, for a snapshot (None: nothing)."""
+        return None
+
+    def restore_state(self, state: dict) -> None:
+        """Refill a freshly attached instance from :meth:`save_state`."""
 
     def on_attach(self, machine: "Machine") -> None:
         """Called when the tool is attached to a machine."""

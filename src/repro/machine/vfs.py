@@ -127,6 +127,18 @@ class Channel:
     def space(self) -> int:
         return self.capacity - len(self.data)
 
+    def to_json(self) -> dict:
+        """Record fields, shared by pinballs and snapshots (no id)."""
+        return {"capacity": self.capacity, "data": bytes(self.data).hex(),
+                "readers": self.readers, "writers": self.writers}
+
+    @classmethod
+    def from_json(cls, cid: int, record: dict) -> "Channel":
+        return cls(cid=cid, capacity=record["capacity"],
+                   data=bytearray(bytes.fromhex(record.get("data", ""))),
+                   readers=record.get("readers", 0),
+                   writers=record.get("writers", 0))
+
 
 @dataclass
 class OpenFile:

@@ -160,37 +160,16 @@ def _capture_kernel_ipc(machine: Machine) -> dict:
     """
     kernel = machine.kernel
     return {
-        "channels": {
-            chan.cid: {
-                "capacity": chan.capacity,
-                "data": bytes(chan.data).hex(),
-                "readers": chan.readers,
-                "writers": chan.writers,
-            }
-            for chan in kernel.channels.values()
-        },
+        "channels": {chan.cid: chan.to_json()
+                     for chan in kernel.channels.values()},
         "channel_waiters": {cid: list(tids) for cid, tids
                             in kernel._channel_waiters.items() if tids},
-        "listeners": {
-            listener.port: {
-                "backlog": listener.backlog,
-                "wait_cid": listener.wait_cid,
-                "queue": [[rc, wc] for rc, wc in listener.queue],
-            }
-            for listener in kernel._listeners.values()
-        },
+        "listeners": {listener.port: listener.to_json()
+                      for listener in kernel._listeners.values()},
         "sigactions": dict(kernel.sigactions),
         "process_pending": kernel.process_pending,
-        "shm_segments": {
-            seg.shmid: {
-                "key": seg.key,
-                "size": seg.size,
-                "data": bytes(seg.data).hex(),
-                "attached_at": seg.attached_at,
-                "attached_len": seg.attached_len,
-            }
-            for seg in kernel.shm_segments.values()
-        },
+        "shm_segments": {seg.shmid: seg.to_json()
+                         for seg in kernel.shm_segments.values()},
         "next_channel_id": kernel._next_channel_id,
         "next_shmid": kernel._next_shmid,
     }

@@ -27,8 +27,8 @@ CLI can localize and fail on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 from repro.machine.kernel import NR, Listener, ShmSegment
 from repro.machine.machine import ExitStatus, Machine
@@ -36,6 +36,7 @@ from repro.machine.tool import Tool
 from repro.machine.vfs import Channel, FileSystem, OpenFile, VfsError
 from repro.observe import hooks
 from repro.pinplay.pinball import Pinball, SyscallRecord
+from repro.snapshot.state import MachineSnapshot, capture, restore
 
 MASK64 = (1 << 64) - 1
 
@@ -87,6 +88,7 @@ class _InjectionTool(Tool):
 
     wants_instructions = True
     wants_memory = False
+    SNAPSHOT_SLICE = "pinplay"
 
     #: Syscalls that must really execute during constrained replay:
     #: they change kernel/machine state that injection cannot fake
@@ -116,6 +118,41 @@ class _InjectionTool(Tool):
         self._pending: Dict[int, SyscallRecord] = {}
         self._captured_pages = frozenset(
             addr >> 12 for addr in pinball.pages)
+
+    def save_state(self) -> dict:
+        diverged = self.diverged
+        return {
+            "queues": [[tid, [record.to_json() for record in queue]]
+                       for tid, queue in sorted(self._queues.items())],
+            "injected": self.injected,
+            "native_syscalls": self.native_syscalls,
+            "diverged": None if diverged is None else asdict(diverged),
+            "instrument": self.wants_instructions,
+            "replayed_instructions": self.replayed_instructions,
+            "monitored_accesses": self.monitored_accesses,
+            "uncaptured_accesses": self.uncaptured_accesses,
+            "pending": [[tid, record.to_json()]
+                        for tid, record in sorted(self._pending.items())],
+            "captured_pages": sorted(self._captured_pages),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self._queues = {tid: [SyscallRecord.from_json(item)
+                              for item in queue]
+                        for tid, queue in state["queues"]}
+        self.injected = state["injected"]
+        self.native_syscalls = state["native_syscalls"]
+        diverged = state["diverged"]
+        self.diverged = (None if diverged is None
+                         else DivergenceInfo(**diverged))
+        self.wants_instructions = state["instrument"]
+        self.wants_memory = state["instrument"]
+        self.replayed_instructions = state["replayed_instructions"]
+        self.monitored_accesses = state["monitored_accesses"]
+        self.uncaptured_accesses = state["uncaptured_accesses"]
+        self._pending = {tid: SyscallRecord.from_json(item)
+                         for tid, item in state["pending"]}
+        self._captured_pages = frozenset(state["captured_pages"])
 
     def _diverge(self, machine, thread, kind: str, detail: str = "") -> None:
         if self.diverged is not None:
@@ -248,27 +285,15 @@ def _reconstruct(pinball: Pinball, seed: int,
     # descriptors are installed below without re-accounting.
     kernel.sigactions = dict(pinball.sigactions)
     kernel.process_pending = pinball.process_pending
-    channels: Dict[int, Channel] = {}
-    for cid, chan in pinball.channels.items():
-        channels[cid] = Channel(
-            cid=cid, capacity=chan["capacity"],
-            data=bytearray(bytes.fromhex(chan.get("data", ""))),
-            readers=chan.get("readers", 0),
-            writers=chan.get("writers", 0))
+    channels = {cid: Channel.from_json(cid, chan)
+                for cid, chan in pinball.channels.items()}
     kernel.channels = channels
     kernel._next_channel_id = max(pinball.next_channel_id,
                                   max(channels, default=0) + 1)
     for port, listener in pinball.listeners.items():
-        kernel._listeners[port] = Listener(
-            port=port, backlog=listener["backlog"],
-            queue=[(rc, wc) for rc, wc in listener.get("queue", [])],
-            wait_cid=listener.get("wait_cid", 0))
+        kernel._listeners[port] = Listener.from_json(port, listener)
     for shmid, seg in pinball.shm_segments.items():
-        kernel.shm_segments[shmid] = ShmSegment(
-            shmid=shmid, key=seg["key"], size=seg["size"],
-            data=bytearray(bytes.fromhex(seg.get("data", ""))),
-            attached_at=seg.get("attached_at"),
-            attached_len=seg.get("attached_len", 0))
+        kernel.shm_segments[shmid] = ShmSegment.from_json(shmid, seg)
     kernel._next_shmid = max(pinball.next_shmid,
                              max(kernel.shm_segments, default=0) + 1)
 
@@ -347,20 +372,17 @@ class ReplaySession:
                  seed: int = 0, fs: Optional[FileSystem] = None,
                  max_instructions: Optional[int] = None,
                  instrument: bool = True) -> None:
-        self.pinball = pinball
-        self.injection = injection
-        self.machine = _reconstruct(pinball, seed=seed, fs=fs,
-                                    restore_blocked=injection)
-        self.tool: Optional[_InjectionTool] = None
+        machine = _reconstruct(pinball, seed=seed, fs=fs,
+                               restore_blocked=injection)
+        tool = None
         if injection:
-            self.tool = _InjectionTool(pinball, instrument=instrument)
-            self.machine.attach(self.tool)
-            self.machine.scheduler.replay(pinball.schedule)
+            tool = _InjectionTool(pinball, instrument=instrument)
+            machine.attach(tool)
+            machine.scheduler.replay(pinball.schedule)
             # Exact per-thread budgets: the CPU spills mid-block and
-            # reports the boundary precisely (satellite of PR 4's
-            # superblock fast path — no overshoot to block end).
+            # reports the boundary precisely (no overshoot to block end).
             for record in pinball.threads:
-                self.machine.threads[record.tid].icount_limit = (
+                machine.threads[record.tid].icount_limit = (
                     record.region_icount)
             # The schedule's quanta sum to every instruction executed in
             # the window, including those of threads created inside the
@@ -372,9 +394,42 @@ class ReplaySession:
             budget = max_instructions
             if budget is None:
                 budget = 4 * max(pinball.region_icount, 1)
+        self._bind(pinball, injection, machine, tool, budget)
+
+    def _bind(self, pinball: Pinball, injection: bool, machine: Machine,
+              tool: Optional[_InjectionTool], budget: int) -> None:
+        self.pinball = pinball
+        self.injection = injection
+        self.machine = machine
+        self.tool = tool
         self.budget = budget
         self.status: Optional[ExitStatus] = None
         self._finished = False
+
+    def checkpoint(self, **extra) -> MachineSnapshot:
+        """Whole-machine snapshot at the current (stopped) position;
+        *extra* rides along with what :meth:`resume` reads back."""
+        return capture(self.machine, extra=dict(
+            extra, budget=self.budget, injection=self.injection))
+
+    @classmethod
+    def resume(cls, pinball: Pinball, snapshot: MachineSnapshot,
+               tools: Sequence[Tool] = ()) -> "ReplaySession":
+        """The session a :meth:`checkpoint` of a replay of *pinball*
+        suspended, with *tools* attached after its injection tool.
+
+        The injection tool is built empty and refilled from the
+        snapshot (syscall queues, divergence flag); the machine is
+        restored, not reconstructed from the pinball again.
+        """
+        injection = snapshot.extra.get("injection", True)
+        tool = _InjectionTool(pinball) if injection else None
+        own = [tool] if tool is not None else []
+        machine = restore(snapshot, tools=own + list(tools))
+        session = cls.__new__(cls)
+        session._bind(pinball, injection, machine, tool,
+                      snapshot.extra["budget"])
+        return session
 
     @property
     def executed(self) -> int:

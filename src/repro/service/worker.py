@@ -34,6 +34,7 @@ import time
 from typing import Optional
 
 from repro.farm.runner import _job_icount
+from repro.farm.store import SNAPSHOT_PREFIX
 from repro.observe import hooks
 from repro.service.client import (
     ServiceClient,
@@ -47,7 +48,7 @@ from repro.snapshot.preempt import Preempted
 
 def snapshot_key_for(snapshot) -> str:
     """Store key under which a preemption checkpoint is pushed."""
-    return "snap/" + snapshot_digest(snapshot)
+    return SNAPSHOT_PREFIX + snapshot_digest(snapshot)
 
 
 class _Heartbeat:

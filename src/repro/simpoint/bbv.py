@@ -55,12 +55,25 @@ class _BlockCounter(Tool):
     wants_instructions = False
     wants_blocks = True
     accepts_loop_exits = True
+    SNAPSHOT_SLICE = "observe"
 
     def __init__(self, module_base: int = 0) -> None:
         self.module_base = module_base
         self.current: Dict[int, int] = {}
         self._open_block: Dict[int, int] = {}   # tid -> block offset
         self._open_icount: Dict[int, int] = {}  # tid -> icount at entry
+
+    def save_state(self) -> dict:
+        return {
+            "current": sorted(map(list, self.current.items())),
+            "open_block": sorted(map(list, self._open_block.items())),
+            "open_icount": sorted(map(list, self._open_icount.items())),
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.current = dict(state["current"])
+        self._open_block = dict(state["open_block"])
+        self._open_icount = dict(state["open_icount"])
 
     def on_basic_block(self, machine, thread, pc) -> None:
         tid = thread.tid

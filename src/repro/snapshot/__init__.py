@@ -6,24 +6,17 @@ quantum boundary, serialized into a content-addressed snapshot, and
 resumed bit-identically — in the same process, after a restart, or on
 a different worker (migration).
 
-- :mod:`repro.snapshot.plugins` — the DMTCP-style registry: each
-  component (``machine``, ``kernel``, ``pinplay``, ``observe``)
-  contributes save/restore hooks for its own state,
-- :mod:`repro.snapshot.state` — capture / restore / digest over the
-  registry, with pages kept block-pool-friendly for incremental
-  dedup through :mod:`repro.farm.codec`,
+- :mod:`repro.snapshot.state` — capture / restore / digest, with pages
+  kept block-pool-friendly for incremental dedup through
+  :mod:`repro.farm.codec`.  Each owner saves its own state: the
+  machine and kernel in :mod:`repro.machine.snapshot`, and every
+  stateful tool (the replayer's syscall injector, the BBV counter, the
+  verifier's dirty-page tracker) in its ``save_state`` /
+  ``restore_state`` methods,
 - :mod:`repro.snapshot.preempt` — the checkpoint-on-SIGTERM handshake
   between workers and cooperative job bodies.
-
-Importing this package registers the component plugins.
 """
 
-from repro.snapshot.plugins import (
-    SnapshotPlugin,
-    get_plugin,
-    plugins,
-    register_plugin,
-)
 from repro.snapshot.state import (
     FORMAT_VERSION,
     MachineSnapshot,
@@ -38,22 +31,13 @@ from repro.snapshot.preempt import (
     PreemptionContext,
 )
 
-# Component plugin registration (import side effects).
-import repro.machine.snapshot_plugin  # noqa: F401,E402
-import repro.pinplay.snapshot_plugin  # noqa: F401,E402
-import repro.observe.snapshot_plugin  # noqa: F401,E402
-
 __all__ = [
     "FORMAT_VERSION",
     "GLOBAL",
     "MachineSnapshot",
     "Preempted",
     "PreemptionContext",
-    "SnapshotPlugin",
     "capture",
-    "get_plugin",
-    "plugins",
-    "register_plugin",
     "restore",
     "snapshot_digest",
     "snapshot_info",

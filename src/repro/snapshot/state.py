@@ -1,9 +1,11 @@
 """Whole-machine snapshots: capture, restore, digest.
 
 A :class:`MachineSnapshot` is the simulator's analog of an ELFie taken
-of *itself*: the full page-level address space plus one JSON-serializable
-state slice per registered :class:`~repro.snapshot.plugins.SnapshotPlugin`
-(machine/threads/scheduler/CPU timing state, kernel/VFS, tool cursors).
+of *itself*: the full page-level address space plus JSON-serializable
+state slices: ``machine`` (threads, scheduler, CPU timing state) and
+``kernel``, saved by :mod:`repro.machine.snapshot`, and one slice per
+``Tool.SNAPSHOT_SLICE`` (``pinplay``, ``observe``) holding the cursors
+the attached tools save (``Tool.save_state``).
 Captured at any quantum boundary — a ``Machine.run`` that returned
 ``kind == "stopped"`` — and restored onto a fresh machine that continues
 bit-identically: same instruction stream, same schedule (the jitter
@@ -25,8 +27,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.machine.machine import Machine
 from repro.machine.memory import PAGE_SHIFT
+from repro.machine.snapshot import (
+    restore_kernel,
+    restore_machine,
+    save_kernel,
+    save_machine,
+)
 from repro.machine.tool import Tool
-from repro.snapshot.plugins import plugins
 
 #: Bumped when the snapshot state layout changes incompatibly.
 FORMAT_VERSION = 1
@@ -38,7 +45,7 @@ class MachineSnapshot:
 
     #: page base address -> (protection bits, page bytes)
     pages: Dict[int, Tuple[int, bytes]]
-    #: plugin name -> that plugin's JSON-serializable state slice
+    #: slice name -> that slice's JSON-serializable state
     state: Dict[str, dict]
     #: caller-owned progress (e.g. a preempted job's loop state)
     extra: dict = field(default_factory=dict)
@@ -69,8 +76,8 @@ def capture(machine: Machine, extra: Optional[dict] = None) -> MachineSnapshot:
 
     The machine must be suspended, not finished: a run that returned
     ``kind == "stopped"`` leaves ``exit_status`` None, which is the
-    resumable state.  Every registered plugin contributes its slice;
-    plugins that find nothing of theirs attached contribute nothing.
+    resumable state.  A tool slice appears only if an attached tool
+    saves state into it.
     """
     if machine.exit_status is not None:
         raise ValueError(
@@ -78,11 +85,13 @@ def capture(machine: Machine, extra: Optional[dict] = None) -> MachineSnapshot:
             % machine.exit_status.kind)
     pages = machine.mem.snapshot()
     perms = machine.mem.snapshot_perms()
-    state: Dict[str, dict] = {}
-    for plugin in plugins():
-        piece = plugin.save(machine)
+    state: Dict[str, dict] = {"machine": save_machine(machine),
+                              "kernel": save_kernel(machine.kernel)}
+    for tool in machine.tools:
+        piece = tool.save_state()
         if piece is not None:
-            state[plugin.name] = piece
+            tool_slice = state.setdefault(tool.SNAPSHOT_SLICE, {"tools": []})
+            tool_slice["tools"].append([type(tool).__name__, piece])
     return MachineSnapshot(
         pages={page << PAGE_SHIFT: (perms[page], bytes(data))
                for page, data in pages.items()},
@@ -96,13 +105,14 @@ def restore(snapshot: MachineSnapshot,
     """Rebuild a machine from *snapshot*, bit-identical to the captured
     one.
 
-    Two-phase, DMTCP-style: core plugins (machine, kernel) restore
-    against the bare machine first; then the caller's freshly
-    constructed *tools* are attached (in the same order as on the
-    captured machine) and the ``needs_tools`` plugins rehydrate their
-    internal cursors.  The decode/superblock caches are rebuilt lazily
-    from the restored code pages — dropping them is safe because they
-    are a pure function of mapped bytes.
+    Two-phase: the machine and kernel state are restored onto the bare
+    machine first; then the caller's freshly constructed *tools* are
+    attached and refilled with their saved cursors.  A saved record
+    goes to the attached tool of its class in the same position among
+    that class's tools (the nth record of a class to the nth instance);
+    records without such a tool are dropped.  The decode/superblock
+    caches are rebuilt lazily from the restored code pages — dropping
+    them is safe because they are a pure function of mapped bytes.
     """
     if snapshot.version != FORMAT_VERSION:
         raise ValueError("snapshot format v%d not supported (expected v%d)"
@@ -116,14 +126,23 @@ def restore(snapshot: MachineSnapshot,
     for addr in sorted(snapshot.pages):
         prot, data = snapshot.pages[addr]
         machine.mem.map(addr, len(data), prot, data=bytes(data))
-    for plugin in plugins():
-        if not plugin.needs_tools and plugin.name in snapshot.state:
-            plugin.restore(machine, snapshot.state[plugin.name])
+    restore_machine(machine, core)
+    if "kernel" in snapshot.state:
+        restore_kernel(machine.kernel, snapshot.state["kernel"])
     for tool in tools:
         machine.attach(tool)
-    for plugin in plugins():
-        if plugin.needs_tools and plugin.name in snapshot.state:
-            plugin.restore(machine, snapshot.state[plugin.name])
+    attached: Dict[str, list] = {}
+    for tool in machine.tools:
+        attached.setdefault(type(tool).__name__, []).append(tool)
+    for name, piece in snapshot.state.items():
+        if name in ("machine", "kernel"):
+            continue
+        for class_name, tool_state in piece["tools"]:
+            pool = attached.get(class_name)
+            if pool:
+                pool.pop(0).restore_state(tool_state)
+    # A cursor may change wants_instructions; resync the dispatch path.
+    machine._rebuild_tool_lists()
     return machine
 
 

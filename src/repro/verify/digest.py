@@ -121,9 +121,16 @@ class DirtyPageTracker(Tool):
     wants_instructions = False
     wants_memory = True
     wants_blocks = False
+    SNAPSHOT_SLICE = "observe"
 
     def __init__(self) -> None:
         self.dirty: Set[int] = set()
+
+    def save_state(self) -> dict:
+        return {"dirty": sorted(self.dirty)}
+
+    def restore_state(self, state: dict) -> None:
+        self.dirty = set(state["dirty"])
 
     def on_memory_write(self, machine, thread, addr, size) -> None:
         first = addr >> PAGE_SHIFT

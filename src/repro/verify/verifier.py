@@ -204,37 +204,17 @@ class ReplayCursor:
                 % (thread.icount, record.region_icount))
         return None
 
-    def checkpoint(self):
+    def checkpoint(self) -> MachineSnapshot:
         """Whole-machine snapshot at the current (stopped) position."""
-        return capture(self.machine, extra={
-            "cursor": self.label, "budget": self.session.budget,
-            "injection": self.session.injection})
+        return self.session.checkpoint(cursor=self.label)
 
-    def resume_clone(self, snapshot) -> "ReplayCursor":
-        """Fresh cursor continuing from a checkpoint() of this cursor.
-
-        The replay's injection tool is reconstructed empty and then
-        rehydrated (per-thread syscall queues, divergence flag) by the
-        pinplay snapshot plugin during restore; the session wrapper is
-        rebuilt around the restored machine without re-running the
-        reconstruction.
-        """
-        from repro.pinplay.replayer import _InjectionTool
-        cursor = object.__new__(ReplayCursor)
-        cursor.pinball = self.pinball
-        session = object.__new__(ReplaySession)
-        session.pinball = self.pinball
-        session.injection = snapshot.extra.get("injection", True)
-        tool = _InjectionTool(self.pinball) if session.injection else None
+    def resume_clone(self, snapshot: MachineSnapshot) -> "ReplayCursor":
+        """Fresh cursor continuing from a checkpoint() of this cursor."""
+        cursor = copy.copy(self)
         cursor.tracker = DirtyPageTracker()
-        tools = ([tool] if tool is not None else []) + [cursor.tracker]
-        session.machine = restore(snapshot, tools=tools)
-        session.tool = tool
-        session.budget = snapshot.extra["budget"]
-        session.status = None
-        session._finished = False
-        cursor.session = session
-        cursor.machine = session.machine
+        cursor.session = ReplaySession.resume(self.pinball, snapshot,
+                                              tools=[cursor.tracker])
+        cursor.machine = cursor.session.machine
         return cursor
 
 

@@ -199,6 +199,24 @@ def test_gc_prunes_unrooted_snapshots(tmp_path, mcf_image):
     assert store.contains("snap/live")
 
 
+def test_gc_prune_keeps_user_snapshots(tmp_path, mcf_image, capsys):
+    """``--prune-snapshots`` drops only preemption checkpoints (keys under
+    ``snap/``); a snapshot saved under a user key survives it."""
+    binary = tmp_path / "mcf.elf"
+    binary.write_bytes(mcf_image)
+    store = str(tmp_path / "st")
+    assert main(["snapshot", "save", "--binary", str(binary), "--at", "5000",
+                 "--key", "mine", "--store", store]) == 0
+    ArtifactStore(store).put("snap/stale", ArtifactStore(store).get("mine"),
+                             kind="snapshot")
+    capsys.readouterr()
+
+    assert main(["farm", "gc", "--store", store, "--prune-snapshots"]) == 0
+    assert "removed 1 snapshot checkpoints" in capsys.readouterr().out
+    assert not ArtifactStore(store).contains("snap/stale")
+    assert main(["snapshot", "info", "--key", "mine", "--store", store]) == 0
+
+
 def test_fuzz_checkpoint_persists_and_resumes(tmp_path):
     from repro.verify import fuzz
 

@@ -16,6 +16,10 @@ from repro.farm import ArtifactStore
 from repro.farm.codec import encode
 from repro.machine.loader import load_elf
 from repro.machine.machine import Machine
+from repro.pinplay.logger import LogOptions, log_region
+from repro.pinplay.regions import RegionSpec
+from repro.pinplay.replayer import ReplaySession
+from repro.simpoint.bbv import _BlockCounter, _text_base
 from repro.snapshot import (
     MachineSnapshot,
     capture,
@@ -24,8 +28,9 @@ from repro.snapshot import (
     snapshot_info,
 )
 from repro.verify import lockstep_corpus, run_lockstep_case
+from repro.verify.digest import DirtyPageTracker
 from repro.verify.lockstep import mt_cases
-from repro.workloads import get_app
+from repro.workloads import MT_APPS, build_executable, get_app
 
 CORPUS = "tests/corpus"
 
@@ -206,3 +211,130 @@ def test_snapshot_cli_save_info_resume(tmp_path, mcf_image, capsys):
 
     assert main(["snapshot", "info", "--key", "missing",
                  "--store", store]) == 1
+
+
+# -- tool cursors ------------------------------------------------------------
+
+
+def test_block_counter_cursor_round_trips(mcf_image):
+    """A BBV counter stopped mid-slice (accumulated counts and open
+    blocks) re-captures identically on a fresh counter and finishes the
+    slice with the counts of a run that never stopped."""
+    base = _text_base(mcf_image)
+    straight = boot(mcf_image)
+    straight_counter = _BlockCounter(module_base=base)
+    straight.attach(straight_counter)
+    straight.run(max_instructions=20_000)
+
+    machine = boot(mcf_image)
+    machine.attach(_BlockCounter(module_base=base))
+    assert machine.run(max_instructions=12_345).kind == "stopped"
+    first = capture(machine)
+    (name, state), = first.state["observe"]["tools"]
+    assert name == "_BlockCounter"
+    assert state["current"] and state["open_block"]
+    counter = _BlockCounter(module_base=base)
+    resumed = restore(wire_roundtrip(first), tools=[counter])
+    assert snapshot_digest(capture(resumed)) == snapshot_digest(first)
+    resumed.run(max_instructions=20_000)
+    assert counter.take(resumed) == straight_counter.take(straight)
+
+
+def test_dirty_trackers_round_trip_in_attachment_order():
+    """Two dirty-page trackers, one with a non-empty dirty set and one
+    attached just now: each saved set goes back to the tracker in the
+    same attachment position."""
+    machine = boot(MT_APPS["mt.prodcons"].build("test"))
+    early = DirtyPageTracker()
+    machine.attach(early)
+    assert machine.run(max_instructions=20_000).kind == "stopped"
+    late = DirtyPageTracker()
+    machine.attach(late)
+    assert early.dirty and not late.dirty
+    first = capture(machine)
+    fresh = [DirtyPageTracker(), DirtyPageTracker()]
+    resumed = restore(wire_roundtrip(first), tools=fresh)
+    assert [tool.dirty for tool in fresh] == [early.dirty, late.dirty]
+    assert snapshot_digest(capture(resumed)) == snapshot_digest(first)
+
+
+#: Two threads, each calling getpid (an injected syscall under
+#: constrained replay) in a loop.
+MT_GETPID_PROGRAM = """
+_start:
+    mov rax, 56
+    mov rdi, 0x100
+    mov rsi, wstack_top
+    mov rdx, worker
+    syscall
+    mov r12, 40
+main_loop:
+    mov rax, 39
+    syscall
+    add rbx, rax
+    mov rcx, 7
+main_spin:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz main_spin
+    sub r12, 1
+    cmp r12, 0
+    jnz main_loop
+    mov rax, 231
+    mov rdi, 0
+    syscall
+worker:
+    mov r12, 40
+worker_loop:
+    mov rax, 39
+    syscall
+    add rbx, rax
+    mov rcx, 5
+worker_spin:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz worker_spin
+    sub r12, 1
+    cmp r12, 0
+    jnz worker_loop
+    mov rax, 60
+    mov rdi, 0
+    syscall
+"""
+
+MT_GETPID_DATA = """
+wstack:
+.zero 2048
+wstack_top:
+.quad 0
+"""
+
+
+def test_injection_cursor_round_trips_mid_mt_replay():
+    """A constrained replay of a two-thread pinball, suspended between
+    injected syscalls, resumes from its serialized snapshot and ends
+    exactly like the replay that never stopped."""
+    image = build_executable(MT_GETPID_PROGRAM, data_source=MT_GETPID_DATA)
+    pinball = log_region(image, RegionSpec(start=50, length=600, warmup=0,
+                                           name="mt"),
+                         options=LogOptions(name="mt"))
+    assert len(pinball.threads) == 2
+    straight = ReplaySession(pinball)
+    straight.run()
+    expected = straight.result()
+    assert expected.diverged is None and expected.injected_syscalls > 10
+
+    session = ReplaySession(pinball)
+    session.step(300)
+    assert 0 < session.tool.injected < expected.injected_syscalls
+    first = session.checkpoint()
+    (name, state), = first.state["pinplay"]["tools"]
+    assert name == "_InjectionTool" and any(q for _, q in state["queues"])
+    resumed = ReplaySession.resume(pinball, wire_roundtrip(first))
+    assert snapshot_digest(resumed.checkpoint()) == snapshot_digest(first)
+    resumed.run()
+    result = resumed.result()
+    assert result.diverged is None
+    assert result.thread_icounts == expected.thread_icounts
+    assert result.injected_syscalls == expected.injected_syscalls
+    assert resumed.machine.mem.snapshot() == straight.machine.mem.snapshot()
