@@ -17,7 +17,8 @@ The differential replay-fidelity verifier:
     python -m repro.core.cli verify fuzz --time-budget 60
     python -m repro.core.cli verify corpus --corpus tests/corpus
 
-The checkpoint farm (store-memoized, parallel PinPoints campaigns):
+The checkpoint farm (store-memoized, parallel region-selection
+campaigns; ``--selector bbv-simpoint`` or ``looppoint``):
 
     python -m repro.core.cli farm run   --store .farm --app 502.gcc_r \\
         --app 505.mcf_r --jobs 4 --manifest run.jsonl
@@ -40,7 +41,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.markers import MarkerSpec
 from repro.core.pinball2elf import Pinball2Elf, Pinball2ElfOptions
@@ -265,12 +266,6 @@ def _cmd_verify_aslr(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _campaign_images(args: argparse.Namespace) -> dict:
-    from repro.workloads import get_app
-
-    return {name: get_app(name).build(args.input) for name in args.app}
-
-
 def _looppoint_image(args: argparse.Namespace):
     """(image, name) from --binary PATH or --app SUITE_NAME."""
     if args.binary:
@@ -297,11 +292,12 @@ def _cmd_looppoint_profile(args: argparse.Namespace) -> int:
             json.dump(marker_map.to_json(), handle, indent=2)
             handle.write("\n")
         print("marker map -> %s" % args.markers_out)
-    profile = collect_looppoint(image, slice_markers=args.slice_markers,
-                                seed=args.seed, marker_map=marker_map)
+    _, _, params = _selector(args, "looppoint")
+    profile = collect_looppoint(image, seed=args.seed, marker_map=marker_map,
+                                **params)
     print("%d slices of %d work-marker crossings; %d work / %d sync "
           "crossings; %d instructions, CPI %.3f"
-          % (len(profile.slices), args.slice_markers,
+          % (len(profile.slices), profile.slice_markers,
              profile.work_crossings, profile.sync_crossings,
              profile.total_icount, profile.whole_program_cpi))
     return 0
@@ -311,13 +307,12 @@ def _run_looppoint(args: argparse.Namespace, capture: bool):
     """(result, name): ``run_looppoint`` on the selection flags."""
     from repro.looppoint import run_looppoint
 
+    _, _, params = _selector(args, "looppoint")
     image, name = _looppoint_image(args)
-    return run_looppoint(image, name, slice_markers=args.slice_markers,
-                         warmup_slices=args.warmup_slices,
-                         max_k=args.max_k, seed=args.seed,
+    return run_looppoint(image, name, max_k=args.max_k, seed=args.seed,
                          max_alternates=args.alternates,
-                         cluster_seed=args.cluster_seed,
-                         capture=capture), name
+                         cluster_seed=args.cluster_seed, capture=capture,
+                         **params), name
 
 
 def _cmd_looppoint_select(args: argparse.Namespace) -> int:
@@ -372,93 +367,96 @@ def _cmd_looppoint_validate(args: argparse.Namespace) -> int:
     return 0 if validation.abs_error_percent <= args.max_error else 1
 
 
-def _campaign_validations(args: argparse.Namespace) -> list:
-    from repro.simpoint import elfie_validation, fidelity_validation
+#: the flags a selector owns (its ``profile_params``/``region_params``)
+_SELECTOR_FLAGS = ("slice_size", "warmup", "slice_markers", "warmup_slices")
 
-    if getattr(args, "selector", "bbv-simpoint") == "looppoint":
-        from repro.looppoint import looppoint_validation
 
-        validations = [looppoint_validation("elfie", seed=args.validate_seed,
-                                            trials=args.trials)]
+def _selector(args: argparse.Namespace, name: str) -> tuple:
+    """(Selector, its ELFie validation factory, the selector flags the
+    user gave) of ``--selector`` *name*.  Unset flags take the
+    selector's defaults; a given one the selector does not own exits 1."""
+    if name == "looppoint":
+        from repro.looppoint import LOOPPOINT as selector
+        from repro.looppoint import looppoint_validation as validation
     else:
-        validations = [elfie_validation("elfie", seed=args.validate_seed,
-                                        trials=args.trials)]
+        from repro.simpoint import BBV_SIMPOINT as selector
+        from repro.simpoint import elfie_validation as validation
+    given = {flag: getattr(args, flag) for flag in _SELECTOR_FLAGS
+             if getattr(args, flag, None) is not None}
+    for flag in given:
+        if flag not in {**selector.profile_params, **selector.region_params}:
+            raise SystemExit("error: --%s does not apply to --selector %s"
+                             % (flag.replace("_", "-"), name))
+    return selector, validation, given
+
+
+def _campaign(args: argparse.Namespace) -> Callable[..., dict]:
+    """The campaign ``farm run`` / ``service submit`` flags describe.
+
+    Returns :func:`repro.pipeline.run_campaign` bound to ``--selector``'s
+    selector (``service submit`` has none: BBV-SimPoint), the images,
+    the validations and the parameters; the caller adds the store or
+    the runner.  Inapplicable selector flags exit 1 here, before any
+    store is opened.
+    """
+    from functools import partial
+
+    from repro.pipeline import run_campaign
+    from repro.simpoint import fidelity_validation
+    from repro.workloads import get_app
+
+    selector, validation, params = _selector(
+        args, getattr(args, "selector", "bbv-simpoint"))
+    validations = [validation("elfie", seed=args.validate_seed,
+                              trials=args.trials)]
     if args.verify_fidelity:
         validations.append(fidelity_validation(
             "fidelity", seed=args.validate_seed,
             max_regions=args.fidelity_regions))
-    return validations
+    images = {name: get_app(name).build(args.input) for name in args.app}
+    return partial(run_campaign, selector, images, validations=validations,
+                   max_k=args.max_k, max_alternates=args.alternates,
+                   seed=args.seed, **params)
 
 
 def _cmd_farm_run(args: argparse.Namespace) -> int:
     import signal
 
     from repro.farm import FarmRunner, open_store
+    from repro.snapshot import preempt
 
+    campaign = _campaign(args)
     try:
         store = open_store(args.store, shards=args.shards)
     except ValueError as exc:  # --shards contradicts the store's layout
         raise SystemExit("error: %s" % exc)
-    images = _campaign_images(args)
-    validations = _campaign_validations(args)
-    if not args.preemptible:
-        return _farm_campaign(args, store, images, validations, None)
-    from repro.snapshot import preempt
-
-    preempt.reset()
-    runner = FarmRunner(store, jobs=args.jobs,
-                        manifest_path=args.manifest, preemptible=True)
+    runner = FarmRunner(store, jobs=args.jobs, manifest_path=args.manifest,
+                        preemptible=args.preemptible)
 
     def _drain(signum, frame):
         sys.stderr.write("SIGTERM: draining — checkpointing the "
                          "in-flight job\n")
         preempt.request()
 
-    # The handler is process-wide, and pool workers forked later in
-    # this process would inherit it: restore the previous one after.
-    previous = signal.signal(signal.SIGTERM, _drain)
+    if args.preemptible:
+        preempt.reset()
+        # The handler is process-wide, and pool workers forked later in
+        # this process would inherit it: restore the previous one after.
+        previous = signal.signal(signal.SIGTERM, _drain)
     try:
-        return _farm_campaign(args, store, images, validations, runner)
+        outcomes = campaign(runner=runner, preemptible=args.preemptible)
     finally:
-        signal.signal(signal.SIGTERM,
-                      signal.SIG_DFL if previous is None else previous)
-
-
-def _farm_campaign(args: argparse.Namespace, store, images: dict,
-                   validations: list, runner) -> int:
-    """Run ``farm run``'s campaign and report it (exit code)."""
-    common = dict(
-        jobs=args.jobs,
-        manifest_path=args.manifest,
-        runner=runner,
-        max_k=args.max_k,
-        max_alternates=args.alternates,
-        seed=args.seed,
-        validations=validations,
-        preemptible=args.preemptible,
-    )
-    if args.selector == "looppoint":
-        from repro.looppoint import run_looppoint_campaign
-
-        outcomes = run_looppoint_campaign(
-            images, store, slice_markers=args.slice_markers,
-            warmup_slices=args.warmup_slices, **common)
-    else:
-        from repro.simpoint import run_pinpoints_campaign
-
-        outcomes = run_pinpoints_campaign(
-            images, store, slice_size=args.slice_size,
-            warmup=args.warmup, **common)
+        if args.preemptible:
+            signal.signal(signal.SIGTERM,
+                          signal.SIG_DFL if previous is None else previous)
     code = _report_campaign(outcomes, args.manifest)
-    if runner is not None:
-        interrupted = sorted(
-            name for name, state in runner.report.states.items()
-            if state in ("preempted", "deferred"))
-        if interrupted:
-            sys.stderr.write(
-                "campaign preempted (%d jobs deferred); re-run the same "
-                "command to resume from the store\n" % len(interrupted))
-            return 75  # EX_TEMPFAIL: partial, resumable
+    interrupted = [name for name, state in runner.report.states.items()
+                   if state in ("preempted", "deferred")]
+    if interrupted:
+        sys.stderr.write(
+            "campaign preempted (%d jobs deferred); re-run the same "
+            "command to resume from the store\n" % len(interrupted))
+        return 75  # EX_TEMPFAIL: partial, resumable
     return code
 
 
@@ -617,22 +615,12 @@ def _cmd_service_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_submit(args: argparse.Namespace) -> int:
-    from repro.service import connect, run_service_campaign
+    from repro.service import ServiceCampaignRunner, connect
 
-    images = _campaign_images(args)
-    validations = _campaign_validations(args)
+    campaign = _campaign(args)
     with connect(args.host, args.port, client_id=args.client) as client:
-        outcomes = run_service_campaign(
-            images, client,
-            manifest_path=args.manifest,
-            priority=args.priority,
-            slice_size=args.slice_size,
-            warmup=args.warmup,
-            max_k=args.max_k,
-            max_alternates=args.alternates,
-            seed=args.seed,
-            validations=validations,
-        )
+        outcomes = campaign(runner=ServiceCampaignRunner(
+            client, manifest_path=args.manifest, priority=args.priority))
     return _report_campaign(outcomes, args.manifest)
 
 
@@ -867,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
         target.add_argument("--app", help="suite app name, e.g. mt.prodcons")
         parser.add_argument("--input", default="train",
                             choices=("test", "train", "ref"))
-        parser.add_argument("--slice-markers", type=int, default=64,
+        parser.add_argument("--slice-markers", type=int, default=None,
                             help="work-marker crossings per slice")
         parser.add_argument("--seed", type=int, default=0)
 
@@ -876,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         share."""
         parser.add_argument("--max-k", type=int, default=12)
         parser.add_argument("--cluster-seed", type=int, default=42)
-        parser.add_argument("--warmup-slices", type=int, default=1,
+        parser.add_argument("--warmup-slices", type=int, default=None,
                             help="warmup depth in whole marker slices")
         parser.add_argument("--alternates", type=int, default=2)
 
@@ -887,9 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "502.gcc_r")
         parser.add_argument("--input", default="train",
                             choices=("test", "train", "ref"))
-        parser.add_argument("--slice-size", type=int, default=20_000,
+        parser.add_argument("--slice-size", type=int, default=None,
                             help="instructions per slice (bbv-simpoint)")
-        parser.add_argument("--warmup", type=int, default=80_000,
+        parser.add_argument("--warmup", type=int, default=None,
                             help="warmup icount before each region "
                                  "(bbv-simpoint)")
         parser.add_argument("--max-k", type=int, default=12)
@@ -934,11 +922,13 @@ def build_parser() -> argparse.ArgumentParser:
     lp_validate.set_defaults(func=_cmd_looppoint_validate)
 
     farm = sub.add_parser(
-        "farm", help="checkpoint farm: cached, parallel PinPoints campaigns")
+        "farm", help="checkpoint farm: cached, parallel region-selection "
+                     "campaigns")
     farm_sub = farm.add_subparsers(dest="farm_command", required=True)
 
     farm_run = farm_sub.add_parser(
-        "run", help="run PinPoints campaigns through the artifact store")
+        "run", help="run a BBV-SimPoint or LoopPoint campaign through the "
+                    "artifact store")
     farm_run.add_argument("--store", default=".farm",
                           help="artifact store directory (default .farm)")
     _campaign_flags(farm_run)
@@ -948,9 +938,9 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("bbv-simpoint", "looppoint"),
                           help="region-selection strategy: BBV SimPoint "
                                "slices or loop-marker LoopPoint regions")
-    farm_run.add_argument("--slice-markers", type=int, default=64,
+    farm_run.add_argument("--slice-markers", type=int, default=None,
                           help="work-marker crossings per slice (looppoint)")
-    farm_run.add_argument("--warmup-slices", type=int, default=1,
+    farm_run.add_argument("--warmup-slices", type=int, default=None,
                           help="warmup depth in whole marker slices "
                                "(looppoint)")
     farm_run.add_argument("--shards", type=int, default=0, metavar="N",
@@ -1036,7 +1026,8 @@ def build_parser() -> argparse.ArgumentParser:
     service_worker.set_defaults(func=_cmd_service_worker)
 
     service_submit = service_sub.add_parser(
-        "submit", help="run a PinPoints campaign through the service")
+        "submit", help="run a BBV-SimPoint (PinPoints) campaign through the "
+                       "service")
     service_submit.add_argument("--host", default="127.0.0.1")
     service_submit.add_argument("--port", type=int, default=7461)
     service_submit.add_argument("--client", default="",

@@ -10,21 +10,24 @@ logger.
 Farm memo keys carry :data:`REGION_SELECTOR`, so LoopPoint artifacts
 and BBV-SimPoint artifacts for the same workload can never collide in
 the store (the SimPoint pipeline stamps its own selector identity).
+
+:func:`repro.pipeline.run_campaign` is the one entry point; it owns the
+pipeline parameters and their defaults, and :data:`LOOPPOINT` owns
+``slice_markers`` and ``warmup_slices``.  :func:`run_looppoint` (one
+app, in this process) and :func:`run_looppoint_campaign` (the farm)
+only bind the selector and a runner, and forward every other keyword.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.core.markers import MarkerSpec
-from repro.farm.runner import FarmRunner
 from repro.farm.store import ArtifactStore
 from repro.looppoint.profile import DEFAULT_SLICE_MARKERS, collect_looppoint
 from repro.looppoint.select import LoopPointResult, select_loop_regions
 from repro.pinplay.regions import RegionSpec
 from repro.pipeline import (
     FarmAppOutcome,
-    FarmValidation,
     MarkerWindows,
     PipelineResult,
     Selector,
@@ -73,44 +76,20 @@ LOOPPOINT = Selector(
 
 
 def run_looppoint(image: bytes, app_name: str,
-                  slice_markers: int = DEFAULT_SLICE_MARKERS,
-                  warmup_slices: int = 1,
-                  max_k: int = 50,
-                  seed: int = 0,
-                  max_alternates: int = 2,
-                  capture: bool = True,
-                  marker: Optional[MarkerSpec] = None,
-                  perf_exit: bool = True,
-                  cluster_seed: int = 42) -> PipelineResult:
-    """Run the full LoopPoint pipeline on *image* in this process."""
-    return run_campaign(
-        LOOPPOINT, {app_name: image}, jobs=1, capture=capture,
-        slice_markers=slice_markers, warmup_slices=warmup_slices,
-        max_k=max_k, seed=seed, max_alternates=max_alternates,
-        marker=marker, perf_exit=perf_exit,
-        cluster_seed=cluster_seed)[app_name].result
+                  **params: Any) -> PipelineResult:
+    """Run the full LoopPoint pipeline on *image* in this process.
+
+    *params* go to :func:`repro.pipeline.run_campaign`.
+    """
+    return run_campaign(LOOPPOINT, {app_name: image}, jobs=1,
+                        **params)[app_name].result
 
 
 def run_looppoint_campaign(images: Dict[str, bytes],
-                           store: ArtifactStore,
-                           jobs: Optional[int] = None,
-                           manifest_path: Optional[str] = None,
-                           runner: Optional[FarmRunner] = None,
-                           slice_markers: int = DEFAULT_SLICE_MARKERS,
-                           warmup_slices: int = 1,
-                           max_k: int = 50,
-                           seed: int = 0,
-                           max_alternates: int = 2,
-                           marker: Optional[MarkerSpec] = None,
-                           perf_exit: bool = True,
-                           cluster_seed: int = 42,
-                           validations: Sequence[FarmValidation] = (),
-                           preemptible: bool = False,
-                           ) -> Dict[str, FarmAppOutcome]:
-    """Run the LoopPoint pipeline for several apps through the farm."""
-    return run_campaign(
-        LOOPPOINT, images, store, jobs=jobs, manifest_path=manifest_path,
-        runner=runner, validations=validations, preemptible=preemptible,
-        slice_markers=slice_markers, warmup_slices=warmup_slices,
-        max_k=max_k, seed=seed, max_alternates=max_alternates,
-        marker=marker, perf_exit=perf_exit, cluster_seed=cluster_seed)
+                           store: Optional[ArtifactStore],
+                           **params: Any) -> Dict[str, FarmAppOutcome]:
+    """Run the LoopPoint pipeline for several apps through the farm.
+
+    *params* go to :func:`repro.pipeline.run_campaign`.
+    """
+    return run_campaign(LOOPPOINT, images, store, **params)

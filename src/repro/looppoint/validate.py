@@ -197,6 +197,7 @@ def validate_looppoint(result, seed: int = 0, trials: int = 3,
                             cls=LoopPointValidation)
 
 
+# validate memo keys hold this module and qualname: do not move or rename
 def _validate_looppoint_job(result, image, **params):
     return validate_looppoint(result, **params)
 

@@ -16,7 +16,8 @@ the select job's ``expand`` callback adds it.  Every job with a key is
 memoized in the runner's artifact store.  :func:`run_campaign` runs
 the graph for several apps on any runner: a local pool, the service,
 or ``FarmRunner(store=None, jobs=1)``, which is the direct in-process
-path of ``run_pinpoints`` and ``run_looppoint``.
+path of ``run_pinpoints`` and ``run_looppoint``.  It is the one
+campaign entry point: every wrapper and CLI verb forwards to it.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.farm.jobs import Job
 from repro.farm.manifest import RunManifest
@@ -113,29 +113,18 @@ class ServiceCampaignRunner(GraphRunner):
 def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,
                          manifest_path: Optional[str] = None,
                          run_id: str = "", priority: int = 0,
-                         slice_size: int = 20_000,
-                         warmup: int = 80_000,
-                         max_k: int = 50,
-                         seed: int = 0,
-                         max_alternates: int = 2,
-                         marker: Any = None,
-                         perf_exit: bool = True,
-                         cluster_seed: int = 42,
-                         validations: Sequence[Any] = ()) -> Dict[str, Any]:
+                         **params: Any) -> Dict[str, Any]:
     """Run the PinPoints pipeline for several apps through the service.
 
     The same graph, keys and results as
     :func:`repro.simpoint.pinpoints.run_pinpoints_campaign`, executed
     by remote workers against the shared sharded store instead of a
-    local pool.  Returns ``{app: FarmAppOutcome}``.
+    local pool.  *params* go to :func:`repro.pipeline.run_campaign`.
+    Returns ``{app: FarmAppOutcome}``.
     """
     from repro.pipeline import run_campaign
     from repro.simpoint.pinpoints import BBV_SIMPOINT
 
     runner = ServiceCampaignRunner(client, manifest_path=manifest_path,
                                    run_id=run_id, priority=priority)
-    return run_campaign(
-        BBV_SIMPOINT, images, runner=runner, validations=validations,
-        slice_size=slice_size, warmup=warmup, max_k=max_k, seed=seed,
-        max_alternates=max_alternates, marker=marker, perf_exit=perf_exit,
-        cluster_seed=cluster_seed)
+    return run_campaign(BBV_SIMPOINT, images, runner=runner, **params)

@@ -7,6 +7,11 @@ clustering into the shared pipeline of :mod:`repro.pipeline`, which
 captures every selected region, converts each pinball to an ELFie and
 validates the selection.
 
+:func:`repro.pipeline.run_campaign` is the one entry point; it owns the
+pipeline parameters and their defaults, and :data:`BBV_SIMPOINT` owns
+``slice_size`` and ``warmup``.  The wrappers here only bind the
+selector and a runner, and forward every other keyword:
+
 - :func:`run_pinpoints` runs one app in this process without a store;
 - :func:`run_pinpoints_campaign` / :func:`run_pinpoints_farm` run apps
   through the farm: dependency-ordered jobs fanned across a worker pool
@@ -19,10 +24,8 @@ identical results.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.core.markers import MarkerSpec
-from repro.farm.runner import FarmRunner
 from repro.farm.store import ArtifactStore
 from repro.pipeline import (
     FarmAppOutcome,
@@ -64,28 +67,19 @@ BBV_SIMPOINT = Selector(
 
 
 def run_pinpoints(image: bytes, app_name: str,
-                  slice_size: int = 20_000,
-                  warmup: int = 80_000,
-                  max_k: int = 50,
-                  seed: int = 0,
-                  max_alternates: int = 2,
-                  capture: bool = True,
-                  marker: Optional[MarkerSpec] = None,
-                  perf_exit: bool = True,
-                  cluster_seed: int = 42) -> PipelineResult:
+                  **params: Any) -> PipelineResult:
     """Run the full PinPoints pipeline on *image* in this process.
 
-    With ``capture`` a fat pinball is logged per region (primaries and
-    up to *max_alternates* alternates) and converted to an ELFie with a
-    ROI marker and graceful-exit counters.
+    *params* go to :func:`repro.pipeline.run_campaign`.  With
+    ``capture`` (the default) a fat pinball is logged per region
+    (primaries and up to ``max_alternates`` alternates) and converted to
+    an ELFie with a ROI marker and graceful-exit counters.
     """
-    return run_campaign(
-        BBV_SIMPOINT, {app_name: image}, jobs=1, capture=capture,
-        slice_size=slice_size, warmup=warmup, max_k=max_k, seed=seed,
-        max_alternates=max_alternates, marker=marker, perf_exit=perf_exit,
-        cluster_seed=cluster_seed)[app_name].result
+    return run_campaign(BBV_SIMPOINT, {app_name: image}, jobs=1,
+                        **params)[app_name].result
 
 
+# validate memo keys hold this module and qualname: do not move or rename
 def _validate_elfies_job(result: PipelineResult, image: bytes,
                          **kwargs) -> Any:
     # imported lazily: validation.py imports the pipeline
@@ -144,33 +138,15 @@ def fidelity_validation(label: str, seed: int = 0, epochs: int = 8,
 
 
 def run_pinpoints_campaign(images: Dict[str, bytes],
-                           store: ArtifactStore,
-                           jobs: Optional[int] = None,
-                           manifest_path: Optional[str] = None,
-                           runner: Optional[FarmRunner] = None,
-                           slice_size: int = 20_000,
-                           warmup: int = 80_000,
-                           max_k: int = 50,
-                           seed: int = 0,
-                           max_alternates: int = 2,
-                           marker: Optional[MarkerSpec] = None,
-                           perf_exit: bool = True,
-                           cluster_seed: int = 42,
-                           validations: Sequence[FarmValidation] = (),
-                           preemptible: bool = False,
-                           ) -> Dict[str, FarmAppOutcome]:
+                           store: Optional[ArtifactStore],
+                           **params: Any) -> Dict[str, FarmAppOutcome]:
     """Run the PinPoints pipeline for several apps through the farm.
 
-    See :func:`repro.pipeline.run_campaign`; produces exactly what
-    :func:`run_pinpoints` + the validation functions produce for each
-    app, plus the run manifest for observability.
+    *params* go to :func:`repro.pipeline.run_campaign`; produces exactly
+    what :func:`run_pinpoints` + the validation functions produce for
+    each app, plus the run manifest for observability.
     """
-    return run_campaign(
-        BBV_SIMPOINT, images, store, jobs=jobs, manifest_path=manifest_path,
-        runner=runner, validations=validations, preemptible=preemptible,
-        slice_size=slice_size, warmup=warmup, max_k=max_k, seed=seed,
-        max_alternates=max_alternates, marker=marker, perf_exit=perf_exit,
-        cluster_seed=cluster_seed)
+    return run_campaign(BBV_SIMPOINT, images, store, **params)
 
 
 def run_pinpoints_farm(image: bytes, app_name: str,

@@ -551,6 +551,27 @@ def test_cli_farm_run_stats_gc(tmp_path, capsys):
     assert "live" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("selector,flag,value", [
+    ("looppoint", "--slice-size", "5"),
+    ("looppoint", "--warmup", "7"),
+    ("bbv-simpoint", "--slice-markers", "8"),
+    ("bbv-simpoint", "--warmup-slices", "2"),
+])
+def test_cli_farm_run_rejects_other_selectors_flags(tmp_path, selector,
+                                                    flag, value):
+    """A flag the chosen selector does not own is an error, raised
+    before the store is created, not silently ignored."""
+    store_dir = str(tmp_path / "farm")
+    with pytest.raises(SystemExit) as exited:
+        main(["farm", "run", "--store", store_dir, "--selector", selector,
+              "--app", "mt.prodcons", "--input", "test", "--jobs", "1",
+              "--max-k", "2", "--alternates", "0", "--trials", "1",
+              flag, value])
+    assert exited.value.code == ("error: %s does not apply to --selector %s"
+                                 % (flag, selector))
+    assert not os.path.exists(store_dir)
+
+
 # -- interpreter MIPS accounting --------------------------------------------
 
 

@@ -9,6 +9,7 @@ CLI front-end.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.looppoint import (
     REGION_SELECTOR,
     collect_looppoint,
     harvest_markers,
+    looppoint_validation,
     measure_elfie_region_markers,
     pca_project,
     run_looppoint,
@@ -466,3 +468,37 @@ def test_cli_looppoint_validate(capsys):
     out = capsys.readouterr().out
     assert "predicted" in out
     assert "coverage 100%" in out
+
+
+def test_cli_farm_run_looppoint_matches_library(tmp_path, capsys):
+    """``farm run --selector looppoint`` builds the very campaign
+    ``run_looppoint_campaign`` builds: same jobs, same memo keys, same
+    stored ELFies."""
+    cli_root, cli_manifest = str(tmp_path / "cli"), str(tmp_path / "cli.jsonl")
+    code = main(["farm", "run", "--store", cli_root,
+                 "--selector", "looppoint", "--app", "mt.prodcons",
+                 "--input", "test", "--jobs", "1", "--max-k", "4",
+                 "--alternates", "1", "--trials", "1",
+                 "--manifest", cli_manifest])
+    assert code == 0
+    assert "mt.prodcons:" in capsys.readouterr().out
+
+    lib_root, lib_manifest = str(tmp_path / "lib"), str(tmp_path / "lib.jsonl")
+    run_looppoint_campaign(
+        {"mt.prodcons": MT_APPS["mt.prodcons"].build("test")},
+        ArtifactStore(lib_root), jobs=1, manifest_path=lib_manifest,
+        max_k=4, max_alternates=1,
+        validations=[looppoint_validation("elfie", seed=0, trials=1)])
+
+    def campaign(root, manifest):
+        pairs = sorted((r["job"], r["key"]) for r in read_manifest(manifest))
+        store = ArtifactStore(root)
+        elfies = {job: hashlib.sha256(store.get(key).image).hexdigest()
+                  for job, key in pairs if "/convert/" in job}
+        return pairs, elfies
+
+    cli_pairs, cli_elfies = campaign(cli_root, cli_manifest)
+    lib_pairs, lib_elfies = campaign(lib_root, lib_manifest)
+    assert cli_elfies
+    assert cli_pairs == lib_pairs
+    assert cli_elfies == lib_elfies
