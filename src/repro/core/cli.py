@@ -266,14 +266,22 @@ def _cmd_verify_aslr(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _suite_app(name: str):
+    """The suite app called *name*; an unknown name exits 1."""
+    from repro.workloads import get_app
+
+    try:
+        return get_app(name)
+    except KeyError:
+        raise SystemExit("error: unknown benchmark %r" % name)
+
+
 def _looppoint_image(args: argparse.Namespace):
     """(image, name) from --binary PATH or --app SUITE_NAME."""
     if args.binary:
         with open(args.binary, "rb") as handle:
             return handle.read(), args.binary.rpartition("/")[2]
-    from repro.workloads import get_app
-
-    return get_app(args.app).build(args.input), args.app
+    return _suite_app(args.app).build(args.input), args.app
 
 
 def _cmd_looppoint_profile(args: argparse.Namespace) -> int:
@@ -396,14 +404,13 @@ def _campaign(args: argparse.Namespace) -> Callable[..., dict]:
     Returns :func:`repro.pipeline.run_campaign` bound to ``--selector``'s
     selector (``service submit`` has none: BBV-SimPoint), the images,
     the validations and the parameters; the caller adds the store or
-    the runner.  Inapplicable selector flags exit 1 here, before any
-    store is opened.
+    the runner.  Inapplicable selector flags and unknown ``--app`` names
+    exit 1 here, before any store is opened.
     """
     from functools import partial
 
     from repro.pipeline import run_campaign
     from repro.simpoint import fidelity_validation
-    from repro.workloads import get_app
 
     selector, validation, params = _selector(
         args, getattr(args, "selector", "bbv-simpoint"))
@@ -413,7 +420,7 @@ def _campaign(args: argparse.Namespace) -> Callable[..., dict]:
         validations.append(fidelity_validation(
             "fidelity", seed=args.validate_seed,
             max_regions=args.fidelity_regions))
-    images = {name: get_app(name).build(args.input) for name in args.app}
+    images = {name: _suite_app(name).build(args.input) for name in args.app}
     return partial(run_campaign, selector, images, validations=validations,
                    max_k=args.max_k, max_alternates=args.alternates,
                    seed=args.seed, **params)

@@ -20,11 +20,17 @@ The syntax is deliberately close to AT&T-free Intel syntax::
 
 Labels may be used as 64-bit immediates (``mov rax, label``), as branch
 targets, and in ``.quad`` data — exactly what ELFie startup code needs
-for its thread-entry tables.
+for its thread-entry tables — but not as 32-bit immediates.
+
+Opcode selection is one dict lookup, ``(mnemonic, operand kinds) -> Op``,
+built at import from ``instructions.MNEMONIC`` (the table the
+disassembler prints), ``OPCODE_TABLE`` and the kinds each operand
+accepts (``_ACCEPTS``).
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -32,7 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.isa.encoding import encode
 from repro.isa.instructions import (
     Instruction,
+    MNEMONIC,
     Op,
+    OP_SIZE,
     OPCODE_TABLE,
     OPERAND_SIZE,
     Operand,
@@ -210,168 +218,45 @@ def _classify(token: str) -> Tuple[str, object]:
     return _SYM, LabelRef(token)
 
 
-# (mnemonic, shape tuple) -> Op.  Shapes use the internal kinds above,
-# with _SYM accepted wherever _IMM is.
-_ALU_RR_RI = {
-    "add": (Op.ADD_RR, Op.ADD_RI),
-    "sub": (Op.SUB_RR, Op.SUB_RI),
-    "imul": (Op.IMUL_RR, Op.IMUL_RI),
-    "and": (Op.AND_RR, Op.AND_RI),
-    "or": (Op.OR_RR, Op.OR_RI),
-    "xor": (Op.XOR_RR, Op.XOR_RI),
-    "shl": (Op.SHL_RR, Op.SHL_RI),
-    "shr": (Op.SHR_RR, Op.SHR_RI),
+#: Parsed operand kinds each encoded operand kind accepts: a label
+#: stands for a 64-bit immediate or a branch target, never for a 32-bit
+#: immediate, and an integer is a valid float immediate.
+_ACCEPTS: Dict[Operand, Tuple[str, ...]] = {
+    Operand.R: (_REG,), Operand.X: (_XREG,), Operand.M: (_MEM,),
+    Operand.I32: (_IMM,), Operand.I64: (_IMM, _SYM),
+    Operand.REL32: (_IMM, _SYM), Operand.F64: (_FLT, _IMM),
 }
 
-_SIMPLE = {
-    "nop": Op.NOP,
-    "hlt": Op.HLT,
-    "syscall": Op.SYSCALL,
-    "cpuid": Op.CPUID,
-    "pause": Op.PAUSE,
-    "rdtsc": Op.RDTSC,
-    "ret": Op.RET,
-    "pushf": Op.PUSHF,
-    "popf": Op.POPF,
-}
+#: Extra spellings of existing mnemonics.
+_ALIASES = {"je": "jz", "jne": "jnz"}
 
-_BRANCHES = {
-    "jmp": Op.JMP,
-    "jz": Op.JZ,
-    "je": Op.JZ,
-    "jnz": Op.JNZ,
-    "jne": Op.JNZ,
-    "jl": Op.JL,
-    "jge": Op.JGE,
-    "jg": Op.JG,
-    "jle": Op.JLE,
-    "jb": Op.JB,
-    "jae": Op.JAE,
-}
 
-_LOADS = {"ld": Op.LD, "ld4": Op.LD4, "ld1": Op.LD1, "lea": Op.LEA, "fld": Op.FLD}
-_STORES = {"st": Op.ST, "st4": Op.ST4, "st1": Op.ST1, "fst": Op.FST}
-_FARITH = {"fadd": Op.FADD, "fsub": Op.FSUB, "fmul": Op.FMUL, "fdiv": Op.FDIV,
-           "fcmp": Op.FCMP}
-_ATOMICS = {"xadd": Op.XADD, "cmpxchg": Op.CMPXCHG, "xchg": Op.XCHG}
-_XSTATE = {"xsave": Op.XSAVE, "xrstor": Op.XRSTOR}
-_SEGBASE = {"wrfsbase": Op.WRFSBASE, "wrgsbase": Op.WRGSBASE,
-            "rdfsbase": Op.RDFSBASE, "rdgsbase": Op.RDGSBASE}
+def _build_syntax() -> Dict[Tuple[str, Tuple[str, ...]], Op]:
+    """(mnemonic, parsed operand kinds) -> Op, aliases included."""
+    syntax: Dict[Tuple[str, Tuple[str, ...]], Op] = {}
+    for op, operands in OPCODE_TABLE.items():
+        names = [MNEMONIC[op]] + [alias for alias, name in _ALIASES.items()
+                                  if name == MNEMONIC[op]]
+        shapes = itertools.product(*(_ACCEPTS[o] for o in operands))
+        for key in itertools.product(names, shapes):
+            assert key not in syntax, "ambiguous PX syntax %r" % (key,)
+            syntax[key] = op
+    return syntax
+
+
+_SYNTAX = _build_syntax()
+_KNOWN_MNEMONICS = frozenset(mnemonic for mnemonic, _ in _SYNTAX)
 
 
 def _select_op(mnemonic: str, kinds: Sequence[str], line: int) -> Op:
     """Pick the opcode for *mnemonic* given classified operand kinds."""
-
-    def err() -> AssemblyError:
-        return AssemblyError(
+    op = _SYNTAX.get((mnemonic, tuple(kinds)))
+    if op is not None:
+        return op
+    if mnemonic in _KNOWN_MNEMONICS:
+        raise AssemblyError(
             "line %d: bad operands for %r: %s" % (line, mnemonic, list(kinds))
         )
-
-    m = mnemonic
-    if m in _SIMPLE:
-        if kinds:
-            raise err()
-        return _SIMPLE[m]
-    if m == "marker":
-        if kinds != [_IMM]:
-            raise err()
-        return Op.MARKER
-    if m == "mov":
-        if kinds == [_REG, _REG]:
-            return Op.MOV_RR
-        if kinds == [_REG, _IMM] or kinds == [_REG, _SYM]:
-            return Op.MOV_RI
-        raise err()
-    if m in _LOADS:
-        if kinds == [_XREG, _MEM] and m == "fld":
-            return Op.FLD
-        if kinds == [_REG, _MEM] and m != "fld":
-            return _LOADS[m]
-        raise err()
-    if m in _STORES:
-        if kinds == [_MEM, _XREG] and m == "fst":
-            return Op.FST
-        if kinds == [_MEM, _REG] and m != "fst":
-            return _STORES[m]
-        raise err()
-    if m in _ALU_RR_RI:
-        if kinds == [_REG, _REG]:
-            return _ALU_RR_RI[m][0]
-        if kinds == [_REG, _IMM]:
-            return _ALU_RR_RI[m][1]
-        raise err()
-    if m == "div":
-        if kinds == [_REG, _REG]:
-            return Op.DIV_RR
-        raise err()
-    if m == "mod":
-        if kinds == [_REG, _REG]:
-            return Op.MOD_RR
-        raise err()
-    if m == "cmp":
-        if kinds == [_REG, _REG]:
-            return Op.CMP_RR
-        if kinds == [_REG, _IMM]:
-            return Op.CMP_RI
-        raise err()
-    if m == "test":
-        if kinds == [_REG, _REG]:
-            return Op.TEST_RR
-        raise err()
-    if m == "jmpabs":
-        if kinds == [_IMM] or kinds == [_SYM]:
-            return Op.JMPABS
-        raise err()
-    if m in _BRANCHES:
-        if m == "jmp" and kinds == [_REG]:
-            return Op.JMP_R
-        if kinds == [_SYM] or kinds == [_IMM]:
-            return _BRANCHES[m]
-        raise err()
-    if m == "call":
-        if kinds == [_REG]:
-            return Op.CALL_R
-        if kinds == [_SYM] or kinds == [_IMM]:
-            return Op.CALL
-        raise err()
-    if m == "push":
-        if kinds == [_REG]:
-            return Op.PUSH
-        raise err()
-    if m == "pop":
-        if kinds == [_REG]:
-            return Op.POP
-        raise err()
-    if m in _ATOMICS:
-        if kinds == [_MEM, _REG]:
-            return _ATOMICS[m]
-        raise err()
-    if m == "fmov":
-        if kinds == [_XREG, _XREG]:
-            return Op.FMOV_XX
-        if kinds == [_XREG, _FLT] or kinds == [_XREG, _IMM]:
-            return Op.FMOV_XI
-        raise err()
-    if m in _FARITH:
-        if kinds == [_XREG, _XREG]:
-            return _FARITH[m]
-        raise err()
-    if m == "cvtsi2sd":
-        if kinds == [_XREG, _REG]:
-            return Op.CVTSI2SD
-        raise err()
-    if m == "cvtsd2si":
-        if kinds == [_REG, _XREG]:
-            return Op.CVTSD2SI
-        raise err()
-    if m in _XSTATE:
-        if kinds == [_MEM]:
-            return _XSTATE[m]
-        raise err()
-    if m in _SEGBASE:
-        if kinds == [_REG]:
-            return _SEGBASE[m]
-        raise err()
     raise AssemblyError("line %d: unknown mnemonic %r" % (line, mnemonic))
 
 
@@ -491,18 +376,9 @@ class Assembler:
         self._emit_insn(op, tuple(values))
 
     def _emit_insn(self, op: Op, operands: Tuple[object, ...]) -> None:
-        from repro.isa.instructions import instruction_size
-
-        self._items.append(
-            _Item(
-                kind="insn",
-                size=instruction_size(op),
-                op=op,
-                operands=operands,
-                line=self._line_no,
-            )
-        )
-        self._offset += self._items[-1].size
+        self._items.append(_Item(kind="insn", size=OP_SIZE[op], op=op,
+                                 operands=operands, line=self._line_no))
+        self._offset += OP_SIZE[op]
 
     def _parse_directive(self, text: str) -> None:
         parts = text.split(None, 1)
@@ -548,13 +424,11 @@ class Assembler:
 
     # -- second pass -------------------------------------------------------
 
-    def _resolve(self, value: object, pc_after: int) -> object:
-        """Resolve LabelRef operands to absolute addresses."""
-        if isinstance(value, LabelRef):
-            if value.name not in self._labels:
-                raise AssemblyError("undefined label %r" % value.name)
-            return self.base + self._labels[value.name] + value.addend
-        return value
+    def _resolve(self, ref: LabelRef) -> int:
+        """Absolute address of a label reference."""
+        if ref.name not in self._labels:
+            raise AssemblyError("undefined label %r" % ref.name)
+        return self.base + self._labels[ref.name] + ref.addend
 
     def assemble(self) -> AssembledProgram:
         """Run the second pass and produce the final program bytes."""
@@ -565,8 +439,8 @@ class Assembler:
             if item.kind == "data":
                 blob = bytearray(item.data)
                 for pos, ref in item.sym_quads:
-                    addr = self._resolve(ref, 0)
-                    struct.pack_into("<Q", blob, pos, int(addr) & ((1 << 64) - 1))
+                    addr = self._resolve(ref)
+                    struct.pack_into("<Q", blob, pos, addr & ((1 << 64) - 1))
                     relocs.append(offset + pos)
                 out += blob
             else:
@@ -575,18 +449,17 @@ class Assembler:
                 resolved = []
                 field_offset = offset + 1  # past the opcode byte
                 for kind, value in zip(OPCODE_TABLE[item.op], item.operands):
-                    was_label = isinstance(value, LabelRef)
-                    value = self._resolve(value, pc_after)
-                    if kind == Operand.REL32 and isinstance(value, int):
-                        # branch targets were resolved to absolute addresses;
-                        # immediates given as ints are already relative
-                        orig = item.operands[len(resolved)]
-                        if isinstance(orig, LabelRef):
-                            value = value - pc_after
-                    elif kind == Operand.I64 and was_label:
-                        # Absolute address baked into an 8-byte immediate
-                        # (MOV_RI / JMPABS): slid by the ASLR loader.
-                        relocs.append(field_offset)
+                    # The syntax table admits labels only as REL32 branch
+                    # targets and I64 immediates.
+                    if isinstance(value, LabelRef):
+                        value = self._resolve(value)
+                        if kind == Operand.REL32:
+                            value -= pc_after
+                        else:
+                            # Absolute address baked into an 8-byte
+                            # immediate (MOV_RI / JMPABS): slid by the
+                            # ASLR loader.
+                            relocs.append(field_offset)
                     resolved.append(value)
                     field_offset += OPERAND_SIZE[kind]
                 out += encode(Instruction(item.op, tuple(resolved)))

@@ -1,7 +1,8 @@
 """Textual disassembly of PX machine code.
 
 Used by debugging helpers and by ``pinball2elf --dump-contexts`` style
-assembly listings.
+assembly listings.  Mnemonics come from ``instructions.MNEMONIC``, the
+one PX syntax table, which the assembler reads too.
 """
 
 from __future__ import annotations
@@ -9,33 +10,8 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from repro.isa.encoding import decode, InstructionDecodeError
-from repro.isa.instructions import Instruction, Op, OPCODE_TABLE, Operand
+from repro.isa.instructions import Instruction, MNEMONIC, OPCODE_TABLE, Operand
 from repro.isa.registers import GPR_NAMES, XMM_NAMES
-
-# Display mnemonic per opcode (inverse of the assembler's tables).
-_MNEMONIC = {
-    Op.NOP: "nop", Op.HLT: "hlt", Op.SYSCALL: "syscall", Op.CPUID: "cpuid",
-    Op.PAUSE: "pause", Op.MARKER: "marker", Op.RDTSC: "rdtsc",
-    Op.MOV_RI: "mov", Op.MOV_RR: "mov", Op.LD: "ld", Op.ST: "st",
-    Op.LEA: "lea", Op.LD4: "ld4", Op.ST4: "st4", Op.LD1: "ld1", Op.ST1: "st1",
-    Op.ADD_RR: "add", Op.SUB_RR: "sub", Op.IMUL_RR: "imul", Op.DIV_RR: "div",
-    Op.AND_RR: "and", Op.OR_RR: "or", Op.XOR_RR: "xor", Op.SHL_RR: "shl",
-    Op.SHR_RR: "shr", Op.MOD_RR: "mod",
-    Op.ADD_RI: "add", Op.SUB_RI: "sub", Op.IMUL_RI: "imul", Op.AND_RI: "and",
-    Op.OR_RI: "or", Op.XOR_RI: "xor", Op.SHL_RI: "shl", Op.SHR_RI: "shr",
-    Op.CMP_RR: "cmp", Op.CMP_RI: "cmp", Op.TEST_RR: "test",
-    Op.JMP: "jmp", Op.JZ: "jz", Op.JNZ: "jnz", Op.JL: "jl", Op.JGE: "jge",
-    Op.JG: "jg", Op.JLE: "jle", Op.JB: "jb", Op.JAE: "jae", Op.JMP_R: "jmp", Op.JMPABS: "jmpabs",
-    Op.CALL: "call", Op.RET: "ret", Op.PUSH: "push", Op.POP: "pop",
-    Op.CALL_R: "call", Op.PUSHF: "pushf", Op.POPF: "popf",
-    Op.XADD: "xadd", Op.CMPXCHG: "cmpxchg", Op.XCHG: "xchg",
-    Op.FMOV_XI: "fmov", Op.FLD: "fld", Op.FST: "fst", Op.FADD: "fadd",
-    Op.FSUB: "fsub", Op.FMUL: "fmul", Op.FDIV: "fdiv", Op.FCMP: "fcmp",
-    Op.CVTSI2SD: "cvtsi2sd", Op.CVTSD2SI: "cvtsd2si", Op.FMOV_XX: "fmov",
-    Op.XSAVE: "xsave", Op.XRSTOR: "xrstor",
-    Op.WRFSBASE: "wrfsbase", Op.WRGSBASE: "wrgsbase",
-    Op.RDFSBASE: "rdfsbase", Op.RDGSBASE: "rdgsbase",
-}
 
 
 def _format_operand(kind: Operand, value: object, pc_after: Optional[int]) -> str:
@@ -70,7 +46,7 @@ def format_instruction(insn: Instruction, pc: Optional[int] = None) -> str:
     as absolute addresses.
     """
     pc_after = pc + insn.size if pc is not None else None
-    mnemonic = _MNEMONIC[insn.op]
+    mnemonic = MNEMONIC[insn.op]
     rendered = [
         _format_operand(kind, value, pc_after)
         for kind, value in zip(OPCODE_TABLE[insn.op], insn.operands)

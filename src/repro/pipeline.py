@@ -342,7 +342,9 @@ def run_campaign(selector: Selector, images: Dict[str, bytes],
     (any :class:`GraphRunner`: a :class:`FarmRunner`, or a
     ``ServiceCampaignRunner`` executing through the service under the
     same campaign loop) overrides the ``FarmRunner(store, jobs,
-    manifest_path)`` built by default.
+    manifest_path)`` built by default; with a runner, *jobs* and
+    *manifest_path* raise :class:`TypeError` (the runner has its own),
+    and so does a *store* other than the runner's ``store``.
     *params* go to :func:`add_region_jobs`.
 
     With *preemptible*, a requested preemption (SIGTERM under
@@ -351,6 +353,12 @@ def run_campaign(selector: Selector, images: Dict[str, bytes],
     that did finish; re-running the identical campaign resumes from
     the memoized results plus the checkpoint.
     """
+    if runner is not None:
+        if jobs is not None or manifest_path is not None:
+            raise TypeError("jobs and manifest_path configure the default "
+                            "FarmRunner; a given runner has its own")
+        if store is not None and store is not getattr(runner, "store", None):
+            raise TypeError("store is not the given runner's store")
     obs = hooks.OBS
     with obs.span("campaign.build", "farm", apps=sorted(images),
                   selector=selector.stamp):

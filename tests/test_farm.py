@@ -27,10 +27,12 @@ from repro.farm import (
 from repro.isa.registers import RegisterFile
 from repro.machine.memory import PAGE_SIZE
 from repro.machine.scheduler import ScheduleSlice
+from repro.pipeline import run_campaign
 from repro.pinplay.pinball import Pinball, ThreadRecord
 from repro.pinplay.regions import RegionSpec
 from repro.service import ShardedStore
 from repro.simpoint import (
+    BBV_SIMPOINT,
     elfie_validation,
     run_pinpoints,
     run_pinpoints_farm,
@@ -520,6 +522,22 @@ def test_farm_campaign_matches_direct_path(tmp_path, mcf_image):
             == farm_validation.abs_error_percent)
 
 
+@pytest.mark.parametrize("setting", ["jobs", "manifest_path", "store"])
+def test_run_campaign_rejects_settings_its_runner_would_ignore(tmp_path,
+                                                               setting):
+    """With a runner, jobs/manifest_path and a foreign store are errors,
+    not silently dropped; the runner's own store is accepted."""
+    store = ArtifactStore(str(tmp_path / "store"))
+    runner = FarmRunner(store, jobs=1)
+    given = {"jobs": 2, "manifest_path": str(tmp_path / "run.jsonl"),
+             "store": ArtifactStore(str(tmp_path / "other"))}[setting]
+    with pytest.raises(TypeError):
+        run_campaign(BBV_SIMPOINT, {"505.mcf_r": b""}, runner=runner,
+                     **{setting: given})
+    assert run_campaign(BBV_SIMPOINT, {}, store, runner=runner,
+                        preemptible=True) == {}
+
+
 # -- CLI --------------------------------------------------------------------
 
 
@@ -569,6 +587,17 @@ def test_cli_farm_run_rejects_other_selectors_flags(tmp_path, selector,
               flag, value])
     assert exited.value.code == ("error: %s does not apply to --selector %s"
                                  % (flag, selector))
+    assert not os.path.exists(store_dir)
+
+
+def test_cli_farm_run_rejects_unknown_app(tmp_path):
+    """An unknown --app is a one-line error, raised before the store is
+    created."""
+    store_dir = str(tmp_path / "farm")
+    with pytest.raises(SystemExit) as exited:
+        main(["farm", "run", "--store", store_dir, "--app", "nope",
+              "--input", "test", "--jobs", "1"])
+    assert exited.value.code == "error: unknown benchmark 'nope'"
     assert not os.path.exists(store_dir)
 
 

@@ -1,15 +1,33 @@
 """Tests for the PX assembler and disassembler."""
 
+import hashlib
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import MarkerSpec, Pinball2Elf, Pinball2ElfOptions
 from repro.isa import assemble, AssemblyError, decode, Op
 from repro.isa.assembler import Assembler
 from repro.isa.disassembler import disassemble, format_instruction
 from repro.isa.encoding import encode
 from repro.isa.instructions import Instruction
+from repro.pinplay import RegionSpec, log_region
+from repro.workloads import (
+    MT_APPS,
+    SPEC2006_SUBSET,
+    SPEC2017_FP_RATE,
+    SPEC2017_INT_RATE,
+    SPEC2017_OMP_SPEED,
+    get_app,
+)
+
+#: sha256 over every suite app's image at the ``test`` input and two
+#: ELFies (perf-exit, sniper marker) converted from ``log_region``
+#: captures.  Every byte here comes out of the assembler, ELFie startup
+#: code included, so a change to opcode selection or operand encoding
+#: moves it; a deliberate syntax change updates it and says why.
+PINNED_GUEST_BYTES = "6928275b4a44399e88c45666175bd64628e075eab5e9c827138f1437efc9aeda"
 
 
 def test_simple_program_assembles():
@@ -62,6 +80,14 @@ def test_backward_and_forward_branches():
         """
     )
     assert prog.address_of("done") == prog.size - 1
+    # je/jne are spellings of jz/jnz; the disassembler prints the latter.
+    prog = assemble("top:\n    je top\n    jne top\n")
+    insn, offset = decode(prog.code)
+    assert insn.op == Op.JZ
+    insn, _ = decode(prog.code, offset)
+    assert insn.op == Op.JNZ
+    assert [text for _, text in disassemble(prog.code)] == ["jz 0x0",
+                                                            "jnz 0x0"]
 
 
 def test_label_as_mov_immediate():
@@ -168,10 +194,14 @@ def test_unknown_mnemonic_rejected():
 
 
 def test_bad_operand_shape_rejected():
-    with pytest.raises(AssemblyError):
-        assemble("push 5")
-    with pytest.raises(AssemblyError):
-        assemble("mov 5, rax")
+    # Labels stand only for 64-bit immediates and branch targets, never
+    # for 32-bit immediates; each operand slot takes its own kinds.
+    for source in ("push 5", "mov 5, rax", "add rax, lbl", "cmp rax, lbl",
+                   "marker lbl", "fld rax, [rbx]", "ld xmm0, [rbx]",
+                   "fst [rbx], rax", "div rax, 5", "jmp [rax]", "nop rax",
+                   "fmov xmm0, rax"):
+        with pytest.raises(AssemblyError, match="bad operands for"):
+            assemble("lbl:\n" + source)
 
 
 def test_float_instructions():
@@ -235,3 +265,23 @@ def test_mov_text_round_trip(reg, imm):
     rendered = format_instruction(insn)
     reprog = assemble(rendered.replace("0x", "0x"))
     assert reprog.code == prog.code
+
+
+def test_suite_images_and_elfies_are_pinned():
+    digest = hashlib.sha256()
+    apps = {}
+    for suite in (SPEC2017_INT_RATE, SPEC2017_FP_RATE, SPEC2017_OMP_SPEED,
+                  SPEC2006_SUBSET, MT_APPS):
+        apps.update(suite)
+    assert len(apps) == 46
+    for name in sorted(apps):
+        digest.update(name.encode("utf-8"))
+        digest.update(apps[name].build("test"))
+    options = Pinball2ElfOptions(perf_exit=True,
+                                 marker=MarkerSpec("sniper", 0x42))
+    for name in ("505.mcf_r", "mt.prodcons"):
+        pinball = log_region(get_app(name).build("test"),
+                             RegionSpec(start=20_000, length=20_000,
+                                        warmup=5_000, name=name + ".r0"))
+        digest.update(Pinball2Elf(pinball, options).convert().image)
+    assert digest.hexdigest() == PINNED_GUEST_BYTES
