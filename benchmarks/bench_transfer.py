@@ -1,13 +1,18 @@
 """What a pooled campaign pickles: job arguments and results per stage.
 
-A farm worker pool ships every non-local job as ``(fn, args, kwargs,
-resume)`` to a worker and its ``(pid, wall, result)`` back, both
-through ``ForkingPickler``.  The traced end-to-end run cannot show that
-cost (its inline runner never pickles), so this bench runs one cold
-PinPoints campaign in process with the e2e ``pinpoints_int`` workload's
-parameters, keeps every payload the pool would ship, and then pickles
-each one exactly as the pool does: bytes, and dump+load CPU seconds,
-per pipeline stage.
+A farm worker pool ships every non-local job as the task tuple
+``FarmRunner._task`` builds, ``(fn, args, kwargs, resume, store, key,
+kind)``, to a worker, which commits the result to the store itself and
+sends ``(pid, wall, result)`` back, both through ``ForkingPickler``.
+The traced end-to-end run cannot show that cost (its inline runner
+never pickles), so this bench runs one cold PinPoints campaign in
+process with the e2e ``pinpoints_int`` workload's parameters, keeps
+every payload the pool would ship, and then pickles each one exactly
+as the pool does: bytes, and dump+load CPU seconds, per pipeline
+stage.  The campaign runs without a store, so the task's store field
+is ``None`` here (a plain store pickles as its root path and
+compression level, about 100 bytes a job, which would make the counts
+depend on the host's paths).
 
 Pinballs cross the pool three times (a log result, a convert argument,
 and inside the validate job's ``PipelineResult``), so the footer also
@@ -63,7 +68,7 @@ class _CapturingRunner(FarmRunner):
     def _run_inline(self, job, args, kwargs, resume=None):
         if not job.local:
             self.payloads.append(
-                (job.stage, "args", (job.fn, args, kwargs, resume)))
+                (job.stage, "args", self._task(job, args, kwargs, resume)))
         super()._run_inline(job, args, kwargs, resume)
 
     def _settle(self, job, state, cache="", result=None, wall_s=0.0,

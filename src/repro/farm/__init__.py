@@ -14,9 +14,9 @@ package provides that substrate for the reproduction:
   ``gc`` and ``stats``,
 - :mod:`repro.farm.jobs` — dependency-ordered job graphs with
   result references and dynamic expansion,
-- :mod:`repro.farm.runner` — the executor: ``multiprocessing``
-  fan-out, store-backed memoization (a re-run with unchanged keys is a
-  cache hit), capped-backoff retries,
+- :mod:`repro.farm.runner` — the executor: process-pool fan-out whose
+  workers commit their own results, store-backed memoization (a re-run
+  with unchanged keys is a cache hit), capped-backoff retries,
 - :mod:`repro.farm.manifest` — JSON-lines run manifests (one record
   per job: key, state, cache hit/miss, wall time, worker, error).
 

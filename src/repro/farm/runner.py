@@ -7,24 +7,33 @@ is :class:`repro.service.campaign.ServiceCampaignRunner`).  Rules:
 - a job is *ready* once all dependencies completed successfully;
 - ready jobs whose memoization key is present in the artifact store are
   **cache hits**: the stored result is served without executing;
-- other ready jobs fan out across a ``multiprocessing`` pool
-  (``jobs=N``, default ``os.cpu_count()``); ``jobs=1`` runs everything
-  in-process, which is also the reference semantics the pool must match;
+- other ready jobs fan out across a process pool (``jobs=N``, default
+  ``os.cpu_count()``); ``jobs=1`` runs everything in-process, which is
+  also the reference semantics the pool must match;
 - a failing job is retried with capped exponential backoff, then marked
-  ``failed``; jobs downstream of a failure are marked ``blocked``;
+  ``failed``; jobs downstream of a failure are marked ``blocked``.  A
+  worker that dies mid-job breaks the pool: every job it held fails
+  under the same rule, and the retries go to a fresh pool;
 - every terminal state appends one record to the run manifest.
 
-Results are held in the parent; jobs with a key are written to the
-store as they complete, so the next campaign with unchanged keys is a
-warm run.
+The process that runs a job commits its keyed result to the store
+(:func:`commit_result`): a pool worker right after the job body, the
+parent only for jobs it runs inline.  The result also travels back to
+the parent as an object, which ``expand`` callbacks, downstream
+``Ref``s and the campaign result need; the parent schedules, settles
+and writes the manifest.  Blocks are content-addressed and written by
+atomic rename, and the record is written last as the commit point, so
+concurrent commits need no locking, and the next campaign with
+unchanged keys is a warm run.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Container, Dict, Iterator, List, Optional
 
@@ -44,9 +53,18 @@ class CampaignError(Exception):
         super().__init__("campaign failed: " + "; ".join(lines))
 
 
-def _call_job(fn, args, kwargs, resume=None):
-    """Run one job body in this process (a pool worker or the parent);
-    returns (pid, wall seconds, result)."""
+def commit_result(store: Optional[ArtifactStore], key: str, kind: str,
+                  result: Any) -> None:
+    """Memoize a job's *result* under its *key* (no store or no key:
+    nothing to do).  A raised error fails the job like its body would."""
+    if store is not None and key:
+        store.put(key, result, kind)
+
+
+def _call_job(fn, args, kwargs, resume=None, store=None, key="", kind=""):
+    """Run one job body in this process (a pool worker or the parent)
+    and :func:`commit_result` its result; returns (pid, wall seconds of
+    the body alone, result)."""
     if resume is not None:
         # Seed the process-global preemption context so the job body
         # resumes from the shipped checkpoint.
@@ -55,7 +73,9 @@ def _call_job(fn, args, kwargs, resume=None):
         preempt.set_resume(resume)
     start = time.perf_counter()
     result = fn(*args, **kwargs)
-    return os.getpid(), time.perf_counter() - start, result
+    wall = time.perf_counter() - start
+    commit_result(store, key, kind, result)
+    return os.getpid(), wall, result
 
 
 def _job_icount(result: Any) -> Optional[int]:
@@ -107,7 +127,7 @@ class _Pending:
     args: tuple
     kwargs: dict
     attempts: int = 1
-    async_result: Any = None
+    future: Optional[Future] = None
 
 
 class GraphRunner:
@@ -122,7 +142,8 @@ class GraphRunner:
     - ``_start(job, args, kwargs)`` serves a ready job from its cache
       or puts it in flight in ``self._inflight``;
     - ``_poll()`` settles finished jobs; True if anything progressed;
-    - ``_store_result(job, result)`` memoizes a keyed job run inline;
+    - ``_store_result(job, result)`` memoizes a keyed job run inline
+      (a raised error fails the attempt);
     - ``_busy()`` names the jobs not to schedule again (default: the
       in-flight ones), ``_executor()`` holds per-run resources.
     """
@@ -271,6 +292,8 @@ class GraphRunner:
             try:
                 worker, wall, result = _call_job(job.fn, args, kwargs,
                                                  resume)
+                if job.key:
+                    self._store_result(job, result)
             except Exception as exc:
                 if self._preempted(job, exc, time.perf_counter() - start,
                                    os.getpid(), attempts):
@@ -283,8 +306,6 @@ class GraphRunner:
                 time.sleep(self._delay(attempts))
                 attempts += 1
                 continue
-            if job.key:
-                self._store_result(job, result)
             self._settle(job, "ok", result=result, wall_s=wall,
                          worker=worker, attempts=attempts,
                          icount=_job_icount(result))
@@ -348,21 +369,30 @@ class FarmRunner(GraphRunner):
     @contextlib.contextmanager
     def _executor(self) -> Iterator[None]:
         self._retry_at: Dict[str, tuple] = {}  # name -> (when, _Pending)
-        self._pool = (multiprocessing.Pool(processes=self.jobs)
-                      if self.jobs > 1 else None)
+        self._pool = self._new_pool()
         try:
             yield
         except BaseException:
-            if self._pool is not None:
-                self._pool.terminate()
+            self._close_pool(kill=True)
             raise
         finally:
-            if self._pool is not None:
-                # drained: idle workers exit on close()'s sentinels, not
-                # on a SIGTERM that an inherited preemption handler
-                # (``farm run --preemptible``) would swallow
-                self._pool.close()
-                self._pool.join()
+            # drained: idle workers exit on the shutdown sentinels
+            self._close_pool()
+
+    def _new_pool(self) -> Optional[ProcessPoolExecutor]:
+        return ProcessPoolExecutor(self.jobs) if self.jobs > 1 else None
+
+    def _close_pool(self, kill: bool = False) -> None:
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if kill:
+            # SIGKILL, not SIGTERM: workers may have inherited a
+            # preemption handler (``farm run --preemptible``) that
+            # swallows SIGTERM
+            for process in list((pool._processes or {}).values()):
+                process.kill()
+        pool.shutdown(wait=True, cancel_futures=kill)
 
     def _busy(self) -> Container[str]:
         return self._inflight.keys() | self._retry_at.keys()
@@ -382,14 +412,28 @@ class FarmRunner(GraphRunner):
                 return
         self._launch(_Pending(job, args, kwargs))
 
+    def _task(self, job: Job, args: tuple, kwargs: dict,
+              resume: Any = None) -> tuple:
+        """The :func:`_call_job` arguments the pool ships for one
+        attempt of *job*: the worker commits the result to this
+        runner's store itself."""
+        return job.fn, args, kwargs, resume, self.store, job.key, job.kind
+
     def _launch(self, pending: _Pending) -> None:
         job = pending.job
         resume = self._resume_snapshot(job)
         if self._pool is None:
             self._run_inline(job, pending.args, pending.kwargs, resume)
             return
-        pending.async_result = self._pool.apply_async(
-            _call_job, (job.fn, pending.args, pending.kwargs, resume))
+        task = self._task(job, pending.args, pending.kwargs, resume)
+        try:
+            pending.future = self._pool.submit(_call_job, *task)
+        except BrokenProcessPool:
+            # a worker died: the broken pool failed every job it held
+            # (settled or retried by _poll); later attempts get a new one
+            self._close_pool(kill=True)
+            self._pool = self._new_pool()
+            pending.future = self._pool.submit(_call_job, *task)
         self._inflight[job.name] = pending
 
     def _poll(self) -> bool:
@@ -403,13 +447,13 @@ class FarmRunner(GraphRunner):
                 self._launch(pending)
                 progressed = True
         for name, pending in list(self._inflight.items()):
-            if not pending.async_result.ready():
+            if not pending.future.done():
                 continue
             del self._inflight[name]
             progressed = True
             job = pending.job
             try:
-                worker, wall, result = pending.async_result.get()
+                worker, wall, result = pending.future.result()
             except Exception as exc:
                 if self._preempted(job, exc, 0.0, None, pending.attempts):
                     continue
@@ -422,19 +466,22 @@ class FarmRunner(GraphRunner):
                     self._settle(job, "failed", attempts=pending.attempts,
                                  error="%s: %s" % (type(exc).__name__, exc))
                 continue
-            if job.key:
-                self._store_result(job, result)
+            # the worker committed the result; only the resume
+            # checkpoint is the parent's to clean up
+            self._drop_resume_snapshot(job)
             self._settle(job, "ok", result=result, wall_s=wall,
                          worker=worker, attempts=pending.attempts,
                          icount=_job_icount(result))
         return progressed
 
     def _store_result(self, job: Job, result: Any) -> None:
-        if self.store is not None:
-            self.store.put(job.key, result, job.kind)
-            if self.preemptible:
-                # the job settled: its resume checkpoint is garbage now
-                self.store.delete(self.snapshot_key(job.key))
+        commit_result(self.store, job.key, job.kind, result)
+        self._drop_resume_snapshot(job)
+
+    def _drop_resume_snapshot(self, job: Job) -> None:
+        """The job settled: its resume checkpoint is garbage now."""
+        if self.preemptible and job.key and self.store is not None:
+            self.store.delete(self.snapshot_key(job.key))
 
     def _resume_snapshot(self, job: Job):
         """The parked checkpoint for *job*, if a prior run left one."""

@@ -20,7 +20,10 @@ The syntax is deliberately close to AT&T-free Intel syntax::
 
 Labels may be used as 64-bit immediates (``mov rax, label``), as branch
 targets, and in ``.quad`` data — exactly what ELFie startup code needs
-for its thread-entry tables — but not as 32-bit immediates.
+for its thread-entry tables — but not as 32-bit immediates.  An integer
+branch target is an absolute address when unsigned (``jz 0x1000``, as
+a disassembly listing prints it) and a displacement from the next
+instruction when signed (``jz -5``).
 
 Opcode selection is one dict lookup, ``(mnemonic, operand kinds) -> Op``,
 built at import from ``instructions.MNEMONIC`` (the table the
@@ -54,7 +57,8 @@ class AssemblyError(Exception):
 
 @dataclass(frozen=True)
 class LabelRef:
-    """A symbolic reference resolved during the second pass."""
+    """A symbolic reference resolved during the second pass; an empty
+    *name* stands for the absolute address *addend*."""
 
     name: str
     addend: int = 0
@@ -246,6 +250,10 @@ def _build_syntax() -> Dict[Tuple[str, Tuple[str, ...]], Op]:
 
 _SYNTAX = _build_syntax()
 _KNOWN_MNEMONICS = frozenset(mnemonic for mnemonic, _ in _SYNTAX)
+#: op -> index of its REL32 branch-target operand
+_REL32_SLOT = {op: operands.index(Operand.REL32)
+               for op, operands in OPCODE_TABLE.items()
+               if Operand.REL32 in operands}
 
 
 def _select_op(mnemonic: str, kinds: Sequence[str], line: int) -> Op:
@@ -373,6 +381,11 @@ class Assembler:
             kinds[1] = _REG
             values[1] = SCRATCH_REG
         op = _select_op(mnemonic, kinds, self._line_no)
+        slot = _REL32_SLOT.get(op)
+        if (slot is not None and kinds[slot] == _IMM
+                and tokens[slot][0] not in "+-"):
+            # an unsigned integer branch target is an absolute address
+            values[slot] = LabelRef("", int(values[slot]))
         self._emit_insn(op, tuple(values))
 
     def _emit_insn(self, op: Op, operands: Tuple[object, ...]) -> None:
@@ -426,6 +439,8 @@ class Assembler:
 
     def _resolve(self, ref: LabelRef) -> int:
         """Absolute address of a label reference."""
+        if not ref.name:
+            return ref.addend
         if ref.name not in self._labels:
             raise AssemblyError("undefined label %r" % ref.name)
         return self.base + self._labels[ref.name] + ref.addend

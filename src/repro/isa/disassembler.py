@@ -43,7 +43,8 @@ def format_instruction(insn: Instruction, pc: Optional[int] = None) -> str:
     """Render one instruction as assembly text.
 
     If *pc* (the instruction's address) is given, branch targets are shown
-    as absolute addresses.
+    as absolute addresses, otherwise as signed displacements; the
+    assembler reads either form back to the same bytes (at *pc*).
     """
     pc_after = pc + insn.size if pc is not None else None
     mnemonic = MNEMONIC[insn.op]

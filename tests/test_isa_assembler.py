@@ -246,6 +246,41 @@ def test_disassemble_round_trip_text():
     assert lines[-1] == "syscall"
 
 
+@pytest.mark.parametrize("base", [0, 0x1000, 0x400000])
+def test_disassembly_listing_reassembles_at_its_base(base):
+    """A listing prints branch targets as absolute addresses; assembled
+    at the same base, it gives back the same bytes, for branches in
+    both directions (and a zero displacement)."""
+    prog = assemble(
+        """
+        top:
+            jz top
+            mov rax, 3
+        back:
+            sub rax, 1
+            jnz back
+            jmp ahead
+            call top
+            jl next
+        next:
+            nop
+        ahead:
+            jge top
+            hlt
+        """, base=base)
+    listing = list(disassemble(prog.code, base))
+    assert listing[0] == (base, "jz 0x%x" % base)
+    text = "\n".join(line for _address, line in listing)
+    assert assemble(text, base=base).code == prog.code
+    # one line at a time, each at its own address
+    for address, line in listing:
+        size = decode(prog.code, address - base)[1] - (address - base)
+        assert assemble(line, base=address).code == \
+            prog.code[address - base:address - base + size]
+    # signed displacements stay displacements
+    assert assemble("jz -5").code == assemble("top: jz top").code
+
+
 def test_disassemble_skips_or_stops_on_data():
     data = b"\xff\xfe" + encode(Instruction(Op.NOP))
     assert list(disassemble(data)) == []
