@@ -26,7 +26,7 @@ from repro.isa.registers import (
 from repro.isa.instructions import Instruction, Op, OPCODE_TABLE
 from repro.isa.encoding import encode, decode, InstructionDecodeError
 from repro.isa.assembler import Assembler, AssemblyError, assemble
-from repro.isa.disassembler import disassemble, disassemble_one
+from repro.isa.disassembler import disassemble
 
 __all__ = [
     "GPR_NAMES",
@@ -44,5 +44,4 @@ __all__ = [
     "AssemblyError",
     "assemble",
     "disassemble",
-    "disassemble_one",
 ]

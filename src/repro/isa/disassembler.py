@@ -57,13 +57,6 @@ def format_instruction(insn: Instruction, pc: Optional[int] = None) -> str:
     return mnemonic
 
 
-def disassemble_one(data: bytes, offset: int = 0,
-                    pc: Optional[int] = None) -> Tuple[str, int]:
-    """Disassemble one instruction; returns (text, next offset)."""
-    insn, next_offset = decode(data, offset)
-    return format_instruction(insn, pc), next_offset
-
-
 def disassemble(data: bytes, base: int = 0,
                 stop_on_error: bool = True) -> Iterator[Tuple[int, str]]:
     """Yield (address, text) for each instruction in *data*.

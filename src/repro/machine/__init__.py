@@ -11,8 +11,8 @@ paper.  It provides:
   in-memory VFS, ``brk``/``mmap`` and ``clone``-based threads,
 - :mod:`repro.machine.scheduler` -- a seeded preemptive scheduler whose
   seed is the source of run-to-run variation (ELFie non-determinism),
-- :mod:`repro.machine.perf` -- a simulated PMU with overflow callbacks
-  (the graceful-exit substrate),
+- :mod:`repro.machine.perf` -- perf-stat event totals over the
+  per-thread PMU counters,
 - :mod:`repro.machine.tool` -- Pin-style instrumentation hooks,
 - :mod:`repro.machine.loader` -- the ELF loader with stack randomization
   (the stack-collision substrate),
@@ -34,7 +34,7 @@ from repro.machine.memory import (
 )
 from repro.machine.vfs import FileSystem, FileDescriptorTable, VfsError
 from repro.machine.scheduler import Scheduler, ScheduleSlice
-from repro.machine.perf import PerfCounter, PMU, PerfEvent
+from repro.machine.perf import PMU, PerfEvent
 from repro.machine.tool import Tool
 from repro.machine.cpu import CpuFault, DivideError, InvalidOpcode
 from repro.machine.kernel import Kernel, SyscallError, NR
@@ -58,7 +58,6 @@ __all__ = [
     "VfsError",
     "Scheduler",
     "ScheduleSlice",
-    "PerfCounter",
     "PMU",
     "PerfEvent",
     "Tool",

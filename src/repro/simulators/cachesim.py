@@ -10,8 +10,7 @@ footprint column).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import DefaultDict, Dict, List, Optional, Set
+from typing import DefaultDict, List, Optional, Set
 
 LINE_SHIFT = 6
 LINE_SIZE = 1 << LINE_SHIFT
@@ -97,53 +96,3 @@ class Tlb:
         if len(self._lru) > self.entries:
             self._lru.pop(0)
         return self.miss_penalty
-
-
-@dataclass
-class CacheHierarchy:
-    """A private L1D/L1I + L2 per core, with a shared LLC."""
-
-    l1d: Cache
-    l1i: Cache
-    l2: Cache
-    llc: Cache
-    dtlb: Optional[Tlb] = None
-    itlb: Optional[Tlb] = None
-
-    @classmethod
-    def build(cls, llc: Cache,
-              l1_kb: int = 32, l1_assoc: int = 8, l1_latency: int = 2,
-              l2_kb: int = 256, l2_assoc: int = 8, l2_latency: int = 10,
-              with_tlbs: bool = False,
-              tlb_entries: int = 64, tlb_penalty: int = 30,
-              ) -> "CacheHierarchy":
-        """Build one core's private hierarchy under a shared *llc*."""
-        l2 = Cache("L2", l2_kb, l2_assoc, l2_latency, parent=llc)
-        l1d = Cache("L1D", l1_kb, l1_assoc, l1_latency, parent=l2)
-        l1i = Cache("L1I", l1_kb, l1_assoc, l1_latency, parent=l2)
-        dtlb = Tlb("DTLB", tlb_entries, tlb_penalty) if with_tlbs else None
-        itlb = Tlb("ITLB", tlb_entries * 2, tlb_penalty) if with_tlbs else None
-        return cls(l1d=l1d, l1i=l1i, l2=l2, llc=llc, dtlb=dtlb, itlb=itlb)
-
-    def data_access(self, addr: int) -> int:
-        cycles = self.l1d.access(addr)
-        if self.dtlb is not None:
-            cycles += self.dtlb.access(addr)
-        return cycles
-
-    def fetch_access(self, addr: int) -> int:
-        cycles = self.l1i.access(addr)
-        if self.itlb is not None:
-            cycles += self.itlb.access(addr)
-        return cycles
-
-    def stats(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for cache in (self.l1d, self.l1i, self.l2, self.llc):
-            out["%s_accesses" % cache.name.lower()] = cache.accesses
-            out["%s_misses" % cache.name.lower()] = cache.misses
-        for tlb in (self.dtlb, self.itlb):
-            if tlb is not None:
-                out["%s_accesses" % tlb.name.lower()] = tlb.accesses
-                out["%s_misses" % tlb.name.lower()] = tlb.misses
-        return out

@@ -28,17 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.elfie import simulate_roi
-from repro.isa.instructions import COND_BRANCH_SIZE, Op
+from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
-from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
-from repro.simulators.branch import BranchPredictor
-from repro.simulators.cachesim import Cache, CacheHierarchy
-from repro.simulators.kernelmodel import (
-    TIMER_INTERVAL,
-    syscall_stream,
-    timer_stream,
+from repro.simulators.cachesim import Cache
+from repro.simulators.kernelmodel import KernelModel
+from repro.simulators.timing import (
+    TimingCore,
+    TimingResult,
+    TimingSim,
+    TimingTool,
 )
 
 
@@ -63,118 +62,34 @@ class CoreSimConfig:
     frontend: str = "sde"
     prefetch_next_line: bool = True
 
+    def __post_init__(self) -> None:
+        if self.frontend not in ("sde", "simics"):
+            raise ValueError("CoreSim frontend must be 'sde' or 'simics', "
+                             "not %r" % (self.frontend,))
 
-class _CoreSimTool(Tool):
-    """Single-core detailed timing model as an instrumentation tool."""
 
-    wants_instructions = True
-    wants_memory = True
-    wants_blocks = True
+#: Long-latency execution costs (partially hidden by the window).
+_LONG_OPS = {Op.DIV_RR: 18.0, Op.MOD_RR: 18.0, Op.FDIV: 11.0,
+             Op.IMUL_RR: 2.0, Op.IMUL_RI: 2.0,
+             Op.FMUL: 2.5, Op.FADD: 2.0, Op.FSUB: 2.0}
 
-    def __init__(self, config: CoreSimConfig,
-                 roi_budget: Optional[int],
-                 warmup_budget: int = 0) -> None:
-        self.config = config
-        self.llc = Cache("LLC", config.llc_kb, config.llc_assoc, 30)
-        self.hierarchy = CacheHierarchy.build(
-            self.llc, l1_kb=config.l1_kb, l2_kb=config.l2_kb,
-            with_tlbs=True, tlb_entries=config.tlb_entries,
-            tlb_penalty=config.tlb_penalty,
-        )
-        self.predictor = BranchPredictor(
-            mispredict_penalty=config.mispredict_penalty)
-        self.cycles = 0.0
-        self.ring3_instructions = 0
-        self.ring0_instructions = 0
-        self.prefetch_lines = 0
-        self.roi_budget = roi_budget
-        #: ROI instructions that warm microarchitectural state without
-        #: being measured (the PinPoints warmup region).
-        self.warmup_budget = warmup_budget
-        self.warmup_cycles: Optional[float] = None if warmup_budget else 0.0
-        self.warmup_ring0: int = 0
-        self._instr_cost = 1.0 / config.dispatch_width
-        self._pending_branch = None
-        self._since_timer = 0
-        self._kernel_episodes = 0
-        # long-latency execution costs (partially hidden by the window)
-        self._long_op_cost = {
-            int(Op.DIV_RR): 18.0, int(Op.MOD_RR): 18.0,
-            int(Op.FDIV): 11.0,
-            int(Op.IMUL_RR): 2.0, int(Op.IMUL_RI): 2.0,
-            int(Op.FMUL): 2.5, int(Op.FADD): 2.0, int(Op.FSUB): 2.0,
-        }
 
-    # -- kernel stream injection -------------------------------------------
-
-    def _run_kernel_stream(self, stream) -> None:
-        self.ring0_instructions += stream.instructions
-        self.cycles += stream.instructions * self._instr_cost
-        for kind, addr in stream.accesses():
-            if kind == "fetch":
-                self.cycles += self.hierarchy.fetch_access(addr)
-            else:
-                self.cycles += self.hierarchy.data_access(addr)
-
-    def _maybe_timer(self, machine) -> None:
-        if self._since_timer >= TIMER_INTERVAL:
-            self._since_timer = 0
-            if self.config.frontend == "simics":
-                self._kernel_episodes += 1
-                self._run_kernel_stream(timer_stream(self._kernel_episodes))
-
-    # -- instrumentation callbacks -------------------------------------------
-
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if self._pending_branch is not None:
-            branch_pc, fallthrough = self._pending_branch
-            self._pending_branch = None
-            self.cycles += self.predictor.predict_and_update(
-                branch_pc, pc != fallthrough)
-        self.cycles += self._instr_cost
-        cost = self._long_op_cost.get(int(insn.op))
-        if cost is not None:
-            self.cycles += cost
-        self.ring3_instructions += 1
-        self._since_timer += 1
-        size = COND_BRANCH_SIZE.get(insn.op)
-        if size is not None:
-            self._pending_branch = (pc, pc + size)
-        self._maybe_timer(machine)
-        if (self.warmup_cycles is None
-                and self.ring3_instructions >= self.warmup_budget):
-            self.warmup_cycles = self.cycles
-            self.warmup_ring0 = self.ring0_instructions
-        if (self.roi_budget is not None
-                and self.ring3_instructions
-                >= self.roi_budget + self.warmup_budget):
-            machine.request_stop("coresim budget")
-
-    def on_basic_block(self, machine, thread, pc) -> None:
-        self.cycles += self.hierarchy.fetch_access(pc)
-
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        before = self.hierarchy.l1d.misses
-        self.cycles += self.hierarchy.data_access(addr)
-        if (self.config.prefetch_next_line
-                and self.hierarchy.l1d.misses > before):
-            # next-line prefetch into the LLC
-            self.llc.access(addr + 64)
-            self.prefetch_lines += 1
-
-    on_memory_write = on_memory_read
-
-    def on_syscall_after(self, machine, thread, number, result) -> None:
-        self.cycles += self.config.syscall_trap_cycles
-        if self.config.frontend == "simics":
-            self._kernel_episodes += 1
-            self._run_kernel_stream(
-                syscall_stream(number, self._kernel_episodes))
+def _prefetching_data(core: TimingCore, addr: int) -> float:
+    """Full-latency data charge; an L1D miss also prefetches the next
+    line into the LLC."""
+    before = core.l1d.misses
+    cycles = core.data_access(addr)
+    if core.l1d.misses > before:
+        core.llc.access(addr + 64)
+        core.prefetches += 1
+    return cycles
 
 
 @dataclass
-class CoreSimResult:
+class CoreSimResult(TimingResult):
     """Detailed-simulation statistics (the Table IV columns)."""
+
+    RATE = ("instructions_total", "runtime_cycles")
 
     config_name: str
     frontend: str
@@ -192,17 +107,6 @@ class CoreSimResult:
     @property
     def instructions_total(self) -> int:
         return self.instructions_ring3 + self.instructions_ring0
-
-    @property
-    def ipc(self) -> float:
-        if self.runtime_cycles == 0:
-            return 0.0
-        return self.instructions_total / self.runtime_cycles
-
-    @property
-    def cpi(self) -> float:
-        ipc = self.ipc
-        return 1.0 / ipc if ipc else 0.0
 
     @property
     def user_cpi(self) -> float:
@@ -224,52 +128,55 @@ class CoreSimResult:
         return self.measured_cycles / self.measured_instructions
 
 
-class CoreSim:
-    """CoreSim front-end: simulate ELFies or plain program binaries."""
+class CoreSim(TimingSim):
+    """CoreSim front-end: simulate ELFies or plain program binaries.
+
+    Cost policy: one core with TLBs, full-latency charging, a next-line
+    prefetcher, and the kernel model of the configured front-end.
+    """
 
     def __init__(self, config: Optional[CoreSimConfig] = None) -> None:
         self.config = config or CoreSimConfig()
 
-    def _finish(self, tool: _CoreSimTool, status: ExitStatus) -> CoreSimResult:
-        hierarchy = tool.hierarchy
+    def _tool(self, **stops) -> TimingTool:
+        config = self.config
+        core = TimingCore(Cache("LLC", config.llc_kb, config.llc_assoc, 30),
+                          config.mispredict_penalty, config.l1_kb,
+                          config.l2_kb, with_tlbs=True,
+                          tlb_entries=config.tlb_entries,
+                          tlb_penalty=config.tlb_penalty)
+        return TimingTool(
+            "coresim", [core], config.dispatch_width, _LONG_OPS,
+            data_cost=(_prefetching_data if config.prefetch_next_line
+                       else TimingCore.data_access),
+            kernel=KernelModel(config.syscall_trap_cycles,
+                               config.frontend == "simics",
+                               config.dispatch_width),
+            **stops)
+
+    def _finish(self, tool: TimingTool, status: ExitStatus,
+                window: bool = True) -> CoreSimResult:
+        """The result; with *window*, the post-warmup measured window is
+        filled in (zero if the run ended inside the warmup)."""
+        (core,) = tool.cores
+        measured = tool.measured() if window else None
+        instructions, cycles = measured or (0, 0.0)
         return CoreSimResult(
             config_name=self.config.name,
             frontend=self.config.frontend,
             status=status,
-            instructions_ring3=tool.ring3_instructions,
-            instructions_ring0=tool.ring0_instructions,
-            runtime_cycles=tool.cycles,
-            llc_misses=tool.llc.misses,
-            dtlb_misses=hierarchy.dtlb.misses if hierarchy.dtlb else 0,
-            itlb_misses=hierarchy.itlb.misses if hierarchy.itlb else 0,
-            data_footprint_bytes=tool.llc.footprint_bytes(),
-            prefetch_lines=tool.prefetch_lines,
-            branch_mispredict_rate=tool.predictor.mispredict_rate,
+            instructions_ring3=tool.instructions,
+            instructions_ring0=tool.kernel.instructions,
+            runtime_cycles=core.cycles,
+            llc_misses=core.llc.misses,
+            dtlb_misses=core.dtlb.misses,
+            itlb_misses=core.itlb.misses,
+            data_footprint_bytes=core.llc.footprint_bytes(),
+            prefetch_lines=core.prefetches,
+            branch_mispredict_rate=tool.mispredict_rate(),
+            measured_instructions=instructions,
+            measured_cycles=cycles,
         )
-
-    def simulate_elfie(self, image: bytes,
-                       roi_budget: Optional[int] = None,
-                       warmup_budget: int = 0,
-                       seed: int = 0,
-                       fs: Optional[FileSystem] = None,
-                       workdir: str = "/",
-                       max_instructions: int = 50_000_000) -> CoreSimResult:
-        """Simulate an ELFie (startup skipped via the ROI marker).
-
-        *warmup_budget* ROI instructions warm caches/TLBs before the
-        measured window of *roi_budget* instructions begins, matching
-        the PinPoints warmup methodology.
-        """
-        tool = _CoreSimTool(self.config, roi_budget=roi_budget,
-                            warmup_budget=warmup_budget)
-        status, _ = simulate_roi(image, tool, max_instructions, seed=seed,
-                                 fs=fs, workdir=workdir)
-        result = self._finish(tool, status)
-        if tool.warmup_cycles is not None:
-            result.measured_instructions = (tool.ring3_instructions
-                                            - tool.warmup_budget)
-            result.measured_cycles = tool.cycles - tool.warmup_cycles
-        return result
 
     def simulate_program(self, image: bytes,
                          max_instructions: Optional[int] = None,
@@ -282,8 +189,8 @@ class CoreSim:
 
         machine = Machine(seed=seed, fs=fs)
         load_elf(machine, image)
-        tool = _CoreSimTool(self.config, roi_budget=None)
+        tool = self._tool()
         machine.attach(tool)
         status = machine.run(max_instructions=max_instructions)
         machine.detach(tool)
-        return self._finish(tool, status)
+        return self._finish(tool, status, window=False)

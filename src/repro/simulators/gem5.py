@@ -19,15 +19,16 @@ critical-resource scaling (Nehalem-like vs Haswell-like).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.core.elfie import simulate_roi
-from repro.isa.instructions import COND_BRANCH_SIZE, Op
+from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
-from repro.machine.tool import Tool
-from repro.machine.vfs import FileSystem
-from repro.simulators.branch import BranchPredictor
-from repro.simulators.cachesim import Cache, CacheHierarchy, MEMORY_LATENCY
+from repro.simulators.cachesim import MEMORY_LATENCY, Cache
+from repro.simulators.timing import (
+    TimingCore,
+    TimingResult,
+    TimingSim,
+    TimingTool,
+)
 
 
 @dataclass(frozen=True)
@@ -71,83 +72,17 @@ HASWELL_LIKE = Gem5Config(name="haswell-like", width=4, rob=192, lsq=72,
                           regfile=168, pipeline_depth=14)
 
 
-class _Gem5Tool(Tool):
-    """Interval-model accounting over the ROI's functional execution."""
-
-    wants_instructions = True
-    wants_memory = True
-    wants_blocks = True
-
-    def __init__(self, config: Gem5Config,
-                 roi_budget: Optional[int],
-                 warmup_budget: int = 0) -> None:
-        self.config = config
-        self.llc = Cache("LLC", config.llc_kb, 16, 30)
-        self.hierarchy = CacheHierarchy.build(
-            self.llc, l1_kb=config.l1_kb, l2_kb=config.l2_kb)
-        self.predictor = BranchPredictor(
-            mispredict_penalty=config.pipeline_depth)
-        self.instructions = 0
-        self.base_cycles = 0.0
-        self.stall_cycles = 0.0
-        self.roi_budget = roi_budget
-        self.warmup_budget = warmup_budget
-        self.warmup_cycles: Optional[float] = None
-        self._pending_branch = None
-        self._miss_stall = max(
-            0.0, MEMORY_LATENCY - config.hidden_latency) / config.mlp
-        # serialization cost of long-latency ALU ops shrinks with width
-        self._long_op_cost = {
-            int(Op.DIV_RR): 20.0 / config.width,
-            int(Op.MOD_RR): 20.0 / config.width,
-            int(Op.FDIV): 12.0 / config.width,
-            int(Op.IMUL_RR): 2.0 / config.width,
-            int(Op.IMUL_RI): 2.0 / config.width,
-            int(Op.FMUL): 2.0 / config.width,
-        }
-
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if self._pending_branch is not None:
-            branch_pc, fallthrough = self._pending_branch
-            self._pending_branch = None
-            self.stall_cycles += self.predictor.predict_and_update(
-                branch_pc, pc != fallthrough)
-        self.instructions += 1
-        self.base_cycles += 1.0 / self.config.width
-        self.stall_cycles += self._long_op_cost.get(int(insn.op), 0.0)
-        size = COND_BRANCH_SIZE.get(insn.op)
-        if size is not None:
-            self._pending_branch = (pc, pc + size)
-        if (self.warmup_cycles is None
-                and self.instructions >= self.warmup_budget):
-            self.warmup_cycles = self.base_cycles + self.stall_cycles
-        if (self.roi_budget is not None
-                and self.instructions >= self.roi_budget + self.warmup_budget):
-            machine.request_stop("gem5 budget")
-
-    def on_basic_block(self, machine, thread, pc) -> None:
-        before = self.llc.misses
-        self.hierarchy.fetch_access(pc)
-        if self.llc.misses > before:
-            self.stall_cycles += self._miss_stall
-
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        l2_before = self.hierarchy.l2.misses
-        l1_before = self.hierarchy.l1d.misses
-        self.hierarchy.data_access(addr)
-        if self.hierarchy.l2.misses > l2_before:
-            self.stall_cycles += self._miss_stall
-        elif self.hierarchy.l1d.misses > l1_before:
-            # L2 hits are partially hidden by the window
-            self.stall_cycles += max(
-                0.0, 10.0 - self.config.hidden_latency / 8.0)
-
-    on_memory_write = on_memory_read
+#: Serialization cycles of long-latency ALU ops on a 1-wide machine;
+#: they shrink with width.
+_LONG_OPS = {Op.DIV_RR: 20.0, Op.MOD_RR: 20.0, Op.FDIV: 12.0,
+             Op.IMUL_RR: 2.0, Op.IMUL_RI: 2.0, Op.FMUL: 2.0}
 
 
 @dataclass
-class Gem5Result:
+class Gem5Result(TimingResult):
     """SE-mode simulation outcome."""
+
+    RATE = ("instructions", "cycles")
 
     config_name: str
     status: ExitStatus
@@ -156,51 +91,54 @@ class Gem5Result:
     llc_misses: int
     branch_mispredict_rate: float
 
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def cpi(self) -> float:
-        ipc = self.ipc
-        return 1.0 / ipc if ipc else 0.0
+class Gem5Sim(TimingSim):
+    """gem5 SE-mode front-end.
 
-
-class Gem5Sim:
-    """gem5 SE-mode front-end."""
+    Cost policy: one core, interval charging (only misses the window
+    cannot hide stall it), long-op costs scaled by width.
+    """
 
     def __init__(self, config: Gem5Config = NEHALEM_LIKE) -> None:
         self.config = config
+        self._miss_stall = max(
+            0.0, MEMORY_LATENCY - config.hidden_latency) / config.mlp
+        # L2 hits are partially hidden by the window
+        self._l2_hit_stall = max(0.0, 10.0 - config.hidden_latency / 8.0)
 
-    def simulate_elfie(self, image: bytes,
-                       roi_budget: Optional[int] = None,
-                       warmup_budget: int = 0,
-                       seed: int = 0,
-                       fs: Optional[FileSystem] = None,
-                       workdir: str = "/",
-                       max_instructions: int = 50_000_000) -> Gem5Result:
-        """Load and simulate an ELFie in SE mode.
+    def _fetch_cost(self, core: TimingCore, pc: int) -> float:
+        before = core.llc.misses
+        core.fetch_access(pc)
+        return self._miss_stall if core.llc.misses > before else 0.0
 
-        gem5 needs no modification for ELFies: the binary is loaded by
-        the simulator's own loader and the ROI begins at the marker.
-        With a *warmup_budget*, that many leading ROI instructions warm
-        the microarchitectural state but are excluded from the reported
-        instruction/cycle counts.
-        """
-        tool = _Gem5Tool(self.config, roi_budget=roi_budget,
-                         warmup_budget=warmup_budget)
-        status, _ = simulate_roi(image, tool, max_instructions, seed=seed,
-                                 fs=fs, workdir=workdir)
-        cycles = tool.base_cycles + tool.stall_cycles
-        instructions = tool.instructions
-        if warmup_budget and tool.warmup_cycles is not None:
-            cycles -= tool.warmup_cycles
-            instructions -= tool.warmup_budget
+    def _data_cost(self, core: TimingCore, addr: int) -> float:
+        l2_before = core.l2.misses
+        l1_before = core.l1d.misses
+        core.data_access(addr)
+        if core.l2.misses > l2_before:
+            return self._miss_stall
+        if core.l1d.misses > l1_before:
+            return self._l2_hit_stall
+        return 0.0
+
+    def _tool(self, **stops) -> TimingTool:
+        config = self.config
+        core = TimingCore(Cache("LLC", config.llc_kb, 16, 30),
+                          config.pipeline_depth, config.l1_kb, config.l2_kb)
+        return TimingTool(
+            "gem5", [core], config.width,
+            {op: cost / config.width for op, cost in _LONG_OPS.items()},
+            fetch_cost=self._fetch_cost, data_cost=self._data_cost,
+            **stops)
+
+    def _finish(self, tool: TimingTool, status: ExitStatus) -> Gem5Result:
+        instructions, cycles = tool.measured() or (
+            tool.instructions, tool.cores[0].cycles)
         return Gem5Result(
             config_name=self.config.name,
             status=status,
             instructions=instructions,
             cycles=cycles,
-            llc_misses=tool.llc.misses,
-            branch_mispredict_rate=tool.predictor.mispredict_rate,
+            llc_misses=tool.cores[0].llc.misses,
+            branch_mispredict_rate=tool.mispredict_rate(),
         )

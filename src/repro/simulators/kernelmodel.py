@@ -14,9 +14,6 @@ caches, prefetchers, and memory bandwidth in the real measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
-
 from repro.machine.kernel import NR
 
 #: Kernel virtual address bases (x86-64 direct-map style).
@@ -60,55 +57,64 @@ FAR_EVERY = 4
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass
-class KernelStream:
-    """One ring-0 episode: its length and its memory-access pattern."""
+class KernelModel:
+    """The operating system as a core is charged for it: every system
+    call traps, and in full-system mode each system call and each timer
+    interrupt also runs a ring-0 episode through the core's caches and
+    TLBs (its fetches and data accesses at full latency)."""
 
-    instructions: int
-    seed: int
-    #: Stable per-cause seed: the same handler executes the same kernel
-    #: text every time, so instruction fetches hit the caches on repeat
-    #: episodes (only data addresses vary per episode).
-    fetch_seed: int = 0
+    def __init__(self, trap_cycles: int, full_system: bool,
+                 width: int) -> None:
+        self.trap_cycles = trap_cycles
+        self.full_system = full_system
+        #: User instructions between timer interrupts (None: no timer).
+        self.interval = TIMER_INTERVAL if full_system else None
+        self._instr_cost = 1.0 / width
+        #: Ring-0 instructions run so far.
+        self.instructions = 0
+        self._episodes = 0
 
-    def accesses(self) -> Iterator[Tuple[str, int]]:
-        """Yield ("fetch" | "data", address) events for the episode.
+    def _run(self, core, cost: int, seed: int, fetch_seed: int) -> None:
+        """Charge one ring-0 episode of *cost* instructions.
 
-        Addresses are produced by a seeded LCG so the stream is
-        deterministic for a given (cause, sequence-number) seed.  Most
-        data accesses walk an episode-local 4 KiB block (a kernel stack
-        or slab page — good locality), while every ``FAR_EVERY``-th
-        access touches a fresh line somewhere in the large kernel
-        working set, which is what grows the full-system data footprint
-        (Table IV's +45%) without making every access a miss.
+        Addresses come from an LCG seeded by *seed* (the cause and
+        episode number), so an episode is deterministic.  Fetches walk
+        kernel text chosen by *fetch_seed*, which is stable per cause:
+        the same handler executes the same text every time, so fetches
+        hit the caches on repeat episodes.  Most data accesses walk an
+        episode-local 4 KiB block (a kernel stack or slab page — good
+        locality), while every ``FAR_EVERY``-th access touches a fresh
+        line somewhere in the large kernel working set, which is what
+        grows the full-system data footprint (Table IV's +45%) without
+        making every access a miss.
         """
-        state = (self.seed * 6364136223846793005 + 1442695040888963407) & _MASK64
-        fetch_base = KERNEL_TEXT_BASE + (self.fetch_seed % 0x400) * 4096
+        self.instructions += cost
+        core.cycles += cost * self._instr_cost
+        state = (seed * 6364136223846793005 + 1442695040888963407) & _MASK64
+        fetch_base = KERNEL_TEXT_BASE + (fetch_seed % 0x400) * 4096
         local_base = KERNEL_DATA_BASE + ((state >> 8) % 0x10000) * 4096
         data_index = 0
-        for index in range(self.instructions):
+        for index in range(cost):
             if index % FETCH_LINE_EVERY == 0:
-                yield "fetch", fetch_base + (index // FETCH_LINE_EVERY) * 64
+                core.cycles += core.fetch_access(
+                    fetch_base + (index // FETCH_LINE_EVERY) * 64)
             if index % DATA_EVERY == 0:
                 data_index += 1
                 if data_index % FAR_EVERY == 0:
                     state = (state * 2862933555777941757 + 3037000493) & _MASK64
                     offset = (state >> 16) % KERNEL_DATA_SPAN
-                    yield "data", KERNEL_DATA_BASE + (offset & ~0x3F)
+                    addr = KERNEL_DATA_BASE + (offset & ~0x3F)
                 else:
-                    yield "data", local_base + (data_index * 8) % 4096
+                    addr = local_base + (data_index * 8) % 4096
+                core.cycles += core.data_access(addr)
 
+    def timer(self, core) -> None:
+        self._episodes += 1
+        self._run(core, TIMER_COST, 0x71E4 ^ (self._episodes << 8), 0x71E4)
 
-def syscall_stream(number: int, sequence: int) -> KernelStream:
-    """The kernel episode servicing syscall *number*."""
-    cost = SYSCALL_COSTS.get(number, DEFAULT_SYSCALL_COST)
-    return KernelStream(instructions=cost,
-                        seed=(number << 20) ^ sequence,
-                        fetch_seed=number)
-
-
-def timer_stream(sequence: int) -> KernelStream:
-    """The kernel episode for one timer interrupt."""
-    return KernelStream(instructions=TIMER_COST,
-                        seed=0x71E4 ^ (sequence << 8),
-                        fetch_seed=0x71E4)
+    def syscall(self, core, number: int) -> None:
+        core.cycles += self.trap_cycles
+        if self.full_system:
+            self._episodes += 1
+            self._run(core, SYSCALL_COSTS.get(number, DEFAULT_SYSCALL_COST),
+                      (number << 20) ^ self._episodes, number)

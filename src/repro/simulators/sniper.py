@@ -28,8 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.elfie import simulate_roi
-from repro.isa.instructions import COND_BRANCH_SIZE, Op
+from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
@@ -37,8 +36,13 @@ from repro.observe import hooks
 from repro.pinplay.pinball import Pinball
 from repro.machine.scheduler import Scheduler, intern_slice
 from repro.pinplay.replayer import ReplaySession
-from repro.simulators.branch import BranchPredictor
-from repro.simulators.cachesim import Cache, CacheHierarchy
+from repro.simulators.cachesim import Cache
+from repro.simulators.timing import (
+    TimingCore,
+    TimingResult,
+    TimingSim,
+    TimingTool,
+)
 
 
 class _TimingDrivenScheduler(Scheduler):
@@ -52,14 +56,13 @@ class _TimingDrivenScheduler(Scheduler):
     instructions than their constrained pinball replays (Fig. 11).
     """
 
-    def __init__(self, tool: "_SniperTool", quantum: int = 64) -> None:
+    def __init__(self, tool: TimingTool, quantum: int = 64) -> None:
         super().__init__(seed=0, base_quantum=quantum, jitter=0.0)
-        self._tool = tool
+        self._cores = tool.cores
 
     def choose(self, tids):
-        cycles = self._tool.core_cycles
-        cores = self._tool.config.cores
-        tid = min(tids, key=lambda t: (cycles[t % cores], t))
+        cores = self._cores
+        tid = min(tids, key=lambda t: (cores[t % len(cores)].cycles, t))
         return intern_slice(tid, self.base_quantum)
 
 
@@ -77,79 +80,8 @@ class SniperConfig:
     mispredict_penalty: int = 12
 
 
-class _SniperTool(Tool):
-    """The timing model, attached as a Pin tool for the ROI only."""
-
-    wants_instructions = True
-    wants_memory = True
-    wants_blocks = True
-
-    def __init__(self, config: SniperConfig, end_pc: Optional[int] = None,
-                 end_count: int = 0,
-                 roi_budget: Optional[int] = None) -> None:
-        self.config = config
-        self.llc = Cache("LLC", config.llc_kb, config.llc_assoc, 30)
-        self.cores: List[CacheHierarchy] = [
-            CacheHierarchy.build(self.llc, l1_kb=config.l1_kb,
-                                 l2_kb=config.l2_kb)
-            for _ in range(config.cores)
-        ]
-        self.predictors = [BranchPredictor(
-            mispredict_penalty=config.mispredict_penalty)
-            for _ in range(config.cores)]
-        self.core_cycles = [0.0] * config.cores
-        self.core_instructions = [0] * config.cores
-        #: Running total of ``core_instructions`` (the ROI budget test).
-        self.instructions = 0
-        self.end_pc = end_pc
-        self.end_count = end_count
-        self._end_seen = 0
-        self.roi_budget = roi_budget
-        self._instr_cost = 1.0 / config.dispatch_width
-        self._pending_branch: Dict[int, Tuple[int, int, int]] = {}
-
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        tid = thread.tid
-        core = tid % self.config.cores
-        cycles = self.core_cycles
-        pending = self._pending_branch.pop(tid, None)
-        if pending is not None:
-            branch_pc, fallthrough, branch_core = pending
-            taken = pc != fallthrough
-            cycles[branch_core] += self.predictors[
-                branch_core].predict_and_update(branch_pc, taken)
-        cycles[core] += self._instr_cost
-        self.core_instructions[core] += 1
-        self.instructions += 1
-        size = COND_BRANCH_SIZE.get(insn.op)
-        if size is not None:
-            self._pending_branch[tid] = (pc, pc + size, core)
-        if pc == self.end_pc:
-            self._end_seen += 1
-            if self._end_seen >= self.end_count:
-                hooks.OBS.instant("sniper.roi_exit", "sniper",
-                                  reason="end condition", pc=pc)
-                machine.request_stop("sniper end condition")
-                return
-        if (self.roi_budget is not None
-                and self.instructions >= self.roi_budget):
-            hooks.OBS.instant("sniper.roi_exit", "sniper",
-                              reason="instruction budget", pc=pc)
-            machine.request_stop("sniper instruction budget")
-
-    def on_basic_block(self, machine, thread, pc) -> None:
-        core = thread.tid % self.config.cores
-        self.core_cycles[core] += self.cores[core].fetch_access(pc)
-
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        core = thread.tid % self.config.cores
-        self.core_cycles[core] += self.cores[core].data_access(addr)
-
-    on_memory_write = on_memory_read
-
-
 @dataclass
-class SniperResult:
+class SniperResult(TimingResult):
     """Simulation outcome."""
 
     config_name: str
@@ -166,35 +98,37 @@ class SniperResult:
         """Predicted runtime: the busiest core's cycle count."""
         return max(self.core_cycles) if self.core_cycles else 0.0
 
-    @property
-    def ipc(self) -> float:
-        runtime = self.runtime_cycles
-        return self.instructions / runtime if runtime else 0.0
 
-    @property
-    def cpi(self) -> float:
-        return 1.0 / self.ipc if self.ipc else 0.0
+class SniperSim(TimingSim):
+    """Front-end entry points for ELFie and pinball simulation.
 
-
-class SniperSim:
-    """Front-end entry points for ELFie and pinball simulation."""
+    Cost policy: one core per configured core, threads mapped by
+    ``tid % cores``, full-latency fetch and data charges, no long-op
+    costs.
+    """
 
     def __init__(self, config: Optional[SniperConfig] = None) -> None:
         self.config = config or SniperConfig()
 
-    def _finish(self, tool: _SniperTool, status: ExitStatus,
-                constrained: bool) -> SniperResult:
-        mispredicts = sum(p.mispredicts for p in tool.predictors)
-        lookups = sum(p.lookups for p in tool.predictors)
+    def _tool(self, **stops) -> TimingTool:
+        config = self.config
+        llc = Cache("LLC", config.llc_kb, config.llc_assoc, 30)
+        cores = [TimingCore(llc, config.mispredict_penalty, config.l1_kb,
+                            config.l2_kb) for _ in range(config.cores)]
+        return TimingTool("sniper", cores, config.dispatch_width,
+                          budget_stop="instruction budget", **stops)
+
+    def _finish(self, tool: TimingTool, status: ExitStatus,
+                constrained: bool = False) -> SniperResult:
         return SniperResult(
             config_name=self.config.name,
             constrained=constrained,
-            instructions=sum(tool.core_instructions),
-            core_instructions=list(tool.core_instructions),
-            core_cycles=list(tool.core_cycles),
+            instructions=tool.instructions,
+            core_instructions=[core.instructions for core in tool.cores],
+            core_cycles=[core.cycles for core in tool.cores],
             status=status,
-            llc_misses=tool.llc.misses,
-            branch_mispredict_rate=(mispredicts / lookups) if lookups else 0.0,
+            llc_misses=tool.cores[0].llc.misses,
+            branch_mispredict_rate=tool.mispredict_rate(),
         )
 
     def simulate_elfie(self, image: bytes,
@@ -214,17 +148,10 @@ class SniperSim:
         threads progress in simulated time rather than round-robin by
         retired instructions.
         """
-        tool = _SniperTool(self.config, end_pc=end_pc,
-                           end_count=end_count, roi_budget=roi_budget)
-        with hooks.OBS.span("sniper.simulate_elfie", "sniper"):
-            status, _ = simulate_roi(
-                image, tool, max_instructions, seed=seed, fs=fs,
-                workdir=workdir,
-                scheduler=_TimingDrivenScheduler(tool) if timing_driven
-                else None,
-                on_enter=lambda tid, pc: hooks.OBS.instant(
-                    "sniper.roi_enter", "sniper", tid=tid, pc=pc))
-        return self._finish(tool, status, constrained=False)
+        return self._simulate(
+            image, seed, fs, workdir, max_instructions,
+            scheduler=_TimingDrivenScheduler if timing_driven else None,
+            end_pc=end_pc, end_count=end_count, roi_budget=roi_budget)
 
     def simulate_pinball(self, pinball: Pinball, seed: int = 0,
                          fs: Optional[FileSystem] = None) -> SniperResult:
@@ -233,7 +160,7 @@ class SniperSim:
         session = ReplaySession(pinball, injection=True, seed=seed, fs=fs,
                                 instrument=False)
         machine = session.machine
-        tool = _SniperTool(self.config)
+        tool = self._tool()
         machine.attach(tool)
         with hooks.OBS.span("sniper.simulate_pinball", "sniper",
                             pinball=pinball.name):

@@ -18,7 +18,7 @@ from repro.workloads.spec import (
     SPEC2006_SUBSET,
     get_app,
 )
-from repro.workloads.mt import MTApp, MT_APPS, get_mt_app
+from repro.workloads.mt import MTApp, MT_APPS
 
 __all__ = [
     "build_executable",
@@ -36,5 +36,4 @@ __all__ = [
     "get_app",
     "MTApp",
     "MT_APPS",
-    "get_mt_app",
 ]

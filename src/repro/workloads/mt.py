@@ -491,9 +491,3 @@ MT_APPS: Dict[str, MTApp] = {
               threads=4, items=56, work_iters=90, spin_delay=80),
     ]
 }
-
-
-def get_mt_app(name: str) -> MTApp:
-    if name not in MT_APPS:
-        raise KeyError("unknown MT workload %r" % name)
-    return MT_APPS[name]
