@@ -71,7 +71,14 @@ def test_observe_disabled_overhead(benchmark, bench_params):
         assert status.kind == "exit"
 
         icount = sum(t.icount for t in machine.threads.values())
-        syscalls = len(machine.kernel.trace)
+
+        def enabled_run():
+            with hooks.observed() as obs:
+                run_program(image, seed=1)
+            return obs.metrics.counter("kernel.syscalls").value
+
+        enabled_s = _wall(enabled_run)
+        syscalls = enabled_run()
         # hook sites a native run crosses, at most: two guards per
         # scheduler quantum (Cpu.run_thread, Machine.run), one per
         # syscall in Kernel.dispatch
@@ -81,12 +88,6 @@ def test_observe_disabled_overhead(benchmark, bench_params):
         native_s = _wall(lambda: run_program(image, seed=1))
         guard_s = _guard_cost_s()
         overhead_pct = 100.0 * guard_s * sites / native_s
-
-        def enabled_run():
-            with hooks.observed():
-                run_program(image, seed=1)
-
-        enabled_s = _wall(enabled_run)
         return (icount, syscalls, sites, native_s, guard_s, overhead_pct,
                 enabled_s)
 

@@ -17,6 +17,7 @@ from conftest import publish
 from repro.analysis import Table
 from repro.core import Pinball2Elf, Pinball2ElfOptions, run_elfie
 from repro.pinplay import RegionSpec, log_region, replay
+from repro.pinplay.replayer import ReplaySession
 from repro.workloads import PhaseSpec, ProgramBuilder
 
 
@@ -69,6 +70,16 @@ def _measure(threads):
                                       track_roi=False))
     elfie_result = run_elfie(artifact.image, seed=2, track_roi=False)
 
+    # Host-independent checks of the same claim: the ELFie run attaches
+    # no instruction tool and runs its region compiled, while the replay
+    # takes one instruction callback per region instruction.
+    machine = elfie_result.machine
+    assert not any(tool.wants_instructions for tool in machine.tools)
+    assert machine.cpu.compiled_calls > 0
+    session = ReplaySession(pinball)
+    session.run()
+    assert session.tool.replayed_instructions == pinball.region_icount
+
     native_per = native_region_s / pinball.region_icount
     replay_per = replay_s / pinball.region_icount
     elfie_per = elfie_s / max(elfie_result.machine.total_icount(), 1)
@@ -114,4 +125,6 @@ def test_table1_pinball_elfie_differences(benchmark, bench_params):
     assert st_replay > 1.08
     assert mt_replay > 0.95   # MT timing noise; ordering holds on average
     assert st_elfie < st_replay * 1.3
+    # A wall-clock ratio, so it can trip on a loaded host; _measure's
+    # exact checks carry the claim independently of the host.
     assert st_elfie < 1.6

@@ -260,8 +260,16 @@ def encode(obj: Any, kind: str = "") -> Tuple[str, dict, Dict[str, bytes]]:
 
 
 def decode(kind: str, meta: dict, fetch: Fetch) -> Any:
+    """The artifact *meta* describes; ValueError when it is not in the
+    one layout its codec reads (memo keys carry no layout version, so a
+    store can hold a stale one).  Errors of *fetch* pass through."""
     check_kind(kind)
-    return _CODECS[kind][1](meta, fetch)
+    try:
+        return _CODECS[kind][1](meta, fetch)
+    except (KeyError, TypeError, IndexError, AttributeError, ImportError,
+            pickle.UnpicklingError) as exc:
+        raise ValueError("undecodable %s artifact: %s: %s"
+                         % (kind, type(exc).__name__, exc)) from exc
 
 
 def check_kind(kind: str) -> None:

@@ -229,10 +229,15 @@ class _Store:
         """Fetch and decode the artifact stored under *key*.
 
         Raises :class:`KeyError` when absent, :class:`StoreCorruption`
-        when any referenced block fails verification.
+        when any referenced block fails verification or the entry is in
+        a layout no reader accepts.
         """
         record = self.get_record(key)
-        return codec.decode(record["kind"], record["meta"], self.read_block)
+        try:
+            return codec.decode(record["kind"], record["meta"],
+                                self.read_block)
+        except ValueError as exc:
+            raise StoreCorruption("%s: %s" % (key, exc)) from exc
 
     def fetch(self, key: str) -> Tuple[dict, Dict[str, bytes]]:
         """The record for *key* and every block it references, verified."""
@@ -368,6 +373,8 @@ class ArtifactStore(_Store):
         if fresh and os.path.exists(os.path.join(root, SHARDS_MARKER)):
             raise ValueError("%s holds a sharded store; open it with "
                              "open_store" % root)
+        if not fresh:
+            check_marker(marker, _FORMAT["format"], _FORMAT["version"])
         os.makedirs(self._blocks_dir, exist_ok=True)
         os.makedirs(self._objects_dir, exist_ok=True)
         if fresh:
@@ -537,6 +544,20 @@ class ArtifactStore(_Store):
                     except OSError:
                         continue
         return removed
+
+
+def check_marker(path: str, format_name: str, version: int) -> dict:
+    """The layout marker at *path*, which must name *format_name* at
+    *version*: a root of another format or layout version raises
+    ValueError rather than being read as this one.  A layout change
+    bumps the version its marker is written with."""
+    with open(path) as handle:
+        marker = json.load(handle)
+    named = (marker.get("format"), marker.get("version"))
+    if named != (format_name, version):
+        raise ValueError("%s names %s v%s; this store reads %s v%d"
+                         % (path, named[0], named[1], format_name, version))
+    return marker
 
 
 def open_store(root: str, compress_level: int = 6, shards: int = 0) -> Any:

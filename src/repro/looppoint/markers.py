@@ -32,9 +32,9 @@ from repro.elf.structs import PF_X, PT_LOAD
 from repro.isa.encoding import InstructionDecodeError, decode
 from repro.isa.instructions import BRANCH_OPS, Instruction, Op
 
-#: Bump when the harvest algorithm or map encoding changes: the version
-#: participates in farm memo keys, so stale cached maps never collide
-#: with maps produced by newer code.
+#: Bump when the map encoding changes: :meth:`MarkerMap.from_json`
+#: reads one layout, without defaults, and rejects a map of another
+#: version.
 MARKER_MAP_VERSION = 1
 
 #: rax is GPR index 0; futex is syscall 202 (x86-64 numbering).
@@ -98,8 +98,7 @@ class LoopMarker:
     def from_json(cls, data: dict) -> "LoopMarker":
         return cls(offset=int(data["offset"]),
                    backedge=int(data["backedge"]),
-                   kind=data.get("kind", "loop"),
-                   symbol=data.get("symbol", ""))
+                   kind=data["kind"], symbol=data["symbol"])
 
 
 @dataclass
@@ -151,11 +150,15 @@ class MarkerMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkerMap":
+        """The map :meth:`to_json` wrote; a map of another version
+        raises ValueError."""
+        if data["version"] != MARKER_MAP_VERSION:
+            raise ValueError("marker map v%s not supported (expected v%d)"
+                             % (data["version"], MARKER_MAP_VERSION))
         return cls(
             module=data["module"],
             text_base=int(data["text_base"]),
             markers=[LoopMarker.from_json(m) for m in data["markers"]],
-            version=int(data.get("version", MARKER_MAP_VERSION)),
         )
 
 

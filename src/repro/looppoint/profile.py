@@ -43,6 +43,9 @@ from repro.machine.vfs import FileSystem
 #: Default work-marker crossings per slice.
 DEFAULT_SLICE_MARKERS = 64
 
+#: Instruction ceiling of one profiling run.
+MAX_PROFILE_ICOUNT = 50_000_000
+
 
 @dataclass
 class LoopSlice:
@@ -79,13 +82,12 @@ class LoopPointProfiler(Tool):
     wants_instructions = False
     wants_blocks = True
 
-    def __init__(self, marker_map: MarkerMap, slice_markers: int,
-                 load_base: Optional[int] = None) -> None:
+    def __init__(self, marker_map: MarkerMap, slice_markers: int) -> None:
         if slice_markers <= 0:
             raise ValueError("slice_markers must be positive")
         self.marker_map = marker_map
         self.slice_markers = slice_markers
-        self._markers: Dict[int, LoopMarker] = marker_map.resolve(load_base)
+        self._markers: Dict[int, LoopMarker] = marker_map.resolve()
         self.slices: List[LoopSlice] = []
         self.work_crossings = 0
         self.sync_crossings = 0
@@ -172,8 +174,8 @@ def collect_looppoint(image: bytes,
                       seed: int = 0,
                       fs: Optional[FileSystem] = None,
                       argv: Optional[Sequence[str]] = None,
-                      marker_map: Optional[MarkerMap] = None,
-                      max_icount: int = 50_000_000) -> LoopPointProfile:
+                      marker_map: Optional[MarkerMap] = None
+                      ) -> LoopPointProfile:
     """Profile a program into marker-delimited slices.
 
     The marker map is harvested from *image* unless one is supplied
@@ -188,7 +190,7 @@ def collect_looppoint(image: bytes,
     load_elf(machine, image, argv=argv)
     profiler = LoopPointProfiler(marker_map, slice_markers)
     machine.attach(profiler)
-    status = machine.run(max_instructions=max_icount)
+    status = machine.run(max_instructions=MAX_PROFILE_ICOUNT)
     profiler.finish(machine)
     machine.detach(profiler)
     return LoopPointProfile(

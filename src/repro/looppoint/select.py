@@ -29,7 +29,7 @@ from repro.looppoint.markers import MarkerMap, MarkerPoint
 from repro.looppoint.profile import LoopPointProfile, LoopSlice
 from repro.pinplay.regions import RegionSpec
 from repro.simpoint.kmeans import KMeansResult, cluster_points
-from repro.simpoint.simpoint import SimPointCluster
+from repro.simpoint.simpoint import MAX_CANDIDATES, SimPointCluster
 
 #: Default PCA dimensionality (marker vectors are small; a handful of
 #: components captures the phase structure).
@@ -153,9 +153,7 @@ class LoopPointResult:
 
 def select_loop_regions(profile: LoopPointProfile,
                         max_k: int = 50,
-                        seed: int = 42,
-                        dim: int = PCA_DIM,
-                        max_candidates: int = 4) -> LoopPointResult:
+                        seed: int = 42) -> LoopPointResult:
     """Cluster a LoopPoint profile and pick weighted representatives.
 
     Weights are *work-crossing* fractions, not instruction-count
@@ -170,7 +168,7 @@ def select_loop_regions(profile: LoopPointProfile,
         raise ValueError(
             "profile has no marker-delimited slices (no work-loop "
             "markers crossed — is the workload loop-free?)")
-    points = pca_project(profile.vectors, dim=dim)
+    points = pca_project(profile.vectors)
     kmeans = cluster_points(points, max_k=max_k, seed=seed)
     crossings = [sum(s.vector.values()) for s in profile.slices]
     total_crossings = sum(crossings) or 1
@@ -181,7 +179,7 @@ def select_loop_regions(profile: LoopPointProfile,
             continue
         distances = kmeans.distances_to_centroid(cluster_id)
         order = np.argsort(distances, kind="stable")
-        candidates = [int(members[i]) for i in order[:max_candidates]]
+        candidates = [int(members[i]) for i in order[:MAX_CANDIDATES]]
         weight = sum(crossings[int(m)] for m in members) / total_crossings
         clusters.append(SimPointCluster(
             cluster_id=cluster_id,

@@ -107,6 +107,19 @@ BLOCK_CACHE_LIMIT = 8192
 #: threaded-code compiler.
 COMPILE_THRESHOLD = 4
 
+#: The CPU's telemetry counters and the metric each is reported as.
+#: They are observer state: snapshots do not carry them, so a restored
+#: CPU counts from zero.
+_TELEMETRY = {
+    "block_hits": "cpu.block_cache.hits",
+    "block_misses": "cpu.block_cache.misses",
+    "block_invalidations": "cpu.block_cache.invalidations",
+    "block_evictions": "cpu.block_cache.evictions",
+    "compiled_blocks": "cpu.compiled.blocks",
+    "compiled_calls": "cpu.compiled.calls",
+    "compiled_bailouts": "cpu.compiled.bailouts",
+}
+
 #: A predecoded instruction, as both dispatch tiers consume it:
 #: ``(insn, size, opint, is_branch)``.  The per-instruction loop and the
 #: block builder unpack it instead of converting the opcode and probing
@@ -240,13 +253,8 @@ class Cpu:
         self.compiled_blocks = 0
         self.compiled_calls = 0
         self.compiled_bailouts = 0
-        self._reported_hits = 0
-        self._reported_misses = 0
-        self._reported_invalidations = 0
-        self._reported_evictions = 0
-        self._reported_compiled_blocks = 0
-        self._reported_compiled_calls = 0
-        self._reported_compiled_bailouts = 0
+        #: Telemetry counter -> its value at the last metrics flush.
+        self._reported = dict.fromkeys(_TELEMETRY, 0)
         self._stamp = 0
         self.block_cache_limit = BLOCK_CACHE_LIMIT
         self.hw_l1: List[int] = [-1] * HW_L1_SETS
@@ -827,34 +835,12 @@ class Cpu:
 
     def _flush_block_stats(self, obs) -> None:
         """Emit block-cache counter deltas accrued since the last flush."""
-        delta = self.block_hits - self._reported_hits
-        if delta:
-            obs.count("cpu.block_cache.hits", delta)
-            self._reported_hits = self.block_hits
-        delta = self.block_misses - self._reported_misses
-        if delta:
-            obs.count("cpu.block_cache.misses", delta)
-            self._reported_misses = self.block_misses
-        delta = self.block_invalidations - self._reported_invalidations
-        if delta:
-            obs.count("cpu.block_cache.invalidations", delta)
-            self._reported_invalidations = self.block_invalidations
-        delta = self.block_evictions - self._reported_evictions
-        if delta:
-            obs.count("cpu.block_cache.evictions", delta)
-            self._reported_evictions = self.block_evictions
-        delta = self.compiled_blocks - self._reported_compiled_blocks
-        if delta:
-            obs.count("cpu.compiled.blocks", delta)
-            self._reported_compiled_blocks = self.compiled_blocks
-        delta = self.compiled_calls - self._reported_compiled_calls
-        if delta:
-            obs.count("cpu.compiled.calls", delta)
-            self._reported_compiled_calls = self.compiled_calls
-        delta = self.compiled_bailouts - self._reported_compiled_bailouts
-        if delta:
-            obs.count("cpu.compiled.bailouts", delta)
-            self._reported_compiled_bailouts = self.compiled_bailouts
+        reported = self._reported
+        for attr, metric in _TELEMETRY.items():
+            delta = getattr(self, attr) - reported[attr]
+            if delta:
+                obs.count(metric, delta)
+                reported[attr] += delta
 
     def _pmu_redirect(self, thread: "Thread") -> None:
         """Deliver a PMU overflow: redirect to the registered handler.

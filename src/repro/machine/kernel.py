@@ -208,9 +208,9 @@ class ShmSegment:
     @classmethod
     def from_json(cls, shmid: int, record: dict) -> "ShmSegment":
         return cls(shmid=shmid, key=record["key"], size=record["size"],
-                   data=bytearray(bytes.fromhex(record.get("data", ""))),
-                   attached_at=record.get("attached_at"),
-                   attached_len=record.get("attached_len", 0))
+                   data=bytearray(bytes.fromhex(record["data"])),
+                   attached_at=record["attached_at"],
+                   attached_len=record["attached_len"])
 
 
 @dataclass
@@ -235,8 +235,8 @@ class Listener:
     @classmethod
     def from_json(cls, port: int, record: dict) -> "Listener":
         return cls(port=port, backlog=record["backlog"],
-                   queue=[(rc, wc) for rc, wc in record.get("queue", [])],
-                   wait_cid=record.get("wait_cid", 0))
+                   queue=[(rc, wc) for rc, wc in record["queue"]],
+                   wait_cid=record["wait_cid"])
 
 
 class Kernel:
@@ -258,8 +258,6 @@ class Kernel:
         #: User-memory writes performed by the most recent syscall,
         #: as (address, bytes) pairs.  Consumed by the PinPlay logger.
         self.last_effects: List[Tuple[int, bytes]] = []
-        #: Names of syscalls executed (for tests and sysstate analysis).
-        self.trace: List[str] = []
         self.last_native = False
         self._futex_waiters: Dict[int, List[int]] = {}
         #: Installed signal handlers: signum -> (handler, act_mask).
@@ -353,12 +351,11 @@ class Kernel:
         #: replay (captured per-record by the PinPlay logger).
         self.last_native = number in KERNEL_STATE_SYSCALLS
         handler = self._dispatch.get(number)
-        name = NR.NAMES.get(number, "nr_%d" % number)
-        self.trace.append(name)
         obs = hooks.OBS
         if obs.enabled:
             obs.count("kernel.syscalls")
-            obs.count("kernel.syscall.%s" % name)
+            obs.count("kernel.syscall.%s"
+                      % NR.NAMES.get(number, "nr_%d" % number))
         if handler is None:
             result = -ENOSYS
         else:

@@ -6,7 +6,9 @@ these for the ``machine`` and ``kernel`` slices of a snapshot.  The
 bit-identically: thread contexts (GPRs/RFLAGS/FS-GS/XSAVE,
 PMU traps, icount limits), the scheduler (including the jitter RNG's
 Mersenne state and any replay log position), and the CPU's *timing*
-state — the hardware cache-model sets and superblock-cache counters.
+state — the hardware cache-model sets.  Observer state is not machine
+state and is not captured: the block-cache and compiled-tier telemetry
+counters restart at zero on the restored machine.
 The decode and superblock caches themselves are deliberately dropped:
 they are a pure function of mapped code bytes and are rebuilt on demand,
 so restoring them would only risk staleness (superblock-cache-safe by
@@ -16,6 +18,10 @@ live in the process-wide shape cache (``compile.COMPILER``).
 The ``kernel`` slice holds OS state: the break, the futex wait queues,
 the in-memory filesystem, and the descriptor table — preserving
 ``dup``-shared open-file identity and descriptors onto unlinked inodes.
+A syscall's ``last_effects`` is not captured: every dispatch resets it.
+
+Both slices have one layout, restored without defaults; a change to
+either bumps ``repro.snapshot.state.FORMAT_VERSION``.
 """
 
 from __future__ import annotations
@@ -99,25 +105,9 @@ def save_machine(machine: "Machine") -> dict:
             "trace": _slices(scheduler.trace),
             "pending_resumable": scheduler._pending_resumable,
         },
-        "cpu": {
-            "hw_l1": list(cpu.hw_l1),
-            "hw_llc": list(cpu.hw_llc),
-            "block_hits": cpu.block_hits,
-            "block_misses": cpu.block_misses,
-            "block_invalidations": cpu.block_invalidations,
-            "block_evictions": cpu.block_evictions,
-            "compiled_blocks": cpu.compiled_blocks,
-            "compiled_calls": cpu.compiled_calls,
-            "compiled_bailouts": cpu.compiled_bailouts,
-            "reported_hits": cpu._reported_hits,
-            "reported_misses": cpu._reported_misses,
-            "reported_invalidations": cpu._reported_invalidations,
-            "reported_evictions": cpu._reported_evictions,
-            "reported_compiled_blocks": cpu._reported_compiled_blocks,
-            "reported_compiled_calls": cpu._reported_compiled_calls,
-            "reported_compiled_bailouts": cpu._reported_compiled_bailouts,
-        },
+        "cpu": {"hw_l1": list(cpu.hw_l1), "hw_llc": list(cpu.hw_llc)},
     }
+
 
 def restore_machine(machine: "Machine", state: dict) -> None:
     for record in state["threads"]:
@@ -137,9 +127,9 @@ def restore_machine(machine: "Machine", state: dict) -> None:
         thread.pmu_handler = record["pmu_handler"]
         thread.icount_limit = _decode_limit(record["icount_limit"])
         thread.new_block = record["new_block"]
-        thread.sigmask = record.get("sigmask", 0)
-        thread.pending = record.get("pending", 0)
-        thread.wait_channel = record.get("wait_channel")
+        thread.sigmask = record["sigmask"]
+        thread.pending = record["pending"]
+        thread.wait_channel = record["wait_channel"]
     machine._next_tid = state["next_tid"]
     machine.executed_total = state["executed_total"]
 
@@ -159,35 +149,11 @@ def restore_machine(machine: "Machine", state: dict) -> None:
         None if pending is None else intern_slice(*pending))
     scheduler.record = sched_state["record"]
     scheduler.trace = _unslices(sched_state["trace"])
-    scheduler._pending_resumable = sched_state.get(
-        "pending_resumable", False)
+    scheduler._pending_resumable = sched_state["pending_resumable"]
 
     cpu_state = state["cpu"]
-    cpu = machine.cpu
-    cpu.hw_l1 = list(cpu_state["hw_l1"])
-    cpu.hw_llc = list(cpu_state["hw_llc"])
-    cpu.block_hits = cpu_state["block_hits"]
-    cpu.block_misses = cpu_state["block_misses"]
-    cpu.block_invalidations = cpu_state["block_invalidations"]
-    cpu._reported_hits = cpu_state["reported_hits"]
-    cpu._reported_misses = cpu_state["reported_misses"]
-    cpu._reported_invalidations = cpu_state["reported_invalidations"]
-    # Eviction/compilation counters post-date some snapshots, and
-    # older ones also carry chain_hits/reported_chain_hits from a
-    # since-removed dispatch tier, which are ignored.  The caches
-    # themselves (blocks, compiled functions) are derived state —
-    # never captured, rebuilt lazily on demand.
-    cpu.block_evictions = cpu_state.get("block_evictions", 0)
-    cpu.compiled_blocks = cpu_state.get("compiled_blocks", 0)
-    cpu.compiled_calls = cpu_state.get("compiled_calls", 0)
-    cpu.compiled_bailouts = cpu_state.get("compiled_bailouts", 0)
-    cpu._reported_evictions = cpu_state.get("reported_evictions", 0)
-    cpu._reported_compiled_blocks = cpu_state.get(
-        "reported_compiled_blocks", 0)
-    cpu._reported_compiled_calls = cpu_state.get(
-        "reported_compiled_calls", 0)
-    cpu._reported_compiled_bailouts = cpu_state.get(
-        "reported_compiled_bailouts", 0)
+    machine.cpu.hw_l1 = list(cpu_state["hw_l1"])
+    machine.cpu.hw_llc = list(cpu_state["hw_llc"])
 
 
 def save_kernel(kernel: "Kernel") -> dict:
@@ -237,9 +203,6 @@ def save_kernel(kernel: "Kernel") -> dict:
         "pid": kernel.pid,
         "brk_start": kernel.brk_start,
         "brk_end": kernel.brk_end,
-        "trace": list(kernel.trace),
-        "last_effects": [[addr, data.hex()]
-                         for addr, data in kernel.last_effects],
         "futex_waiters": [[addr, list(tids)] for addr, tids
                           in sorted(kernel._futex_waiters.items())],
         "root": fdt.root,
@@ -269,27 +232,24 @@ def restore_kernel(kernel: "Kernel", state: dict) -> None:
     fdt = kernel.fdt
     kernel.pid = state["pid"]
     kernel.set_brk(state["brk_start"], state["brk_end"])
-    kernel.trace = list(state["trace"])
-    kernel.last_effects = [(addr, bytes.fromhex(data))
-                           for addr, data in state["last_effects"]]
     kernel._futex_waiters = {addr: list(tids)
                              for addr, tids in state["futex_waiters"]}
     kernel.sigactions = {sig: (handler, mask) for sig, handler, mask
-                         in state.get("sigactions", [])}
-    kernel.process_pending = state.get("process_pending", 0)
+                         in state["sigactions"]}
+    kernel.process_pending = state["process_pending"]
     kernel.channels = {
         record["cid"]: Channel.from_json(record["cid"], record)
-        for record in state.get("channels", [])}
-    kernel._next_channel_id = state.get("next_channel_id", 1)
+        for record in state["channels"]}
+    kernel._next_channel_id = state["next_channel_id"]
     kernel._channel_waiters = {cid: list(tids) for cid, tids
-                               in state.get("channel_waiters", [])}
+                               in state["channel_waiters"]}
     kernel._listeners = {
         record["port"]: Listener.from_json(record["port"], record)
-        for record in state.get("listeners", [])}
+        for record in state["listeners"]}
     kernel.shm_segments = {
         record["shmid"]: ShmSegment.from_json(record["shmid"], record)
-        for record in state.get("shm_segments", [])}
-    kernel._next_shmid = state.get("next_shmid", 1)
+        for record in state["shm_segments"]}
+    kernel._next_shmid = state["next_shmid"]
     kernel.fs._inodes.clear()
     inode_objects = []
     for record in state["inodes"]:
@@ -302,18 +262,18 @@ def restore_kernel(kernel: "Kernel", state: dict) -> None:
     for record in state["files"]:
         inode = (inode_objects[record["inode"]]
                  if record["inode"] is not None else None)
-        read_cid = record.get("read_cid")
-        write_cid = record.get("write_cid")
+        read_cid = record["read_cid"]
+        write_cid = record["write_cid"]
         file_objects.append(OpenFile(
             path=record["path"], flags=record["flags"],
             offset=record["offset"], inode=inode,
             is_console=record["is_console"],
-            kind=record.get("kind", "file"),
+            kind=record["kind"],
             read_ch=(kernel.channels[read_cid]
                      if read_cid is not None else None),
             write_ch=(kernel.channels[write_cid]
                       if write_cid is not None else None),
-            bound_port=record.get("bound_port")))
+            bound_port=record["bound_port"]))
     fdt._fds.clear()
     # Direct assignment: channel reader/writer counts were captured
     # with the channel records and must not be re-accounted.

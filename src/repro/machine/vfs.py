@@ -135,9 +135,8 @@ class Channel:
     @classmethod
     def from_json(cls, cid: int, record: dict) -> "Channel":
         return cls(cid=cid, capacity=record["capacity"],
-                   data=bytearray(bytes.fromhex(record.get("data", ""))),
-                   readers=record.get("readers", 0),
-                   writers=record.get("writers", 0))
+                   data=bytearray(bytes.fromhex(record["data"])),
+                   readers=record["readers"], writers=record["writers"])
 
 
 @dataclass

@@ -21,6 +21,10 @@ A pinball is a directory of files sharing a basename (paper §I):
 ``<name>.result``
     JSON metadata: region spec, per-thread instruction counts, brk
     bounds, thread blocked-states, fat flags.
+
+Each file has one layout, read without defaults: a missing key raises
+ValueError naming it.  A layout change bumps the ``.text`` and
+byte-container magics.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.registers import RegisterFile
 from repro.machine.memory import PAGE_SIZE
@@ -77,8 +82,8 @@ class SyscallRecord:
             result=data["result"],
             writes=[(addr, bytes.fromhex(hexdata))
                     for addr, hexdata in data["writes"]],
-            path=data.get("path"),
-            native=data.get("native", False),
+            path=data["path"],
+            native=data["native"],
         )
 
 
@@ -110,12 +115,10 @@ class OpenFileRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "OpenFileRecord":
-        return cls(fd=data["fd"], path=data["path"],
-                   flags=data.get("flags", 0), offset=data.get("offset", 0),
-                   kind=data.get("kind", "file"),
-                   read_cid=data.get("read_cid"),
-                   write_cid=data.get("write_cid"),
-                   bound_port=data.get("bound_port"))
+        return cls(fd=data["fd"], path=data["path"], flags=data["flags"],
+                   offset=data["offset"], kind=data["kind"],
+                   read_cid=data["read_cid"], write_cid=data["write_cid"],
+                   bound_port=data["bound_port"])
 
 
 @dataclass
@@ -162,12 +165,12 @@ class ThreadRecord:
             regs=RegisterFile.from_dict(data["regs"]),
             region_icount=data["region_icount"],
             blocked=data["blocked"],
-            futex_addr=data.get("futex_addr"),
-            pmu_remaining=data.get("pmu_remaining"),
-            pmu_handler=data.get("pmu_handler"),
-            sigmask=data.get("sigmask", 0),
-            pending=data.get("pending", 0),
-            wait_channel=data.get("wait_channel"),
+            futex_addr=data["futex_addr"],
+            pmu_remaining=data["pmu_remaining"],
+            pmu_handler=data["pmu_handler"],
+            sigmask=data["sigmask"],
+            pending=data["pending"],
+            wait_channel=data["wait_channel"],
         )
 
 
@@ -194,7 +197,7 @@ class Pinball:
     next_tid: int = 0
     #: Non-console file descriptors open at region start (fd, path,
     #: flags, offset) — restored eagerly before the first replayed
-    #: syscall.  Empty for pinballs from older recordings.
+    #: syscall.
     open_files: List[OpenFileRecord] = field(default_factory=list)
     #: Futex wait-queue order at region start: futex address -> waiter
     #: tids in wake order.  Lets replay re-execute FUTEX_WAKE natively
@@ -233,14 +236,13 @@ class Pinball:
         """Total instructions in the region across threads."""
         return sum(t.region_icount for t in self.threads)
 
-    def thread(self, tid: int) -> ThreadRecord:
-        for record in self.threads:
-            if record.tid == tid:
-                return record
-        raise KeyError("no thread %d in pinball" % tid)
-
-    def memory_bytes(self) -> int:
-        return len(self.pages) * PAGE_SIZE
+    @property
+    def replay_budget(self) -> int:
+        """Instructions a replay of the region retires: the recorded
+        schedule's quanta, which also count threads created inside the
+        region (the threads' own counts when there is no schedule)."""
+        return (sum(s.quantum for s in self.schedule)
+                or self.region_icount)
 
     def try_stack_range(self) -> Optional[Tuple[int, int]]:
         """:meth:`stack_range`, or None when the stack page was not
@@ -335,40 +337,45 @@ class Pinball:
 
     @classmethod
     def _from_parts(cls, meta: dict, pages: Dict[int, Tuple[int, bytes]],
-                    threads: List["ThreadRecord"],
-                    syscalls: List[SyscallRecord],
-                    schedule: List[ScheduleSlice]) -> "Pinball":
+                    threads: List[dict], syscalls: List[dict],
+                    schedule: List[List[int]]) -> "Pinball":
+        """The pinball its decoded JSON parts describe.  Every key the
+        writer writes is read and none is defaulted: a missing one
+        raises KeyError, which :func:`_layout` reports as ValueError."""
+        region = meta["region"]
         return cls(
             name=meta["name"],
-            region=RegionSpec(**meta["region"]),
+            region=RegionSpec(start=region["start"], length=region["length"],
+                              warmup=region["warmup"], name=region["name"],
+                              weight=region["weight"]),
             pages=pages,
-            threads=threads,
-            syscalls=syscalls,
-            schedule=schedule,
+            threads=[ThreadRecord.from_json(item) for item in threads],
+            syscalls=[SyscallRecord.from_json(item) for item in syscalls],
+            schedule=[intern_slice(tid, quantum) for tid, quantum in schedule],
             brk_start=meta["brk_start"],
             brk_end=meta["brk_end"],
             fat=meta["fat"],
             whole_image=meta["whole_image"],
             pages_early=meta["pages_early"],
-            program_icount=meta.get("program_icount", 0),
-            next_tid=meta.get("next_tid", 0),
+            program_icount=meta["program_icount"],
+            next_tid=meta["next_tid"],
             open_files=[OpenFileRecord.from_json(item)
-                        for item in meta.get("open_files", [])],
+                        for item in meta["open_files"]],
             futex_waiters={int(addr): list(tids) for addr, tids
-                           in meta.get("futex_waiters", {}).items()},
+                           in meta["futex_waiters"].items()},
             channels={int(cid): dict(chan) for cid, chan
-                      in meta.get("channels", {}).items()},
+                      in meta["channels"].items()},
             channel_waiters={int(cid): list(tids) for cid, tids
-                             in meta.get("channel_waiters", {}).items()},
+                             in meta["channel_waiters"].items()},
             listeners={int(port): dict(listener) for port, listener
-                       in meta.get("listeners", {}).items()},
+                       in meta["listeners"].items()},
             sigactions={int(sig): (act[0], act[1]) for sig, act
-                        in meta.get("sigactions", {}).items()},
-            process_pending=meta.get("process_pending", 0),
+                        in meta["sigactions"].items()},
+            process_pending=meta["process_pending"],
             shm_segments={int(shmid): dict(seg) for shmid, seg
-                          in meta.get("shm_segments", {}).items()},
-            next_channel_id=meta.get("next_channel_id", 1),
-            next_shmid=meta.get("next_shmid", 1),
+                          in meta["shm_segments"].items()},
+            next_channel_id=meta["next_channel_id"],
+            next_shmid=meta["next_shmid"],
         )
 
     def save(self, directory: str) -> str:
@@ -392,20 +399,20 @@ class Pinball:
     def load(cls, directory: str, name: str) -> "Pinball":
         """Load a pinball previously written by :meth:`save`."""
         prefix = os.path.join(directory, name)
-        with open(prefix + ".result") as handle:
-            meta = json.load(handle)
-        with open(prefix + ".text", "rb") as handle:
-            pages = cls._decode_text(handle.read())
-        threads = []
-        for tid in meta["tids"]:
-            with open("%s.%d.reg" % (prefix, tid)) as handle:
-                threads.append(ThreadRecord.from_json(json.load(handle)))
-        with open(prefix + ".sel") as handle:
-            syscalls = [SyscallRecord.from_json(item) for item in json.load(handle)]
-        with open(prefix + ".race") as handle:
-            schedule = [intern_slice(tid, quantum)
-                        for tid, quantum in json.load(handle)]
-        return cls._from_parts(meta, pages, threads, syscalls, schedule)
+        with _layout("pinball %s" % prefix):
+            with open(prefix + ".result") as handle:
+                meta = json.load(handle)
+            with open(prefix + ".text", "rb") as handle:
+                pages = cls._decode_text(handle.read())
+            threads = []
+            for tid in meta["tids"]:
+                with open("%s.%d.reg" % (prefix, tid)) as handle:
+                    threads.append(json.load(handle))
+            with open(prefix + ".sel") as handle:
+                syscalls = json.load(handle)
+            with open(prefix + ".race") as handle:
+                schedule = json.load(handle)
+            return cls._from_parts(meta, pages, threads, syscalls, schedule)
 
     def save_bytes(self) -> bytes:
         """Serialize the whole pinball into one ``bytes`` blob.
@@ -437,11 +444,23 @@ class Pinball:
             raise ValueError("bad pinball byte-container magic")
         (meta_len,) = struct.unpack("<Q", data[8:16])
         meta = json.loads(data[16:16 + meta_len].decode("utf-8"))
-        pages = cls._decode_text(data[16 + meta_len:])
-        return cls._from_parts(
-            meta["result"],
-            pages,
-            [ThreadRecord.from_json(item) for item in meta["threads"]],
-            [SyscallRecord.from_json(item) for item in meta["syscalls"]],
-            [intern_slice(tid, quantum) for tid, quantum in meta["schedule"]],
-        )
+        with _layout("pinball byte container"):
+            return cls._from_parts(meta["result"],
+                                   cls._decode_text(data[16 + meta_len:]),
+                                   meta["threads"], meta["syscalls"],
+                                   meta["schedule"])
+
+
+@contextmanager
+def _layout(what: str) -> Iterator[None]:
+    """Report a key the writer writes but *what* lacks as a ValueError.
+
+    A pinball has one layout, read without defaults, so a file or blob
+    from another layout fails here instead of decoding into a pinball
+    that silently differs from the recording.  A layout change bumps
+    ``_TEXT_MAGIC``/``_BYTES_MAGIC``.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError("%s lacks key %s" % (what, exc)) from None

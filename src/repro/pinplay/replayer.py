@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.machine.kernel import NR, Listener, ShmSegment
+from repro.machine.kernel import Listener, ShmSegment
 from repro.machine.machine import ExitStatus, Machine
 from repro.machine.tool import Tool
 from repro.machine.vfs import Channel, FileSystem, OpenFile, VfsError
@@ -89,17 +89,6 @@ class _InjectionTool(Tool):
     wants_instructions = True
     wants_memory = False
     SNAPSHOT_SLICE = "pinplay"
-
-    #: Syscalls that must really execute during constrained replay:
-    #: they change kernel/machine state that injection cannot fake
-    #: (thread creation and death, futex block/wake, address-space
-    #: changes, heap growth, PMU trap arming).  Their native results
-    #: are compared against the recorded results afterwards.
-    NATIVE_SYSCALLS = frozenset({
-        NR.CLONE, NR.EXIT, NR.EXIT_GROUP, NR.FUTEX,
-        NR.MMAP, NR.MUNMAP, NR.MPROTECT, NR.BRK,
-        NR.PERF_EVENT_OPEN,
-    })
 
     def __init__(self, pinball: Pinball, instrument: bool = True) -> None:
         self._queues: Dict[int, List[SyscallRecord]] = {}
@@ -204,11 +193,11 @@ class _InjectionTool(Tool):
                 % (thread.tid, number, record.number))
             return True
         queue.pop(0)
-        if record.native or number in self.NATIVE_SYSCALLS:
-            # Must really run; on_syscall_after checks the result.  The
-            # per-record flag covers calls whose nativeness depends on
-            # the descriptor (read/write/close/dup on channel ends);
-            # the static set covers pinballs from older recordings.
+        if record.native:
+            # Must really run (the recording kernel flagged it as
+            # changing kernel state: kernel.KERNEL_STATE_SYSCALLS, and
+            # channel-end read/write/close/dup); on_syscall_after checks
+            # the result.
             self._pending[thread.tid] = record
             self.native_syscalls += 1
             return None
@@ -344,16 +333,6 @@ def _reconstruct(pinball: Pinball, seed: int,
             thread.blocked = True
             thread.futex_addr = record.futex_addr
             thread.wait_channel = record.wait_channel
-            if record.futex_addr is not None:
-                # Older pinballs lack the recorded waiter order; fall
-                # back to tid order (threads are created tid-sorted).
-                queue = waiters.setdefault(record.futex_addr, [])
-                if record.tid not in queue:
-                    queue.append(record.tid)
-            if record.wait_channel is not None:
-                queue = channel_waiters.setdefault(record.wait_channel, [])
-                if record.tid not in queue:
-                    queue.append(record.tid)
     return machine
 
 
@@ -384,12 +363,7 @@ class ReplaySession:
             for record in pinball.threads:
                 machine.threads[record.tid].icount_limit = (
                     record.region_icount)
-            # The schedule's quanta sum to every instruction executed in
-            # the window, including those of threads created inside the
-            # region.
-            budget = sum(s.quantum for s in pinball.schedule)
-            if budget == 0:
-                budget = pinball.region_icount
+            budget = pinball.replay_budget
         else:
             budget = max_instructions
             if budget is None:
@@ -422,7 +396,7 @@ class ReplaySession:
         snapshot (syscall queues, divergence flag); the machine is
         restored, not reconstructed from the pinball again.
         """
-        injection = snapshot.extra.get("injection", True)
+        injection = snapshot.extra["injection"]
         tool = _InjectionTool(pinball) if injection else None
         own = [tool] if tool is not None else []
         machine = restore(snapshot, tools=own + list(tools))
@@ -453,6 +427,22 @@ class ReplaySession:
         """Run to the end of the region budget."""
         return self.step(self.budget)
 
+    def divergence(self) -> Optional[DivergenceInfo]:
+        """How this constrained replay left the recording, judged at its
+        end: the injection tool's divergence, else the first thread
+        whose instruction count is off its recorded ``region_icount``."""
+        if self.tool.diverged is not None:
+            return self.tool.diverged
+        for record in self.pinball.threads:
+            thread = self.machine.threads[record.tid]
+            if thread.icount != record.region_icount:
+                return DivergenceInfo(
+                    kind="icount-mismatch", tid=record.tid,
+                    pc=thread.regs.rip & MASK64, icount=thread.icount,
+                    detail="executed %d instructions, recorded %d"
+                    % (thread.icount, record.region_icount))
+        return None
+
     def result(self) -> ReplayResult:
         """Detach instrumentation and summarize the replay."""
         tool = self.tool
@@ -465,18 +455,7 @@ class ReplaySession:
             record.tid: machine.threads[record.tid].icount
             for record in self.pinball.threads
         }
-        diverged = tool.diverged if tool is not None else None
-        if self.injection and diverged is None:
-            for record in self.pinball.threads:
-                if thread_icounts[record.tid] != record.region_icount:
-                    thread = machine.threads[record.tid]
-                    diverged = DivergenceInfo(
-                        kind="icount-mismatch", tid=record.tid,
-                        pc=thread.regs.rip, icount=thread.icount,
-                        detail="executed %d instructions, recorded %d"
-                        % (thread_icounts[record.tid],
-                           record.region_icount))
-                    break
+        diverged = self.divergence() if self.injection else None
         status = self.status
         if status is None:
             status = ExitStatus(kind="stopped", detail="not run")

@@ -209,7 +209,12 @@ class ServiceClient:
         return kind
 
     def get_artifact(self, key: str) -> Any:
-        """Download and decode the artifact stored under *key*."""
+        """Download and decode the artifact stored under *key*.
+
+        A block that fails verification, or an entry in a layout no
+        reader accepts, raises :class:`ServiceError`, the error the
+        server raises for a damaged entry.
+        """
         response = self.call("get-artifact", key=key)
         blocks = protocol.unpack_blocks(response.get("blocks", {}))
 
@@ -220,7 +225,10 @@ class ServiceClient:
                     "downloaded block %s fails digest verification" % digest)
             return data
 
-        return codec.decode(response["kind"], response["meta"], fetch)
+        try:
+            return codec.decode(response["kind"], response["meta"], fetch)
+        except (ValueError, protocol.ProtocolError) as exc:
+            raise ServiceError("artifact %s: %s" % (key, exc)) from exc
 
     def has_artifact(self, key: str) -> bool:
         return bool(self.call("has-artifact", key=key)["present"])

@@ -50,6 +50,7 @@ from repro.farm.store import (
     StoreStats,
     _atomic_write,
     _Store,
+    check_marker,
 )
 from repro.observe import hooks
 from repro.service.ring import HashRing
@@ -111,13 +112,9 @@ class ShardedStore(_Store):
         self.root = root
         marker = os.path.join(root, SHARDS_MARKER)
         if os.path.exists(marker):
-            with open(marker) as handle:
-                config = json.load(handle)
-            if config.get("format") != _FORMAT:
-                raise StoreCorruption("%s is not a sharded store marker"
-                                      % marker)
+            config = check_marker(marker, _FORMAT, _VERSION)
             names = list(config["shards"])
-            vnodes = int(config.get("vnodes", vnodes))
+            vnodes = int(config["vnodes"])
             if shards is not None and shards != len(names):
                 raise ValueError(
                     "store has %d shards; use rebalance(shards=%d) to "

@@ -24,6 +24,9 @@ from repro.machine.machine import Machine
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 
+#: Slice ceiling of one profiling run.
+MAX_SLICES = 1_000_000
+
 
 def _text_base(image: bytes) -> int:
     """Lowest executable-segment address: the module's code base."""
@@ -153,7 +156,6 @@ class BBVProfile:
 def collect_bbv(image: bytes, slice_size: int, seed: int = 0,
                 fs: Optional[FileSystem] = None,
                 argv: Optional[Sequence[str]] = None,
-                max_slices: int = 1_000_000,
                 preemptible: bool = False) -> BBVProfile:
     """Profile a program into per-slice basic-block vectors.
 
@@ -200,7 +202,7 @@ def collect_bbv(image: bytes, slice_size: int, seed: int = 0,
         machine.attach(counter)
 
     status = None
-    for index in range(start_index, max_slices):
+    for index in range(start_index, MAX_SLICES):
         if preemptible and preempt.requested():
             from repro.snapshot import Preempted, capture
             # JSON canonicalization would stringify int dict keys, so

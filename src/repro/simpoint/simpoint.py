@@ -18,6 +18,10 @@ from repro.pinplay.regions import RegionSpec
 from repro.simpoint.bbv import BBVProfile
 from repro.simpoint.kmeans import KMeansResult, cluster_vectors
 
+#: Candidate slices kept per cluster, nearest the centroid first: the
+#: representative and the alternates behind it.
+MAX_CANDIDATES = 4
+
 
 @dataclass
 class SimPointCluster:
@@ -79,8 +83,7 @@ class SimPointResult:
 
 
 def select_simpoints(profile: BBVProfile, max_k: int = 50,
-                     seed: int = 42,
-                     max_candidates: int = 4) -> SimPointResult:
+                     seed: int = 42) -> SimPointResult:
     """Cluster a BBV profile and pick representatives + alternates."""
     kmeans = cluster_vectors(profile.vectors, max_k=max_k, seed=seed)
     total = len(profile.vectors)
@@ -91,7 +94,7 @@ def select_simpoints(profile: BBVProfile, max_k: int = 50,
             continue
         distances = kmeans.distances_to_centroid(cluster_id)
         order = np.argsort(distances, kind="stable")
-        candidates = [int(members[i]) for i in order[:max_candidates]]
+        candidates = [int(members[i]) for i in order[:MAX_CANDIDATES]]
         clusters.append(
             SimPointCluster(
                 cluster_id=cluster_id,

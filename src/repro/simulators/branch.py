@@ -5,12 +5,15 @@ from __future__ import annotations
 from typing import Dict
 
 
+#: log2 of the counter-table size.
+TABLE_BITS = 12
+
+
 class BranchPredictor:
     """Bimodal predictor: a table of 2-bit counters indexed by PC."""
 
-    def __init__(self, table_bits: int = 12,
-                 mispredict_penalty: int = 12) -> None:
-        self.table_size = 1 << table_bits
+    def __init__(self, mispredict_penalty: int = 12) -> None:
+        self.table_size = 1 << TABLE_BITS
         self.mask = self.table_size - 1
         self.counters: Dict[int, int] = {}
         self.mispredict_penalty = mispredict_penalty

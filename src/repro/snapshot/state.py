@@ -35,8 +35,10 @@ from repro.machine.snapshot import (
 )
 from repro.machine.tool import Tool
 
-#: Bumped when the snapshot state layout changes incompatibly.
-FORMAT_VERSION = 1
+#: The snapshot state layout's version, bumped by every layout change:
+#: a snapshot of another version is refused.  v2 dropped observer state
+#: (CPU telemetry counters, the kernel's syscall trace and last effects).
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -65,10 +67,18 @@ class MachineSnapshot:
     @classmethod
     def from_state_bytes(cls, pages: Dict[int, Tuple[int, bytes]],
                          blob: bytes) -> "MachineSnapshot":
+        """Inverse of :meth:`state_bytes`; ValueError for a blob of
+        another format version."""
         payload = json.loads(blob.decode("utf-8"))
+        _check_version(payload["version"])
         return cls(pages=pages, state=payload["state"],
-                   extra=payload.get("extra", {}),
-                   version=payload.get("version", FORMAT_VERSION))
+                   extra=payload["extra"], version=payload["version"])
+
+
+def _check_version(version: int) -> None:
+    if version != FORMAT_VERSION:
+        raise ValueError("snapshot format v%d not supported (expected v%d)"
+                         % (version, FORMAT_VERSION))
 
 
 def capture(machine: Machine, extra: Optional[dict] = None) -> MachineSnapshot:
@@ -114,12 +124,8 @@ def restore(snapshot: MachineSnapshot,
     caches are rebuilt lazily from the restored code pages — dropping
     them is safe because they are a pure function of mapped bytes.
     """
-    if snapshot.version != FORMAT_VERSION:
-        raise ValueError("snapshot format v%d not supported (expected v%d)"
-                         % (snapshot.version, FORMAT_VERSION))
-    core = snapshot.state.get("machine")
-    if core is None:
-        raise ValueError("snapshot has no machine state")
+    _check_version(snapshot.version)
+    core = snapshot.state["machine"]
     scheduler_state = core["scheduler"]
     machine = Machine(seed=scheduler_state["seed"],
                       base_quantum=scheduler_state["base_quantum"])
@@ -127,8 +133,7 @@ def restore(snapshot: MachineSnapshot,
         prot, data = snapshot.pages[addr]
         machine.mem.map(addr, len(data), prot, data=bytes(data))
     restore_machine(machine, core)
-    if "kernel" in snapshot.state:
-        restore_kernel(machine.kernel, snapshot.state["kernel"])
+    restore_kernel(machine.kernel, snapshot.state["kernel"])
     for tool in tools:
         machine.attach(tool)
     attached: Dict[str, list] = {}
@@ -165,15 +170,15 @@ def snapshot_digest(snapshot: MachineSnapshot) -> str:
 
 def snapshot_info(snapshot: MachineSnapshot) -> dict:
     """Human-facing summary (the ``snapshot info`` CLI payload)."""
-    core = snapshot.state.get("machine", {})
-    threads = core.get("threads", [])
+    core = snapshot.state["machine"]
+    threads = core["threads"]
     return {
         "version": snapshot.version,
         "digest": snapshot_digest(snapshot),
         "pages": len(snapshot.pages),
         "memory_bytes": snapshot.memory_bytes(),
         "state_bytes": len(snapshot.state_bytes()),
-        "executed_total": core.get("executed_total", 0),
+        "executed_total": core["executed_total"],
         "threads": [{"tid": record["tid"], "alive": record["alive"],
                      "blocked": record["blocked"],
                      "icount": record["icount"]}

@@ -59,6 +59,9 @@ ALL_FEATURES: Tuple[str, ...] = (
                   # to run as multi-block compiled loops
 )
 
+#: Cases :func:`minimize_case` may try while shrinking one failure.
+MINIMIZE_STEPS = 32
+
 _INPUT_PATH = "/fuzz_in.dat"
 _INPUT_BYTES = bytes((7 * i + 3) & 0xFF for i in range(64))
 
@@ -804,7 +807,7 @@ def _reductions(case: FuzzCase) -> List[FuzzCase]:
     return out
 
 
-def minimize_case(case: FuzzCase, seed: int = 0, max_steps: int = 32,
+def minimize_case(case: FuzzCase, seed: int = 0,
                   dispatch: Optional[str] = None) -> FuzzCase:
     """Greedily shrink a failing case while it keeps failing."""
     outcome = run_case(case, seed=seed, dispatch=dispatch)
@@ -812,7 +815,7 @@ def minimize_case(case: FuzzCase, seed: int = 0, max_steps: int = 32,
         return case
     steps = 0
     changed = True
-    while changed and steps < max_steps:
+    while changed and steps < MINIMIZE_STEPS:
         changed = False
         for candidate in _reductions(case):
             steps += 1

@@ -43,6 +43,9 @@ DEFAULT_EPOCHS = 16
 #: Ceiling for measuring a workload's natural length.
 MEASURE_CAP = 2_000_000
 
+#: Instructions an ELFie's startup may take to enter application code.
+MAX_STARTUP = 1_000_000
+
 
 def _fork_fs(fs: Optional[FileSystem]) -> Optional[FileSystem]:
     """Fresh filesystem per cursor: replays mutate offsets and files."""
@@ -138,10 +141,8 @@ class NativeCursor(StraightCursor):
                  argv: Optional[Sequence[str]] = None,
                  aslr_seed: Optional[int] = None) -> None:
         self.pinball = pinball
-        budget = sum(s.quantum for s in pinball.schedule)
         super().__init__(image, seed=seed, fs=fs, argv=argv,
-                         budget=budget or pinball.region_icount,
-                         aslr_seed=aslr_seed)
+                         budget=pinball.replay_budget, aslr_seed=aslr_seed)
 
     def _start(self) -> None:
         start = self.pinball.region.warmup_start
@@ -185,24 +186,9 @@ class ReplayCursor:
                             tids=_region_tids(self.machine, self.pinball))
 
     def structured_divergence(self) -> Optional[DivergenceInfo]:
-        tool = self.session.tool
-        if tool is not None and tool.diverged is not None:
-            return tool.diverged
-        if not self.session.done:
-            return None
-        # Budget consumed (or early exit): per-thread icounts must land
-        # exactly on the recorded counts — the same post-hoc check
-        # ReplaySession.result() performs.
-        for record in self.pinball.threads:
-            thread = self.machine.threads.get(record.tid)
-            if thread is None or thread.icount == record.region_icount:
-                continue
-            return DivergenceInfo(
-                kind="icount-mismatch", tid=record.tid,
-                pc=thread.regs.rip & MASK64, icount=thread.icount,
-                detail="executed %d instructions, recorded %d"
-                % (thread.icount, record.region_icount))
-        return None
+        # A replay still inside its budget has not diverged (the tool
+        # stops it, making it done, the moment it does).
+        return self.session.divergence() if self.session.done else None
 
     def checkpoint(self) -> MachineSnapshot:
         """Whole-machine snapshot at the current (stopped) position."""
@@ -372,8 +358,7 @@ def differential_verify(make_pair: MakePair, budget: int,
                         epochs: int = DEFAULT_EPOCHS,
                         bisect: bool = True,
                         labels: Tuple[str, str] = ("native", "replay"),
-                        name: str = "",
-                        time_travel: bool = True) -> FidelityReport:
+                        name: str = "") -> FidelityReport:
     """Run two cursors in digest-checkpointed lockstep.
 
     *make_pair* builds a fresh ``(a, b)`` cursor pair in their start
@@ -383,17 +368,15 @@ def differential_verify(make_pair: MakePair, budget: int,
     divergence is bisected to the exact instruction when *bisect* is
     set.
 
-    With *time_travel* (and cursors that support ``checkpoint()`` /
-    ``resume_clone()``), the sweep keeps a whole-machine snapshot pair
-    from the last good epoch and every bisection probe resumes from it
-    instead of rebuilding cursors from the region start — probe cost
-    becomes O(epoch) instead of O(region).
+    When bisecting, the sweep keeps a whole-machine snapshot pair
+    (``checkpoint()``) from the last good epoch and every bisection
+    probe resumes from it (``resume_clone()``) instead of rebuilding
+    cursors from the region start — probe cost becomes O(epoch) instead
+    of O(region).
     """
     obs = hooks.OBS
     epoch_length = max(1, -(-budget // max(1, epochs)))
     a, b = make_pair()
-    can_travel = (time_travel and bisect
-                  and hasattr(a, "checkpoint") and hasattr(b, "checkpoint"))
     last_snapshots = None
     report = FidelityReport(name=name, labels=labels, ok=True,
                             region_icount=budget,
@@ -425,7 +408,7 @@ def differential_verify(make_pair: MakePair, budget: int,
             # (early region exit), which digest equality already vouches
             # for.
             break
-        if can_travel:
+        if bisect:
             try:
                 last_snapshots = (a.checkpoint(), b.checkpoint())
             except ValueError:
@@ -495,12 +478,9 @@ def verify_pinball(image: bytes, pinball: Pinball, seed: int = 0,
             ReplayCursor(pinball, seed=seed, fs=_fork_fs(fs)),
         )
 
-    budget = sum(s.quantum for s in pinball.schedule)
-    if budget == 0:
-        budget = pinball.region_icount
     with hooks.OBS.span("verify.pinball", "verify", pinball=pinball.name):
         return differential_verify(
-            make_pair, budget, epochs=epochs, bisect=bisect,
+            make_pair, pinball.replay_budget, epochs=epochs, bisect=bisect,
             labels=("native", "replay"), name=pinball.name)
 
 
@@ -592,8 +572,7 @@ def _compare_entry_regs(expected, got) -> List[str]:
 
 def verify_elfie_entry(elfie_image: bytes, pinball: Pinball,
                        seed: int = 0, fs: Optional[FileSystem] = None,
-                       workdir: str = "/",
-                       max_startup: int = 1_000_000) -> ElfieEntryReport:
+                       workdir: str = "/") -> ElfieEntryReport:
     """Run an ELFie's startup and check the application entry state.
 
     Every captured thread must reach its captured RIP with its captured
@@ -616,7 +595,7 @@ def verify_elfie_entry(elfie_image: bytes, pinball: Pinball,
     capture = _EntryCapture(
         entry_rips, pages=pinball.pages if single_threaded else None)
     machine.attach(capture)
-    machine.run(max_instructions=max_startup)
+    machine.run(max_instructions=MAX_STARTUP)
     machine.detach(capture)
 
     details: List[str] = []

@@ -907,9 +907,10 @@ def test_snapshot_mid_compiled_execution_round_trips():
 
 
 def test_snapshot_with_removed_chain_counters_resumes():
-    """Snapshots written before the chained tier was removed carry
-    ``chain_hits``/``reported_chain_hits`` in the cpu state; they still
-    restore and resume bit-identically to a straight run."""
+    """A cpu state carrying keys restore does not read (here the
+    removed chained tier's ``chain_hits``/``reported_chain_hits``)
+    still restores and resumes bit-identically to a straight run:
+    restore reads the keys its layout writes and ignores the rest."""
     image = build_executable(RACY_SOURCE, data_source=RACY_DATA)
     straight = Machine(seed=3)
     load_elf(straight, image)

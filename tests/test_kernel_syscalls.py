@@ -11,6 +11,7 @@ from repro.machine.kernel import (
     PR_SET_MM_START_BRK,
 )
 from repro.machine.memory import PROT_RW
+from repro.observe import hooks
 
 
 def _machine_with_thread():
@@ -142,6 +143,10 @@ def test_clone_child_inherits_registers_with_rax_zero():
 
 def test_syscall_trace_names():
     machine, thread = _machine_with_thread()
-    _call(machine, thread, NR.GETPID)
-    _call(machine, thread, NR.BRK, rdi=0)
-    assert machine.kernel.trace[-2:] == ["getpid", "brk"]
+    with hooks.observed() as obs:
+        _call(machine, thread, NR.GETPID)
+        _call(machine, thread, NR.BRK, rdi=0)
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["kernel.syscalls"] == 2
+    assert counters["kernel.syscall.getpid"] == 1
+    assert counters["kernel.syscall.brk"] == 1

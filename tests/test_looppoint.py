@@ -20,6 +20,7 @@ from repro.core.elfie import prepare_elfie_machine
 from repro.farm import ArtifactStore, executed_jobs, read_manifest
 from repro.isa.instructions import Op
 from repro.looppoint import (
+    MARKER_MAP_VERSION,
     MarkerMap,
     MarkerPoint,
     REGION_SELECTOR,
@@ -111,6 +112,13 @@ def test_marker_map_json_round_trip(zoo_image):
     assert restored.text_base == marker_map.text_base
     assert restored.version == marker_map.version
     assert restored.markers == marker_map.markers
+
+
+def test_marker_map_of_another_version_is_rejected(zoo_image):
+    data = harvest_markers(zoo_image).to_json()
+    data["version"] = MARKER_MAP_VERSION + 1
+    with pytest.raises(ValueError, match="not supported"):
+        MarkerMap.from_json(data)
 
 
 def test_marker_point_json_round_trip():

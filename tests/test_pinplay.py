@@ -1,5 +1,9 @@
 """Tests for the PinPlay substrate: logging, pinballs, replay, sysstate."""
 
+import dataclasses
+import json
+import struct
+
 import pytest
 
 from repro.machine.vfs import FileSystem
@@ -169,6 +173,62 @@ def test_pinball_save_load_round_trip(tmp_path, counter_image):
     assert result.matches_recording
 
 
+@pytest.fixture(scope="module")
+def file_pinball(file_image):
+    """A pinball holding every record kind: an open file, a syscall."""
+    pinball = log_region(file_image, RegionSpec(start=2000, length=50000,
+                                                name="file.r0"),
+                         fs=_file_fs())
+    assert pinball.open_files and pinball.syscalls
+    return pinball
+
+
+#: One key the writer writes per JSON part of a pinball.
+WRITTEN_KEYS = [("result", "next_shmid"), ("result", "open_files"),
+                ("region", "weight"), ("thread", "wait_channel"),
+                ("syscall", "native"), ("open_file", "offset")]
+
+
+def _drop(result, thread, syscalls, part, key):
+    """Delete *key* from *part* of a pinball's decoded JSON parts."""
+    record = {"result": result, "region": result["region"],
+              "thread": thread, "syscall": syscalls[0],
+              "open_file": result["open_files"][0]}[part]
+    del record[key]
+
+
+@pytest.mark.parametrize("part,key", WRITTEN_KEYS)
+def test_pinball_bytes_lacking_a_written_key_are_rejected(file_pinball,
+                                                          part, key):
+    blob = file_pinball.save_bytes()
+    (meta_len,) = struct.unpack("<Q", blob[8:16])
+    meta = json.loads(blob[16:16 + meta_len])
+    _drop(meta["result"], meta["threads"][0], meta["syscalls"], part, key)
+    edited = json.dumps(meta).encode("utf-8")
+    blob = (blob[:8] + struct.pack("<Q", len(edited)) + edited
+            + blob[16 + meta_len:])
+    with pytest.raises(ValueError, match="lacks key '%s'" % key):
+        Pinball.load_bytes(blob)
+
+
+@pytest.mark.parametrize("part,key", WRITTEN_KEYS)
+def test_pinball_directory_lacking_a_written_key_is_rejected(
+        tmp_path, file_pinball, part, key):
+    prefix = file_pinball.save(str(tmp_path))
+    paths = {"result": prefix + ".result", "sel": prefix + ".sel",
+             "thread": "%s.%d.reg" % (prefix, file_pinball.threads[0].tid)}
+    parts = {}
+    for name, path in paths.items():
+        with open(path) as handle:
+            parts[name] = json.load(handle)
+    _drop(parts["result"], parts["thread"], parts["sel"], part, key)
+    for name, path in paths.items():
+        with open(path, "w") as handle:
+            json.dump(parts[name], handle)
+    with pytest.raises(ValueError, match="lacks key '%s'" % key):
+        Pinball.load(str(tmp_path), file_pinball.name)
+
+
 def test_pinball_files_on_disk(tmp_path, counter_image):
     region = RegionSpec(start=1000, length=1000)
     pinball = log_region(counter_image, region, LogOptions(name="disk"))
@@ -269,6 +329,106 @@ def test_sysstate_named_file_opened_in_region():
     state.write_to(out, "/ss")
     assert out.contents("/data/cfg.txt") == b"WXYZ"
     assert out.contents("/ss/data/cfg.txt") == b"WXYZ"
+
+
+WAITERS_PROGRAM = """
+_start:
+    mov rax, 22
+    mov rdi, fds
+    syscall
+    mov rax, 56
+    mov rdi, 0x100
+    mov rsi, rstack_top
+    mov rdx, reader
+    syscall
+    mov rax, 56
+    mov rdi, 0x100
+    mov rsi, wstack_top
+    mov rdx, waiter
+    syscall
+    mov rcx, 1000
+spin:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz spin
+    mov rax, 1          ; write(4, msg, 8): wakes the pipe reader
+    mov rdi, 4
+    mov rsi, msg
+    mov rdx, 8
+    syscall
+    mov rax, 202        ; futex(flag, FUTEX_WAKE, 1): wakes the waiter
+    mov rdi, flag
+    mov rsi, 1
+    mov rdx, 1
+    syscall
+    mov rcx, 200
+tail:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz tail
+    mov rax, 231
+    mov rdi, 0
+    syscall
+reader:
+    mov rax, 0          ; read(3, inbox, 8): blocks on the empty pipe
+    mov rdi, 3
+    mov rsi, inbox
+    mov rdx, 8
+    syscall
+    mov rax, 60
+    mov rdi, 0
+    syscall
+waiter:
+    mov rax, 202        ; futex(flag, FUTEX_WAIT, 0): blocks
+    mov rdi, flag
+    mov rsi, 0
+    mov rdx, 0
+    syscall
+    mov rax, 60
+    mov rdi, 0
+    syscall
+"""
+
+WAITERS_DATA = """
+fds:
+.quad 0
+flag:
+.quad 0
+msg:
+.quad 0x1122334455667788
+inbox:
+.quad 0
+rstack:
+.zero 1024
+rstack_top:
+.quad 0
+wstack:
+.zero 1024
+wstack_top:
+.quad 0
+"""
+
+
+def test_every_blocked_thread_is_in_its_captured_wait_queue():
+    """The kernel keeps every blocked thread in the wait queue of what
+    it waits on, and the pinball captures those queues, so replay
+    restores a blocked thread's place from them alone: the in-region
+    futex wake finds its waiter and returns the recorded 1."""
+    image = build_executable(WAITERS_PROGRAM, data_source=WAITERS_DATA)
+    pinball = log_region(image, RegionSpec(start=1500, length=2000))
+    blocked = {t.tid: t for t in pinball.threads if t.blocked}
+    assert sorted(blocked) == [1, 2]
+    for record in blocked.values():
+        if record.futex_addr is not None:
+            assert record.tid in pinball.futex_waiters[record.futex_addr]
+        else:
+            assert record.tid in pinball.channel_waiters[record.wait_channel]
+    assert blocked[1].wait_channel is not None
+    assert blocked[2].futex_addr is not None
+    assert replay(pinball).diverged is None
+    # the queues are what the wake relies on
+    lost = dataclasses.replace(pinball, futex_waiters={})
+    assert replay(lost).diverged.kind == "syscall-result"
 
 
 def test_multithreaded_log_and_replay():

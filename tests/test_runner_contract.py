@@ -5,11 +5,13 @@ through the checkpoint service (a :class:`ServerThread` drained by a
 :class:`ServiceWorker` on a thread).  It covers a keyed job with an
 ``expand`` callback, a keyless job, a ``local`` job, a failing job with
 a blocked dependent, a warm rerun, and a corrupted cached entry that
-must be recomputed.  Every executor must report the same results,
+must be recomputed, as must an entry in a layout no reader accepts.
+Every executor must report the same results,
 states, cache outcomes and manifest records (timestamps, wall time and
 worker identity aside).
 """
 
+import json
 import threading
 import zlib
 
@@ -24,6 +26,7 @@ from repro.farm import (
     read_manifest,
     stable_digest,
 )
+from repro.farm.codec import sha256_hex
 from repro.service import (
     ServerThread,
     ServiceCampaignRunner,
@@ -78,6 +81,15 @@ def _corrupt(store, key):
     shard = store.shard_store(home(digest)) if home else store
     with open(shard._block_path(digest), "wb") as handle:
         handle.write(zlib.compress(b"garbage"))
+
+
+def _stale(store, key):
+    """Put an entry under *key* in a layout no reader accepts: a
+    snapshot whose state blob names format v1."""
+    rest = json.dumps({"version": 1, "state": {}, "extra": {}}).encode()
+    digest = sha256_hex(rest)
+    store.commit(key, "snapshot", {"pages": [], "rest": digest},
+                 {digest: rest})
 
 
 @pytest.fixture(params=["farm-inline", "farm-pool", "service"])
@@ -153,3 +165,25 @@ def test_every_executor_honours_the_runner_contract(executor, tmp_path):
     with open(counter) as handle:  # cold + recompute, never the warm run
         assert len(handle.read().splitlines()) == 2
     assert store.get(KEY) == 42  # the damaged entry was replaced
+
+
+def test_every_executor_recomputes_an_entry_no_reader_accepts(executor,
+                                                              tmp_path):
+    """Memo keys carry no layout version, so a store can hold a stale
+    layout under a live key: it is a cache miss (the farm drops and
+    recomputes it, the service client forces a resubmit), and the
+    recomputed entry serves the next run."""
+    make_runner, store = executor
+    counter = str(tmp_path / "calls")
+    _stale(store, KEY)
+    for phase, keyed_cache in (("stale", "miss"), ("warm", "hit")):
+        manifest = str(tmp_path / ("%s.jsonl" % phase))
+        runner = make_runner(manifest)
+        assert runner.run(_graph(counter), strict=False) == RESULTS, phase
+        assert runner.report.cache["keyed"] == keyed_cache, phase
+        records = {record["job"]: record
+                   for record in read_manifest(manifest)}
+        assert records["keyed"]["cache"] == keyed_cache, phase
+    with open(counter) as handle:  # the recompute only
+        assert len(handle.read().splitlines()) == 1
+    assert store.get(KEY) == 42

@@ -65,6 +65,24 @@ def test_open_store_dispatches_on_marker(tmp_path):
     assert opened.get("k") == 2
 
 
+@pytest.mark.parametrize("layout", ["plain", "sharded"])
+def test_store_marker_of_another_version_is_refused(tmp_path, layout):
+    """The store markers are version-checked the way a snapshot's format
+    version is: a root written in another layout fails to open instead
+    of being read as this one."""
+    root = str(tmp_path / layout)
+    marker = os.path.join(root, SHARDS_MARKER if layout == "sharded"
+                          else "store.json")
+    open_store(root, shards=2 if layout == "sharded" else 0).put("k", 1)
+    with open(marker) as handle:
+        config = json.load(handle)
+    config["version"] = 2
+    with open(marker, "w") as handle:
+        json.dump(config, handle)
+    with pytest.raises(ValueError, match="v2; this store reads"):
+        open_store(root)
+
+
 def test_layout_conflicts_write_nothing(tmp_path, capsys):
     """A root keeps the layout it was created with; scrub reads either."""
     from repro.core.cli import main

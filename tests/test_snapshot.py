@@ -9,6 +9,8 @@ lockstep verifier (corpus + multithreaded fuzzer workloads), and
 through the store codec (incremental snapshots share page blocks).
 """
 
+import json
+
 import pytest
 
 from repro.core.cli import main
@@ -21,6 +23,7 @@ from repro.pinplay.regions import RegionSpec
 from repro.pinplay.replayer import ReplaySession
 from repro.simpoint.bbv import _BlockCounter, _text_base
 from repro.snapshot import (
+    FORMAT_VERSION,
     MachineSnapshot,
     capture,
     restore,
@@ -115,6 +118,41 @@ def test_snapshot_version_gate(mcf_image):
     snapshot.version += 1
     with pytest.raises(ValueError):
         restore(snapshot)
+
+
+def test_snapshot_of_another_format_version_is_rejected(mcf_image):
+    """One layout per version: a state blob of v1 (the layout that still
+    carried the CPU telemetry counters) is refused on decode, and a
+    snapshot naming another version is refused by restore."""
+    machine = boot(mcf_image)
+    machine.run(max_instructions=10_000)
+    snapshot = capture(machine)
+    assert snapshot.version == FORMAT_VERSION == 2
+    payload = json.loads(snapshot.state_bytes())
+    payload["version"] = 1
+    with pytest.raises(ValueError, match="v1 not supported"):
+        MachineSnapshot.from_state_bytes(
+            snapshot.pages, json.dumps(payload).encode("utf-8"))
+    snapshot.version = 1
+    with pytest.raises(ValueError, match="v1 not supported"):
+        restore(snapshot)
+
+
+def test_snapshot_holds_only_restore_state(mcf_image):
+    """No observer state travels: the CPU's telemetry counters, the
+    kernel's per-dispatch effects and its syscall names stay behind,
+    and a restored CPU counts from zero while the run stays
+    bit-identical."""
+    machine = boot(mcf_image)
+    machine.run(max_instructions=25_000)
+    assert machine.cpu.block_hits
+    snapshot = capture(machine)
+    assert set(snapshot.state["machine"]["cpu"]) == {"hw_l1", "hw_llc"}
+    assert not {"trace", "last_effects"} & set(snapshot.state["kernel"])
+    resumed = restore(wire_roundtrip(snapshot))
+    assert resumed.cpu.block_hits == resumed.cpu.compiled_calls == 0
+    assert resumed.kernel.last_effects == []
+    assert snapshot_digest(capture(resumed)) == snapshot_digest(snapshot)
 
 
 def test_snapshot_info_summary(mcf_image):
