@@ -29,7 +29,11 @@ ratios — not raw MIPS — are the gate, because they are
 host-machine-independent.  The compiled tier's call counts are gated
 exactly (``COMPILED_CALLS``): a loop spinning inside one generated
 function is one call however many iterations it runs, so they show
-with no noise whether the hot loops spin.  One more footer line
+with no noise whether the hot loops spin.  So are two counts of the
+MT workload (``MT_COUNTS``): run-loop picks per run and interpreted
+spill steps, which show whether slice ends stay inside the fast loop
+and whether a slice that ends mid-block runs compiled code.  One more
+footer line
 gives BBV profiling (``collect_bbv``) against a bare compiled run of
 the same program (the two interleaved, best of N each), on the ST and
 branchy workloads; both must stay above ``BBV_FLOOR``.  Compiled loops
@@ -45,6 +49,7 @@ from conftest import FAST, publish
 from repro.analysis import Table
 from repro.machine import Machine, load_elf
 from repro.machine.compile import COMPILER
+from repro.observe import hooks
 from repro.simpoint.bbv import collect_bbv
 from repro.workloads import PhaseSpec, ProgramBuilder
 
@@ -75,6 +80,17 @@ BRANCHY_FLOOR = 6.0
 #: generated function.  One call per block entry reads 29,986 (ST) and
 #: 64,899 (branchy) in smoke mode, 59,986 and 129,849 in full mode.
 COMPILED_CALLS = {"ST": 3, "branchy": 1}
+
+#: Exact counts of one compiled-tier run of the MT workload, by scale:
+#: run-loop picks (``sched.slices`` minus the slices picked in place
+#: inside the fast loop) and instructions stepped one handler at a time
+#: where a slice ended inside a block (``cpu.spill_steps``).  With
+#: every slice end its own run-loop pick and every mid-block spill
+#: interpreted, they read 3,161 picks and 11,293 steps (smoke) and
+#: 6,293 and 22,718 (full).  Picks now follow syscalls, the only
+#: events that change the runnable set; spills step only cold blocks.
+MT_COUNTS = {"smoke": {"picks": 3, "spill_steps": 5},
+             "full": {"picks": 2, "spill_steps": 7}}
 
 #: BBV slice size for the collect_bbv/bare line.
 BBV_SLICE = 10_000
@@ -143,6 +159,19 @@ def _measure_tiers(image, repeats):
     return machines, best
 
 
+def _mt_counts(image):
+    """:data:`MT_COUNTS`' counts for one compiled run of *image*."""
+    with hooks.observed() as obs:
+        machine = Machine(seed=1)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch("compiled")
+        machine.run()
+    counters = obs.metrics.snapshot()["counters"]
+    return {"picks": counters["sched.slices"]
+            - counters.get("sched.slices_extended", 0),
+            "spill_steps": counters.get("cpu.spill_steps", 0)}
+
+
 def _bbv_ratio(image, repeats):
     """collect_bbv MIPS over bare compiled MIPS on *image*: best of
     *repeats* interleaved runs each, both from a fresh machine, which
@@ -169,8 +198,9 @@ def run_bench(repeats=5):
     st_image = _program(scale)
     branchy_image = _branchy_program(scale)
     st_machines, st_walls = _measure_tiers(st_image, repeats)
-    mt_machines, mt_walls = _measure_tiers(
-        _program(scale // 2, threads=2), max(2, repeats - 2))
+    mt_image = _program(scale // 2, threads=2)
+    mt_machines, mt_walls = _measure_tiers(mt_image, max(2, repeats - 2))
+    mt_counts = _mt_counts(mt_image)
     br_machines, br_walls = _measure_tiers(branchy_image, repeats)
 
     def mips(machines, walls):
@@ -215,6 +245,8 @@ def run_bench(repeats=5):
         "compiled blocks %d, compiled calls %d (ST); compiled calls %d "
         "(branchy)" % (cpu.compiled_blocks, cpu.compiled_calls,
                        br_cpu.compiled_calls),
+        "MT run-loop picks per run %d, interpreted spill steps %d "
+        "(compiled tier)" % (mt_counts["picks"], mt_counts["spill_steps"]),
         "collect_bbv / bare compiled MIPS: ST %.3f, branchy %.3f"
         % (bbv["ST"], bbv["branchy"]),
         "speedup_ratio: %.3f" % ratio,
@@ -223,17 +255,21 @@ def run_bench(repeats=5):
     publish("interp_mips", table.render() + "\n" + "\n".join(footer))
     calls = {"ST": cpu.compiled_calls, "branchy": br_cpu.compiled_calls}
     return ({"": ratio, "branchy_": branchy_ratio}, ratios, calls,
-            st_mips, bbv)
+            st_mips, bbv, mt_counts)
 
 
 #: Hard floor per gated ratio, by footer prefix.
 _FLOORS = {"": COMPILED_FLOOR, "branchy_": BRANCHY_FLOOR}
 
 
-def _check(gated, calls, bbv):
+def _check(gated, calls, bbv, mt_counts):
     assert calls == COMPILED_CALLS, \
         "compiled calls %s, expected %s: hot loops no longer spin inside " \
         "one generated function" % (calls, COMPILED_CALLS)
+    expected = MT_COUNTS["smoke" if FAST else "full"]
+    assert mt_counts == expected, \
+        "MT counts %s, expected %s: slice ends left the fast loop or " \
+        "spilled on the interpreted path" % (mt_counts, expected)
     for workload, ratio in bbv.items():
         assert ratio >= BBV_FLOOR, \
             "collect_bbv runs at only %.2fx of bare compiled MIPS (%s)" \
@@ -251,13 +287,13 @@ def _check(gated, calls, bbv):
 
 
 def test_interp_mips(benchmark):
-    gated, _, calls, _, bbv = benchmark.pedantic(
+    gated, _, calls, _, bbv, mt_counts = benchmark.pedantic(
         run_bench, rounds=1, iterations=1)
-    _check(gated, calls, bbv)
+    _check(gated, calls, bbv, mt_counts)
 
 
 def main():
-    gated, ratios, calls, st_mips, bbv = run_bench()
+    gated, ratios, calls, st_mips, bbv, mt_counts = run_bench()
     print("ST MIPS:", "  ".join(
         "%s %.2f (%.2fx)" % (r, st_mips[r], ratios[r]) for r in ROWS))
     print("branchy %.2fx" % gated["branchy_"])
@@ -265,8 +301,10 @@ def main():
         "%s %.2f" % item for item in sorted(bbv.items())))
     print("compiled calls: %s" % ", ".join(
         "%s %d" % item for item in sorted(calls.items())))
+    print("MT counts: %s" % ", ".join(
+        "%s %d" % item for item in sorted(mt_counts.items())))
     try:
-        _check(gated, calls, bbv)
+        _check(gated, calls, bbv, mt_counts)
     except AssertionError as exc:
         raise SystemExit(str(exc))
 

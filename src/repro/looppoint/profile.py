@@ -77,10 +77,18 @@ class LoopSlice:
 
 
 class LoopPointProfiler(Tool):
-    """Counts marker crossings and cuts marker-delimited slices."""
+    """Counts marker crossings and cuts marker-delimited slices.
+
+    A slice may end at any work-marker crossing, so those are watched:
+    each reaches :meth:`on_basic_block` with exact icount and cycles.
+    Compiled loops whose members hold no work marker (the spin and
+    futex wait loops behind sync markers, loops without a marker) keep
+    spinning, and their sync crossings arrive as loop-exit counts.
+    """
 
     wants_instructions = False
     wants_blocks = True
+    accepts_loop_exits = True
 
     def __init__(self, marker_map: MarkerMap, slice_markers: int) -> None:
         if slice_markers <= 0:
@@ -88,6 +96,8 @@ class LoopPointProfiler(Tool):
         self.marker_map = marker_map
         self.slice_markers = slice_markers
         self._markers: Dict[int, LoopMarker] = marker_map.resolve()
+        self.watched_pcs = frozenset(
+            pc for pc, marker in self._markers.items() if not marker.is_sync)
         self.slices: List[LoopSlice] = []
         self.work_crossings = 0
         self.sync_crossings = 0
@@ -112,6 +122,17 @@ class LoopPointProfiler(Tool):
         if self.work_crossings % self.slice_markers == 0:
             boundary = self.marker_map.point(offset, self.totals[offset])
             self._cut(machine, boundary)
+
+    def on_loop_exit(self, machine, thread, pc, members, counts, stop,
+                     partial) -> None:
+        # The head's first entry was reported; every other member entry
+        # of the spin is a completed run, or the one the spin stopped
+        # inside.  Only sync markers can be members.
+        for index, ((offset, _size), count) in enumerate(
+                zip(members, counts)):
+            if pc + offset in self._markers:
+                self.sync_crossings += (count - (index == 0)
+                                        + (index == stop and partial > 0))
 
     def _cut(self, machine, boundary: Optional[MarkerPoint]) -> None:
         end_icount = machine.total_icount()

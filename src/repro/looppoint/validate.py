@@ -58,16 +58,17 @@ class _MarkerMeter(Tool):
     just before the ROI marker, and the caller sets the start.
 
     A block tool, so the measured window runs on the compiled tier.  It
-    counts every crossing, so it does not merge re-entries: compiled
-    loops return to the dispatch header at every block while it is
-    attached.
+    counts every crossing, so it watches the work addresses: a compiled
+    loop through one returns to the dispatch header at every block
+    while it is attached, and other loops keep spinning.
     """
 
     wants_instructions = False
     wants_blocks = True
+    accepts_loop_exits = True
 
     def __init__(self, work_addrs, skip: int, measure: int) -> None:
-        self.work_addrs = frozenset(work_addrs)
+        self.work_addrs = self.watched_pcs = frozenset(work_addrs)
         self.skip = skip
         self.measure = measure
         self.crossings = 0

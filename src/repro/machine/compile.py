@@ -649,6 +649,40 @@ def _generate(shape: tuple) -> Optional[Tuple[str, tuple]]:
     return source, meta
 
 
+def _generate_part(shape: tuple) -> Optional[Tuple[str, tuple]]:
+    """Emit the prefix variant of one block shape: run exactly ``_stop``
+    steps, 0 < ``_stop`` < n, so the terminator is never reached.
+
+    A slice that ends inside a hot block runs this.  Every stop point
+    is a retire boundary another thread can observe, so dead-flag
+    elimination is off: flags are exact at each step.
+    """
+    _, ops, operands, offs = shape[1]
+    n = len(ops)
+    prefix = _prefix_costs(ops)
+    gen = _Gen()
+    try:
+        for i in range(n - 1):
+            if i:
+                gen.emit("if _stop == %d:" % i)
+                gen.emit("regs.rip = (_base + %d) & %s"
+                         % (offs[i - 1], _MASK), 3)
+                gen.emit("thread.icount += %d" % i, 3)
+                gen.emit("thread.cycles += _cyd + %d" % prefix[i], 3)
+                gen.emit("return", 3)
+            _emit_step(gen, i, ops[i], operands[i], offs[i],
+                       prefix[i + 1], False)
+    except _Unsupported:
+        return None
+    body = gen.lines
+    body.append("        regs.rip = (_base + %d) & %s" % (offs[n - 2], _MASK))
+    body.append("        thread.icount += %d" % (n - 1))
+    body.append("        thread.cycles += _cyd + %d" % prefix[n - 1])
+    source = _assemble(gen, "def _cfn(cpu, thread, _base, _stop):", body)
+    meta = tuple((offs[i], i, prefix[i]) for i in range(n))
+    return source, meta
+
+
 #: Except-path flush of a single-block function: the faulting step's
 #: metadata gives RIP past it and the retired prefix.
 _FAULT_FLUSH = (
@@ -719,12 +753,15 @@ def loop_successors(block) -> Optional[Tuple[int, ...]]:
 
 
 def _loop_edge(gen: _Gen, target: int, indent: int, members: Dict[int, int],
-               sizes: List[int]) -> None:
+               sizes: List[int], partial) -> None:
     """Leave a member block along the edge to loop-relative *target*.
 
     An edge to a member continues the spin if that member fits in what
-    is left of the budget, and otherwise returns to the dispatch header
-    at its entry; any other edge is a side exit.
+    is left of the budget; otherwise the spin ends there, after the
+    member's first ``_room`` steps: ``partial(member, indent)`` emits
+    them in a 1-member loop, and a larger loop moves to the member's
+    one partial section (state ``~member``).  Any other edge is a side
+    exit.
     """
     e = gen.emit
     rip = "regs.rip = (_base + %d) & %s" % (target, _MASK)
@@ -733,10 +770,22 @@ def _loop_edge(gen: _Gen, target: int, indent: int, members: Dict[int, int],
         e(rip, indent)
         e("break", indent)
         return
+    multi = len(sizes) > 1
     e("if _room < %d:" % sizes[member], indent)
+    if sizes[member] > 1:
+        e("if _room:", indent + 1)
+        if multi:
+            e("_s = %d" % ~member, indent + 2)
+            e("else:", indent + 1)
+            e(rip, indent + 2)
+            e("break", indent + 2)
+            e("else:", indent)
+            e("_s = %d" % member, indent + 1)
+            return
+        partial(member, indent + 2)
     e(rip, indent + 1)
     e("break", indent + 1)
-    if len(sizes) > 1:
+    if multi:
         e("_s = %d" % member, indent)
 
 
@@ -747,35 +796,61 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
     entry offset from the head (member 0, offset 0).  The function
     ``_cfn(cpu, thread, _base, _budget, _exit)`` runs the head, then
     moves between members through a ``while True`` state dispatch
-    (``_s``) until an edge leaves the loop, the next member would not
-    fit in the remaining ``_budget`` instructions, an SMC store breaks
-    it, or a step faults.  Every exit flushes what the per-block loop
-    would have accrued: icount, static and cache-charged cycles, one
-    branch per completed member, and ``new_block`` (false only after an
-    SMC break, which stops between two steps of one block).  Completed
-    members are counted per member except the head, whose count
-    follows from the retired total.
+    (``_s``) until an edge leaves the loop, the remaining ``_budget``
+    instructions end inside the next member (which then runs that
+    far: a slice that ends mid-member ends inside the loop), an SMC
+    store breaks it, or a step faults.  Every exit flushes what the
+    per-block loop would have accrued: icount, static and cache-charged
+    cycles, one branch per completed member, and ``new_block`` (false
+    after a stop between two steps of one block).  Completed members
+    are counted per member except the head, whose count follows from
+    the retired total.
 
     Unless ``_exit`` is None, every exit (the fault path before it
     re-raises) also calls ``_exit(thread, _base, members, counts, stop,
     partial)``: *members* holds each member's ``(offset, size)``,
     *counts* its completed runs, and *stop* the member the spin ended
-    in -- the one a break or fault stopped *partial* steps into, else
-    the last one completed (*partial* 0).
+    in -- the one the budget, a break or a fault stopped *partial*
+    steps into, else the last one completed (*partial* 0).
     """
     _, loop = shape
     members = {rel: index for index, (rel, _) in enumerate(loop)}
     sizes = [len(block_shape[1]) for _, block_shape in loop]
+    firsts = [sum(sizes[:index]) for index in range(len(loop))]
+    costs = [_prefix_costs(block_shape[1]) for _, block_shape in loop]
     multi = len(loop) > 1
     totals = []
     meta: List[tuple] = []
     gen = _Gen()
     gen.loop = True
     gen.extra = 2 if multi else 1
+
+    def partial(member: int, indent: int) -> None:
+        # The member's steps, each followed by a break once ``_room``
+        # have retired (0 < _room < size; the tail then sets RIP and
+        # the static cycles from _PRIP/_PPK); flags stay exact at every
+        # stop, so no flag write is elided.
+        rel, (_, ops, operands, offs) = loop[member]
+        outer = gen.extra, gen.fault_base
+        gen.extra += indent - 2
+        gen.fault_base = firsts[member]
+        gen.emit("_pm = %d" % member)
+        if multi:
+            gen.emit("_s = %d" % member)
+        last = len(ops) - 2
+        for i in range(last + 1):
+            _emit_step(gen, i, ops[i], operands[i], rel + offs[i],
+                       costs[member][i + 1], False)
+            if i < last:
+                gen.emit("if _room == %d:" % (i + 1))
+                gen.emit("break", 3)
+        gen.emit("break")
+        gen.extra, gen.fault_base = outer
+
     try:
         for index, (rel, (_, ops, operands, offs)) in enumerate(loop):
             n = len(ops)
-            prefix = _prefix_costs(ops)
+            prefix = costs[index]
             totals.append(prefix[n])
             skip = _dead_flags(ops)
             if multi:
@@ -791,12 +866,17 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
             last = ops[-1]
             taken = rel + offs[-1] + operands[-1][0]
             if last == int(Op.JMP):
-                _loop_edge(gen, taken, 2, members, sizes)
+                _loop_edge(gen, taken, 2, members, sizes, partial)
             else:
                 gen.emit("if %s:" % _COND[last])
-                _loop_edge(gen, taken, 3, members, sizes)
+                _loop_edge(gen, taken, 3, members, sizes, partial)
                 gen.emit("else:")
-                _loop_edge(gen, rel + offs[-1], 3, members, sizes)
+                _loop_edge(gen, rel + offs[-1], 3, members, sizes, partial)
+        if multi:
+            for index, size in enumerate(sizes):
+                if size > 1:
+                    gen.emit("if _s == %d:" % ~index, 1)
+                    partial(index, 2)
     except _Unsupported:
         return None
 
@@ -817,18 +897,29 @@ def _generate_loop(shape: tuple) -> Optional[Tuple[str, tuple]]:
             "_c%d" % i for i in range(len(loop))),
         report,
     ]
-    init = ["    _room = _budget", "    _pi = 0", "    _pk = 0"]
+    init = ["    _room = _budget", "    _pi = 0", "    _pk = 0", "    _pm = -1"]
     if multi:
         init.append("    _s = 0")
         init.extend("    _c%d = 0" % i for i in counted)
     fault = ["        _pi = _m[1]", "        _pk = _m[2]"]
     fault.extend("        " + line for line in flush)
-    tail = ["    " + line for line in flush]
+    # A budget stop inside member _pm after _room steps (an SMC break
+    # there has set _pi itself).
+    tail = ["    if _pm >= 0 and not _pi:",
+            "        _pi = _room",
+            "        _pk = _PPK[_pm][_room]",
+            "        regs.rip = (_base + _PRIP[_pm][_room]) & %s" % _MASK]
+    tail.extend("    " + line for line in flush)
     tail.append("    thread.new_block = not _pi")
     tail.append("    return _n + _pi")
     body = ["        while True:"] + gen.lines
-    source = _assemble(gen, "def _cfn(cpu, thread, _base, _budget, _exit):",
-                       body, init, fault, tail)
+    tables = "_PRIP = %r\n_PPK = %r\n" % (
+        tuple((0,) + tuple(rel + off for off in block_shape[3][:-1])
+              for rel, block_shape in loop),
+        tuple(tuple(cost[:-1]) for cost in costs))
+    source = tables + _assemble(
+        gen, "def _cfn(cpu, thread, _base, _budget, _exit):",
+        body, init, fault, tail)
     return source, tuple(meta)
 
 
@@ -874,6 +965,14 @@ class BlockCompiler:
             return None
         return self._lookup(shape, len(shape[1]))
 
+    def compile_part(self, block) -> Optional[object]:
+        """The prefix function of a compiled *block* (see
+        :func:`_generate_part`)."""
+        shape = self.shape_of(block)
+        if shape is None:
+            return None
+        return self._lookup(("part", shape), len(shape[1]))
+
     def compile_loop(self, blocks) -> Optional[object]:
         """The loop function for *blocks*, head first (see
         :func:`_generate_loop`); all sit on the head's code page."""
@@ -907,8 +1006,10 @@ class BlockCompiler:
 
 
 def _build(shape: tuple) -> Optional[object]:
-    """Generate and compile the function for a block or a loop shape."""
+    """Generate and compile the function for a block, a block prefix
+    or a loop shape."""
     generated = (_generate_loop(shape) if shape[0] == "loop"
+                 else _generate_part(shape) if shape[0] == "part"
                  else _generate(shape))
     if generated is None:
         return None
@@ -924,7 +1025,6 @@ def _build(shape: tuple) -> Optional[object]:
     }
     exec(compile(source, "<px-block>", "exec"), namespace)
     fn = namespace["_cfn"]
-    fn.__px_source__ = source
     if shape[0] == "loop":
         fn.__px_loop__ = len(shape[1])    # member blocks
     return fn

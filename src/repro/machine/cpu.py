@@ -18,7 +18,9 @@ from __future__ import annotations
 import heapq
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple,
+)
 
 from repro.isa.encoding import decode, InstructionDecodeError
 from repro.isa.instructions import OP_SIZE, Instruction, Op
@@ -118,6 +120,7 @@ _TELEMETRY = {
     "compiled_blocks": "cpu.compiled.blocks",
     "compiled_calls": "cpu.compiled.calls",
     "compiled_bailouts": "cpu.compiled.bailouts",
+    "spill_steps": "cpu.spill_steps",
 }
 
 #: A predecoded instruction, as both dispatch tiers consume it:
@@ -196,8 +199,8 @@ class Block:
 
     __slots__ = (
         "entry", "steps", "n", "ends_branch", "ends_syscall", "ends_marker",
-        "pages", "ops", "hits", "compiled", "loop", "no_compile",
-        "stamp",
+        "pages", "ops", "hits", "compiled", "part", "loop", "loop_pcs",
+        "no_compile", "stamp",
     )
 
     def __init__(self, entry: int, steps: List[tuple], ends_branch: bool,
@@ -217,11 +220,16 @@ class Block:
         #: Compiled function (cpu, thread, base) -> instructions retired,
         #: or None while cold / after a codegen bailout.
         self.compiled: Optional[Callable] = None
+        #: Prefix function (cpu, thread, base, stop) of a compiled block,
+        #: built at its first spill: runs the first ``stop`` steps.
+        self.part: Optional[Callable] = None
         #: Loop function (cpu, thread, base, budget, exit hook) ->
         #: instructions retired, when this block heads a compiled loop
         #: of up to ``compile.LOOP_BLOCKS`` blocks on its page (one, if
         #: its taken edge targets its own entry).
         self.loop: Optional[Callable] = None
+        #: Entry PCs of the loop's members, this block included.
+        self.loop_pcs: FrozenSet[int] = frozenset()
         self.no_compile = False
         #: LRU stamp, bumped on every dispatch-header hit.
         self.stamp = 0
@@ -253,6 +261,9 @@ class Cpu:
         self.compiled_blocks = 0
         self.compiled_calls = 0
         self.compiled_bailouts = 0
+        #: Instructions stepped one handler at a time where a slice
+        #: ended inside a block.
+        self.spill_steps = 0
         #: Telemetry counter -> its value at the last metrics flush.
         self._reported = dict.fromkeys(_TELEMETRY, 0)
         self._stamp = 0
@@ -474,8 +485,7 @@ class Cpu:
 
     # -- main loop -----------------------------------------------------------
 
-    def run_thread(self, thread: "Thread", quantum: int,
-                   extend: bool = False) -> int:
+    def run_thread(self, thread: "Thread", quantum: int) -> int:
         """Run *thread* for up to *quantum* instructions.
 
         Returns the number of instructions executed.  CPU faults and page
@@ -483,19 +493,25 @@ class Cpu:
         fatal signals).  Dispatches to the superblock fast path unless an
         instruction tool is attached (exact per-instruction semantics).
 
-        With *extend* (the machine's run loop sets it for a lone
-        runnable thread in free-run) the fast path does not return at
-        the end of the slice: if :meth:`Machine.slice_room` allows, it
-        commits the next one (:meth:`Machine.next_slices`) and keeps
-        going.  The slow path ignores it and returns once per slice.
+        Neither path returns at the end of a slice while the machine
+        can pick the next one in place (:meth:`Machine.next_slice`): a
+        call may run other threads' slices before it returns, and the
+        count covers them all.
         """
         if self.fast_dispatch:
-            executed = self._run_fast(thread, quantum, extend)
+            executed = self._run_fast(thread, quantum)
         else:
+            machine = self.machine
             executed = self._run_slow(thread, quantum)
-        # Telemetry fires once per call (a slice, or a lone thread's run
-        # of extended slices), not per instruction, so the disabled path
-        # costs one attribute lookup per call.
+            while thread.icount == machine.slice_end:
+                thread = machine.next_slice()
+                if thread is None:
+                    break
+                executed += self._run_slow(
+                    thread, machine.slice_end - thread.icount)
+        # Telemetry fires once per call (a run of slices picked in
+        # place), not per instruction, so the disabled path costs one
+        # attribute lookup per call.
         obs = hooks.OBS
         if obs.enabled:
             if executed:
@@ -503,8 +519,7 @@ class Cpu:
             self._flush_block_stats(obs)
         return executed
 
-    def _run_fast(self, thread: "Thread", quantum: int,
-                  extend: bool = False) -> int:
+    def _run_fast(self, thread: "Thread", quantum: int) -> int:
         """Superblock dispatch: execute cached blocks with all
         per-instruction bookkeeping amortised to block granularity.
 
@@ -512,29 +527,35 @@ class Cpu:
         icount/cycles updates keep RDTSC and mid-block faults exact, the
         PMU guard routes the final approach to an armed trap through the
         slow path so the redirect fires at the exact icount, and quantum
-        expiry spills mid-block by indexing a prefix of the pre-bound
-        trace.
+        expiry spills mid-block by running a prefix of the block.
 
         Every block entry passes the dispatch header at the top of the
-        loop, which checks the stop/yield flags, the icount limit and
-        the block tools' hooks, then looks the block up in
-        ``block_cache``.  Hot blocks run as compiled functions, and a
-        hot block that heads a compiled loop spins inside it, moving
-        between member blocks without returning here: freely without
-        block tools, and from a reported head entry when every block
-        tool accepts loop exits (each spin then reaches them as one
-        ``Machine.on_loop_exit`` call).  Other block tools must see
-        every block entry, so loops do not spin under them.
+        loop, which checks the slice end, the stop/yield flags, the
+        icount limit and the block tools' hooks, then looks the block
+        up in ``block_cache``.  Hot blocks run as compiled functions,
+        and a hot block that heads a compiled loop spins inside it,
+        moving between member blocks without returning here: freely
+        without block tools, and from a reported head entry when every
+        block tool accepts loop exits (each spin then reaches them as
+        one ``Machine.on_loop_exit`` call) and no member entry is one
+        of their ``watched_pcs``.  Other block tools must see every
+        block entry, so loops do not spin under them.
 
-        With *extend*, a slice end is not a return: at a block boundary
-        the machine picks the next slice in place, and a block that
-        straddles the boundary (or a loop spinning across several)
-        runs whole, after which the picks for the boundaries it crossed
-        are committed in one batch (a fault inside it commits those
-        before the faulting instruction; see ``Machine.run``).
-        Straddles stay on the spill path for syscall blocks (the kernel
-        and syscall tools must see the scheduler after the pick) and
-        under memory tools (which may stop the run mid-block).
+        A slice end is not a return.  At the block boundary where it
+        falls, the machine picks the next slice in place
+        (:meth:`Machine.next_slice`), of this thread or another, whose
+        ``thread``/``regs`` the loop then swaps in; only when the run
+        loop must look does the call return.  A block never straddles a
+        switch: a slice end inside a block spills, running the prefix
+        up to it.  A lone runnable thread in free-run is the exception
+        (:meth:`Machine.slice_room`): a block that straddles its slice
+        end (or a loop spinning across several) runs whole, after which
+        the picks for the boundaries it crossed are committed in one
+        batch (a fault inside it commits those before the faulting
+        instruction; see ``Machine.run``).  Straddles stay on the spill
+        path for syscall blocks (the kernel and syscall tools must see
+        the scheduler after the pick) and under memory tools (which may
+        stop the run mid-block).
         """
         machine = self.machine
         regs = thread.regs
@@ -549,21 +570,32 @@ class Cpu:
         if block_tools and all(tool.accepts_loop_exits
                                for tool in block_tools):
             exits = machine.on_loop_exit
+        watched = machine.watched_pcs
         # Generated code calls mem.read/write directly, bypassing the
         # cpu-level memory hooks, so memory tools keep every block on
         # the interpreted block loop.
         compile_ok = self.read_hook is None and self.write_hook is None
-        straddle_ok = extend and compile_ok
+        # Whether a block may straddle the slice end: the room can only
+        # shrink to 0 during the call (see Machine.slice_room).
+        straddle = compile_ok and machine.slice_room() > 0
+        start = thread.icount
+        end = start + quantum
         executed = 0
         # Telemetry delta batched per call (flushed before return; a
         # propagating fault abandons the in-flight call's delta).
         calls_delta = 0
 
         while True:
-            if executed >= quantum:
-                if not extend or machine.slice_room(thread) <= 0:
+            if thread.icount >= end:
+                following = machine.next_slice()
+                if following is None:
                     break
-                quantum += machine.next_slices(1)
+                if following is not thread:
+                    executed += thread.icount - start
+                    thread = following
+                    regs = thread.regs
+                    start = thread.icount
+                end = machine.slice_end
             if (self.stop_flag is not None or not thread.alive
                     or thread.blocked):
                 break
@@ -584,7 +616,7 @@ class Cpu:
                 block = self._build_block(pc)
                 if block is None:
                     # Undecodable entry: the slow path raises the fault.
-                    executed += self._run_slow(thread, 1)
+                    self._run_slow(thread, 1)
                     continue
             else:
                 self.block_hits += 1
@@ -598,7 +630,7 @@ class Cpu:
                 if self.stop_flag is not None:
                     # A tool requested a stop: one more instruction
                     # retires before the stop lands, as on the slow path.
-                    executed += self._run_slow(thread, 1)
+                    self._run_slow(thread, 1)
                     break
                 spin = exits is not None
 
@@ -609,27 +641,34 @@ class Cpu:
                 headroom = thread.icount_limit
             headroom -= thread.icount
             n = block.n
+            remaining = end - thread.icount
             if n >= headroom:
                 # Within trap/limit range: step exactly up to the
                 # boundary (both are > icount here, so room >= 1).
-                executed += self._run_slow(
-                    thread, min(headroom, quantum - executed))
+                self._run_slow(thread, min(headroom, remaining))
                 continue
-            remaining = quantum - executed
             if n > remaining and not (
-                    straddle_ok and not block.ends_syscall
-                    and machine.slice_room(thread) >= n - remaining):
-                # Quantum expires mid-block: a branch can only be the
+                    straddle and not block.ends_syscall
+                    and machine.slice_room() >= n - remaining):
+                # The slice ends mid-block: a branch can only be the
                 # final step, so any prefix is a valid straight-line
-                # run, stepped here (remaining < n, so it never reaches
-                # the terminator); the trap/limit guard above ensures
-                # no PMU boundary falls inside the prefix, which never
-                # ends at a branch: no block entry.  Indexing (not
-                # slicing) avoids copying the trace on every spill.
+                # run (remaining < n, so it never reaches the
+                # terminator); the trap/limit guard above ensures no
+                # PMU boundary falls inside the prefix, which never ends
+                # at a branch: no block entry.  A compiled block runs
+                # its compiled prefix; others step it here, indexing
+                # (not slicing) the trace.
                 thread.new_block = False
+                self._smc_dirty = False
+                if block.compiled is not None and compile_ok:
+                    part = block.part
+                    if part is None:
+                        part = block.part = COMPILER.compile_part(block)
+                    calls_delta += 1
+                    part(self, thread, block.entry, remaining)
+                    continue
                 steps = block.steps
                 before = thread.icount
-                self._smc_dirty = False
                 for index in range(remaining):
                     next_pc, handler, operands, cost = steps[index]
                     regs.rip = next_pc
@@ -639,7 +678,7 @@ class Cpu:
                     if self._smc_dirty:
                         self._smc_dirty = False
                         break
-                executed += thread.icount - before
+                self.spill_steps += thread.icount - before
                 continue
 
             fn = block.compiled
@@ -651,6 +690,9 @@ class Cpu:
             if fn is not None and compile_ok:
                 calls_delta += 1
                 loop = block.loop if spin else None
+                if (loop is not None and watched
+                        and not watched.isdisjoint(block.loop_pcs)):
+                    loop = None
                 if loop is not None:
                     # Spin inside the generated loop for as many member
                     # blocks as fit the budget: the slice remainder --
@@ -661,13 +703,14 @@ class Cpu:
                     # as the per-block loop would (new_block, branches).
                     budget = remaining
                     cap = headroom - 1
-                    if budget < cap and straddle_ok:
-                        budget += machine.slice_room(thread)
+                    if budget < cap and straddle:
+                        budget += machine.slice_room()
                     if budget > cap:
                         budget = cap
-                    executed += loop(self, thread, pc, budget, exits)
-                    if quantum < executed:
-                        quantum += machine.next_slices(executed - quantum)
+                    loop(self, thread, pc, budget, exits)
+                    if end < thread.icount:
+                        machine.next_slices(thread.icount - end)
+                        end = machine.slice_end
                     continue
                 ran = fn(self, thread, block.entry)
             else:
@@ -680,11 +723,11 @@ class Cpu:
                     if self._smc_dirty:
                         break
                 ran = thread.icount - before
-            executed += ran
-            if quantum < executed:
+            if end < thread.icount:
                 # The block ran across the slice end: commit the
                 # pick(s) the run loop would have made there.
-                quantum += machine.next_slices(executed - quantum)
+                machine.next_slices(thread.icount - end)
+                end = machine.slice_end
             if ran != n:
                 # The block was invalidated under our feet (self-
                 # modifying code) and stopped at a step boundary; the
@@ -711,7 +754,7 @@ class Cpu:
                 machine.on_marker(thread)
         if calls_delta:
             self.compiled_calls += calls_delta
-        return executed
+        return executed + thread.icount - start
 
     def _compile_block(self, block: Block) -> Optional[Callable]:
         """Hand a hot block to the process-wide threaded-code compiler.
@@ -775,8 +818,10 @@ class Cpu:
                               if block.entry in inside and block is not head),
                              key=lambda block: block.entry)
             head.loop = COMPILER.compile_loop([head] + members)
+            head.loop_pcs = frozenset(inside)
         if head.loop is None and head.entry in edges[head.entry]:
             head.loop = COMPILER.compile_loop([head])
+            head.loop_pcs = frozenset((head.entry,))
 
     def _run_slow(self, thread: "Thread", quantum: int) -> int:
         """Exact per-instruction interpretation (tools, PMU, faults)."""

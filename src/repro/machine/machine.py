@@ -13,7 +13,7 @@ workflows map onto it directly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.isa.registers import RegisterFile
 from repro.machine.cpu import Cpu, CpuFault, NO_TRAP
@@ -102,18 +102,25 @@ class Machine:
         self.tools: List[Tool] = []
         self.instr_tools: List[Tool] = []
         self.block_tools: List[Tool] = []
+        #: Entry PCs the block tools must see one by one (no spin).
+        self.watched_pcs: FrozenSet[int] = frozenset()
         self.marker_tools: List[Tool] = []
         self._syscall_tools: List[Tool] = []
         #: Global retired-instruction counter across all threads.
         self.executed_total = 0
-        # The slice in flight and its bounds in the thread's icount,
+        # The slice in flight and its bounds in its thread's icount,
         # plus run()'s budget (see next_slices).
         self._slice: Optional[ScheduleSlice] = None
         self._slice_start = 0
-        self._slice_end = 0
+        #: The icount at which the slice in flight ends (the fast loop
+        #: reads it after every pick it takes in place).
+        self.slice_end = 0
         self._extended = 0
         self._budget: Optional[int] = None
-        self._retooled = False
+        # The sorted runnable tids while the run loop would hand out the
+        # next slice exactly as the fast loop may (see next_slice); None
+        # from any event that can change them until the loop's next pick.
+        self._runnable: Optional[Tuple[int, ...]] = None
 
     # -- setup ------------------------------------------------------------
 
@@ -156,9 +163,11 @@ class Machine:
     def _rebuild_tool_lists(self) -> None:
         # A tool attached or detached mid-run takes effect at the next
         # slice end, which must then return to the run loop.
-        self._retooled = True
+        self._runnable = None
         self.instr_tools = [t for t in self.tools if t.wants_instructions]
         self.block_tools = [t for t in self.tools if t.wants_blocks]
+        self.watched_pcs = frozenset().union(
+            *(t.watched_pcs for t in self.block_tools))
         self.marker_tools = [t for t in self.tools if t.wants_markers]
         self._syscall_tools = list(self.tools)
         # Instruction tools need exact per-instruction callbacks; block,
@@ -187,6 +196,7 @@ class Machine:
 
     def on_thread_exited(self, thread: Thread) -> None:
         """Bookkeeping when a thread dies (exit(2) or PMU terminate)."""
+        self._runnable = None
         for tool in self.tools:
             tool.on_thread_exit(self, thread)
         if all(not t.alive for t in self.threads.values()):
@@ -244,6 +254,7 @@ class Machine:
         the thread, or requests a stop, the machine stops itself so the
         CPU loop cannot livelock re-reporting the same boundary.
         """
+        self._runnable = None
         for tool in self.tools:
             tool.on_region_limit(self, thread)
         if (thread.runnable and thread.icount >= thread.icount_limit
@@ -255,6 +266,8 @@ class Machine:
 
     def do_syscall(self, thread: Thread) -> None:
         """Run one syscall through tool interception and the kernel."""
+        # Any syscall may block, wake, clone, exit or signal a thread.
+        self._runnable = None
         number = thread.regs.gpr[0]
         suppressed = False
         for tool in self._syscall_tools:
@@ -303,6 +316,7 @@ class Machine:
         self.cpu.stop_flag = None
         self.cpu.yield_flag = False
         self._budget = max_instructions
+        threads = self.threads
         while self.exit_status is None:
             if not self.scheduler.mid_slice:
                 # Quantum-boundary signal delivery.  Skipped while a cut
@@ -313,9 +327,9 @@ class Machine:
                     break
             runnable = self.runnable_tids()
             if not runnable:
-                if any(t.blocked for t in self.threads.values()):
+                if any(t.blocked for t in threads.values()):
                     self.deliver_fault(
-                        next(iter(self.threads.values())), SIGSEGV,
+                        next(iter(threads.values())), SIGSEGV,
                         "deadlock: all threads blocked (futex/channel waits)",
                     )
                 break
@@ -331,23 +345,26 @@ class Machine:
             quantum = slice_.quantum
             if max_instructions is not None:
                 quantum = min(quantum, remaining)
-            thread = self.threads[slice_.tid]
-            start = thread.icount
+            thread = threads[slice_.tid]
             self._slice = slice_
-            self._slice_start = start
-            self._slice_end = start + quantum
+            self._slice_start = thread.icount
+            self.slice_end = thread.icount + quantum
             self._extended = 0
-            self._retooled = False
-            # A lone runnable thread in free-run may take its following
-            # slices without leaving the fast loop (next_slices).
-            extend = len(runnable) == 1 and not self.scheduler.replaying
+            # Until an event that may change them (see next_slice), the
+            # fast loop takes the next picks in place.  A signal pending
+            # anywhere needs this loop's delivery at the slice end.
+            self._runnable = None if (
+                self.kernel.process_pending
+                or any(t.pending and t.alive for t in threads.values())
+            ) else tuple(sorted(runnable))
             try:
-                executed = self.cpu.run_thread(thread, quantum, extend)
+                self.cpu.run_thread(thread, quantum)
             except (PageFault, CpuFault) as exc:
+                thread = threads[self._slice.tid]
                 # Commit the picks for every slice end the faulting
                 # block ran across, as the per-slice loop would have.
-                if extend and self._slice_end <= thread.icount:
-                    self.next_slices(thread.icount - self._slice_end + 1)
+                if self.slice_end <= thread.icount:
+                    self.next_slices(thread.icount - self.slice_end + 1)
                 self._count_slices()
                 if isinstance(exc, PageFault):
                     self.deliver_fault(thread, SIGSEGV, str(exc),
@@ -356,10 +373,11 @@ class Machine:
                     self.deliver_fault(thread, exc.signal, str(exc))
                 break
             self._count_slices()
-            # Extended slices are already accounted; only the last one
-            # can have ended early.
+            # Slices picked in place are already accounted; only the
+            # last one can have ended early.
             slice_ = self._slice
-            executed -= self._slice_start - start
+            thread = threads[slice_.tid]
+            executed = thread.icount - self._slice_start
             self.executed_total += executed
             yielded = self.cpu.yield_flag
             self.cpu.yield_flag = False
@@ -381,64 +399,82 @@ class Machine:
                                           detail="no runnable threads")
         return self.exit_status
 
-    # -- slice extension (fast tiers, lone runnable thread) -----------------
+    # -- slice ends inside the fast loop ----------------------------------
 
-    def slice_room(self, thread: Thread) -> int:
-        """How many instructions past the end of the current slice
-        *thread* may retire before the run loop must look again: 0 when
-        the loop would not hand it the next slice, else what is left of
-        the instruction budget (NO_TRAP without one).
+    def next_slice(self) -> Optional[Thread]:
+        """At a block boundary that ends the slice in flight, pick the
+        next slice in place, exactly as the run loop would; returns the
+        thread that runs it, or None when the run loop must look.
 
-        These are the checks the loop makes at every boundary: stop and
-        yield requests, process exit, a deliverable-looking signal
-        (delivery itself stays in the loop), the instruction budget, and
-        no other runnable thread; a tool attached or detached since the
-        slice began also returns to the loop, which re-reads the tool
-        lists.  Only a syscall can change any of them (a clone or futex
-        wake adds a runnable thread), and syscalls end a block, so the
-        fast loop may ask ahead of a block that straddles the boundary
-        or of a compiled loop's spin.
+        The loop looks when a stop or yield is requested, the budget is
+        spent, or the runnable set or pending signals may have changed
+        since its last pick.  They change only at a syscall (a clone,
+        exit, futex wait or wake, or signal), a thread's death, a tool
+        attached or detached, or an icount-limit hook: each of those
+        clears the cached set, and a syscall also ends its block, so
+        the fast loop never asks past one.  The pick is
+        :meth:`Scheduler.extend`'s, whose RNG draws and recorded slices
+        are those of :meth:`Scheduler.pick`.
         """
+        runnable = self._runnable
         cpu = self.cpu
-        if (cpu.stop_flag is not None or cpu.yield_flag or self._retooled
-                or self.exit_status is not None
-                or not thread.alive or thread.blocked
-                or self.kernel.process_pending):
+        if runnable is None or cpu.stop_flag is not None or cpu.yield_flag:
+            return None
+        closed = self.executed_total + self.slice_end - self._slice_start
+        room = NO_TRAP
+        if self._budget is not None:
+            room = self._budget - closed
+            if room <= 0:
+                return None
+        self.executed_total = closed
+        slice_, allotted, _, _ = self.scheduler.extend(runnable, 1, room)
+        thread = self.threads[slice_.tid]
+        self._slice = slice_
+        self._slice_start = thread.icount
+        self.slice_end = thread.icount + allotted
+        self._extended += 1
+        return thread
+
+    def slice_room(self) -> int:
+        """How many instructions past the end of the slice in flight its
+        thread may retire before the run loop must look again: 0 unless
+        that thread is the lone runnable one in free-run (every next
+        pick is then that thread), else what is left of the budget
+        (NO_TRAP without one).  The fast loop asks ahead of a block that
+        straddles the slice end or of a compiled loop's spin."""
+        runnable = self._runnable
+        cpu = self.cpu
+        if (runnable is None or len(runnable) != 1
+                or self.scheduler.replaying or cpu.stop_flag is not None
+                or cpu.yield_flag):
             return 0
-        for other in self.threads.values():
-            if other.pending and other.alive:
-                return 0
-            if other is not thread and other.alive and not other.blocked:
-                return 0
         budget = self._budget
         if budget is None:
             return NO_TRAP
-        return budget - (self.executed_total + self._slice_end
+        return budget - (self.executed_total + self.slice_end
                          - self._slice_start)
 
-    def next_slices(self, need: int) -> int:
-        """Close the current slice at its end and pick the same thread's
-        next slices, exactly as the run loop would, until at least
-        *need* more instructions are allotted; returns how many were
-        (each pick budget-clamped).
+    def next_slices(self, need: int) -> None:
+        """Close the slice in flight at its end and pick the same
+        thread's next slices, exactly as the run loop would, until at
+        least *need* more instructions are allotted (each pick
+        budget-clamped).
 
-        The caller has checked :meth:`slice_room` covers *need*.  The
-        picks are :meth:`Scheduler.extend`'s, which draws them as
-        :meth:`Scheduler.pick` would, one by one: the RNG stream and the
-        recorded slices are those of the per-slice loop.
+        The thread has run *need* instructions past the slice end
+        inside the room :meth:`slice_room` gave, so every pick is its
+        own.  The picks are :meth:`Scheduler.extend`'s.
         """
-        self.executed_total += self._slice_end - self._slice_start
+        self.executed_total += self.slice_end - self._slice_start
         budget = self._budget
         room = NO_TRAP if budget is None else budget - self.executed_total
         slice_, allotted, last, picks = self.scheduler.extend(
-            self._slice.tid, need, room)
+            (self._slice.tid,), need, room)
         self._slice = slice_
         # Every pick but the last is closed already.
         self.executed_total += allotted - last
-        self._slice_start = self._slice_end + allotted - last
-        self._slice_end += allotted
+        self._slice_start = self.slice_end + allotted - last
+        self.slice_end += allotted
         self._extended += picks
-        return allotted
 
     def _count_slices(self) -> None:
         obs = hooks.OBS

@@ -157,17 +157,18 @@ class Scheduler:
             self._picked = -1
         return entry
 
-    def extend(self, tid: int, need: int, room: int
+    def extend(self, tids: Sequence[int], need: int, room: int
                ) -> Tuple[ScheduleSlice, int, int, int]:
-        """Pick lone thread *tid*'s next slices until they allot at
-        least *need* instructions, each allotment clamped to what is
-        left of *room*.
+        """Pick the next slices among the sorted runnable *tids* until
+        they allot at least *need* instructions, each allotment clamped
+        to what is left of *room*.
 
         Returns ``(last slice, allotted, last allotment, picks)``.  The
         picks, their RNG draws and their trace entries are those of as
-        many :meth:`pick` calls; the jittered quanta are drawn back to
-        back, unless a parked remainder, a replay log, an overridden
-        :meth:`choose` or an unjittered quantum needs :meth:`pick`.
+        many :meth:`pick` calls over *tids*: the round-robin rotation
+        and the jittered quanta are drawn back to back, unless a parked
+        remainder, a replay log, an overridden :meth:`choose` or an
+        unjittered quantum needs :meth:`pick`.
         """
         spread = int(self.base_quantum * self.jitter)
         randbelow = self._randbelow
@@ -178,15 +179,24 @@ class Scheduler:
         width = 2 * spread + 1
         record = self.record
         trace = self.trace
-        tids = (tid,)
+        tid = self._next_index - 1
         allotted = picks = 0
         while allotted < need:
             if batch:
+                # choose()'s rotation: the first tid past the last pick,
+                # else wrap.
+                for candidate in tids:
+                    if candidate > tid:
+                        tid = candidate
+                        break
+                else:
+                    tid = tids[0]
                 quantum = low + randbelow(width)
                 if record:
                     trace.append(intern_slice(tid, quantum))
             else:
-                quantum = self.pick(tids).quantum
+                entry = self.pick(tids)
+                tid, quantum = entry.tid, entry.quantum
             last = room - allotted
             if quantum < last:
                 last = quantum

@@ -13,7 +13,7 @@ reproduction's analog of Pin's dynamic-instrumentation overhead
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.isa.instructions import Instruction
@@ -40,7 +40,10 @@ class Tool:
     Set it only if that call is equivalent for the tool to the entries
     it replaces (the BBV counter adds the members' instructions; the
     ROI watcher's first entries never fall inside a spin), and never
-    request a stop from it.
+    request a stop from it.  A tool that must see some entries one by
+    one (exact icount and cycles at a LoopPoint marker crossing) names
+    their PCs in ``watched_pcs``: a loop with a watched member entry
+    does not spin while it is attached.
     Marker tools (``wants_markers``) run on both
     dispatch tiers: superblocks end at MARKER, so compiled and
     interpreted blocks return to the dispatch header right after one
@@ -64,6 +67,8 @@ class Tool:
     #: Set true if a block tool may see a compiled loop's spin as one
     #: ``on_loop_exit`` call instead of its member entries (see above).
     accepts_loop_exits: bool = False
+    #: Block entry PCs no loop spin may pass (see above).
+    watched_pcs: FrozenSet[int] = frozenset()
     #: Snapshot slice (``pinplay`` or ``observe``) of :meth:`save_state`.
     SNAPSHOT_SLICE: str = ""
 

@@ -34,6 +34,7 @@ existing local ``farm run`` path runs unchanged on either layout.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -61,6 +62,18 @@ _VERSION = 1
 
 def shard_names(count: int) -> List[str]:
     return ["shard-%02d" % index for index in range(count)]
+
+
+#: What a pickled store leaves out and reopens from its root.
+_REOPENED = ("ring", "_stores", "block_hits", "block_repairs",
+             "record_repairs")
+
+
+@functools.lru_cache(maxsize=8)
+def _ring(names: tuple, vnodes: int) -> HashRing:
+    """The ring over *names*, built once per process: a pool worker
+    reopens the store for every task (see ShardedStore.__getstate__)."""
+    return HashRing(names, vnodes=vnodes)
 
 
 @dataclass
@@ -127,7 +140,7 @@ class ShardedStore(_Store):
             os.makedirs(root, exist_ok=True)
             _write_marker(root, names, vnodes)
         self.compress_level = compress_level
-        self.ring = HashRing(names, vnodes=vnodes)
+        self.ring = _ring(tuple(names), vnodes)
         self._stores = {name: ArtifactStore(os.path.join(root, name),
                                             compress_level=compress_level)
                         for name in names}
@@ -136,6 +149,23 @@ class ShardedStore(_Store):
         self.block_hits = {name: 0 for name in names}
         self.block_repairs = {name: 0 for name in names}
         self.record_repairs = {name: 0 for name in names}
+
+    def __getstate__(self) -> dict:
+        # A pooled FarmRunner ships its store with every task: send the
+        # root and shard count, not the ring and the per-shard stores
+        # (6.9 KB); __setstate__ reopens those from the marker, and the
+        # session counters start from zero there.
+        state = {name: value for name, value in vars(self).items()
+                 if name not in _REOPENED}
+        state["shard_count"] = len(self._stores)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        ShardedStore.__init__(self, state["root"],
+                              shards=state.pop("shard_count"),
+                              compress_level=state["compress_level"])
+        vars(self).update(state)
 
     @property
     def shards(self) -> List[str]:
@@ -325,7 +355,7 @@ class ShardedStore(_Store):
         """
         old_names = self.ring.shards
         new_names = shard_names(shards) if shards is not None else old_names
-        new_ring = HashRing(new_names, vnodes=self.ring.vnodes)
+        new_ring = _ring(tuple(new_names), self.ring.vnodes)
         stores = dict(self._stores)
         for name in new_names:
             if name not in stores:

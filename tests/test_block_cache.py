@@ -1298,6 +1298,331 @@ def test_block_tool_attached_mid_run_sees_only_true_entries(tier):
         assert tail == full[-len(tail):]
 
 
+# -- slice ends with several runnable threads ---------------------------------
+#
+# Every tier takes the next pick in place at a slice end while the
+# runnable set is stable, swapping threads inside its loop; a slice end
+# inside a block runs the block's prefix first.  The oracle is the
+# per-slice run loop itself: the slow tier with in-place picks turned
+# off, which returns to Machine.run at every slice end.  Whatever
+# changes the runnable set (a clone, a futex wake, a signal), a fault,
+# a budget stop or a tool attached mid-run must leave the schedule and
+# the architectural state the oracle leaves.
+
+
+def _oracle_run(image, seed, max_instructions=None, tool=None):
+    """The per-slice run loop's ``(machine, status)``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Machine, "next_slice", lambda self: None)
+        machine = Machine(seed=seed)
+        load_elf(machine, image)
+        machine.cpu.set_dispatch("slow")
+        machine.scheduler.record = True
+        if tool is not None:
+            machine.attach(tool)
+        return machine, machine.run(max_instructions=max_instructions)
+
+
+def _thread_boundaries(trace, tid=0):
+    """*tid*'s icount at each of its recorded slice ends."""
+    return _boundaries([entry for entry in trace if entry.tid == tid])
+
+
+_MT_FILLER = "\n".join(["    add rdx, 1"] * 6)
+
+#: Worker N bumps the shared counter in straight-line blocks (slice
+#: ends fall inside them) and raises its done flag; worker 1 may first
+#: wait on ``gate`` (FUTEX_WAIT while it reads 0); worker 4 is the one
+#: an event clones.
+_MT_WORKER = """
+worker{0}:
+{gate}
+    mov rcx, 60
+loop{0}:
+    ld rbx, [counter]
+    add rbx, 3
+    st [counter], rbx
+""" + _MT_FILLER + """
+    sub rcx, 1
+    cmp rcx, 0
+    jnz loop{0}
+    mov rbx, 1
+    st [done{0}], rbx
+    mov rax, 60
+    mov rdi, 0
+    syscall
+"""
+
+_MT_GATE = """
+    mov rdi, gate
+    mov rsi, 0
+    mov rdx, 0
+    mov rax, 202
+    syscall"""
+
+_MT_CLONE = """
+    mov rax, 56
+    mov rdi, 0x100
+    mov rsi, stack_top{0}
+    mov rdx, worker{0}
+    syscall"""
+
+_MT_DATA = """
+counter:
+    .quad 0
+signote:
+    .quad 0
+gate:
+    .quad 0
+scratch:
+    .quad 0
+sigact:
+    .quad sighandler
+    .quad 0
+""" + "".join("""
+done{0}:
+    .quad 0
+stack{0}:
+    .zero 1024
+stack_top{0}:
+    .quad 0
+""".format(index) for index in range(1, 5))
+
+
+def _mt_image(threads, main, head="", gate=False):
+    """Thread 0 runs *head*, clones ``threads - 1`` workers, then runs
+    *main*; a signal handler adds its signal number to ``signote``."""
+    source = "_start:\n{head}{clones}\n{main}\n{workers}".format(
+        head=head,
+        clones="".join(_MT_CLONE.format(index)
+                       for index in range(1, threads)),
+        main=main,
+        workers="".join(_MT_WORKER.format(
+            index, gate=_MT_GATE if gate and index == 1 else "")
+            for index in range(1, 5)))
+    source += """
+sighandler:
+    ld rcx, [signote]
+    add rcx, rdi
+    st [signote], rcx
+    mov rax, 15
+    syscall
+"""
+    return build_executable(source, data_source=_MT_DATA)
+
+
+def _counter_main(threads, pad=0, event="", marker=""):
+    """Thread 0's part of a counter program: *pad* nops, *event*, its
+    own bumps, then a wait for every worker and an exit with the
+    counter plus the signal note."""
+    waited = list(range(1, threads)) + (
+        [4] if "worker4" in event else [])
+    return """
+{pad}
+{event}
+    mov rcx, 40
+main:
+    ld rbx, [counter]
+    add rbx, 1
+    st [counter], rbx
+{marker}
+{filler}
+    sub rcx, 1
+    cmp rcx, 0
+    jnz main
+{waits}
+    ld rdi, [counter]
+    ld rsi, [signote]
+    add rdi, rsi
+    and rdi, 0xff
+    mov rax, 231
+    syscall
+""".format(pad="\n".join(["    nop"] * pad), event=event, marker=marker,
+           filler=_MT_FILLER, waits="".join("""
+wait{0}:
+    ld rbx, [done{0}]
+    cmp rbx, 1
+    jnz wait{0}""".format(index) for index in waited))
+
+
+_MT_SIGACTION = """
+    mov rax, 13
+    mov rdi, {0}
+    mov rsi, sigact
+    mov rdx, 0
+    syscall"""
+
+#: ``(head, event)`` per event; the event's last instruction is the
+#: syscall that changes the runnable set (or raises a signal).
+_MT_EVENTS = {
+    "clone": ("", _MT_CLONE.format(4)),
+    "kill": (_MT_SIGACTION.format(10), """
+    mov rax, 39
+    syscall
+    mov rdi, rax
+    mov rsi, 10
+    mov rax, 62
+    syscall"""),
+    "wake": ("", """
+    mov rbx, 1
+    st [gate], rbx
+    mov rdi, gate
+    mov rsi, 1
+    mov rdx, 1
+    mov rax, 202
+    syscall"""),
+}
+
+
+def _retired(source):
+    """Instructions in an assembly fragment (one per non-blank line)."""
+    return sum(1 for line in source.splitlines() if line.strip())
+
+
+@functools.lru_cache(maxsize=None)
+def _mt_event_case(event, threads, seed, delta):
+    """(image, oracle state, whether the event retired at a slice end)
+    for thread 0's *event* retiring *delta* instructions from its
+    second slice end."""
+    head, code = _MT_EVENTS[event]
+
+    def image(pad):
+        return _mt_image(threads, _counter_main(threads, pad, code), head,
+                         gate=event == "wake")
+
+    # Thread 0's slice ends before the event do not depend on the pad
+    # (nops), so a long-padded probe run finds them.
+    machine, _ = _oracle_run(image(300), seed)
+    target = _thread_boundaries(machine.scheduler.trace)[1] + delta
+    pad = target - _retired(head) - 5 * (threads - 1) - _retired(code)
+    assert 0 <= pad < 300
+    built = image(pad)
+    machine, status = _oracle_run(built, seed)
+    assert status.kind == "exit", status
+    at = target in _thread_boundaries(machine.scheduler.trace)
+    return built, _sched_state(machine, status), at
+
+
+@pytest.mark.parametrize("event, threads", [
+    ("clone", 2), ("clone", 3), ("kill", 2), ("kill", 4),
+    ("wake", 2), ("wake", 4)])
+def test_mt_event_at_slice_end(tier, event, threads):
+    """A clone, a self-kill or a futex wake retiring at (or next to) a
+    slice end while 2-4 threads run: the next pick sees the changed
+    runnable set or the pending signal, as on the per-slice loop."""
+    at_end = 0
+    for seed in range(3):
+        for delta in (-1, 0, 1):
+            image, reference, at = _mt_event_case(event, threads, seed,
+                                                  delta)
+            at_end += at and delta == 0
+            machine, status = _sched_run(image, tier, seed)
+            assert _sched_state(machine, status) == reference, (seed, delta)
+    assert at_end == 3
+
+
+@functools.lru_cache(maxsize=None)
+def _mt_fault_case(fault, threads, pad, seed):
+    """(image, oracle state, where thread 0's slice ends fell) for a
+    fault in thread 0's straight-line block while workers run."""
+    handler, fault_code = _FAULTS[fault]
+    main = """
+    mov rdi, scratch
+    mov rcx, 0
+again:
+{pad}
+    mov rsi, rcx
+    shr rsi, 3
+{fault}
+{tail}
+    add rcx, 1
+    jmp again
+""".format(pad="\n".join(["    add rbx, 1"] * pad), fault=fault_code,
+           tail="\n".join(["    add rbx, 2"] * _TAIL))
+    image = _mt_image(threads, main, handler)
+    machine, status = _oracle_run(image, seed)
+    assert status.kind == "signal"
+    at = machine.threads[0].icount       # instructions before the fault
+    start = at - (pad + 4)               # the faulting block
+    end = start + pad + 5 + _TAIL + 2
+    kinds = set()
+    for boundary in _thread_boundaries(machine.scheduler.trace):
+        if start < boundary < end:
+            kinds.add("prefix" if boundary > at else
+                      "at" if boundary == at else "crossed")
+    return image, _sched_state(machine, status), kinds
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_mt_fault_in_block_cut_by_slice_end(tier, fault):
+    """A fault in a block whose slice ends inside it, before, at or
+    after the fault, while 2-4 threads run: the faulting thread stops
+    at the same instruction with the same schedule."""
+    kinds = set()
+    for threads, seed in ((2, 0), (3, 1), (4, 2)):
+        for pad in range(60):
+            image, reference, where = _mt_fault_case(fault, threads, pad,
+                                                     seed)
+            kinds |= where
+            machine, status = _sched_run(image, tier, seed)
+            assert _sched_state(machine, status) == reference, \
+                (threads, pad)
+    assert kinds == {"prefix", "at", "crossed"}
+
+
+def test_mt_budget_stop_mid_slice_resumes(tier):
+    """Budget stops inside slices of 2-4 runnable threads, then a
+    snapshot round trip, resume digest-identical to a straight run."""
+    for threads in (2, 4):
+        image = _mt_image(threads, _counter_main(threads))
+        seed = threads
+        oracle, oracle_status = _oracle_run(image, seed)
+        reference = _sched_state(oracle, oracle_status)
+        boundaries = set(_boundaries(oracle.scheduler.trace))
+        inside = 0
+        for budget in range(401, oracle.executed_total, 97):
+            inside += budget not in boundaries
+            state = _stop_and_resume(image, tier, seed, budget)
+            # The budget cut splits one recorded slice in two;
+            # everything else matches the straight run.
+            assert state[:5] + state[6:] == reference[:5] + reference[6:]
+            stepped, stopped = _oracle_run(image, seed, budget)
+            assert stopped.kind == "stopped"
+            resumed = restore(capture(stepped))
+            resumed.cpu.set_dispatch("slow")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Machine, "next_slice", lambda self: None)
+                assert state == _sched_state(resumed, resumed.run())
+        assert inside >= 10
+
+
+def test_mt_tool_attached_mid_run_applies_next_slice(tier):
+    """A per-instruction tool attached from a marker hook while 2-4
+    threads run takes effect at the next slice end, as on the
+    per-slice loop."""
+    for threads in (2, 4):
+        image = _mt_image(threads, _counter_main(
+            threads, marker="    marker 0x42"))
+
+        def counted(run):
+            tool = _AttachAtMarker()
+            machine, status = run(tool)
+            return tool.counter.count, _sched_state(machine, status)
+
+        def fast(tool):
+            machine = Machine(seed=3)
+            load_elf(machine, image)
+            machine.cpu.set_dispatch(tier)
+            machine.scheduler.record = True
+            machine.attach(tool)
+            return machine, machine.run()
+
+        count, state = counted(fast)
+        assert count > 0
+        assert (count, state) == counted(
+            lambda tool: _oracle_run(image, 3, tool=tool))
+
+
 # -- compiled loops -----------------------------------------------------------
 #
 # Hot loops of up to compile.LOOP_BLOCKS blocks on one page run inside

@@ -19,6 +19,8 @@ from repro.core.cli import main
 from repro.core.elfie import prepare_elfie_machine
 from repro.farm import ArtifactStore, executed_jobs, read_manifest
 from repro.isa.instructions import Op
+from repro.looppoint.profile import LoopPointProfiler
+from repro.machine.cpu import set_default_dispatch
 from repro.looppoint import (
     MARKER_MAP_VERSION,
     MarkerMap,
@@ -170,6 +172,39 @@ def test_sync_crossings_excluded_from_vectors(mt_profile):
     sync_offsets = {m.offset for m in marker_map.sync_markers}
     for chunk in mt_profile.slices:
         assert not sync_offsets & set(chunk.vector)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_profile_spins_sync_loops_and_matches_per_instruction_tier(
+        mt_image, seed, monkeypatch):
+    """Work-marker crossings are watched, so each reaches the profiler
+    one by one with exact counters; compiled loops through sync markers
+    keep spinning and report their crossings in bulk.  The profile
+    equals the per-instruction tier's, field for field."""
+    spins = []
+    report = LoopPointProfiler.on_loop_exit
+
+    def counted(self, *args):
+        spins.append(args[-2:])
+        report(self, *args)
+
+    monkeypatch.setattr(LoopPointProfiler, "on_loop_exit", counted)
+
+    def profile(tier):
+        previous = set_default_dispatch(tier)
+        try:
+            return collect_looppoint(mt_image, seed=seed)
+        finally:
+            set_default_dispatch(previous)
+
+    reference = profile("slow")
+    assert not spins
+    got = profile("compiled")
+    assert spins, "no loop spun under the profiler"
+    assert got.slices == reference.slices
+    for field in ("total_icount", "total_cycles", "work_crossings",
+                  "sync_crossings", "exit_kind"):
+        assert getattr(got, field) == getattr(reference, field), field
 
 
 def test_spin_delay_does_not_change_marker_vectors(mt_profile):

@@ -131,12 +131,13 @@ def test_interned_choose_matches_reference(base_quantum, jitter):
 # -- batched slice-end picks --------------------------------------------------
 
 
-def _sequential_extend(scheduler, tid, need, room):
-    """The oracle for :meth:`Scheduler.extend`: one :meth:`pick` per
-    slice end, each allotment clamped to what is left of *room*."""
+def _sequential_extend(scheduler, tids, need, room):
+    """The oracle for :meth:`Scheduler.extend`: one :meth:`pick` over
+    *tids* per slice end, each allotment clamped to what is left of
+    *room*."""
     allotted = picks = 0
     while allotted < need:
-        entry = scheduler.pick([tid])
+        entry = scheduler.pick(list(tids))
         last = min(entry.quantum, room - allotted)
         allotted += last
         picks += 1
@@ -148,14 +149,24 @@ def _draw_state(scheduler):
             scheduler._next_index, scheduler._picked)
 
 
-def _assert_extend_matches_picks(got, want, draws, rounds, tids=(0, 1, 2)):
+def _assert_extend_matches_picks(got, want, draws, rounds,
+                                 universe=(0, 1, 2, 3)):
+    """Batches over a runnable set that changes between them: before
+    each, one thread of *universe* blocks (if another stays runnable)
+    or wakes, as a futex wait, a wake or a clone would."""
+    runnable = set(universe)
     for _ in range(rounds):
-        tid = draws.choice(tids)
+        tid = draws.choice(universe)
+        if tid in runnable and len(runnable) > 1:
+            runnable.discard(tid)
+        else:
+            runnable.add(tid)
+        tids = tuple(sorted(runnable))
         need = draws.randint(1, 6 * got.base_quantum)
         # Room from exactly *need* (the last allotment clamps) to none.
         room = draws.choice((need, need + draws.randrange(64), NO_TRAP))
-        assert got.extend(tid, need, room) \
-            == _sequential_extend(want, tid, need, room)
+        assert got.extend(tids, need, room) \
+            == _sequential_extend(want, tids, need, room)
         assert _draw_state(got) == _draw_state(want)
 
 
@@ -164,11 +175,34 @@ def _assert_extend_matches_picks(got, want, draws, rounds, tids=(0, 1, 2)):
 @pytest.mark.parametrize("record", [False, True])
 def test_batched_extend_matches_sequential_picks(base_quantum, jitter,
                                                  record):
+    """Batches for one runnable tid at a time, drawn from three, match
+    one pick per slice end."""
     for seed in range(4):
         got = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
         want = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
         got.record = want.record = record
-        _assert_extend_matches_picks(got, want, random.Random(seed), 200)
+        draws = random.Random(seed)
+        for _ in range(200):
+            _assert_extend_matches_picks(got, want, draws, 1,
+                                         (draws.choice((0, 1, 2)),))
+
+
+@pytest.mark.parametrize("base_quantum", [1, 2, 64])
+@pytest.mark.parametrize("jitter", [0.0, 0.5])
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("universe", [(0,), (0, 1), (0, 1, 2), (0, 2, 3, 5)])
+def test_batched_extend_over_changing_runnable_sets(base_quantum, jitter,
+                                                    record, universe):
+    """Batched picks rotate over one to four runnable tids exactly as
+    one pick per slice end does, across blocks and wakes."""
+    for seed in range(4):
+        got = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
+        want = Scheduler(seed=seed, base_quantum=base_quantum, jitter=jitter)
+        got.record = want.record = record
+        _assert_extend_matches_picks(got, want, random.Random(seed), 200,
+                                     universe)
+        if len(universe) > 1:
+            assert len({entry.tid for entry in want.trace}) > 1 or not record
 
 
 class _FixedQuantum(Scheduler):
@@ -191,7 +225,7 @@ def test_batched_extend_falls_back_to_pick():
     for scheduler in (got, want):
         scheduler.note_partial(scheduler.pick([0]), 10, resumable=True)
         assert scheduler.mid_slice
-    _assert_extend_matches_picks(got, want, random.Random(1), 1)
+    _assert_extend_matches_picks(got, want, random.Random(1), 1, (0,))
     assert not got.mid_slice
 
     log = [intern_slice(1, 20 + index % 7) for index in range(400)]

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 
@@ -52,6 +53,26 @@ def test_sharded_store_marker_pins_the_ring(tmp_path):
     # a conflicting count is an error, not a silent re-ring
     with pytest.raises(ValueError, match="rebalance"):
         ShardedStore(str(tmp_path), shards=5)
+
+
+def test_sharded_store_pickles_as_its_root(tmp_path):
+    """A pooled runner ships its store with every task: the pickle holds
+    the root and shard count (not the ring), and the copy reopens the
+    same ring and reads what the original wrote."""
+    store = ShardedStore(str(tmp_path), shards=3, compress_level=1)
+    keys = fill(store)
+    blob = pickle.dumps(store)
+    assert len(blob) < 512
+    copy = pickle.loads(blob)
+    assert copy.shards == store.shards
+    assert copy.compress_level == 1
+    assert all(copy.home_of_key(key) == store.home_of_key(key)
+               for key in keys)
+    assert {key: copy.get(key) for key in keys} == keys
+    # a store re-ringed since it was pickled is refused, not misread
+    store.rebalance(shards=4)
+    with pytest.raises(ValueError, match="rebalance"):
+        pickle.loads(blob)
 
 
 def test_open_store_dispatches_on_marker(tmp_path):
