@@ -65,11 +65,13 @@ class _CapturingRunner(FarmRunner):
         #: (stage, "args" | "result", payload)
         self.payloads = []
 
-    def _run_inline(self, job, args, kwargs, resume=None):
+    def _attempt(self, pending):
+        job = pending.job
         if not job.local:
-            self.payloads.append(
-                (job.stage, "args", self._task(job, args, kwargs, resume)))
-        super()._run_inline(job, args, kwargs, resume)
+            self.payloads.append((job.stage, "args", self._task(
+                job, pending.args, pending.kwargs,
+                self._resume_snapshot(job))))
+        super()._attempt(pending)
 
     def _settle(self, job, state, cache="", result=None, wall_s=0.0,
                 worker=None, **record):

@@ -122,12 +122,6 @@ class JobGraph:
         self._order.append(job.name)
         return job
 
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.jobs
-
     def order(self) -> List[str]:
         """Job names in (a) topological order: the insertion order."""
         return list(self._order)

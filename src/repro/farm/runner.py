@@ -2,29 +2,34 @@
 
 :class:`GraphRunner` holds the one DAG loop every campaign executor
 shares; :class:`FarmRunner` is the local executor (the networked one
-is :class:`repro.service.campaign.ServiceCampaignRunner`).  Rules:
+is :class:`repro.service.campaign.ServiceCampaignRunner`).  Every job
+follows one lifecycle, start -> attempt -> complete -> (retry |
+settle):
 
 - a job is *ready* once all dependencies completed successfully;
 - ready jobs whose memoization key is present in the artifact store are
   **cache hits**: the stored result is served without executing;
 - other ready jobs fan out across a process pool (``jobs=N``, default
-  ``os.cpu_count()``); ``jobs=1`` runs everything in-process, which is
-  also the reference semantics the pool must match;
-- a failing job is retried with capped exponential backoff, then marked
-  ``failed``; jobs downstream of a failure are marked ``blocked``.  A
-  worker that dies mid-job breaks the pool: every job it held fails
-  under the same rule, and the retries go to a fresh pool;
+  ``os.cpu_count()``); ``jobs=1`` and ``local`` jobs run in-process,
+  which is also the reference semantics the pool must match;
+- an attempt run in-process completes at once, through the same
+  handler as a pool future; a failed attempt is retried with capped
+  exponential backoff, then marked ``failed``; jobs downstream of a
+  failure are marked ``blocked``.  A worker that dies mid-job breaks
+  the pool: every job it held fails under the same rule, and the
+  retries go to a fresh pool;
+- with nothing ready, the loop blocks in the executor's wait until a
+  job completes or a retry comes due;
 - every terminal state appends one record to the run manifest.
 
 The process that runs a job commits its keyed result to the store
-(:func:`commit_result`): a pool worker right after the job body, the
-parent only for jobs it runs inline.  The result also travels back to
-the parent as an object, which ``expand`` callbacks, downstream
-``Ref``s and the campaign result need; the parent schedules, settles
-and writes the manifest.  Blocks are content-addressed and written by
-atomic rename, and the record is written last as the commit point, so
-concurrent commits need no locking, and the next campaign with
-unchanged keys is a warm run.
+right after the job body, which alone is timed (:func:`_call_job`).
+The result also travels back to the parent as an object, which
+``expand`` callbacks, downstream ``Ref``s and the campaign result
+need; the parent schedules, settles and writes the manifest.  Blocks
+are content-addressed and written by atomic rename, and the record is
+written last as the commit point, so concurrent commits need no
+locking, and the next campaign with unchanged keys is a warm run.
 """
 
 from __future__ import annotations
@@ -32,15 +37,22 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Container, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.farm.jobs import Job, JobGraph, resolve_refs
 from repro.farm.manifest import RunManifest
 from repro.farm.store import SNAPSHOT_PREFIX, ArtifactStore, StoreCorruption
 from repro.observe import hooks
+from repro.snapshot import preempt
+from repro.snapshot.preempt import Preempted
 
 
 class CampaignError(Exception):
@@ -53,28 +65,20 @@ class CampaignError(Exception):
         super().__init__("campaign failed: " + "; ".join(lines))
 
 
-def commit_result(store: Optional[ArtifactStore], key: str, kind: str,
-                  result: Any) -> None:
-    """Memoize a job's *result* under its *key* (no store or no key:
-    nothing to do).  A raised error fails the job like its body would."""
-    if store is not None and key:
-        store.put(key, result, kind)
-
-
 def _call_job(fn, args, kwargs, resume=None, store=None, key="", kind=""):
-    """Run one job body in this process (a pool worker or the parent)
-    and :func:`commit_result` its result; returns (pid, wall seconds of
-    the body alone, result)."""
-    if resume is not None:
-        # Seed the process-global preemption context so the job body
-        # resumes from the shipped checkpoint.
-        from repro.snapshot import preempt
-        preempt.GLOBAL.take_resume()  # drop any stale slot
-        preempt.set_resume(resume)
+    """Run one job body in this process (a pool worker, a service
+    worker or the parent) and commit its result to *store* (anything
+    with ``put(key, obj, kind)``) under *key*, if both are given; a
+    failed commit fails the job like its body would.  Returns (pid,
+    wall seconds of the body alone, result)."""
+    # Seed the process-global preemption context: the body resumes from
+    # *resume*, and a slot no earlier body claimed is stale.
+    preempt.set_resume(resume)
     start = time.perf_counter()
     result = fn(*args, **kwargs)
     wall = time.perf_counter() - start
-    commit_result(store, key, kind, result)
+    if store is not None and key:
+        store.put(key, result, kind)
     return os.getpid(), wall, result
 
 
@@ -121,7 +125,7 @@ class RunReport:
 
 @dataclass
 class _Pending:
-    """A farm job on its way through the pool (retries included)."""
+    """A job between its start and its settle (retries included)."""
 
     job: Job
     args: tuple
@@ -134,24 +138,28 @@ class GraphRunner:
     """The one campaign loop, shared by the local farm and the service.
 
     :meth:`run` owns every scheduling rule: readiness, ``Ref``
-    resolution, ``local`` jobs run inline under the retry rule, the
-    settle step (results, manifest record, ``expand`` callback),
+    resolution, the one retry rule (:meth:`_complete`), the settle step
+    (results, manifest record, ``expand`` callback),
     ``blocked``/``deferred`` settling and the strict
-    :class:`CampaignError`.  An executor only moves non-local jobs:
+    :class:`CampaignError`.  An executor only moves jobs:
 
-    - ``_start(job, args, kwargs)`` serves a ready job from its cache
-      or puts it in flight in ``self._inflight``;
-    - ``_poll()`` settles finished jobs; True if anything progressed;
-    - ``_store_result(job, result)`` memoizes a keyed job run inline
-      (a raised error fails the attempt);
-    - ``_busy()`` names the jobs not to schedule again (default: the
-      in-flight ones), ``_executor()`` holds per-run resources.
+    - ``_start(pending)`` serves a ready non-``local`` job from its
+      cache or hands it to ``_attempt``;
+    - ``_attempt(pending)`` runs one attempt: by default in this
+      process, completed at once; an executor may put a non-``local``
+      job in flight in ``self._inflight`` instead;
+    - ``_wait(timeout)`` blocks until an in-flight job completes (or
+      *timeout* seconds pass) and completes or settles it;
+    - ``_executor()`` holds per-run resources.
     """
 
     manifest: Optional[RunManifest] = None
     report: RunReport
-    #: default retry budget of a job run inline (None: one attempt),
-    #: with capped exponential backoff between attempts
+    #: where an attempt run in this process commits its keyed result
+    #: (anything with ``put(key, obj, kind)``)
+    store: Any = None
+    #: default retry budget of a job (None: one attempt), with capped
+    #: exponential backoff between attempts
     retries: Optional[int] = None
     backoff = 0.05
     max_backoff = 2.0
@@ -169,39 +177,43 @@ class GraphRunner:
         self._graph, self._results = graph, {}
         self._done: Dict[str, str] = {}  # name -> terminal state
         self._inflight: Dict[str, Any] = {}
+        self._retry_at: Dict[str, tuple] = {}  # name -> (due, _Pending)
         with self._executor():
             while True:
-                progressed = False
-                if not self._preempt_requested():  # draining: poll only
-                    for job in self._ready():
-                        args = resolve_refs(job.args, self._results)
-                        kwargs = resolve_refs(job.kwargs, self._results)
+                if self._preempt_requested():  # draining: wait only
+                    self._retry_at.clear()  # deferred with the rest
+                else:
+                    now = time.monotonic()
+                    for name, (due, pending) in list(self._retry_at.items()):
+                        if due <= now:
+                            del self._retry_at[name]
+                            self._attempt(pending)
+                    ready = self._ready()
+                    for job in ready:
+                        pending = _Pending(
+                            job, resolve_refs(job.args, self._results),
+                            resolve_refs(job.kwargs, self._results))
                         if job.local:
-                            self._run_inline(job, args, kwargs)
+                            self._attempt(pending)
                         else:
-                            self._start(job, args, kwargs)
-                        progressed = True
-                progressed |= self._poll()
-                busy = self._busy()
-                remaining = [name for name in graph.order()
-                             if name not in self._done]
-                if not remaining and not busy:
+                            self._start(pending)
+                    if ready:
+                        continue  # in-process completions ready more
+                if self._inflight:
+                    self._wait(self._until_retry())
+                elif self._retry_at:
+                    time.sleep(self._until_retry())  # nothing in flight
+                else:
                     break
-                if progressed:
-                    continue
-                if busy:
-                    time.sleep(0.003)
-                    continue
-                # nothing in flight and nothing ready: drained after a
-                # preemption (the rest resumes from the store next
-                # run), or waiting on a dependency that never ran
-                state, error = (("deferred", "campaign preempted")
-                                if self._preempt_requested() else
-                                ("blocked", "dependency never completed"))
-                for name in remaining:
-                    self._settle(graph.jobs[name], state, "none",
-                                 error=error)
-                break
+        # nothing in flight and nothing ready: drained after a
+        # preemption (the rest resumes from the store next run), or
+        # waiting on a dependency that never ran
+        state, error = (("deferred", "campaign preempted")
+                        if self._preempt_requested() else
+                        ("blocked", "dependency never completed"))
+        for name in graph.order():
+            if name not in self._done:
+                self._settle(graph.jobs[name], state, "none", error=error)
         if strict and self.report.failures:
             raise CampaignError(dict(self.report.failures))
         return self._results
@@ -210,17 +222,15 @@ class GraphRunner:
         """Context holding one run's executor resources."""
         return contextlib.nullcontext()
 
-    def _busy(self) -> Container[str]:
-        return self._inflight
-
     def _ready(self) -> List[Job]:
-        """Jobs whose dependencies all succeeded, not yet done or busy;
-        jobs downstream of a failure are settled ``blocked`` on the
-        way."""
-        done, busy = self._done, self._busy()
+        """Jobs whose dependencies all succeeded, not yet done, in
+        flight or waiting to retry; jobs downstream of a failure are
+        settled ``blocked`` on the way."""
+        done = self._done
         ready: List[Job] = []
         for name in self._graph.order():
-            if name in done or name in busy:
+            if name in done or name in self._inflight or \
+                    name in self._retry_at:
                 continue
             job = self._graph.jobs[name]
             failed = [dep for dep in job.deps
@@ -283,77 +293,99 @@ class GraphRunner:
         if state == "ok" and job.expand is not None:
             job.expand(result, self._graph, self._results)
 
-    def _run_inline(self, job: Job, args: tuple, kwargs: dict,
-                    resume: Any = None) -> None:
-        """Run *job* in this process under the retry rule, settle it."""
-        attempts = 1
-        while True:
-            start = time.perf_counter()
-            try:
-                worker, wall, result = _call_job(job.fn, args, kwargs,
-                                                 resume)
-                if job.key:
-                    self._store_result(job, result)
-            except Exception as exc:
-                if self._preempted(job, exc, time.perf_counter() - start,
-                                   os.getpid(), attempts):
-                    return
-                if attempts >= self._attempts(job):
-                    self._settle(job, "failed", worker=os.getpid(),
-                                 attempts=attempts, error="%s: %s" % (
-                                     type(exc).__name__, exc))
-                    return
-                time.sleep(self._delay(attempts))
-                attempts += 1
-                continue
-            self._settle(job, "ok", result=result, wall_s=wall,
-                         worker=worker, attempts=attempts,
-                         icount=_job_icount(result))
+    def _until_retry(self) -> Optional[float]:
+        """Seconds until the next retry comes due (None: no retry)."""
+        if not self._retry_at:
+            return None
+        due = min(due for due, _ in self._retry_at.values())
+        return max(0.0, due - time.monotonic())
+
+    def _task(self, job: Job, args: tuple, kwargs: dict,
+              resume: Any = None) -> tuple:
+        """The :func:`_call_job` arguments of one attempt of *job*: the
+        process that runs it commits the result to ``self.store``."""
+        return job.fn, args, kwargs, resume, self.store, job.key, job.kind
+
+    def _attempt(self, pending: _Pending) -> None:
+        """Run one attempt of *pending* in this process and complete it."""
+        job = pending.job
+        outcome: Future = Future()
+        try:
+            outcome.set_result(_call_job(*self._task(
+                job, pending.args, pending.kwargs,
+                self._resume_snapshot(job))))
+        except Exception as exc:
+            outcome.set_exception(exc)
+        self._complete(pending, outcome)
+
+    def _complete(self, pending: _Pending, outcome: Future) -> None:
+        """The one retry rule: settle *pending* from its attempt's
+        *outcome*, or queue its next attempt after a capped exponential
+        backoff."""
+        job, attempts = pending.job, pending.attempts
+        try:
+            worker, wall, result = outcome.result()
+        except Exception as exc:
+            retries = job.retries if job.retries is not None else self.retries
+            if self.preemptible and isinstance(exc, Preempted):
+                # park the checkpoint; the next campaign resumes from it
+                if job.key and self.store is not None:
+                    self.store.put(self.snapshot_key(job.key),
+                                   exc.snapshot, "snapshot")
+                self._settle(job, "preempted", attempts=attempts,
+                             error=str(exc))
+            elif attempts <= (retries or 0):
+                delay = min(self.backoff * 2 ** (attempts - 1),
+                            self.max_backoff)
+                self._retry_at[job.name] = (time.monotonic() + delay,
+                                            pending)
+                pending.attempts += 1
+            else:
+                self._settle(job, "failed", attempts=attempts,
+                             error="%s: %s" % (type(exc).__name__, exc))
             return
-
-    def _attempts(self, job: Job) -> int:
-        retries = job.retries if job.retries is not None else self.retries
-        return 1 + (retries or 0)
-
-    def _delay(self, attempt: int) -> float:
-        return min(self.backoff * (2 ** (attempt - 1)), self.max_backoff)
+        # the attempt committed the result; only the resume checkpoint
+        # is left to clean up
+        self._drop_resume_snapshot(job)
+        self._settle(job, "ok", result=result, wall_s=wall, worker=worker,
+                     attempts=attempts, icount=_job_icount(result))
 
     def _preempt_requested(self) -> bool:
-        if not self.preemptible:
-            return False
-        from repro.snapshot import preempt
-        return preempt.requested()
+        return self.preemptible and preempt.requested()
 
-    def _preempted(self, job: Job, exc: Exception, wall_s: float,
-                   worker: Any, attempts: int) -> bool:
-        """Park the checkpoint of a preempted job body; False if *exc*
-        is an ordinary failure."""
-        if not self.preemptible:
-            return False
-        from repro.snapshot.preempt import Preempted
-        if not isinstance(exc, Preempted):
-            return False
-        self._save_preemption(job, exc.snapshot)
-        self._settle(job, "preempted", wall_s=wall_s, worker=worker,
-                     attempts=attempts, error=str(exc))
-        return True
+    @staticmethod
+    def snapshot_key(job_key: str) -> str:
+        return SNAPSHOT_PREFIX + job_key
+
+    def _resume_snapshot(self, job: Job):
+        """The parked checkpoint for *job*, if a prior run left one."""
+        if not (self.preemptible and job.key and self.store is not None):
+            return None
+        snap_key = self.snapshot_key(job.key)
+        try:
+            if self.store.contains(snap_key):
+                return self.store.get(snap_key)
+        except StoreCorruption:
+            self.store.delete(snap_key)
+        return None
+
+    def _drop_resume_snapshot(self, job: Job) -> None:
+        """The job settled: its resume checkpoint is garbage now."""
+        if self.preemptible and job.key and self.store is not None:
+            self.store.delete(self.snapshot_key(job.key))
 
 
 class FarmRunner(GraphRunner):
     """Executes :class:`JobGraph`s with memoization, retries, fan-out."""
 
+    retries = 2
+
     def __init__(self, store: Optional[ArtifactStore] = None,
                  jobs: Optional[int] = None,
-                 retries: int = 2,
-                 backoff: float = 0.05,
-                 max_backoff: float = 2.0,
                  manifest_path: Optional[str] = None,
                  preemptible: bool = False) -> None:
         self.store = store
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
         self.manifest = RunManifest(manifest_path) if manifest_path else None
         #: cooperate with :mod:`repro.snapshot.preempt`: stop scheduling
         #: once a preemption is requested, persist checkpoints raised by
@@ -362,13 +394,8 @@ class FarmRunner(GraphRunner):
         self.preemptible = preemptible
         self.report = RunReport()
 
-    @staticmethod
-    def snapshot_key(job_key: str) -> str:
-        return SNAPSHOT_PREFIX + job_key
-
     @contextlib.contextmanager
     def _executor(self) -> Iterator[None]:
-        self._retry_at: Dict[str, tuple] = {}  # name -> (when, _Pending)
         self._pool = self._new_pool()
         try:
             yield
@@ -394,11 +421,9 @@ class FarmRunner(GraphRunner):
                 process.kill()
         pool.shutdown(wait=True, cancel_futures=kill)
 
-    def _busy(self) -> Container[str]:
-        return self._inflight.keys() | self._retry_at.keys()
-
-    def _start(self, job: Job, args: tuple, kwargs: dict) -> None:
+    def _start(self, pending: _Pending) -> None:
         # the cache lookup happens here, in the parent
+        job = pending.job
         if job.key and self.store is not None and \
                 self.store.contains(job.key):
             try:
@@ -410,91 +435,30 @@ class FarmRunner(GraphRunner):
             else:
                 self._settle(job, "ok", "hit", result)
                 return
-        self._launch(_Pending(job, args, kwargs))
+        self._attempt(pending)
 
-    def _task(self, job: Job, args: tuple, kwargs: dict,
-              resume: Any = None) -> tuple:
-        """The :func:`_call_job` arguments the pool ships for one
-        attempt of *job*: the worker commits the result to this
-        runner's store itself."""
-        return job.fn, args, kwargs, resume, self.store, job.key, job.kind
-
-    def _launch(self, pending: _Pending) -> None:
-        job = pending.job
-        resume = self._resume_snapshot(job)
-        if self._pool is None:
-            self._run_inline(job, pending.args, pending.kwargs, resume)
+    def _attempt(self, pending: _Pending) -> None:
+        if self._pool is None or pending.job.local:
+            super()._attempt(pending)
             return
-        task = self._task(job, pending.args, pending.kwargs, resume)
+        job = pending.job
+        task = self._task(job, pending.args, pending.kwargs,
+                          self._resume_snapshot(job))
         try:
             pending.future = self._pool.submit(_call_job, *task)
         except BrokenProcessPool:
             # a worker died: the broken pool failed every job it held
-            # (settled or retried by _poll); later attempts get a new one
+            # (each completes under the retry rule); later attempts get
+            # a new one
             self._close_pool(kill=True)
             self._pool = self._new_pool()
             pending.future = self._pool.submit(_call_job, *task)
         self._inflight[job.name] = pending
 
-    def _poll(self) -> bool:
-        progressed = False
-        if self._preempt_requested():
-            self._retry_at.clear()  # deferred with the rest of the graph
-        now = time.time()
-        for name, (when, pending) in list(self._retry_at.items()):
-            if when <= now:
-                del self._retry_at[name]
-                self._launch(pending)
-                progressed = True
+    def _wait(self, timeout: Optional[float]) -> None:
+        futures = [pending.future for pending in self._inflight.values()]
+        done, _ = wait(futures, timeout, FIRST_COMPLETED)
         for name, pending in list(self._inflight.items()):
-            if not pending.future.done():
-                continue
-            del self._inflight[name]
-            progressed = True
-            job = pending.job
-            try:
-                worker, wall, result = pending.future.result()
-            except Exception as exc:
-                if self._preempted(job, exc, 0.0, None, pending.attempts):
-                    continue
-                if pending.attempts < self._attempts(job):
-                    self._retry_at[name] = (
-                        time.time() + self._delay(pending.attempts),
-                        pending)
-                    pending.attempts += 1
-                else:
-                    self._settle(job, "failed", attempts=pending.attempts,
-                                 error="%s: %s" % (type(exc).__name__, exc))
-                continue
-            # the worker committed the result; only the resume
-            # checkpoint is the parent's to clean up
-            self._drop_resume_snapshot(job)
-            self._settle(job, "ok", result=result, wall_s=wall,
-                         worker=worker, attempts=pending.attempts,
-                         icount=_job_icount(result))
-        return progressed
-
-    def _store_result(self, job: Job, result: Any) -> None:
-        commit_result(self.store, job.key, job.kind, result)
-        self._drop_resume_snapshot(job)
-
-    def _drop_resume_snapshot(self, job: Job) -> None:
-        """The job settled: its resume checkpoint is garbage now."""
-        if self.preemptible and job.key and self.store is not None:
-            self.store.delete(self.snapshot_key(job.key))
-
-    def _resume_snapshot(self, job: Job):
-        """The parked checkpoint for *job*, if a prior run left one."""
-        if not (self.preemptible and job.key and self.store is not None):
-            return None
-        snap_key = self.snapshot_key(job.key)
-        try:
-            if self.store.contains(snap_key):
-                return self.store.get(snap_key)
-        except StoreCorruption:
-            self.store.delete(snap_key)
-        return None
-
-    def _save_preemption(self, job: Job, snapshot) -> None:
-        if job.key and self.store is not None:
-            self.store.put(self.snapshot_key(job.key), snapshot, "snapshot")
+            if pending.future in done:
+                del self._inflight[name]
+                self._complete(pending, pending.future)

@@ -292,12 +292,6 @@ class Machine:
         return [t.tid for t in self.threads.values()
                 if t.alive and not t.blocked]
 
-    @property
-    def running(self) -> bool:
-        return self.exit_status is None and any(
-            t.runnable for t in self.threads.values()
-        )
-
     def stdout(self) -> bytes:
         return bytes(self.kernel.fdt.stdout)
 

@@ -18,9 +18,12 @@ local :class:`repro.farm.runner.FarmRunner` shares:
   store, plus in-flight dedup: two clients racing the same campaign
   share single executions and both fetch the same artifacts.
 
+The executor keeps only what is remote: ``submit`` (with its
+``cached`` and ``duplicate`` answers) and the ``wait`` long-poll.
 Remote failures follow the server's retry policy (lease expiry
-re-queues, N retries, then ``failed``); ``local`` jobs get one attempt
-unless *retries* says otherwise.
+re-queues, N retries, then ``failed``); ``local`` jobs run in this
+process under the shared loop's retry rule, one attempt unless the
+job's ``retries`` says otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Any, Dict, Optional
 
 from repro.farm.jobs import Job
 from repro.farm.manifest import RunManifest
-from repro.farm.runner import GraphRunner, RunReport
+from repro.farm.runner import GraphRunner, RunReport, _Pending
 from repro.service.client import ServiceClient, ServiceError
 
 #: How long one ``wait`` long-poll blocks server-side.
@@ -43,14 +46,14 @@ class ServiceCampaignRunner(GraphRunner):
 
     def __init__(self, client: ServiceClient,
                  manifest_path: Optional[str] = None,
-                 run_id: str = "", priority: int = 0,
-                 retries: Optional[int] = None) -> None:
+                 run_id: str = "", priority: int = 0) -> None:
         self.client = client
+        #: a ``local`` job run in this process commits over the wire
+        self.store = client
         self.manifest = RunManifest(manifest_path) if manifest_path else None
         self.run_id = run_id or ("run-%d-%d" % (os.getpid(),
                                                 int(time.time() * 1000)))
         self.priority = priority
-        self.retries = retries
         self.report = RunReport()
 
     def _result_key(self, job: Job) -> str:
@@ -58,13 +61,13 @@ class ServiceCampaignRunner(GraphRunner):
         # scope it to this run so concurrent campaigns cannot collide
         return job.key or "svc/%s/%s" % (self.run_id, job.name)
 
-    def _start(self, job: Job, args: tuple, kwargs: dict) -> None:
+    def _start(self, pending: _Pending) -> None:
+        job = pending.job
         submit = dict(
-            name=job.name, fn=job.fn, args=args, kwargs=kwargs,
-            key=job.key, result_key=self._result_key(job),
-            kind=job.kind, stage=job.stage, priority=self.priority,
-            retries=job.retries if job.retries is not None
-            else self.retries)
+            name=job.name, fn=job.fn, args=pending.args,
+            kwargs=pending.kwargs, key=job.key,
+            result_key=self._result_key(job), kind=job.kind,
+            stage=job.stage, priority=self.priority, retries=job.retries)
         response = self.client.submit(**submit)
         if response["status"] == "cached":
             try:
@@ -78,19 +81,16 @@ class ServiceCampaignRunner(GraphRunner):
         self._inflight[job.name] = (response["job"]["job_id"],
                                     response["status"] == "duplicate")
 
-    def _poll(self) -> bool:
-        if not self._inflight:
-            return False
+    def _wait(self, timeout: Optional[float]) -> None:
         states = self.client.wait(
             [job_id for job_id, _ in self._inflight.values()],
-            timeout_s=_WAIT_SLICE_S)
-        progressed = False
+            timeout_s=_WAIT_SLICE_S if timeout is None
+            else min(timeout, _WAIT_SLICE_S))
         for name, (job_id, duplicate) in list(self._inflight.items()):
             view = states.get(job_id)
             if view is None or view["state"] in ("queued", "leased"):
                 continue
             del self._inflight[name]
-            progressed = True
             job = self._graph.jobs[name]
             # a duplicate shared another client's execution of a key
             cache = "hit" if duplicate and job.key else ""
@@ -104,10 +104,6 @@ class ServiceCampaignRunner(GraphRunner):
             else:
                 self._settle(job, "failed", cache,
                              error=view.get("error") or view["state"], **ran)
-        return progressed
-
-    def _store_result(self, job: Job, result: Any) -> None:
-        self.client.put_artifact(job.key, result, job.kind)
 
 
 def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,

@@ -208,6 +208,12 @@ class ServiceClient:
                   blocks=protocol.pack_blocks(blocks))
         return kind
 
+    def put(self, key: str, obj: Any, kind: str = "") -> str:
+        """:meth:`put_artifact` under the store's name, so a job run
+        through :func:`repro.farm.runner._call_job` commits over the
+        wire."""
+        return self.put_artifact(key, obj, kind)
+
     def get_artifact(self, key: str) -> Any:
         """Download and decode the artifact stored under *key*.
 

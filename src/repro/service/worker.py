@@ -1,8 +1,10 @@
 """The service worker: lease, execute, upload, complete — forever.
 
 A worker is a plain process (no asyncio) that long-polls ``lease``,
-unpickles the job payload, runs it, uploads the result through
-``put-artifact``, and reports ``complete``.  While the job runs, a
+unpickles the job payload, runs it through the farm's body runner
+(:func:`repro.farm.runner._call_job`, which seeds the resume
+checkpoint, times the body alone and uploads the result through
+``put-artifact``), and reports ``complete``.  While the job runs, a
 background thread heartbeats the lease on a **second** connection so a
 long-running checkpoint replay cannot time out merely for being slow —
 only a dead or wedged worker loses its lease.
@@ -33,7 +35,7 @@ import threading
 import time
 from typing import Optional
 
-from repro.farm.runner import _job_icount
+from repro.farm.runner import _call_job, _job_icount
 from repro.farm.store import SNAPSHOT_PREFIX
 from repro.observe import hooks
 from repro.service.client import (
@@ -177,41 +179,37 @@ class ServiceWorker:
             self._execute(grant)
         return self.jobs_done
 
-    def _seed_resume(self, grant: dict) -> None:
-        """Park a re-leased job's checkpoint for its body to claim."""
-        preempt.GLOBAL.take_resume()  # drop any unclaimed stale slot
+    def _resume(self, grant: dict):
+        """A re-leased job's checkpoint (None: start cold)."""
         key = str(grant.get("snapshot_key", "") or "")
         if not key:
-            return
+            return None
         try:
             snapshot = self.client.get_artifact(key)
         except Exception:
-            return  # missing/corrupt checkpoint: start cold
-        preempt.set_resume(snapshot)
+            return None  # missing/corrupt checkpoint: start cold
         obs = hooks.OBS
         if obs.enabled:
             obs.count("service.worker.resumes")
+        return snapshot
 
     def _execute(self, grant: dict) -> None:
         lease_id = grant["lease_id"]
         heartbeat_s = float(grant.get("heartbeat_s", 1.0))
         obs = hooks.OBS
-        start = time.perf_counter()
         self._current_lease = lease_id
         try:
             with _Heartbeat(self.pulse, lease_id, heartbeat_s) as pulse:
-                ok, error, icount = True, "", None
-                snapshot = None
+                ok, error, wall, icount, snapshot = True, "", 0.0, None, None
                 try:
                     fn, args, kwargs = decode_payload(grant["payload"])
-                    self._seed_resume(grant)
-                    result = fn(*args, **kwargs)
+                    # the shared body runner seeds the resume slot,
+                    # times the body alone and uploads the result
+                    _, wall, result = _call_job(
+                        fn, args, kwargs, self._resume(grant), self.client,
+                        grant.get("result_key") or grant.get("memo_key"),
+                        grant.get("kind", ""))
                     icount = _job_icount(result)
-                    result_key = (grant.get("result_key")
-                                  or grant.get("memo_key"))
-                    if result_key:
-                        self.client.put_artifact(result_key, result,
-                                                 grant.get("kind", ""))
                 except Preempted as exc:
                     snapshot = exc.snapshot
                 except Exception as exc:
@@ -219,7 +217,6 @@ class ServiceWorker:
                     error = "%s: %s" % (type(exc).__name__, exc)
                     if obs.enabled:
                         obs.count("service.worker.errors")
-            wall = time.perf_counter() - start
             if pulse.lost:
                 # the lease was reaped under us: the job re-ran
                 # elsewhere, so our completion (and artifact) must not
@@ -233,7 +230,7 @@ class ServiceWorker:
                     self.client.put_artifact(snap_key, snapshot, "snapshot")
                     self.client.complete(lease_id, preempted=True,
                                          snapshot_key=snap_key,
-                                         wall_s=wall, worker=self.name)
+                                         worker=self.name)
                 else:
                     self.client.complete(lease_id, ok=ok, error=error,
                                          wall_s=wall, icount=icount,

@@ -70,7 +70,7 @@ class PreemptionContext:
 
     # -- resume side (worker -> job body handoff) ------------------------
 
-    def set_resume(self, snapshot: "MachineSnapshot") -> None:
+    def set_resume(self, snapshot: Optional["MachineSnapshot"]) -> None:
         with self._lock:
             self._resume = snapshot
 
@@ -107,7 +107,7 @@ def reset() -> None:
     GLOBAL.reset()
 
 
-def set_resume(snapshot: "MachineSnapshot") -> None:
+def set_resume(snapshot: Optional["MachineSnapshot"]) -> None:
     GLOBAL.set_resume(snapshot)
 
 

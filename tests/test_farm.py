@@ -386,13 +386,14 @@ def test_runner_local_jobs_stay_in_parent(tmp_path):
     assert results["here"] == os.getpid()
 
 
-def test_runner_retries_then_succeeds_inline(tmp_path):
+def test_runner_retries_then_succeeds_inline(tmp_path, monkeypatch):
+    monkeypatch.setattr(FarmRunner, "backoff", 0.001)
     counter = str(tmp_path / "calls")
     graph = JobGraph()
     graph.add(Job(name="flaky", fn=_flaky, args=(counter, 2, "ok"),
                   retries=3))
     manifest = str(tmp_path / "run.jsonl")
-    runner = FarmRunner(None, jobs=1, backoff=0.001, manifest_path=manifest)
+    runner = FarmRunner(None, jobs=1, manifest_path=manifest)
     results = runner.run(graph)
     assert results["flaky"] == "ok"
     record = read_manifest(manifest)[0]
@@ -400,12 +401,13 @@ def test_runner_retries_then_succeeds_inline(tmp_path):
     assert record["attempts"] == 3
 
 
-def test_runner_retries_then_succeeds_in_pool(tmp_path):
+def test_runner_retries_then_succeeds_in_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(FarmRunner, "backoff", 0.001)
     counter = str(tmp_path / "calls")
     graph = JobGraph()
     graph.add(Job(name="flaky", fn=_flaky, args=(counter, 1, "ok")))
     manifest = str(tmp_path / "run.jsonl")
-    runner = FarmRunner(None, jobs=2, backoff=0.001, manifest_path=manifest)
+    runner = FarmRunner(None, jobs=2, manifest_path=manifest)
     results = runner.run(graph)
     assert results["flaky"] == "ok"
     record = read_manifest(manifest)[0]
@@ -414,13 +416,13 @@ def test_runner_retries_then_succeeds_in_pool(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_runner_surfaces_permanent_failure(tmp_path, jobs):
+def test_runner_surfaces_permanent_failure(tmp_path, jobs, monkeypatch):
+    monkeypatch.setattr(FarmRunner, "backoff", 0.001)
     graph = JobGraph()
     graph.add(Job(name="doomed", fn=_always_fail, retries=1))
     graph.add(Job(name="downstream", fn=_identity, args=(Ref("doomed"),)))
     manifest = str(tmp_path / "run.jsonl")
-    runner = FarmRunner(None, jobs=jobs, backoff=0.001,
-                        manifest_path=manifest)
+    runner = FarmRunner(None, jobs=jobs, manifest_path=manifest)
     with pytest.raises(CampaignError) as excinfo:
         runner.run(graph)
     assert "doomed" in excinfo.value.failures
@@ -432,12 +434,13 @@ def test_runner_surfaces_permanent_failure(tmp_path, jobs):
     assert "doomed" in by_job["downstream"]["error"]
 
 
-def test_runner_non_strict_returns_partial_results(tmp_path):
+def test_runner_non_strict_returns_partial_results(tmp_path, monkeypatch):
+    monkeypatch.setattr(FarmRunner, "backoff", 0.001)
     graph = JobGraph()
     graph.add(Job(name="fine", fn=_identity, args=(1,)))
     graph.add(Job(name="doomed", fn=_always_fail, retries=0))
     graph.add(Job(name="blocked", fn=_identity, args=(Ref("doomed"),)))
-    runner = FarmRunner(None, jobs=1, backoff=0.001)
+    runner = FarmRunner(None, jobs=1)
     results = runner.run(graph, strict=False)
     assert results == {"fine": 1}
     assert runner.report.states == {"fine": "ok", "doomed": "failed",

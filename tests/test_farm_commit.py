@@ -165,14 +165,16 @@ def _double(value):
 
 
 def test_worker_death_fails_the_job_under_the_retry_rule(tmp_path,
-                                                         deadline):
+                                                         deadline,
+                                                         monkeypatch):
+    monkeypatch.setattr(FarmRunner, "backoff", 0.001)
     marker = str(tmp_path / "died")
     manifest = str(tmp_path / "run.jsonl")
     graph = JobGraph()
     graph.add(Job(name="victim", fn=_die_on_first_attempt,
                   args=(marker, "survived")))
     graph.add(Job(name="bystander", fn=_double, args=(21,)))
-    runner = FarmRunner(None, jobs=2, backoff=0.001, manifest_path=manifest)
+    runner = FarmRunner(None, jobs=2, manifest_path=manifest)
     results = runner.run(graph)
     assert results == {"victim": "survived", "bystander": 42}
     assert os.path.exists(marker)
@@ -181,11 +183,13 @@ def test_worker_death_fails_the_job_under_the_retry_rule(tmp_path,
     assert records["victim"]["attempts"] == 2
 
 
-def test_worker_death_exhausting_retries_fails_the_job(tmp_path, deadline):
+def test_worker_death_exhausting_retries_fails_the_job(tmp_path, deadline,
+                                                       monkeypatch):
+    monkeypatch.setattr(FarmRunner, "backoff", 0.001)
     graph = JobGraph()
     graph.add(Job(name="victim", fn=_die_on_first_attempt,
                   args=(str(tmp_path / "died"), "survived"), retries=0))
-    runner = FarmRunner(None, jobs=2, backoff=0.001)
+    runner = FarmRunner(None, jobs=2)
     runner.run(graph, strict=False)
     assert runner.report.states == {"victim": "failed"}
     assert "BrokenProcessPool" in runner.report.failures["victim"]
