@@ -856,12 +856,20 @@ def build_parser() -> argparse.ArgumentParser:
     looppoint_sub = looppoint.add_subparsers(dest="looppoint_command",
                                              required=True)
 
+    def _input_flag(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--input", default="train",
+                            choices=("test", "train", "ref"))
+
+    def _cluster_flags(parser: argparse.ArgumentParser) -> None:
+        """How many clusters, and alternates per cluster, to select."""
+        parser.add_argument("--max-k", type=int, default=12)
+        parser.add_argument("--alternates", type=int, default=2)
+
     def _looppoint_common(parser: argparse.ArgumentParser) -> None:
         target = parser.add_mutually_exclusive_group(required=True)
         target.add_argument("--binary", help="PX ELF executable to analyse")
         target.add_argument("--app", help="suite app name, e.g. mt.prodcons")
-        parser.add_argument("--input", default="train",
-                            choices=("test", "train", "ref"))
+        _input_flag(parser)
         parser.add_argument("--slice-markers", type=int, default=None,
                             help="work-marker crossings per slice")
         parser.add_argument("--seed", type=int, default=0)
@@ -869,26 +877,23 @@ def build_parser() -> argparse.ArgumentParser:
     def _selection_flags(parser: argparse.ArgumentParser) -> None:
         """The clustering flags ``looppoint select`` and ``validate``
         share."""
-        parser.add_argument("--max-k", type=int, default=12)
+        _cluster_flags(parser)
         parser.add_argument("--cluster-seed", type=int, default=42)
         parser.add_argument("--warmup-slices", type=int, default=None,
                             help="warmup depth in whole marker slices")
-        parser.add_argument("--alternates", type=int, default=2)
 
     def _campaign_flags(parser: argparse.ArgumentParser) -> None:
         """The campaign flags ``farm run`` and ``service submit`` share."""
         parser.add_argument("--app", action="append", required=True,
                             help="suite app name (repeatable), e.g. "
                                  "502.gcc_r")
-        parser.add_argument("--input", default="train",
-                            choices=("test", "train", "ref"))
+        _input_flag(parser)
         parser.add_argument("--slice-size", type=int, default=None,
                             help="instructions per slice (bbv-simpoint)")
         parser.add_argument("--warmup", type=int, default=None,
                             help="warmup icount before each region "
                                  "(bbv-simpoint)")
-        parser.add_argument("--max-k", type=int, default=12)
-        parser.add_argument("--alternates", type=int, default=2)
+        _cluster_flags(parser)
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument("--validate-seed", type=int, default=0)
         parser.add_argument("--trials", type=int, default=1)

@@ -17,7 +17,8 @@ The harness adds the conveniences the paper's workflows need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, \
+    Tuple
 
 from repro.isa.encoding import InstructionDecodeError, decode
 from repro.isa.instructions import Op, instruction_size
@@ -83,42 +84,49 @@ def _startup_has_marker(machine: Machine, loaded: LoadedImage) -> bool:
     return False
 
 
+class MarkerHit(NamedTuple):
+    """The first ROI marker to retire: machine-wide instructions and
+    cycles just before it, and the thread and pc that retired it."""
+
+    instructions: int
+    cycles: int
+    tid: int
+    pc: int
+
+
 class _MarkerStop(Tool):
-    """Stops right after the first MARKER retires; notes its tid and pc."""
+    """Stops right after the first MARKER retires."""
 
     wants_instructions = False
     wants_markers = True
 
     def __init__(self) -> None:
-        self.before: Optional[Tuple[int, int]] = None
-        self.tid: Optional[int] = None
-        self.pc = 0
+        self.hit: Optional[MarkerHit] = None
 
     def on_marker(self, machine, thread) -> None:
-        if self.before is None:
-            self.before = (machine.total_icount() - 1,
-                           machine.total_cycles() - OP_COST[Op.MARKER])
-            self.tid = thread.tid
-            self.pc = thread.regs.rip - instruction_size(Op.MARKER)
+        if self.hit is None:
+            self.hit = MarkerHit(
+                machine.total_icount() - 1,
+                machine.total_cycles() - OP_COST[Op.MARKER], thread.tid,
+                thread.regs.rip - instruction_size(Op.MARKER))
             machine.request_stop("ROI marker")
 
 
 def run_to_marker(machine: Machine, max_instructions: int
-                  ) -> Tuple[Optional[Tuple[int, int]], ExitStatus]:
+                  ) -> Tuple[Optional[MarkerHit], ExitStatus]:
     """Run *machine* until the first MARKER retires on any thread.
 
     The ROI marker sits where ELFie startup hands over to captured
     code, so this runs the startup on the fast path and stops right
-    after the marker.  Returns ``(before, status)``: *before* holds the
-    machine-wide ``(instructions, cycles)`` just before the marker
-    retired, or is None when the run ended first (exit, death, or the
-    *max_instructions* budget), as *status* reports.
+    after the marker.  Returns ``(hit, status)``: *hit* is the
+    :class:`MarkerHit`, or None when the run ended first (exit, death,
+    or the *max_instructions* budget), as *status* reports.
     """
     stop = _MarkerStop()
     machine.attach(stop)
     status = machine.run(max_instructions=max_instructions)
     machine.detach(stop)
-    return stop.before, status
+    return stop.hit, status
 
 
 @dataclass
@@ -184,17 +192,14 @@ def simulate_roi(image: bytes, tool: Tool, max_instructions: int,
                                        workdir=workdir)
     if scheduler is not None:
         machine.scheduler = scheduler
-    stop = _MarkerStop()
     with hooks.OBS.span("elfie.fast_forward", "elfie") as span:
-        machine.attach(stop)
-        status = machine.run(max_instructions=max_instructions)
-        machine.detach(stop)
-        if stop.tid is None:
+        hit, status = run_to_marker(machine, max_instructions)
+        if hit is None:
             return status, False
-        span.set(instructions=machine.total_icount(), tid=stop.tid,
-                 pc=stop.pc)
+        span.set(instructions=machine.total_icount(), tid=hit.tid,
+                 pc=hit.pc)
     if on_enter is not None:
-        on_enter(stop.tid, stop.pc)
+        on_enter(hit.tid, hit.pc)
     machine.attach(tool)
     status = machine.run(max_instructions=max_instructions)
     machine.detach(tool)

@@ -16,7 +16,7 @@ different nop/cpuid encodings for the same purpose):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 _SSC_PREFIX = 0x55000000
 _SIMICS_PREFIX = 0x51340000
@@ -80,10 +80,3 @@ def decode_marker(value: int) -> Tuple[str, int]:
     if value & 0xFFFF0000 == _SIMICS_PREFIX:
         return "simics", value & 0xFFFF
     return "sniper", value
-
-
-def matches(value: int, spec: Optional[MarkerSpec]) -> bool:
-    """Does a MARKER operand match *spec* (any marker when spec is None)?"""
-    if spec is None:
-        return True
-    return (value & 0xFFFFFFFF) == spec.encoded_tag()

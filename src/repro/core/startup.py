@@ -208,15 +208,15 @@ class StartupGenerator:
         content in ``data``.
         """
         size = segment["size"]
-        attached_at = segment.get("attached_at")
+        attached_at = segment["attached_at"]
         if attached_at is not None:
             pages = self.pinball.pages
-            end = attached_at + segment.get("attached_len", 0)
+            end = attached_at + segment["attached_len"]
             blob = b"".join(
                 pages[addr][1] if addr in pages else bytes(PAGE_SIZE)
                 for addr in range(attached_at, end, PAGE_SIZE))[:size]
         else:
-            blob = bytes.fromhex(segment.get("data", ""))[:size]
+            blob = bytes.fromhex(segment["data"])[:size]
         return _nonzero_span(blob.ljust((size + 7) & ~7, b"\x00"))
 
     def _channel_plans(self) -> List[dict]:
@@ -233,53 +233,45 @@ class StartupGenerator:
                    if r.kind in ("pipe", "socket")]
         if not records:
             return []
-        chdata = {cid: bytes.fromhex(chan.get("data", ""))
+        chdata = {cid: bytes.fromhex(chan["data"])
                   for cid, chan in self.pinball.channels.items()}
-        plans: List[dict] = []
-        pipes: Dict[int, dict] = {}
-        pairs: Dict[Tuple[int, int], dict] = {}
+        # one plan per pipe channel, socket pair, listening port and
+        # unconnected socket, in first-descriptor order
+        plans: Dict[tuple, dict] = {}
         for record in records:
             if record.kind == "pipe":
                 cid = (record.read_cid if record.read_cid is not None
                        else record.write_cid)
-                plan = pipes.get(cid)
-                if plan is None:
-                    plan = {"type": "pipe", "cid": cid,
-                            "read_fds": [], "write_fds": [],
-                            "data": chdata.get(cid, b"")}
-                    pipes[cid] = plan
-                    plans.append(plan)
+                plan = plans.setdefault(("pipe", cid), {
+                    "type": "pipe", "cid": cid, "read_fds": [],
+                    "write_fds": [], "data": chdata[cid]})
                 side = "read_fds" if record.read_cid is not None else "write_fds"
                 plan[side].append(record.fd)
             elif record.read_cid is not None:  # connected socket end
                 key = (min(record.read_cid, record.write_cid),
                        max(record.read_cid, record.write_cid))
-                plan = pairs.get(key)
-                if plan is None:
-                    # end0 reads key[0]; end1 reads key[1]
-                    plan = {"type": "pair", "key": key,
-                            "end0_fds": [], "end1_fds": [],
-                            "data0": chdata.get(key[0], b""),
-                            "data1": chdata.get(key[1], b"")}
-                    pairs[key] = plan
-                    plans.append(plan)
+                # end0 reads key[0]; end1 reads key[1]
+                plan = plans.setdefault(("pair", key), {
+                    "type": "pair", "key": key, "end0_fds": [],
+                    "end1_fds": [], "data0": chdata[key[0]],
+                    "data1": chdata[key[1]]})
                 side = "end0_fds" if record.read_cid == key[0] else "end1_fds"
                 plan[side].append(record.fd)
             elif record.bound_port is not None:
-                listener = self.pinball.listeners.get(record.bound_port, {})
-                existing = next((p for p in plans
-                                 if p["type"] == "listener"
-                                 and p["port"] == record.bound_port), None)
-                if existing is not None:
-                    existing["fds"].append(record.fd)
-                else:
-                    plans.append({"type": "listener",
-                                  "port": record.bound_port,
-                                  "backlog": listener.get("backlog", 1),
-                                  "fds": [record.fd]})
+                port = record.bound_port
+                listener = self.pinball.listeners.get(port)
+                if listener is None:
+                    raise ValueError(
+                        "socket fd %d is bound to port %d, which has no "
+                        "listener record" % (record.fd, port))
+                plans.setdefault(("listener", port), {
+                    "type": "listener", "port": port,
+                    "backlog": listener["backlog"], "fds": []}
+                )["fds"].append(record.fd)
             else:
-                plans.append({"type": "plain_socket", "fds": [record.fd]})
-        return plans
+                plans[("plain_socket", record.fd)] = {
+                    "type": "plain_socket", "fds": [record.fd]}
+        return list(plans.values())
 
     # -- emission ------------------------------------------------------------
 
@@ -428,7 +420,7 @@ class StartupGenerator:
 """)
                 continue
             size = segment["size"]
-            attached_at = segment.get("attached_at")
+            attached_at = segment["attached_at"]
             lines.append(f"""
     mov rax, 29                 ; shmget(key 0x{segment['key']:x}) -> id {shmid}
     mov rdi, {segment['key']}
@@ -480,6 +472,19 @@ class StartupGenerator:
         reproduces the captured EOF/EPIPE visibility.
         """
         scratch0, scratch1 = self._SCRATCH_FDS
+        # pipe() and socketpair() wrote the two new descriptors to
+        # __elfie_pipetmp: park end 0 (a pipe's read end) and end 1
+        park = "".join(f"""
+    mov rcx, __elfie_pipetmp
+    ld4 rdi, [rcx{offset}]
+    mov rax, 33                 ; park end {end}
+    mov rsi, {scratch}
+    syscall
+    mov rcx, __elfie_pipetmp
+    ld4 rdi, [rcx{offset}]
+    mov rax, 3
+    syscall
+""" for end, offset, scratch in ((0, "", scratch0), (1, "+4", scratch1)))
         for plan in self._channel_plans():
             kind = plan["type"]
             if kind == "pipe":
@@ -488,25 +493,7 @@ class StartupGenerator:
     mov rax, 22                 ; pipe(tmp) for captured channel {cid}
     mov rdi, __elfie_pipetmp
     syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx]
-    mov rax, 33                 ; park read end
-    mov rsi, {scratch0}
-    syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx]
-    mov rax, 3
-    syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx+4]
-    mov rax, 33                 ; park write end
-    mov rsi, {scratch1}
-    syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx+4]
-    mov rax, 3
-    syscall
-""")
+{park}""")
                 if plan["data"]:
                     lines.append(f"""
     mov rax, 1                  ; refill {len(plan['data'])} buffered bytes
@@ -526,25 +513,7 @@ class StartupGenerator:
     mov rdx, 0
     mov r10, __elfie_pipetmp
     syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx]
-    mov rax, 33                 ; park end 0
-    mov rsi, {scratch0}
-    syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx]
-    mov rax, 3
-    syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx+4]
-    mov rax, 33                 ; park end 1
-    mov rsi, {scratch1}
-    syscall
-    mov rcx, __elfie_pipetmp
-    ld4 rdi, [rcx+4]
-    mov rax, 3
-    syscall
-""")
+{park}""")
                 # end0 reads key[0]: its inbound bytes are written by
                 # the peer (end1), and vice versa.
                 if plan["data0"]:
@@ -755,28 +724,22 @@ class StartupGenerator:
             asm.add(".align 8")
             asm.define_label("__elfie_pipetmp")
             asm.emit_bytes(b"\x00" * 8)
-            emitted_data = set()
-            emitted_ports = set()
+            # one plan per channel and per port, so each label once
             for plan in channel_plans:
                 if plan["type"] == "pipe" and plan["data"]:
-                    if plan["cid"] not in emitted_data:
-                        emitted_data.add(plan["cid"])
-                        asm.define_label(f"__elfie_chdata_{plan['cid']}")
-                        asm.emit_bytes(plan["data"])
+                    asm.define_label(f"__elfie_chdata_{plan['cid']}")
+                    asm.emit_bytes(plan["data"])
                 elif plan["type"] == "pair":
                     for cid, data in zip(plan["key"],
                                          (plan["data0"], plan["data1"])):
-                        if data and cid not in emitted_data:
-                            emitted_data.add(cid)
+                        if data:
                             asm.define_label(f"__elfie_chdata_{cid}")
                             asm.emit_bytes(data)
                 elif plan["type"] == "listener":
-                    if plan["port"] not in emitted_ports:
-                        emitted_ports.add(plan["port"])
-                        asm.define_label(f"__elfie_sockaddr_{plan['port']}")
-                        blob = struct.pack("<H", 2)          # sin_family
-                        blob += struct.pack(">H", plan["port"])
-                        asm.emit_bytes(blob + b"\x00" * 12)
+                    asm.define_label(f"__elfie_sockaddr_{plan['port']}")
+                    blob = struct.pack("<H", 2)          # sin_family
+                    blob += struct.pack(">H", plan["port"])
+                    asm.emit_bytes(blob + b"\x00" * 12)
         # saved sigaction blobs (guest layout: handler u64, mask u64),
         # the startup-wide block-all mask, and per-thread signal masks
         if self._has_signal_state():

@@ -77,12 +77,6 @@ class ElfBuilder:
         self.sections.append(section)
         return section
 
-    def section(self, name: str) -> Section:
-        return self.sections[self._names[name]]
-
-    def has_section(self, name: str) -> bool:
-        return name in self._names
-
     def add_symbol(self, name: str, value: int, size: int = 0,
                    sym_type: int = 0) -> None:
         """Add a global symbol with an absolute value."""

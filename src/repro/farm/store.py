@@ -120,13 +120,6 @@ class GCStats:
     removed_snapshots: int = 0
     dry_run: bool = False
 
-    def to_json(self) -> dict:
-        return {"live_blocks": self.live_blocks,
-                "removed_blocks": self.removed_blocks,
-                "freed_bytes": self.freed_bytes,
-                "removed_snapshots": self.removed_snapshots,
-                "dry_run": self.dry_run}
-
 
 @dataclass
 class ScrubStats:
@@ -138,13 +131,6 @@ class ScrubStats:
     repaired_records: int = 0
     #: keys with at least one unrecoverable block
     lost_keys: List[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"objects": self.objects,
-                "blocks_checked": self.blocks_checked,
-                "repaired_blocks": self.repaired_blocks,
-                "repaired_records": self.repaired_records,
-                "lost_keys": sorted(self.lost_keys)}
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -172,8 +158,8 @@ class _Store:
     """The store operations, written once over block and record primitives.
 
     A layout supplies the primitives: ``write_block``, ``read_block``,
-    ``has_block``, ``block_digests``, ``block_size``, ``remove_block``
-    for the block pool, and ``put_record``, ``get_record``,
+    ``block_digests``, ``block_size``, ``remove_block`` for the block
+    pool, and ``put_record``, ``get_record``,
     ``remove_record``, ``contains``, ``keys`` and ``sweep_tmp`` for the
     artifact records.  Everything a campaign, the CLI or the service
     does with a store is built here on top of them.

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.looppoint.markers import MarkerMap, MarkerPoint
+from repro.looppoint.markers import MarkerPoint
 from repro.looppoint.profile import LoopPointProfile, LoopSlice
 from repro.pinplay.regions import RegionSpec
 from repro.simpoint.kmeans import KMeansResult, cluster_points
@@ -83,10 +83,6 @@ class LoopPointResult:
     @property
     def k(self) -> int:
         return len(self.clusters)
-
-    @property
-    def marker_map(self) -> MarkerMap:
-        return self.profile.marker_map
 
     def regions(self, warmup_slices: int = 1, name_prefix: str = "L",
                 max_alternates: int = 0) -> List[RegionSpec]:

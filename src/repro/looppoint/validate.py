@@ -33,7 +33,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from repro.core.elfie import prepare_elfie_machine, run_to_marker
 from repro.core.pinball2elf import ElfieArtifact
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
@@ -42,6 +41,7 @@ from repro.pipeline import FarmValidation
 from repro.simpoint.validation import (
     RegionMeasurement,
     ValidationResult,
+    measure_at_marker,
     validate_regions,
 )
 
@@ -127,35 +127,31 @@ def measure_elfie_region_markers(artifact: ElfieArtifact,
                                  workdir: str = "/",
                                  budget_factor: int = 8
                                  ) -> RegionMeasurement:
-    """Replay a LoopPoint region ELFie and measure it marker-to-marker."""
-    try:
-        machine, _loaded = prepare_elfie_machine(
-            artifact.image, seed=seed, fs=fs, workdir=workdir)
-    except Exception as exc:  # loader failures (stack collision)
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail="loader: %s" % exc)
+    """Replay a LoopPoint region ELFie and measure it marker-to-marker
+    (the larger *budget_factor* leaves headroom for spin stretching)."""
     meter = _MarkerMeter(work_addrs, skip=skip, measure=measure)
-    # Budget in realized icounts, with headroom for spin stretching.
-    budget = budget_factor * (region.warmup + region.length) + 2_000_000
-    before, status = run_to_marker(machine, budget)
-    if before is not None:
+
+    def window(machine, hit, budget):
         if skip == 0:
-            meter.start_icount, meter.start_cycles = before
+            meter.start_icount = hit.instructions
+            meter.start_cycles = hit.cycles
         machine.attach(meter)
         # Any instruction tool would pin the window to the slow tier.
         assert not machine.instr_tools, machine.instr_tools
         status = machine.run(max_instructions=budget)
         machine.detach(meter)
-    cpi = meter.cpi
-    if cpi is None:
-        detail = ("died: %s" % status.detail if status.kind == "signal"
-                  else "incomplete: %s (crossings %d of %d)"
-                  % (status.detail, meter.crossings, skip + measure))
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail=detail)
-    return RegionMeasurement(region=region, cpi=cpi, ok=True,
-                             cycles_per_work=meter.cycles_per_work,
-                             icount_per_work=meter.icount_per_work)
+        if meter.cpi is None:
+            return None, status
+        return RegionMeasurement(region=region, cpi=meter.cpi, ok=True,
+                                 cycles_per_work=meter.cycles_per_work,
+                                 icount_per_work=meter.icount_per_work
+                                 ), status
+
+    return measure_at_marker(
+        artifact, region, window, seed=seed, fs=fs, workdir=workdir,
+        budget_factor=budget_factor,
+        progress=lambda: " (crossings %d of %d)" % (meter.crossings,
+                                                    skip + measure))
 
 
 class LoopPointValidation(ValidationResult):

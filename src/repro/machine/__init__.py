@@ -37,7 +37,7 @@ from repro.machine.scheduler import Scheduler, ScheduleSlice
 from repro.machine.perf import PMU, PerfEvent
 from repro.machine.tool import Tool
 from repro.machine.cpu import CpuFault, DivideError, InvalidOpcode
-from repro.machine.kernel import Kernel, SyscallError, NR
+from repro.machine.kernel import Kernel, NR
 from repro.machine.machine import Machine, Thread, ExitStatus
 from repro.machine.loader import load_elf, LoaderError, LoadedImage
 
@@ -65,7 +65,6 @@ __all__ = [
     "DivideError",
     "InvalidOpcode",
     "Kernel",
-    "SyscallError",
     "NR",
     "Machine",
     "Thread",

@@ -177,10 +177,6 @@ KERNEL_STATE_SYSCALLS = frozenset({
 })
 
 
-class SyscallError(Exception):
-    """Internal kernel error (bad machine state, not a guest errno)."""
-
-
 @dataclass
 class ShmSegment:
     """One SysV shared-memory segment.

@@ -165,10 +165,6 @@ class AddressSpace:
         end = page_align_up(addr + length) >> PAGE_SHIFT
         return any(page in self._pages for page in range(start, end))
 
-    def page_prot(self, addr: int) -> int:
-        """Protection bits of the page containing *addr* (0 if unmapped)."""
-        return self._perms.get(addr >> PAGE_SHIFT, PROT_NONE)
-
     # -- access -----------------------------------------------------------
 
     def _check(self, page: int, access: int, addr: int) -> bytearray:

@@ -86,10 +86,6 @@ class FileSystem:
             raise VfsError(ENOENT, "no such file: %s" % path)
         return bytes(inode.data)
 
-    def remove(self, path: str) -> None:
-        if self._inodes.pop(self.normalize(path), None) is None:
-            raise VfsError(ENOENT, "no such file: %s" % path)
-
     def paths(self) -> List[str]:
         return sorted(self._inodes)
 

@@ -16,7 +16,6 @@ introspection:
 from repro.observe.hooks import (
     NullObserver,
     Observer,
-    active,
     disable,
     enable,
     observed,
@@ -33,7 +32,6 @@ from repro.observe.trace import Span, Tracer
 __all__ = [
     "NullObserver",
     "Observer",
-    "active",
     "disable",
     "enable",
     "observed",

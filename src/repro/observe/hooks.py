@@ -130,10 +130,6 @@ def disable() -> None:
     OBS = NULL
 
 
-def active() -> NullObserver:
-    return OBS
-
-
 @contextmanager
 def observed(tracer: Optional[Tracer] = None,
              metrics: Optional[MetricsRegistry] = None) -> Iterator[Observer]:

@@ -190,9 +190,6 @@ class ServiceClient:
                          wall_s=wall_s, icount=icount, worker=worker,
                          snapshot_key=snapshot_key)["job"]
 
-    def cancel(self, job_id: str) -> dict:
-        return self.call("cancel", job_id=job_id)["job"]
-
     def wait(self, job_ids: List[str], timeout_s: float = 30.0) -> dict:
         """States of *job_ids*, blocking up to *timeout_s* for settles."""
         response = self.call("wait", jobs=list(job_ids),

@@ -5,10 +5,11 @@ Scheduling model (all decisions are O(log n), all state in-memory):
 - every queued job belongs to a **client**; each client keeps a
   priority queue (higher ``priority`` first, FIFO within a priority);
 - across clients the scheduler runs **fair share by virtual time**: a
-  lease charges the job's client ``1/weight`` vtime, and the next lease
+  lease charges the job's client one unit of vtime, and the next lease
   always goes to the backlogged client with the lowest vtime — so two
   clients flooding the queue drain in alternation regardless of who
-  submitted first, and a weight-2 client drains twice as fast;
+  submitted first (a client's heap holds only its queued jobs: a job
+  leaves it when leased and re-enters when re-queued);
 - the queue is **bounded**: ``submit`` raises :class:`QueueFull` once
   ``max_queued`` jobs wait, which the server surfaces as a retryable
   429 — backpressure instead of unbounded memory;
@@ -72,7 +73,7 @@ class ServiceJob:
     stage: str = ""
     priority: int = 0
     retries: int = 2
-    state: str = "queued"  # queued | leased | ok | failed | cancelled
+    state: str = "queued"  # queued | leased | ok | failed
     attempts: int = 0
     error: str = ""
     worker: str = ""
@@ -95,7 +96,7 @@ class ServiceJob:
 
     @property
     def settled(self) -> bool:
-        return self.state in ("ok", "failed", "cancelled")
+        return self.state in ("ok", "failed")
 
     def describe(self) -> dict:
         """The wire-visible view (no payload: leases carry it once)."""
@@ -134,18 +135,12 @@ class FairShareScheduler:
         #: client -> heap of (-priority, seq, job_id)
         self._queues: Dict[str, List[Tuple[int, int, str]]] = {}
         self._vtime: Dict[str, float] = {}
-        self._weights: Dict[str, float] = {}
         self._by_memo: Dict[str, str] = {}  # in-flight memo key -> job id
         self._leases: Dict[str, str] = {}   # lease id -> job id
         self._seq = itertools.count()
         self._queued = 0
 
     # -- admission ---------------------------------------------------------
-
-    def set_weight(self, client: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        self._weights[client] = weight
 
     def submit(self, client: str, name: str, payload: str,
                memo_key: str = "", result_key: str = "", kind: str = "",
@@ -194,20 +189,10 @@ class FairShareScheduler:
 
     # -- leasing -----------------------------------------------------------
 
-    def _peek_ready(self, client: str) -> bool:
-        """Prune settled heads; True when the client has a queued job."""
-        heap = self._queues.get(client)
-        while heap:
-            job = self.jobs[heap[0][2]]
-            if job.state == "queued":
-                return True
-            heapq.heappop(heap)  # cancelled/re-leased stale entry
-        return False
-
     def lease(self, worker: str) -> Optional[ServiceJob]:
         """Hand the fairest next job to *worker*, or None when idle."""
-        backlogged = [client for client in self._queues
-                      if self._peek_ready(client)]
+        backlogged = [client for client, heap in self._queues.items()
+                      if heap]
         if not backlogged:
             return None
         client = min(backlogged, key=lambda name: (self._vtime[name], name))
@@ -223,7 +208,7 @@ class FairShareScheduler:
             job.first_leased_at = now
         self._leases[job.lease_id] = job.job_id
         self._queued -= 1
-        self._vtime[client] += 1.0 / self._weights.get(client, 1.0)
+        self._vtime[client] += 1.0
         return job
 
     def heartbeat(self, lease_id: str) -> float:
@@ -302,17 +287,6 @@ class FairShareScheduler:
             del self._by_memo[job.memo_key]
         job.done.set()
 
-    def cancel(self, job_id: str) -> ServiceJob:
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise UnknownJob(job_id)
-        if job.settled:
-            return job
-        if job.state == "queued":
-            self._queued -= 1  # its heap entry is pruned lazily
-        self._settle(job, "cancelled", "cancelled")
-        return job
-
     # -- lease expiry ------------------------------------------------------
 
     def expire(self, now: Optional[float] = None) -> List[ServiceJob]:
@@ -362,12 +336,10 @@ class FairShareScheduler:
             states[job.state] = states.get(job.state, 0) + 1
         clients = {}
         for client, heap in self._queues.items():
-            depth = sum(1 for _p, _s, job_id in heap
-                        if self.jobs[job_id].state == "queued")
             clients[client] = {
-                "queued": depth,
+                "queued": len(heap),
                 "vtime": round(self._vtime.get(client, 0.0), 6),
-                "weight": self._weights.get(client, 1.0),
+                "weight": 1.0,
             }
         return {
             "queued": self._queued,

@@ -45,7 +45,7 @@ from repro.service.scheduler import (
 #: How many mutating-request responses are kept for idempotent replay.
 REPLAY_CACHE = 4096
 
-_MUTATING = ("submit", "lease", "complete", "put-artifact", "cancel")
+_MUTATING = ("submit", "lease", "complete", "put-artifact")
 
 
 class CheckpointServer:
@@ -248,10 +248,6 @@ class CheckpointServer:
             if status == "preempted":
                 obs.count("service.preemptions")
             obs.gauge("service.queue_depth", self.scheduler.queued)
-        return {"job": job.describe()}
-
-    async def _verb_cancel(self, message: dict) -> dict:
-        job = self.scheduler.cancel(str(message["job_id"]))
         return {"job": job.describe()}
 
     async def _verb_wait(self, message: dict) -> dict:

@@ -101,13 +101,6 @@ class RebalanceStats:
     shards: int = 0
     dry_run: bool = False
 
-    def to_json(self) -> dict:
-        return {"moved_blocks": self.moved_blocks,
-                "moved_bytes": self.moved_bytes,
-                "moved_records": self.moved_records,
-                "shards": self.shards,
-                "dry_run": self.dry_run}
-
 
 class ShardedStore(_Store):
     """A content-addressed store spread over N shard roots.
@@ -192,10 +185,6 @@ class ShardedStore(_Store):
         yield from self._others(home)
 
     # -- blocks ------------------------------------------------------------
-
-    def has_block(self, digest: str) -> bool:
-        return any(store.has_block(digest)
-                   for store in self._home_first(self.home_of_block(digest)))
 
     def write_block(self, digest: str, data: bytes) -> None:
         self._stores[self.home_of_block(digest)].write_block(digest, data)

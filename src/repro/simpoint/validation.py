@@ -139,33 +139,59 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
     Cycles come from the simulated timing model, so the stops do not
     perturb them.
     """
+    # The marker sits at the captured window start (warmup_start); the
+    # instructions to skip are those actually captured before the
+    # region, which is less than the nominal warmup when the region
+    # starts early in the program.
+    effective_warmup = region.start - region.warmup_start
+    start_at = max(effective_warmup, 1)
+    end_at = max(effective_warmup + region.length, start_at + 1)
+
+    def window(machine, hit, budget):
+        start, status = _cycles_at(machine, hit.instructions + start_at,
+                                   budget)
+        end = None
+        if start is not None:
+            end, status = _cycles_at(machine, hit.instructions + end_at,
+                                     budget)
+        if end is None:
+            return None, status
+        return RegionMeasurement(region=region,
+                                 cpi=(end - start) / region.length,
+                                 ok=True), status
+
+    return measure_at_marker(artifact, region, window, seed=seed, fs=fs,
+                             workdir=workdir, budget_factor=budget_factor)
+
+
+def measure_at_marker(artifact: ElfieArtifact, region: RegionSpec, window,
+                      seed: int = 0, fs: Optional[FileSystem] = None,
+                      workdir: str = "/", budget_factor: int = 6,
+                      progress: Callable[[], str] = lambda: ""
+                      ) -> RegionMeasurement:
+    """Load a region ELFie, run its startup to the ROI marker, and return
+    ``window(machine, hit, budget)``'s measurement of the region.
+
+    The window returns ``(measurement, status)``, the measurement None
+    when the run (capped at *budget* machine-wide instructions: startup,
+    warmup and region with *budget_factor* headroom) ended first.  A
+    loader failure, a death or an incomplete window is a failed
+    measurement; an incomplete one's detail ends with ``progress()``.
+    """
     try:
         machine, _loaded = prepare_elfie_machine(
             artifact.image, seed=seed, fs=fs, workdir=workdir)
     except Exception as exc:  # loader failures (stack collision)
         return RegionMeasurement(region=region, cpi=None, ok=False,
                                  detail="loader: %s" % exc)
-    # The marker sits at the captured window start (warmup_start); the
-    # instructions to skip are those actually captured before the
-    # region, which is less than the nominal warmup when the region
-    # starts early in the program.
-    effective_warmup = region.start - region.warmup_start
-    # Budget: startup (remap + live stack span copy) + warmup + region.
     budget = budget_factor * (region.warmup + region.length) + 2_000_000
-    before, status = run_to_marker(machine, budget)
-    if before is not None:
-        base = before[0]
-        start_at = max(effective_warmup, 1)
-        end_at = max(effective_warmup + region.length, start_at + 1)
-        start, status = _cycles_at(machine, base + start_at, budget)
-        if start is not None:
-            end, status = _cycles_at(machine, base + end_at, budget)
-            if end is not None:
-                return RegionMeasurement(
-                    region=region, cpi=(end - start) / region.length,
-                    ok=True)
+    hit, status = run_to_marker(machine, budget)
+    if hit is not None:
+        measured, status = window(machine, hit, budget)
+        if measured is not None:
+            return measured
     detail = ("died: %s" % status.detail if status.kind == "signal"
-              else "incomplete: %s" % status.detail)
+              else "incomplete: %s%s" % (status.detail, progress()))
     return RegionMeasurement(region=region, cpi=None, ok=False,
                              detail=detail)
 

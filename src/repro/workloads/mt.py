@@ -471,13 +471,6 @@ class MTApp:
         return build_executable(code, data_source=data + "\n",
                                 data_base=_DATA_BASE)
 
-    def estimated_instructions(self, input_set: str = "train") -> int:
-        scale = INPUT_SCALES[input_set]
-        per_item = max(1, int(self.work_iters * scale)) * 8
-        if self.kind == "barrier_phases":
-            return per_item * self.phases * 2 * self.threads
-        return max(1, int(self.items * scale)) * per_item * 2
-
 
 #: The irregular-MT suite; resolvable through ``workloads.get_app``.
 MT_APPS: Dict[str, MTApp] = {

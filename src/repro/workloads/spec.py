@@ -25,8 +25,6 @@ from typing import Dict, List, Tuple
 
 from repro.workloads.builder import PhaseSpec, ProgramBuilder
 
-_KERNEL_POOL = ["compute", "stream", "pointer_chase", "branchy", "fpkernel",
-                "divide"]
 _INT_POOL = ["compute", "stream", "pointer_chase", "branchy", "divide"]
 _FP_POOL = ["fpkernel", "stream", "compute", "pointer_chase"]
 
@@ -223,8 +221,7 @@ def get_app(name: str):
 
     Covers the SPEC-like suites and the irregular-MT suite
     (:mod:`repro.workloads.mt`); both app kinds expose the same
-    ``build(input_set)`` / ``estimated_instructions(input_set)``
-    surface and a ``threads`` attribute.
+    ``build(input_set)`` surface and a ``threads`` attribute.
     """
     for suite in _ALL_SUITES:
         if name in suite:

@@ -356,6 +356,17 @@ __exit_msg:
     assert b"DONE" in run.stderr
 
 
+def test_monitor_thread_without_user_exit_hook_links_the_default(
+        loop_pinball):
+    """``--monitor`` without a user ``elfie_on_exit`` links the silent
+    default: the ELFie still stops gracefully on its counters."""
+    artifact = Pinball2Elf(loop_pinball, Pinball2ElfOptions(
+        perf_exit=True, monitor=True)).convert()
+    run = run_elfie(artifact.image, seed=0)
+    assert run.graceful
+    assert run.perfle_counters()
+
+
 def test_sysstate_fd_preopen_end_to_end():
     """A file opened before the region is read inside it: a bare ELFie
     fails the read, a sysstate ELFie reproduces the data (§II-C2)."""
@@ -719,3 +730,269 @@ def test_shm_segments_restore_byte_identical_content():
                                   PAGE_SIZE))
             assert machine.mem.read(base, size, access=0x1) \
                 == captured[:size]
+
+
+# -- socket restore: pairs, listeners, unconnected sockets --------------------
+
+SOCKETS_SOURCE = """
+_start:
+    mov rax, 53             ; socketpair(AF_UNIX, SOCK_STREAM): fds 3, 4
+    mov rdi, 1
+    mov rsi, 1
+    mov rdx, 0
+    mov r10, pair
+    syscall
+    mov rcx, pair
+    ld4 rdi, [rcx]
+    mov rax, 1              ; 5 bytes from end 0, unread by end 1
+    mov rsi, ping
+    mov rdx, 5
+    syscall
+    mov rcx, pair
+    ld4 rdi, [rcx+4]
+    mov rax, 1              ; 9 bytes from end 1, unread by end 0
+    mov rsi, pong
+    mov rdx, 9
+    syscall
+    mov rax, 41             ; socket(AF_INET): fd 5
+    mov rdi, 2
+    mov rsi, 1
+    mov rdx, 0
+    syscall
+    mov r12, rax
+    mov rax, 49             ; bind(fd 5, port 8080)
+    mov rdi, r12
+    mov rsi, sockaddr
+    syscall
+LISTEN
+    mov rax, 41             ; socket(AF_UNIX): fd 6, never connected
+    mov rdi, 1
+    mov rsi, 1
+    mov rdx, 0
+    syscall
+    mov rcx, 20000
+loop:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz loop
+    mov rax, 231
+    mov rdi, 0
+    syscall
+"""
+
+SOCKETS_DATA = """
+pair:
+.quad 0
+sockaddr:
+.quad 0x901f0002
+.quad 0
+ping:
+.ascii "ping!"
+pong:
+.ascii "pong-pong"
+"""
+
+LISTEN_SOURCE = """
+    mov rax, 50             ; listen(fd 5, backlog 3)
+    mov rdi, r12
+    mov rsi, 3
+    syscall
+"""
+
+
+def _sockets_pinball(listen=True):
+    source = SOCKETS_SOURCE.replace("LISTEN",
+                                    LISTEN_SOURCE if listen else "")
+    image = build_executable(source, data_source=SOCKETS_DATA)
+    return log_region(image, RegionSpec(start=100, length=20000,
+                                        name="sockets.r0"))
+
+
+@pytest.fixture(scope="module")
+def sockets_at_marker():
+    pinball = _sockets_pinball()
+    _, machine = _state_at_marker(pinball)
+    return pinball, machine
+
+
+def _socket_records(pinball):
+    return {record.fd: record for record in pinball.open_files
+            if record.kind == "socket"}
+
+
+def test_socketpair_restores_buffered_bytes_both_ways(sockets_at_marker):
+    pinball, machine = sockets_at_marker
+    records = _socket_records(pinball)
+    fdt = machine.kernel.fdt
+    ends = [fd for fd, record in records.items()
+            if record.read_cid is not None]
+    assert ends == [3, 4]
+    for fd in ends:
+        restored = fdt.entry(fd)
+        assert restored.kind == "socket"
+        # same buffered bytes and descriptor counts on each inbound
+        # and outbound channel as at capture
+        assert restored.read_ch.to_json() \
+            == pinball.channels[records[fd].read_cid]
+        assert restored.write_ch.to_json() \
+            == pinball.channels[records[fd].write_cid]
+    assert bytes(fdt.entry(3).read_ch.data) == b"pong-pong"
+    assert bytes(fdt.entry(4).read_ch.data) == b"ping!"
+    assert fdt.entry(3).write_ch is fdt.entry(4).read_ch
+    assert fdt.entry(4).write_ch is fdt.entry(3).read_ch
+
+
+def test_listener_restores_port_and_backlog(sockets_at_marker):
+    pinball, machine = sockets_at_marker
+    record = _socket_records(pinball)[5]
+    assert record.bound_port == 8080
+    restored = machine.kernel.fdt.entry(5)
+    assert (restored.kind, restored.bound_port) == ("socket", 8080)
+    assert (restored.read_ch, restored.write_ch) == (None, None)
+    listener = machine.kernel._listeners[8080]
+    assert listener.backlog == pinball.listeners[8080]["backlog"] == 3
+    assert listener.queue == []
+
+
+def test_unconnected_socket_restores_unconnected(sockets_at_marker):
+    pinball, machine = sockets_at_marker
+    record = _socket_records(pinball)[6]
+    assert (record.read_cid, record.write_cid, record.bound_port) \
+        == (None, None, None)
+    restored = machine.kernel.fdt.entry(6)
+    assert (restored.kind, restored.read_ch, restored.write_ch,
+            restored.bound_port) == ("socket", None, None, None)
+    assert sorted(machine.kernel.fdt.open_fds()) \
+        == sorted([0, 1, 2] + list(_socket_records(pinball)))
+
+
+def test_bound_socket_without_listener_record_is_refused():
+    pinball = _sockets_pinball(listen=False)
+    assert _socket_records(pinball)[5].bound_port == 8080
+    assert 8080 not in pinball.listeners
+    with pytest.raises(ValueError, match="port 8080"):
+        Pinball2Elf(pinball, Pinball2ElfOptions()).convert()
+
+
+def test_snapshot_round_trips_socket_state():
+    """A machine checkpoint taken with the sockets open restores the
+    same listener, pair buffers and descriptors."""
+    from repro.machine.loader import load_elf
+    from repro.machine.machine import Machine
+    from repro.snapshot import capture, restore, snapshot_digest
+
+    image = build_executable(SOCKETS_SOURCE.replace("LISTEN", LISTEN_SOURCE),
+                             data_source=SOCKETS_DATA)
+    machine = Machine(seed=0)
+    load_elf(machine, image)
+    assert machine.run(max_instructions=100).kind == "stopped"
+    snapshot = capture(machine)
+    resumed = restore(snapshot)
+    listener = resumed.kernel._listeners[8080]
+    assert (listener.port, listener.backlog, listener.queue) \
+        == (8080, 3, [])
+    assert bytes(resumed.kernel.fdt.entry(3).read_ch.data) == b"pong-pong"
+    assert snapshot_digest(capture(resumed)) == snapshot_digest(snapshot)
+
+
+SIGNALS_SOURCE = """
+_start:
+    mov rax, 13             ; rt_sigaction(SIGUSR1, handler)
+    mov rdi, 10
+    mov rsi, action
+    mov rdx, 0
+    syscall
+    mov rax, 14             ; rt_sigprocmask(SIG_BLOCK, {SIGUSR1, SIGUSR2})
+    mov rdi, 0
+    mov rsi, blocked
+    mov rdx, 0
+    syscall
+    mov rax, 39             ; getpid
+    syscall
+    mov rdi, rax
+    mov rax, 62             ; kill(pid, SIGUSR1): pending for the process
+    mov rsi, 10
+    syscall
+    mov rax, 200            ; tkill(0, SIGUSR2): pending for the thread
+    mov rdi, 0
+    mov rsi, 12
+    syscall
+    mov rcx, 20000
+loop:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz loop
+    mov rax, 231
+    mov rdi, 0
+    syscall
+handler:
+    ret
+"""
+
+SIGNALS_DATA = """
+action:
+.quad handler
+.quad 0
+blocked:
+.quad 0xa00
+"""
+
+
+def test_pending_signals_are_raised_again_before_the_roi():
+    """Blocked signals pending at region start are pending again, on
+    the process and on the thread, when the ELFie reaches its marker;
+    the handler and the mask come back with them."""
+    image = build_executable(SIGNALS_SOURCE, data_source=SIGNALS_DATA)
+    pinball = log_region(image, RegionSpec(start=100, length=20000,
+                                           name="signals.r0"))
+    (record,) = pinball.threads
+    assert pinball.process_pending == 1 << 9
+    assert (record.pending, record.sigmask) == (1 << 11, 0xa00)
+    _, machine = _state_at_marker(pinball)
+    kernel = machine.kernel
+    (thread,) = machine.threads.values()
+    assert kernel.process_pending == pinball.process_pending
+    assert (thread.pending, thread.sigmask) \
+        == (record.pending, record.sigmask)
+    assert kernel.sigactions == pinball.sigactions
+
+
+SHM_GAP_SOURCE = """
+_start:
+    mov rax, 29             ; shmget(IPC_PRIVATE) -> id 1
+    mov rdi, 0
+    mov rsi, 64
+    mov rdx, 512
+    syscall
+    mov rdi, rax
+    mov rax, 31             ; shmctl(id 1, IPC_RMID): id 1 is gone
+    mov rsi, 0
+    mov rdx, 0
+    syscall
+    mov rax, 29             ; shmget(key 7) -> id 2, detached
+    mov rdi, 7
+    mov rsi, 64
+    mov rdx, 512
+    syscall
+    mov rcx, 20000
+loop:
+    sub rcx, 1
+    cmp rcx, 0
+    jnz loop
+    mov rax, 231
+    mov rdi, 0
+    syscall
+"""
+
+
+def test_removed_shm_id_is_burned_so_live_segments_keep_their_ids():
+    image = build_executable(SHM_GAP_SOURCE)
+    pinball = log_region(image, RegionSpec(start=100, length=20000,
+                                           name="shmgap.r0"))
+    assert sorted(pinball.shm_segments) == [2]
+    assert pinball.next_shmid == 3
+    _, machine = _state_at_marker(pinball)
+    kernel = machine.kernel
+    assert sorted(kernel.shm_segments) == [2]
+    assert kernel.shm_segments[2].key == 7
+    assert kernel._next_shmid == pinball.next_shmid

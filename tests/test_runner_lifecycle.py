@@ -135,3 +135,43 @@ def test_inline_retry_waits_without_holding_up_other_jobs(tmp_path,
     assert results == {"flaky": os.getpid(), "steady": 1}
     assert order == [("steady", "ok"), ("flaky", "ok")]
     assert time.monotonic() - start >= 0.2
+
+
+def test_heartbeats_keep_a_long_job_on_its_first_lease(tmp_path):
+    """A job that runs for several lease timeouts keeps its lease: the
+    worker's heartbeats move the deadline forward, so the reaper never
+    expires it and the job runs once although the server allows no
+    retry."""
+    key = stable_digest(["lifecycle", "long"])
+    with ServerThread(str(tmp_path / "svc"), lease_timeout=0.9,
+                      retries=0) as server:
+        host, port = server.server.host, server.server.port
+        worker = ServiceWorker(host, port, name="long", poll_s=0.1)
+        deadlines = []
+        heartbeat = worker.pulse.heartbeat
+
+        def recorded_heartbeat(lease_id):
+            deadlines.append(heartbeat(lease_id))
+            return deadlines[-1]
+
+        worker.pulse.heartbeat = recorded_heartbeat
+        thread = threading.Thread(target=worker.run)
+        thread.start()
+        client = connect(host, port, client_id="lifecycle")
+        try:
+            graph = JobGraph()
+            graph.add(Job(name="long", fn=_sleep_then_pid, args=(2.0,),
+                          key=key))
+            runner = ServiceCampaignRunner(client)
+            assert runner.run(graph) == {"long": os.getpid()}
+        finally:
+            client.close()
+            worker.stop()
+            thread.join(10.0)
+        assert not thread.is_alive()
+        (job,) = server.server.scheduler.jobs.values()
+    assert (job.state, job.attempts) == ("ok", 1)
+    # heartbeats every lease_timeout / 3 over a 2 s job
+    assert len(deadlines) >= 3
+    assert deadlines == sorted(deadlines)
+    assert deadlines[-1] - deadlines[0] >= 0.9

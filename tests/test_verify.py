@@ -1,6 +1,7 @@
 """Tests for the differential replay-fidelity verifier (repro.verify)."""
 
 import copy
+import sys
 
 import pytest
 
@@ -21,8 +22,12 @@ from repro.verify import (
     verify_elfie_entry,
     verify_pinball,
 )
-from repro.verify.fuzz import build_case
+from repro.verify.fuzz import FuzzOutcome, build_case, fuzz
 from repro.workloads import build_executable
+
+#: the module itself: the package re-exports its ``fuzz`` function under
+#: the module's name
+fuzz_module = sys.modules["repro.verify.fuzz"]
 
 # A deterministic workload with a non-native syscall (getpid) mid-region:
 # the replayer injects its recorded result, so corrupting that record is
@@ -425,6 +430,46 @@ def test_minimize_preserves_failure():
     case = generate_case(1)
     reduced = minimize_case(case)
     assert reduced == case
+
+
+def _fails_with_pipes(case, seed=0, check_elfie=True, dispatch=None):
+    """A stand-in round-trip whose replay diverges whenever the case
+    has pipes, and only then."""
+    if "pipes" in case.features:
+        return FuzzOutcome(case=case, ok=False, stage="replay",
+                           detail="injected divergence")
+    return FuzzOutcome(case=case, ok=True)
+
+
+def test_minimize_shrinks_a_failing_case_to_its_cause(monkeypatch):
+    monkeypatch.setattr(fuzz_module, "run_case", _fails_with_pipes)
+    case = FuzzCase(seed=9, threads=3, iterations=4,
+                    features=("arith", "futex", "pipes", "mmap"),
+                    region_pos=30, region_len_pct=60, region_marker=True)
+    reduced = minimize_case(case)
+    assert reduced == FuzzCase(seed=9, threads=1, iterations=1,
+                               features=("arith", "pipes"), region_pos=0,
+                               region_len_pct=100, region_marker=False)
+
+
+def test_fuzz_records_and_checkpoints_minimized_failures(monkeypatch,
+                                                         tmp_path):
+    monkeypatch.setattr(fuzz_module, "run_case", _fails_with_pipes)
+    seed = next(seed for seed in range(40)
+                if "pipes" in generate_case(seed).features)
+    checkpoint = str(tmp_path / "fuzz.json")
+    summary = fuzz(time_budget=60.0, start_seed=seed, max_cases=1,
+                   checkpoint_path=checkpoint)
+    assert (summary.cases_run, summary.invalid, summary.ok) == (1, 0, False)
+    (failure,) = summary.failures
+    assert failure.stage == "replay"
+    assert "pipes" in summary.minimized[seed].features
+    assert summary.minimized[seed].iterations == 1
+    # a resumed campaign starts from the checkpointed failure
+    resumed = fuzz(time_budget=60.0, max_cases=1,
+                   checkpoint_path=checkpoint)
+    assert resumed.cases_run == 1 and len(resumed.failures) == 1
+    assert resumed.minimized == summary.minimized
 
 
 def test_build_case_produces_runnable_image():
