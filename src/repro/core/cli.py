@@ -435,7 +435,7 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
     campaign = _campaign(args)
     try:
         store = open_store(args.store, shards=args.shards)
-    except ValueError as exc:  # --shards contradicts the store's layout
+    except ValueError as exc:  # another layout version, or a --shards clash
         raise SystemExit("error: %s" % exc)
     runner = FarmRunner(store, jobs=args.jobs, manifest_path=args.manifest,
                         preemptible=args.preemptible)
@@ -536,7 +536,10 @@ def _existing_store(root: str, sharded: bool = False) -> Any:
                for marker in markers):
         raise SystemExit("error: %s holds no %sstore"
                          % (root, "sharded " if sharded else ""))
-    return open_store(root)
+    try:
+        return open_store(root)
+    except ValueError as exc:  # a layout version this store does not read
+        raise SystemExit("error: %s" % exc)
 
 
 def _cmd_farm_stats(args: argparse.Namespace) -> int:
@@ -547,14 +550,17 @@ def _cmd_farm_stats(args: argparse.Namespace) -> int:
     # the human summary goes to stderr, per-shard breakdown included
     sys.stderr.write(
         "block pool: %d raw -> %d compressed bytes (%.2fx), dedup %.2fx\n"
+        "records: %d objects, %d bytes\n"
         % (stats.unique_bytes, stats.compressed_bytes,
-           stats.compression_ratio, stats.dedup_ratio))
+           stats.compression_ratio, stats.dedup_ratio,
+           stats.objects, stats.record_bytes))
     for shard, info in sorted(getattr(stats, "shards", {}).items()):
         sys.stderr.write(
-            "  %s: %d objects, %d blocks, %d bytes, hit rate %.1f%%, "
-            "%d repairs\n"
-            % (shard, info["objects"], info["blocks"], info["stored_bytes"],
-               100.0 * info["hit_rate"], info["repairs"]))
+            "  %s: %d objects, %d record bytes, %d blocks, %d bytes, "
+            "hit rate %.1f%%, %d repairs\n"
+            % (shard, info["objects"], info["record_bytes"], info["blocks"],
+               info["stored_bytes"], 100.0 * info["hit_rate"],
+               info["repairs"]))
     return 0
 
 

@@ -1,20 +1,26 @@
 """The on-disk, content-addressed checkpoint-artifact store.
 
-Layout under the store root::
+Layout under the store root (layout version 2)::
 
     store.json             format marker
-    blocks/<d2>/<digest>   zlib-compressed block contents
-    objects/<k2>/<key>.json  artifact meta (kind + codec record + sizes)
+    blocks/<digest>        zlib-compressed block contents
+    objects/<key>          zlib-compressed artifact record (JSON: kind,
+                           codec meta, block sizes); a key holding "/"
+                           nests, e.g. objects/snap/<digest>
 
 Blocks are shared: two artifacts referencing the same page store it
 once.  Every read decompresses the block and re-hashes it; a mismatch
 against the addressed digest raises :class:`StoreCorruption`, so a
-flipped bit on disk can never silently reach a simulation.
+flipped bit on disk can never silently reach a simulation.  One
+:meth:`_Store.get` reads and verifies each distinct block once and
+hands every reference to it the same verified bytes; nothing is cached
+across calls, so each ``get`` verifies everything it returns.
 
 Writes are crash-safe in the usual content-addressed way: blocks are
-written first (atomic rename, idempotent), the meta record last, so a
-partially written artifact is simply absent.  ``gc`` mark-sweeps the
-block pool against the live object set.
+written first (atomic rename, idempotent), the record last, so a
+partially written artifact is simply absent.  Each file is staged in a
+``.tmp-<pid>-<n>`` file of its own directory and renamed into place.
+``gc`` mark-sweeps the block pool against the live object set.
 
 The store operations are written once, over block and record
 primitives: :class:`ArtifactStore` supplies the single-root ones, and
@@ -24,10 +30,10 @@ primitives: :class:`ArtifactStore` supplies the single-root ones, and
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
-import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -36,7 +42,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Tuple
 from repro.farm import codec
 from repro.observe import hooks
 
-_FORMAT = {"format": "repro-farm-store", "version": 1}
+#: The layout the module docstring draws; a root of any other version
+#: is refused (see :func:`check_marker`).
+_FORMAT = {"format": "repro-farm-store", "version": 2}
 
 #: The markers that name a root's layout: a plain store's format file,
 #: and the sharded store's ring configuration.
@@ -78,6 +86,8 @@ class StoreStats:
     #: consistent denominator for the compression ratio (stray blocks
     #: awaiting gc have no known raw size and would skew it).
     compressed_bytes: int = 0
+    #: Compressed on-disk bytes of the artifact records.
+    record_bytes: int = 0
 
     @property
     def dedup_ratio(self) -> float:
@@ -100,6 +110,7 @@ class StoreStats:
             "logical_bytes": self.logical_bytes,
             "unique_bytes": self.unique_bytes,
             "stored_bytes": self.stored_bytes,
+            "record_bytes": self.record_bytes,
             "dedup_ratio": round(self.dedup_ratio, 3),
             "compression_ratio": round(self.compression_ratio, 3),
             "block_pool": {
@@ -133,20 +144,42 @@ class ScrubStats:
     lost_keys: List[str] = field(default_factory=list)
 
 
+#: Numbers this process's temp files; with the pid, a name no other
+#: live writer uses.
+_TMP_SEQ = itertools.count()
+
+
+def _open_tmp(directory: str) -> Tuple[str, int]:
+    """A new ``.tmp-<pid>-<n>`` file in *directory*, opened for writing."""
+    while True:
+        tmp = os.path.join(directory,
+                           ".tmp-%d-%d" % (os.getpid(), next(_TMP_SEQ)))
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                                0o600)
+        except FileExistsError:
+            continue  # left by a killed writer whose pid this one reuses
+
+
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write *data* to *path* through a temp file and one rename."""
     directory = os.path.dirname(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        tmp, fd = _open_tmp(directory)
     except FileNotFoundError:
-        # First write into this fan-out directory, or it was removed
-        # behind the store's back (gc, by hand): create it and retry.
-        # Creating directories on demand keeps makedirs off the path of
-        # every other write.
+        # A nested key's first record, or a directory removed behind
+        # the store's back (by hand): create it and retry.  Creating
+        # directories on demand keeps makedirs off the path of every
+        # other write.
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+        tmp, fd = _open_tmp(directory)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        try:
+            view = memoryview(data)
+            while view:  # one write, unless the kernel takes less
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -159,7 +192,7 @@ class _Store:
 
     A layout supplies the primitives: ``write_block``, ``read_block``,
     ``block_digests``, ``block_size``, ``remove_block`` for the block
-    pool, and ``put_record``, ``get_record``,
+    pool, and ``put_record``, ``get_record``, ``record_size``,
     ``remove_record``, ``contains``, ``keys`` and ``sweep_tmp`` for the
     artifact records.  Everything a campaign, the CLI or the service
     does with a store is built here on top of them.
@@ -219,9 +252,17 @@ class _Store:
         a layout no reader accepts.
         """
         record = self.get_record(key)
+        verified: Dict[str, bytes] = {}
+
+        def fetch(digest: str) -> bytes:
+            # each distinct block is read and verified once per call
+            data = verified.get(digest)
+            if data is None:
+                data = verified[digest] = self.read_block(digest)
+            return data
+
         try:
-            return codec.decode(record["kind"], record["meta"],
-                                self.read_block)
+            return codec.decode(record["kind"], record["meta"], fetch)
         except ValueError as exc:
             raise StoreCorruption("%s: %s" % (key, exc)) from exc
 
@@ -257,6 +298,7 @@ class _Store:
         for key in self.keys():
             record = records[key] = self.get_record(key)
             stats.objects += 1
+            stats.record_bytes += self.record_size(key)
             kind = record["kind"]
             stats.objects_by_kind[kind] = stats.objects_by_kind.get(kind, 0) + 1
             stats.logical_bytes += record.get("logical_bytes", 0)
@@ -377,14 +419,15 @@ class ArtifactStore(_Store):
         return os.path.join(self.root, "objects")
 
     def _block_path(self, digest: str) -> str:
-        return os.path.join(self._blocks_dir, digest[:2], digest)
+        return os.path.join(self._blocks_dir, digest)
 
     def _meta_path(self, key: str) -> str:
-        # keys may contain "/" (the service's run-scoped result keys);
-        # they become sub-directories, but must never escape the store
-        if not key or key.startswith(("/", ".")) or ".." in key.split("/"):
+        # keys may contain "/" (``snap/`` checkpoints); they become
+        # sub-directories, but must never escape the store, and no part
+        # may be empty or hidden (temp files start with ".")
+        if any(not part or part.startswith(".") for part in key.split("/")):
             raise ValueError("invalid store key %r" % key)
-        return os.path.join(self._objects_dir, key[:2], key + ".json")
+        return os.path.join(self._objects_dir, key)
 
     # -- blocks ------------------------------------------------------------
 
@@ -452,13 +495,9 @@ class ArtifactStore(_Store):
 
     def block_digests(self) -> Iterator[str]:
         """Digests of every block file in the pool, in sorted order."""
-        for shard in sorted(os.listdir(self._blocks_dir)):
-            shard_dir = os.path.join(self._blocks_dir, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if not name.startswith(".tmp-"):
-                    yield name
+        for name in sorted(os.listdir(self._blocks_dir)):
+            if not name.startswith("."):
+                yield name
 
     def block_size(self, digest: str) -> int:
         """Compressed on-disk bytes (FileNotFoundError when absent)."""
@@ -471,20 +510,30 @@ class ArtifactStore(_Store):
 
         The record must only reference blocks that are already in the
         pool — this is the commit point that makes a partially written
-        artifact simply absent rather than corrupt.
+        artifact simply absent rather than corrupt.  Raises ValueError
+        when *key* collides with a nested key (``a`` and ``a/b``).
         """
-        _atomic_write(self._meta_path(key),
-                      json.dumps(record, sort_keys=True).encode("utf-8"))
+        data = zlib.compress(json.dumps(record, sort_keys=True)
+                             .encode("utf-8"), self.compress_level)
+        try:
+            _atomic_write(self._meta_path(key), data)
+        except (IsADirectoryError, NotADirectoryError):
+            raise ValueError("store key %r collides with a nested key"
+                             % key) from None
 
     def get_record(self, key: str) -> dict:
         """The raw meta record for *key* (KeyError when absent)."""
         try:
-            with open(self._meta_path(key)) as handle:
-                return json.load(handle)
-        except FileNotFoundError:
+            with open(self._meta_path(key), "rb") as handle:
+                return json.loads(zlib.decompress(handle.read()))
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise KeyError(key)
-        except (ValueError, OSError) as exc:
+        except (zlib.error, ValueError, OSError) as exc:
             raise StoreCorruption("meta record for %s: %s" % (key, exc))
+
+    def record_size(self, key: str) -> int:
+        """Compressed on-disk bytes of *key*'s record."""
+        return os.path.getsize(self._meta_path(key))
 
     def remove_record(self, key: str) -> bool:
         try:
@@ -494,19 +543,17 @@ class ArtifactStore(_Store):
             return False
 
     def contains(self, key: str) -> bool:
-        return os.path.exists(self._meta_path(key))
+        return os.path.isfile(self._meta_path(key))
 
     def keys(self) -> Iterator[str]:
         for dirpath, dirnames, filenames in os.walk(self._objects_dir):
             dirnames.sort()
+            prefix = os.path.relpath(dirpath, self._objects_dir)
+            prefix = "" if prefix == os.curdir else \
+                prefix.replace(os.sep, "/") + "/"
             for name in sorted(filenames):
-                if not name.endswith(".json"):
-                    continue
-                relative = os.path.relpath(os.path.join(dirpath, name),
-                                           self._objects_dir)
-                parts = relative.split(os.sep)
-                # drop the two-char fan-out prefix; the rest is the key
-                yield "/".join(parts[1:])[:-len(".json")]
+                if not name.startswith("."):
+                    yield prefix + name
 
     def sweep_tmp(self, ttl_s: float = STALE_TMP_S) -> int:
         """Unlink ``.tmp-`` files older than *ttl_s* (killed writers).

@@ -55,6 +55,18 @@ def intern_slice(tid: int, quantum: int) -> ScheduleSlice:
     return entry
 
 
+def intern_slices(entries: Iterable[Sequence[int]]) -> List[ScheduleSlice]:
+    """The shared slices of ``[tid, quantum]`` *entries*, in order.
+
+    A decoded schedule repeats a few dozen pairs thousands of times, so
+    each entry is one probe of the shared table; :func:`intern_slice`
+    runs only for a pair not shared yet.
+    """
+    shared = _INTERNED.get
+    return [shared((tid, quantum)) or intern_slice(tid, quantum)
+            for tid, quantum in entries]
+
+
 class Scheduler:
     """Chooses which runnable thread executes next and for how long.
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.isa.registers import RegisterFile
 from repro.machine.cpu import NO_TRAP
 from repro.machine.kernel import Listener, ShmSegment
-from repro.machine.scheduler import intern_slice
+from repro.machine.scheduler import intern_slice, intern_slices
 from repro.machine.vfs import Channel, OpenFile, _Inode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -73,10 +73,6 @@ def _encode_thread(thread: "Thread") -> dict:
 
 def _slices(entries) -> list:
     return [[entry.tid, entry.quantum] for entry in entries]
-
-
-def _unslices(entries) -> list:
-    return [intern_slice(tid, quantum) for tid, quantum in entries]
 
 
 def save_machine(machine: "Machine") -> dict:
@@ -142,13 +138,13 @@ def restore_machine(machine: "Machine", state: dict) -> None:
     scheduler._rng.setstate((rng[0], tuple(rng[1]), rng[2]))
     scheduler._next_index = sched_state["next_index"]
     if sched_state["replay_log"] is not None:
-        scheduler._replay_log = _unslices(sched_state["replay_log"])
+        scheduler._replay_log = intern_slices(sched_state["replay_log"])
     scheduler._replay_pos = sched_state["replay_pos"]
     pending = sched_state["replay_pending"]
     scheduler._replay_pending = (
         None if pending is None else intern_slice(*pending))
     scheduler.record = sched_state["record"]
-    scheduler.trace = _unslices(sched_state["trace"])
+    scheduler.trace = intern_slices(sched_state["trace"])
     scheduler._pending_resumable = sched_state["pending_resumable"]
 
     cpu_state = state["cpu"]

@@ -38,7 +38,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.registers import RegisterFile
 from repro.machine.memory import PAGE_SIZE
-from repro.machine.scheduler import ScheduleSlice, intern_slice
+from repro.machine.scheduler import ScheduleSlice, intern_slices
 from repro.pinplay.regions import RegionSpec
 
 _TEXT_MAGIC = b"PBTX0001"
@@ -351,7 +351,7 @@ class Pinball:
             pages=pages,
             threads=[ThreadRecord.from_json(item) for item in threads],
             syscalls=[SyscallRecord.from_json(item) for item in syscalls],
-            schedule=[intern_slice(tid, quantum) for tid, quantum in schedule],
+            schedule=intern_slices(schedule),
             brk_start=meta["brk_start"],
             brk_end=meta["brk_end"],
             fat=meta["fat"],

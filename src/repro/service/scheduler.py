@@ -339,7 +339,6 @@ class FairShareScheduler:
             clients[client] = {
                 "queued": len(heap),
                 "vtime": round(self._vtime.get(client, 0.0), 6),
-                "weight": 1.0,
             }
         return {
             "queued": self._queued,

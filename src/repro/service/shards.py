@@ -80,8 +80,8 @@ def _ring(names: tuple, vnodes: int) -> HashRing:
 class ShardedStoreStats(StoreStats):
     """Aggregate store stats plus the per-shard breakdown."""
 
-    #: shard name -> {objects, blocks, stored_bytes, unique_bytes,
-    #: logical_bytes, dedup_ratio, hits, repairs, hit_rate}
+    #: shard name -> {objects, record_bytes, blocks, stored_bytes,
+    #: unique_bytes, logical_bytes, dedup_ratio, hits, repairs, hit_rate}
     shards: Dict[str, dict] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -263,6 +263,11 @@ class ShardedStore(_Store):
             return record
         raise KeyError(key)
 
+    def record_size(self, key: str) -> int:
+        """Compressed bytes of the home copy (``get_record`` moves a
+        stray record home first)."""
+        return self._stores[self.home_of_key(key)].record_size(key)
+
     def remove_record(self, key: str) -> bool:
         # strays from pre-rebalance layouts must die with the home copy
         return any([store.remove_record(key)
@@ -296,7 +301,8 @@ class ShardedStore(_Store):
         aggregate, records = self._tally(pool)
         stats = ShardedStoreStats(**vars(aggregate))
         per_shard = {
-            name: {"objects": 0, "blocks": len(copies[name]),
+            name: {"objects": 0, "record_bytes": 0,
+                   "blocks": len(copies[name]),
                    "stored_bytes": sum(copies[name].values()),
                    "unique_bytes": 0, "logical_bytes": 0,
                    "hits": self.block_hits[name],
@@ -305,7 +311,9 @@ class ShardedStore(_Store):
         }
         unique: Dict[str, int] = {}
         for key, record in records.items():
-            per_shard[self.home_of_key(key)]["objects"] += 1
+            home = self.home_of_key(key)
+            per_shard[home]["objects"] += 1
+            per_shard[home]["record_bytes"] += self.record_size(key)
             for digest, size in record.get("block_sizes", {}).items():
                 unique[digest] = size
                 per_shard[self.home_of_block(digest)]["logical_bytes"] \

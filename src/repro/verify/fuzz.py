@@ -110,15 +110,21 @@ class FuzzCase:
 
     @classmethod
     def from_json(cls, data: dict) -> "FuzzCase":
-        return cls(
-            seed=data["seed"],
-            threads=data.get("threads", 1),
-            iterations=data.get("iterations", 4),
-            features=tuple(data.get("features", ("arith",))),
-            region_pos=data.get("region_pos", 10),
-            region_len_pct=data.get("region_len_pct", 50),
-            region_marker=data.get("region_marker", False),
-        )
+        """The case :meth:`to_json` wrote.  Every key is read and none
+        is defaulted: a case missing one raises ValueError naming it,
+        rather than replaying a different case than the one pinned."""
+        try:
+            return cls(
+                seed=data["seed"],
+                threads=data["threads"],
+                iterations=data["iterations"],
+                features=tuple(data["features"]),
+                region_pos=data["region_pos"],
+                region_len_pct=data["region_len_pct"],
+                region_marker=data["region_marker"],
+            )
+        except KeyError as exc:
+            raise ValueError("fuzz case lacks key %s" % exc) from None
 
 
 @dataclass

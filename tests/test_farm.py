@@ -1,5 +1,6 @@
 """Tests for the checkpoint farm: store, job graph, runner, campaigns."""
 
+import itertools
 import json
 import os
 import shutil
@@ -182,14 +183,15 @@ def test_store_gc_sweeps_unreferenced_blocks(stores):
 
 
 def test_store_recreates_fan_out_dirs_removed_behind_its_back(tmp_path):
-    # plain layout only: it removes the plain store's fan-out directories
+    # plain layout only: it removes the plain store's block and record
+    # directories
     store = ArtifactStore(str(tmp_path))
     page = b"\x55" * PAGE_SIZE
     store.put("first", make_pinball("first", pages={0x1000: (5, page)}))
     digest = codec_digest_of_first_page(store, "first")
     record_dir = os.path.dirname(store._meta_path("first"))
-    # The whole fan-out directory of the page block and of the record
-    # vanish (by hand, or a sweep), and the store must re-create both.
+    # The whole directory of the page block and of the record vanish
+    # (by hand), and the store must re-create both.
     shutil.rmtree(os.path.dirname(store._block_path(digest)))
     shutil.rmtree(record_dir)
     store.put("fifth", make_pinball("fifth", pages={0x1000: (5, page)}))
@@ -212,6 +214,207 @@ def test_store_detects_corruption(stores):
         assert store.verify() == ["k"]
 
     on_each_layout(stores, check)
+
+
+def _repeating_group():
+    """A pinball group whose pages repeat inside and across members."""
+    same = b"\x5a" * PAGE_SIZE
+    pages = {0x1000: (5, same), 0x2000: (5, same),
+             0x3000: (3, b"\x6b" * PAGE_SIZE)}
+    return {"a": make_pinball("a", pages=dict(pages)),
+            "b": make_pinball("b", pages=dict(pages), icount=700)}
+
+
+def test_store_get_reads_each_distinct_block_once(stores):
+    def check(store):
+        store.put("g", _repeating_group())
+        meta = store.get_record("g")["meta"]
+        references = [digest for member in meta["members"].values()
+                      for digest in [page[2] for page in member["pages"]]
+                      + [member["rest"]]]
+        reads = []
+        read_block = store.read_block
+
+        def counted(digest):
+            reads.append(digest)
+            return read_block(digest)
+
+        store.read_block = counted
+        loaded = store.get("g")
+        assert sorted(reads) == sorted(set(references))
+        assert len(reads) < len(references)
+        # every reference to one block shares its one verified copy
+        assert loaded["a"].pages[0x1000][1] is loaded["b"].pages[0x2000][1]
+        # nothing outlives the call: a second get verifies afresh
+        store.get("g")
+        assert len(reads) == 2 * len(set(references))
+
+    on_each_layout(stores, check)
+
+
+def _counted_group(counter_path):
+    with open(counter_path, "a") as handle:
+        handle.write("%d\n" % os.getpid())
+    return _repeating_group()
+
+
+def test_tampered_repeated_block_is_detected_and_recomputed(stores,
+                                                             tmp_path):
+    def check(store):
+        counter = str(tmp_path / ("calls-%s" % type(store).__name__))
+        key = stable_digest(["group", counter])
+
+        def build():
+            graph = JobGraph()
+            graph.add(Job(name="capture", fn=_counted_group,
+                          args=(counter,), key=key))
+            return graph
+
+        FarmRunner(store, jobs=1).run(build())
+        repeated = store.get_record(key)["meta"]["members"]["a"]["pages"]
+        assert repeated[0][2] == repeated[1][2]
+        with open(block_file(store, repeated[0][2]), "wb") as handle:
+            handle.write(zlib.compress(b"\x00" * PAGE_SIZE))
+        with pytest.raises(StoreCorruption):
+            store.get(key)
+        runner = FarmRunner(store, jobs=1)
+        results = runner.run(build())
+        assert runner.report.cache["capture"] == "miss"
+        with open(counter) as handle:
+            assert len(handle.read().splitlines()) == 2
+        assert results["capture"]["b"].pages == _repeating_group()["b"].pages
+        assert store.get(key)["a"].pages == results["capture"]["a"].pages
+        assert store.verify() == []
+
+    on_each_layout(stores, check)
+
+
+def record_file(store, key):
+    """The file holding *key*'s home record, on either layout."""
+    if isinstance(store, ShardedStore):
+        store = store.shard_store(store.home_of_key(key))
+    return store._meta_path(key)
+
+
+@pytest.mark.parametrize("garbage", [
+    b"not zlib at all",
+    zlib.compress(b"{not json"),
+    b"",
+])
+def test_store_garbled_record_raises_corruption(stores, garbage):
+    def check(store):
+        store.put("k", make_pinball())
+        with open(record_file(store, "k"), "wb") as handle:
+            handle.write(garbage)
+        with pytest.raises(StoreCorruption):
+            store.get_record("k")
+        with pytest.raises(StoreCorruption):
+            store.get("k")
+
+    on_each_layout(stores, check)
+
+
+def test_store_records_are_compressed(tmp_path):
+    store = ArtifactStore(str(tmp_path), compress_level=9)
+    store.put("snap/one", make_pinball())
+    with open(store._meta_path("snap/one"), "rb") as handle:
+        record = json.loads(zlib.decompress(handle.read()))
+    assert record == store.get_record("snap/one")
+    assert list(store.keys()) == ["snap/one"]
+    # flat pool: one file per block directly under blocks/
+    assert sorted(os.listdir(os.path.join(str(tmp_path), "blocks"))) == \
+        sorted(store.block_digests())
+
+
+@pytest.mark.parametrize("key", ["", "/abs", ".hidden", "a/../b", "a//b",
+                                 "snap/.tmp-1-2", "trailing/"])
+def test_store_rejects_keys_that_are_not_plain_paths(tmp_path, key):
+    store = ArtifactStore(str(tmp_path))
+    with pytest.raises(ValueError, match="invalid store key"):
+        store.put(key, 1)
+
+
+def test_store_key_nested_under_another_key_is_an_error(tmp_path):
+    store = ArtifactStore(str(tmp_path))
+    store.put("run", 1)
+    with pytest.raises(ValueError, match="collides"):
+        store.put("run/1", 2)
+    store.put("snap/x", 3)
+    with pytest.raises(ValueError, match="collides"):
+        store.put("snap", 4)
+    assert not store.contains("snap") and not store.contains("run/1")
+    with pytest.raises(KeyError):
+        store.get("run/1")
+    assert sorted(store.keys()) == ["run", "snap/x"]
+
+
+def test_store_write_skips_a_stale_temp_of_its_own_name(tmp_path,
+                                                        monkeypatch):
+    """A killed writer's temp file can carry the very name this process
+    would stage its next write in (pids are reused): the write takes
+    the next name and leaves the stale file to gc."""
+    from repro.farm import store as store_module
+
+    store = ArtifactStore(str(tmp_path))
+    monkeypatch.setattr(store_module, "_TMP_SEQ", itertools.count())
+    stale = os.path.join(str(tmp_path), "blocks", ".tmp-%d-0" % os.getpid())
+    with open(stale, "wb") as handle:
+        handle.write(b"half a block")
+    store.put("k", 1)
+    assert store.get("k") == 1
+    with open(stale, "rb") as handle:
+        assert handle.read() == b"half a block"
+    assert list(store.block_digests()) == [store.get_record("k")["meta"]
+                                           ["blob"]]
+    store.gc(tmp_ttl_s=0)
+    assert not os.path.exists(stale)
+
+
+def test_store_stats_report_record_bytes(stores, capsys):
+    def check(store):
+        store.put("k1", make_pinball())
+        store.put("k2", {"a": make_pinball("a")})
+        stats = store.stats()
+        on_disk = sum(os.path.getsize(record_file(store, key))
+                      for key in ("k1", "k2"))
+        assert stats.record_bytes == on_disk > 0
+        assert stats.to_json()["record_bytes"] == on_disk
+        assert main(["farm", "stats", "--store", store.root]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["record_bytes"] == on_disk
+        assert "records: 2 objects, %d bytes" % on_disk in err
+        if isinstance(store, ShardedStore):
+            shards = stats.to_json()["shards"]
+            assert sum(entry["record_bytes"]
+                       for entry in shards.values()) == on_disk
+            for name, entry in shards.items():
+                assert "%s: %d objects, %d record bytes" % (
+                    name, entry["objects"], entry["record_bytes"]) in err
+
+    on_each_layout(stores, check)
+
+
+def test_store_of_layout_version_1_is_refused(tmp_path, capsys):
+    """A root written in the fanned-out, uncompressed version-1 layout
+    is refused as a whole, not read as the current layout."""
+    root = tmp_path / "v1"
+    (root / "blocks" / "ab").mkdir(parents=True)
+    (root / "objects" / "k1").mkdir(parents=True)
+    (root / "blocks" / "ab" / ("ab" + "0" * 62)).write_bytes(
+        zlib.compress(b"x"))
+    (root / "objects" / "k1" / "k1.json").write_text(json.dumps(
+        {"key": "k1", "kind": "object", "meta": {"blob": "ab" + "0" * 62},
+         "block_sizes": {"ab" + "0" * 62: 1}, "logical_bytes": 1}))
+    (root / "store.json").write_text(json.dumps(
+        {"format": "repro-farm-store", "version": 1}))
+    before = sorted(str(path) for path in root.rglob("*"))
+    with pytest.raises(ValueError, match="v1; this store reads "
+                                         "repro-farm-store v2"):
+        ArtifactStore(str(root))
+    for verb in ("stats", "scrub", "gc"):
+        with pytest.raises(SystemExit, match="v1; this store reads"):
+            main(["farm", verb, "--store", str(root)])
+    assert sorted(str(path) for path in root.rglob("*")) == before
 
 
 def codec_digest_of_first_page(store, key):

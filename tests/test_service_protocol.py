@@ -164,9 +164,11 @@ def test_artifact_digests_cannot_name_paths_outside_the_pool(tmp_path):
         host, port = server_thread.server.host, server_thread.server.port
         client = ServiceClient(host, port, client_id="prowler", retries=0)
         from repro.service.client import ServiceError
-        # blocks/<d[:2]>/<d> with d = "../store/store.json" is the
-        # store's own marker; an absolute d replaces the whole path
-        for digest in ("../store/store.json", str(victim), 7):
+        # blocks/<d> with d = "../store.json" is the store's own
+        # marker (so was "../store/store.json" in the fanned-out
+        # layout); an absolute d replaces the whole path
+        for digest in ("../store.json", "../store/store.json", str(victim),
+                       7):
             with pytest.raises(ServiceError) as rejected:
                 client.call("put-artifact", key="escape/1", kind="object",
                             meta={"blob": digest}, blocks={})

@@ -228,4 +228,4 @@ def test_stats_shape():
     assert stats["jobs"] == 2
     assert set(stats["clients"]) == {"a", "b"}
     for entry in stats["clients"].values():
-        assert {"queued", "vtime", "weight"} <= set(entry)
+        assert set(entry) == {"queued", "vtime"}

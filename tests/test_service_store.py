@@ -97,10 +97,11 @@ def test_store_marker_of_another_version_is_refused(tmp_path, layout):
     open_store(root, shards=2 if layout == "sharded" else 0).put("k", 1)
     with open(marker) as handle:
         config = json.load(handle)
-    config["version"] = 2
+    config["version"] += 1
     with open(marker, "w") as handle:
         json.dump(config, handle)
-    with pytest.raises(ValueError, match="v2; this store reads"):
+    with pytest.raises(ValueError, match="v%d; this store reads"
+                       % config["version"]):
         open_store(root)
 
 

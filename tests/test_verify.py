@@ -424,6 +424,16 @@ def test_fuzz_case_json_round_trip():
     assert FuzzCase.from_json(case.to_json()) == case
 
 
+@pytest.mark.parametrize("key", sorted(generate_case(11).to_json()))
+def test_fuzz_case_missing_a_key_is_rejected(key):
+    """A pinned case is read without defaults: one missing a key is an
+    error naming it, not a different case silently replayed."""
+    data = generate_case(11).to_json()
+    del data[key]
+    with pytest.raises(ValueError, match="lacks key '%s'" % key):
+        FuzzCase.from_json(data)
+
+
 def test_minimize_preserves_failure():
     # minimization needs a failing case; fake one by checking that a
     # passing case minimizes to itself (no reduction keeps a failure)
