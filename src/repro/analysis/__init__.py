@@ -1,12 +1,8 @@
-"""Measurement and reporting helpers for the case studies."""
+"""Reporting helpers for the case studies."""
 
-from repro.analysis.perfstat import PerfStats, perf_stat_program, perf_stat_elfie
 from repro.analysis.report import Table, format_table, bar_chart, timings_table
 
 __all__ = [
-    "PerfStats",
-    "perf_stat_program",
-    "perf_stat_elfie",
     "Table",
     "format_table",
     "bar_chart",

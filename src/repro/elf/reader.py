@@ -94,12 +94,6 @@ class ElfFile:
                 return section
         raise KeyError("no section named %r" % name)
 
-    def has_section(self, name: str) -> bool:
-        return any(s.name == name for s in self.sections)
-
-    def section_names(self) -> List[str]:
-        return [s.name for s in self.sections if s.name]
-
     def segment_data(self, segment: ProgramHeader) -> bytes:
         """File bytes backing a segment, zero-padded to p_memsz."""
         body = self.data[segment.p_offset : segment.p_offset + segment.p_filesz]
@@ -142,8 +136,3 @@ class ElfFile:
                 count = len(section.data) // 8
                 return list(struct.unpack("<%dQ" % count, section.data[:count * 8]))
         return []
-
-    @classmethod
-    def from_path(cls, path: str) -> "ElfFile":
-        with open(path, "rb") as handle:
-            return cls(handle.read())

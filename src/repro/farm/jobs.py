@@ -125,6 +125,3 @@ class JobGraph:
     def order(self) -> List[str]:
         """Job names in (a) topological order: the insertion order."""
         return list(self._order)
-
-    def dependents(self, name: str) -> List[str]:
-        return [job.name for job in self.jobs.values() if name in job.deps]

@@ -51,6 +51,9 @@ _FORMAT = {"format": "repro-farm-store", "version": 2}
 STORE_MARKER = "store.json"
 SHARDS_MARKER = "shards.json"
 
+#: The zlib level of every compressed block and record.
+COMPRESS_LEVEL = 6
+
 #: Temp files older than this are considered abandoned by a killed
 #: writer and are reclaimed by ``gc`` (an active writer holds its temp
 #: file for milliseconds, not minutes).
@@ -393,9 +396,8 @@ class _Store:
 class ArtifactStore(_Store):
     """A content-addressed repository for pinballs, ELFies and results."""
 
-    def __init__(self, root: str, compress_level: int = 6) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.compress_level = compress_level
         marker = os.path.join(root, STORE_MARKER)
         fresh = not os.path.exists(marker)
         if fresh and os.path.exists(os.path.join(root, SHARDS_MARKER)):
@@ -440,7 +442,7 @@ class ArtifactStore(_Store):
                 obs.count("store.blocks_deduped")
                 obs.count("store.bytes_deduped", len(data))
             return  # content-addressed: existing contents are identical
-        compressed = zlib.compress(data, self.compress_level)
+        compressed = zlib.compress(data, COMPRESS_LEVEL)
         if obs.enabled:
             obs.count("store.blocks_written")
             obs.count("store.bytes_raw", len(data))
@@ -514,7 +516,7 @@ class ArtifactStore(_Store):
         when *key* collides with a nested key (``a`` and ``a/b``).
         """
         data = zlib.compress(json.dumps(record, sort_keys=True)
-                             .encode("utf-8"), self.compress_level)
+                             .encode("utf-8"), COMPRESS_LEVEL)
         try:
             _atomic_write(self._meta_path(key), data)
         except (IsADirectoryError, NotADirectoryError):
@@ -593,7 +595,7 @@ def check_marker(path: str, format_name: str, version: int) -> dict:
     return marker
 
 
-def open_store(root: str, compress_level: int = 6, shards: int = 0) -> Any:
+def open_store(root: str, shards: int = 0) -> Any:
     """Open (or create) the store at *root*; the one place that picks a
     layout.
 
@@ -608,9 +610,8 @@ def open_store(root: str, compress_level: int = 6, shards: int = 0) -> Any:
     from repro.service.shards import ShardedStore
 
     if shards or os.path.exists(os.path.join(root, SHARDS_MARKER)):
-        return ShardedStore(root, shards=shards or None,
-                            compress_level=compress_level)
-    return ArtifactStore(root, compress_level=compress_level)
+        return ShardedStore(root, shards=shards or None)
+    return ArtifactStore(root)
 
 
 def _referenced_digests(meta: dict) -> Iterator[str]:

@@ -112,12 +112,6 @@ class AssembledProgram:
     def size(self) -> int:
         return len(self.code)
 
-    def address_of(self, label: str) -> int:
-        """Absolute address of *label*."""
-        if label not in self.labels:
-            raise KeyError("undefined label %r" % label)
-        return self.labels[label]
-
 
 def _unescape(text: str) -> bytes:
     """Process C-style escapes (\\n, \\t, \\0, \\\\, \\") in string literals."""

@@ -270,18 +270,6 @@ COND_BRANCH_OPS = frozenset(
     {Op.JZ, Op.JNZ, Op.JL, Op.JGE, Op.JG, Op.JLE, Op.JB, Op.JAE}
 )
 
-#: Opcodes that read memory.
-MEM_READ_OPS = frozenset(
-    {Op.LD, Op.LD4, Op.LD1, Op.FLD, Op.XADD, Op.CMPXCHG, Op.XCHG, Op.XRSTOR,
-     Op.POP, Op.POPF, Op.RET}
-)
-
-#: Opcodes that write memory.
-MEM_WRITE_OPS = frozenset(
-    {Op.ST, Op.ST4, Op.ST1, Op.FST, Op.XADD, Op.CMPXCHG, Op.XCHG, Op.XSAVE,
-     Op.PUSH, Op.PUSHF, Op.CALL, Op.CALL_R}
-)
-
 
 #: Control transfers: every opcode that ends a basic block.
 BLOCK_END_OPS = BRANCH_OPS | {Op.JMP_R, Op.CALL_R, Op.RET, Op.JMPABS}
@@ -331,15 +319,3 @@ class Instruction:
     @property
     def is_branch(self) -> bool:
         return self.op in BLOCK_END_OPS
-
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.op in COND_BRANCH_SIZE
-
-    @property
-    def reads_memory(self) -> bool:
-        return self.op in MEM_READ_OPS
-
-    @property
-    def writes_memory(self) -> bool:
-        return self.op in MEM_WRITE_OPS

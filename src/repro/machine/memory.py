@@ -8,7 +8,7 @@ challenge": an ELFie that diverges off its captured pages dies here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -266,23 +266,8 @@ class AddressSpace:
 
     # -- convenience accessors ---------------------------------------------
 
-    def read_u64(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        self.write(addr, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
-
     def read_u32(self, addr: int) -> int:
         return int.from_bytes(self.read(addr, 4), "little")
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def read_u8(self, addr: int) -> int:
-        return self.read(addr, 1)[0]
-
-    def write_u8(self, addr: int, value: int) -> None:
-        self.write(addr, bytes([value & 0xFF]))
 
     def read_cstring(self, addr: int, limit: int = 4096) -> bytes:
         """Read a NUL-terminated string of at most *limit* bytes."""
@@ -311,24 +296,6 @@ class AddressSpace:
     def snapshot_perms(self) -> Dict[int, int]:
         """Copy of page protections: page index -> prot bits."""
         return dict(self._perms)
-
-    def mapped_ranges(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield maximal (start_addr, end_addr, prot) runs of mapped pages."""
-        pages = self.mapped_pages()
-        if not pages:
-            return
-        run_start = pages[0]
-        prev = pages[0]
-        prot = self._perms[pages[0]]
-        for page in pages[1:]:
-            if page == prev + 1 and self._perms[page] == prot:
-                prev = page
-                continue
-            yield run_start << PAGE_SHIFT, (prev + 1) << PAGE_SHIFT, prot
-            run_start = page
-            prev = page
-            prot = self._perms[page]
-        yield run_start << PAGE_SHIFT, (prev + 1) << PAGE_SHIFT, prot
 
     def find_free_range(self, length: int, start_hint: int = 0x7F0000000000) -> int:
         """Find an unmapped, page-aligned range of *length* bytes.

@@ -121,13 +121,6 @@ class Scheduler:
     def replaying(self) -> bool:
         return self._replay_log is not None
 
-    @property
-    def replay_exhausted(self) -> bool:
-        """True when a replay log has been fully consumed."""
-        return (self._replay_log is not None
-                and self._replay_pending is None
-                and self._replay_pos >= len(self._replay_log))
-
     def pick(self, runnable_tids: Iterable[int]) -> ScheduleSlice:
         """Choose the next thread and quantum from *runnable_tids*.
 

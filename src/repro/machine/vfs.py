@@ -394,11 +394,3 @@ class FileDescriptorTable:
 
     def is_console_fd(self, fd: int) -> bool:
         return self._get(fd).is_console
-
-    def fd_path(self, fd: int) -> str:
-        """Path behind a descriptor (for sysstate extraction)."""
-        return self._get(fd).path
-
-    def fd_offset(self, fd: int) -> int:
-        open_file = self._get(fd)
-        return open_file.offset

@@ -162,19 +162,6 @@ class MetricsRegistry:
                                in sorted(self._histograms.items())},
             }
 
-    def render_text(self) -> str:
-        """A flat ``name value`` listing (greppable snapshot form)."""
-        snap = self.snapshot()
-        lines = []
-        for name, value in snap["counters"].items():
-            lines.append("%s %d" % (name, value))
-        for name, value in snap["gauges"].items():
-            lines.append("%s %g" % (name, value))
-        for name, summary in snap["histograms"].items():
-            for stat in ("count", "sum", "min", "max", "p50", "p95", "p99"):
-                lines.append("%s.%s %g" % (name, stat, summary[stat]))
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def export(self, path: str) -> None:
         directory = os.path.dirname(path)
         if directory:

@@ -41,8 +41,3 @@ class RegionSpec:
     def warmup_start(self) -> int:
         """Where warmup execution begins (clamped at program start)."""
         return max(0, self.start - self.warmup)
-
-    def with_warmup(self, warmup: int) -> "RegionSpec":
-        """Copy of this region with a different warmup length."""
-        return RegionSpec(start=self.start, length=self.length,
-                          warmup=warmup, name=self.name, weight=self.weight)

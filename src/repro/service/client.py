@@ -51,16 +51,19 @@ class ServiceUnavailable(Exception):
 class ServiceClient:
     """Blocking, reconnecting, idempotent-retry protocol client."""
 
+    #: The first retry's delay (s); each later one doubles, up to
+    #: ``max_backoff``.
+    backoff = 0.05
+    max_backoff = 2.0
+    #: Socket timeout (s) of a connect and of a read.
+    timeout = 60.0
+
     def __init__(self, host: str, port: int, client_id: str = "",
-                 retries: int = 5, backoff: float = 0.05,
-                 max_backoff: float = 2.0, timeout: float = 60.0) -> None:
+                 retries: int = 5) -> None:
         self.host = host
         self.port = port
         self.client_id = client_id or ("client-%d" % os.getpid())
         self.retries = retries
-        self.backoff = backoff
-        self.max_backoff = max_backoff
-        self.timeout = timeout
         self._sock: Optional[socket.socket] = None
         self._seq = itertools.count()
 
@@ -232,9 +235,6 @@ class ServiceClient:
             return codec.decode(response["kind"], response["meta"], fetch)
         except (ValueError, protocol.ProtocolError) as exc:
             raise ServiceError("artifact %s: %s" % (key, exc)) from exc
-
-    def has_artifact(self, key: str) -> bool:
-        return bool(self.call("has-artifact", key=key)["present"])
 
     def stats(self, store: bool = False) -> dict:
         return self.call("stats", store=store)

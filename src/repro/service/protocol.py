@@ -17,8 +17,7 @@ base64 strings inside the JSON; blocks are keyed by their SHA-256, which
 the server re-verifies before anything touches the store.
 
 Verbs: ``hello``, ``submit``, ``lease``, ``heartbeat``, ``complete``,
-``wait``, ``put-artifact``, ``get-artifact``, ``has-artifact``,
-``stats``.
+``wait``, ``put-artifact``, ``get-artifact``, ``stats``.
 """
 
 from __future__ import annotations

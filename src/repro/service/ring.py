@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: Ring positions use the top 64 bits of SHA-256 — plenty of spread,
 #: and block digests (already SHA-256 hex) index the ring for free.
@@ -55,14 +55,3 @@ class HashRing:
         if index == len(self._points):
             index = 0  # wrap: first point owns the top arc
         return self._points[index][1]
-
-    def arc_fractions(self) -> Dict[str, float]:
-        """Fraction of the keyspace each shard owns (sums to 1.0)."""
-        fractions = {shard: 0.0 for shard in self.shards}
-        points = self._points
-        for index, (position, _shard) in enumerate(points):
-            # the arc *ending* at this point belongs to this point's shard
-            previous = points[index - 1][0]
-            arc = (position - previous) % _SPACE or _SPACE
-            fractions[points[index][1]] += arc / _SPACE
-        return fractions

@@ -304,11 +304,6 @@ class CheckpointServer:
         return {"key": key, "kind": record["kind"], "meta": record["meta"],
                 "blocks": protocol.pack_blocks(blocks)}
 
-    async def _verb_has_artifact(self, message: dict) -> dict:
-        key = str(message["key"])
-        return {"key": key,
-                "present": await self._store_call(self.store.contains, key)}
-
     async def _verb_stats(self, message: dict) -> dict:
         response = {
             "scheduler": self.scheduler.stats(),

@@ -114,7 +114,7 @@ class ShardedStore(_Store):
     """
 
     def __init__(self, root: str, shards: Optional[int] = None,
-                 vnodes: int = 128, compress_level: int = 6) -> None:
+                 vnodes: int = 128) -> None:
         self.root = root
         marker = os.path.join(root, SHARDS_MARKER)
         if os.path.exists(marker):
@@ -132,10 +132,8 @@ class ShardedStore(_Store):
             names = shard_names(shards if shards is not None else 2)
             os.makedirs(root, exist_ok=True)
             _write_marker(root, names, vnodes)
-        self.compress_level = compress_level
         self.ring = _ring(tuple(names), vnodes)
-        self._stores = {name: ArtifactStore(os.path.join(root, name),
-                                            compress_level=compress_level)
+        self._stores = {name: ArtifactStore(os.path.join(root, name))
                         for name in names}
         # session counters behind the per-shard hit rate the service
         # reports (a fresh CLI process starts from zero)
@@ -156,8 +154,7 @@ class ShardedStore(_Store):
     def __setstate__(self, state: dict) -> None:
         state = dict(state)
         ShardedStore.__init__(self, state["root"],
-                              shards=state.pop("shard_count"),
-                              compress_level=state["compress_level"])
+                              shards=state.pop("shard_count"))
         vars(self).update(state)
 
     @property
@@ -356,9 +353,7 @@ class ShardedStore(_Store):
         stores = dict(self._stores)
         for name in new_names:
             if name not in stores:
-                stores[name] = ArtifactStore(
-                    os.path.join(self.root, name),
-                    compress_level=self.compress_level)
+                stores[name] = ArtifactStore(os.path.join(self.root, name))
         result = RebalanceStats(shards=len(new_names), dry_run=dry_run)
         for name, store in sorted(stores.items()):
             for digest in list(store.block_digests()):

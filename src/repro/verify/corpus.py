@@ -41,12 +41,22 @@ class CorpusCase:
 
     @classmethod
     def from_json(cls, data: dict) -> "CorpusCase":
-        return cls(
-            name=data["name"],
-            case=FuzzCase.from_json(data["case"]),
-            bug=data.get("bug", ""),
-            check_elfie=data.get("check_elfie", True),
-        )
+        """The entry :meth:`to_json` wrote.  Every key is read and none
+        is defaulted: a missing key, or a ``version`` other than
+        ``CORPUS_VERSION``, raises ValueError naming it."""
+        try:
+            version = data["version"]
+            if version != CORPUS_VERSION:
+                raise ValueError("corpus case version %r is not %d"
+                                 % (version, CORPUS_VERSION))
+            return cls(
+                name=data["name"],
+                case=FuzzCase.from_json(data["case"]),
+                bug=data["bug"],
+                check_elfie=data["check_elfie"],
+            )
+        except KeyError as exc:
+            raise ValueError("corpus case lacks key %s" % exc) from None
 
 
 def corpus_paths(directory: str) -> List[str]:

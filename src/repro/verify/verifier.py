@@ -448,7 +448,7 @@ def differential_verify(make_pair: MakePair, budget: int,
             div = report.divergence
             bad = report.epochs[-1]
             obs.instant(
-                "verify.divergence", "verify", name=name,
+                "verify.divergence", "verify", report=name,
                 epoch=report.first_bad_epoch,
                 icount=div.icount if div else -1,
                 tid=div.tid if div else -1,

@@ -1,11 +1,13 @@
-"""Tests for the analysis helpers: perf-stat and report rendering."""
+"""Tests for perf-stat-style PMU counts and the report helpers."""
 
 import pytest
 
-from repro.analysis import PerfStats, Table, bar_chart, format_table
-from repro.analysis.perfstat import perf_stat_elfie, perf_stat_program
+from repro.analysis import Table, bar_chart, format_table, timings_table
 from repro.core import MarkerSpec, Pinball2Elf, Pinball2ElfOptions
+from repro.machine.loader import load_elf
+from repro.machine.machine import Machine
 from repro.pinplay import RegionSpec, log_region
+from repro.simpoint.validation import measure_elfie_region
 from repro.workloads import build_executable
 
 PROGRAM = """
@@ -29,43 +31,38 @@ def image():
     return build_executable(PROGRAM, data_source="slot:\n.quad 0\n")
 
 
+def _run_native(image, seed=0):
+    machine = Machine(seed=seed)
+    load_elf(machine, image)
+    status = machine.run()
+    return status, machine.pmu.totals()
+
+
 def test_perf_stat_program_counts(image):
-    stats = perf_stat_program(image)
-    assert stats.exit_kind == "exit"
-    assert stats.instructions > 150_000
-    assert stats.cycles > stats.instructions
-    assert 1.0 < stats.cpi < 5.0
-    assert stats.ipc == pytest.approx(1.0 / stats.cpi)
-    assert stats.branches > 0
+    status, totals = _run_native(image)
+    assert status.kind == "exit"
+    assert totals["instructions"] > 150_000
+    assert totals["cycles"] > totals["instructions"]
+    assert 1.0 < totals["cycles"] / totals["instructions"] < 5.0
+    assert totals["branches"] > 0
 
 
 def test_perf_stat_program_deterministic(image):
-    first = perf_stat_program(image, seed=4)
-    second = perf_stat_program(image, seed=4)
-    assert first.cycles == second.cycles
-    assert first.instructions == second.instructions
+    _, first = _run_native(image, seed=4)
+    _, second = _run_native(image, seed=4)
+    assert first["cycles"] == second["cycles"]
+    assert first["instructions"] == second["instructions"]
 
 
 def test_perf_stat_elfie_region(image):
-    pinball = log_region(image, RegionSpec(start=40_000, length=30_000,
-                                           warmup=10_000, name="ps.r0"))
+    region = RegionSpec(start=40_000, length=30_000, warmup=10_000,
+                        name="ps.r0")
+    pinball = log_region(image, region)
     artifact = Pinball2Elf(pinball, Pinball2ElfOptions(
         perf_exit=True, marker=MarkerSpec("sniper", 2))).convert()
-    stats = perf_stat_elfie(artifact.image, region_length=30_000,
-                            warmup=10_000)
-    assert stats is not None
-    assert stats.instructions == 30_000
-    assert stats.cpi > 1.0
-
-
-def test_perf_stats_mpki():
-    stats = PerfStats(instructions=1000, cycles=2000, llc_misses=5,
-                      branches=100, exit_kind="exit")
-    assert stats.mpki == 5.0
-    empty = PerfStats(instructions=0, cycles=0, llc_misses=0, branches=0,
-                      exit_kind="exit")
-    assert empty.cpi == 0.0
-    assert empty.mpki == 0.0
+    measurement = measure_elfie_region(artifact, region)
+    assert measurement.ok
+    assert measurement.cpi > 1.0
 
 
 def test_table_rendering_alignment():
@@ -108,3 +105,11 @@ def test_bar_chart_negative_values():
 
 def test_bar_chart_empty():
     assert "(no data)" in bar_chart("c", [])
+
+
+def test_timings_table_reports_speedups_against_the_first_run():
+    text = timings_table("T", [("cold", 2.0), ("warm", 0.5), ("none", 0.0)])
+    assert "2.000" in text and "1.0x" in text
+    assert "0.500" in text and "4.0x" in text
+    assert "infx" in text
+    assert "run" in timings_table("T", [])

@@ -60,7 +60,7 @@ def test_pinball2elf_executable(pinball_prefix, tmp_path, capsys):
     assert "wrote" in captured
     from repro.elf import ElfFile, ET_EXEC
 
-    elf = ElfFile.from_path(out)
+    elf = ElfFile(Path(out).read_bytes())
     assert elf.header.e_type == ET_EXEC
 
 
@@ -71,7 +71,7 @@ def test_pinball2elf_object_mode(pinball_prefix, tmp_path, capsys):
     assert code == 0
     from repro.elf import ElfFile, ET_REL
 
-    assert ElfFile.from_path(out).header.e_type == ET_REL
+    assert ElfFile(Path(out).read_bytes()).header.e_type == ET_REL
     assert (tmp_path / "x.o.lds").exists()
     assert (tmp_path / "x.o.ctx.s").exists()
 
@@ -158,6 +158,14 @@ def test_verify_run_reports_a_corrupted_register(pinball_prefix, binary,
 def test_verify_corpus_replays_the_corpus(one_case_corpus, capsys):
     code = main(["verify", "corpus", "--corpus", one_case_corpus])
     assert code == 0
+    assert "corpus: 1 cases, 0 failing" in capsys.readouterr().out
+
+
+def test_verify_corpus_defaults_to_tests_corpus_under_cwd(
+        one_case_corpus, tmp_path, monkeypatch, capsys):
+    shutil.copytree(one_case_corpus, tmp_path / "tests" / "corpus")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "corpus"]) == 0
     assert "corpus: 1 cases, 0 failing" in capsys.readouterr().out
 
 

@@ -23,6 +23,7 @@ from repro.verify import (
     run_case,
     save_corpus_case,
 )
+from repro.verify.corpus import CORPUS_VERSION
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -72,6 +73,27 @@ def test_save_and_load_round_trip(tmp_path):
     with open(path) as handle:
         data = json.load(handle)
     assert data["version"] == 1
+
+
+@pytest.mark.parametrize("key", ["version", "name", "bug", "check_elfie",
+                                 "case"])
+def test_corpus_case_missing_a_key_is_rejected(key):
+    """A pinned entry is read without defaults: one missing a key is an
+    error naming it, not a case replayed with a guessed setting."""
+    data = CorpusCase(name="demo", case=FuzzCase(seed=7), bug="demo bug",
+                      check_elfie=False).to_json()
+    del data[key]
+    with pytest.raises(ValueError, match="lacks key '%s'" % key):
+        CorpusCase.from_json(data)
+
+
+def test_corpus_case_of_another_version_is_rejected():
+    data = CorpusCase(name="demo", case=FuzzCase(seed=7),
+                      bug="demo bug").to_json()
+    data["version"] = CORPUS_VERSION + 1
+    with pytest.raises(ValueError, match="version %d is not %d"
+                       % (CORPUS_VERSION + 1, CORPUS_VERSION)):
+        CorpusCase.from_json(data)
 
 
 def test_format_failure_mentions_seed_and_bug():

@@ -47,7 +47,7 @@ def test_magic_bytes():
 
 def test_sections_round_trip():
     elf = ElfFile(_simple_exec())
-    names = elf.section_names()
+    names = [section.name for section in elf.sections]
     assert ".text" in names and ".data" in names
     assert elf.section(".data").data == b"DATA"
     assert elf.section(".text").addr == 0x400000
@@ -91,7 +91,7 @@ def test_relocatable_object_has_no_segments():
     elf = ElfFile(builder.build())
     assert elf.header.e_type == ET_REL
     assert elf.segments == []
-    assert elf.has_section(".text.page1")
+    assert elf.section(".text.page1").addr == 0x400000
 
 
 def test_duplicate_section_name_rejected():
@@ -115,7 +115,7 @@ def test_many_sections_round_trip():
                             bytes([i]) * 32, addr=0x10000 + i * 0x1000,
                             flags=SHF_ALLOC | SHF_WRITE, prot=3)
     elf = ElfFile(builder.build())
-    assert len(elf.section_names()) >= 50
+    assert len(elf.sections) >= 50
     for i in range(50):
         section = elf.section(".data.%x" % (0x10000 + i * 0x1000))
         assert section.data == bytes([i]) * 32

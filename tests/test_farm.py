@@ -315,7 +315,7 @@ def test_store_garbled_record_raises_corruption(stores, garbage):
 
 
 def test_store_records_are_compressed(tmp_path):
-    store = ArtifactStore(str(tmp_path), compress_level=9)
+    store = ArtifactStore(str(tmp_path))
     store.put("snap/one", make_pinball())
     with open(store._meta_path("snap/one"), "rb") as handle:
         record = json.loads(zlib.decompress(handle.read()))
@@ -483,7 +483,6 @@ def test_job_refs_imply_dependencies():
     job = graph.add(Job(name="b", fn=_identity, args=(Ref("a"),)))
     assert job.deps == ("a",)
     assert graph.order() == ["a", "b"]
-    assert graph.dependents("a") == ["b"]
 
 
 # -- runner (module-level fns so the worker pool can pickle them) -----------

@@ -113,5 +113,5 @@ def test_fd_aliases_share_exactly_one_offset(ops):
             expected += b"\x00" * (8 - len(expected))  # past-EOF maps zeros
             assert machine.mem.read(base, 8) == expected
         for check_fd, offset in model.offsets().items():
-            assert machine.kernel.fdt.fd_offset(check_fd) == offset, (
+            assert machine.kernel.fdt.entry(check_fd).offset == offset, (
                 "fd %d offset diverged after %r" % (check_fd, op))

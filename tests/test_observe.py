@@ -180,15 +180,13 @@ def test_metrics_snapshot_round_trip(tmp_path):
     assert loaded["counters"]["syscalls"] == 10
     assert loaded["gauges"]["workers"] == 4
     assert loaded["histograms"]["wall_s"]["count"] == 3
-
-    text = registry.render_text()
-    assert "syscalls 10" in text
-    assert "wall_s.p95" in text
+    assert "p95" in loaded["histograms"]["wall_s"]
 
 
 def test_metric_kind_collisions_are_rejected():
     registry = MetricsRegistry()
     registry.count("name")
+    assert registry.counter("name").value == 1
     with pytest.raises(ValueError):
         registry.gauge("name")
     with pytest.raises(ValueError):
@@ -270,3 +268,61 @@ def test_farm_run_trace_spans_match_manifest(tmp_path, capsys):
     assert metrics["counters"]["farm.jobs"] == len(read_manifest(manifest))
     assert metrics["counters"]["cpu.instructions"] > 0
     assert metrics["histograms"]["farm.job_wall_s"]["count"] == len(executed)
+
+
+# -- end to end: an in-thread service campaign with observability on ---------
+
+
+def _double(value):
+    return value * 2
+
+
+def test_service_campaign_records_per_layer_metrics(tmp_path):
+    """The per-layer service metrics a traced ``service_pair`` reports:
+    submits, completes, lease latency, the queue-depth gauge, an expired
+    lease counted by the reaper, and a memoized resubmit."""
+    from repro.farm import Job, JobGraph
+    from repro.service import (
+        ServerThread,
+        ServiceCampaignRunner,
+        ServiceClient,
+        ServiceWorker,
+    )
+
+    with observed() as obs, ServerThread(str(tmp_path / "svc"),
+                                         lease_timeout=0.4) as server:
+        host, port = server.server.host, server.server.port
+        client = ServiceClient(host, port, client_id="observed")
+        orphan = client.submit("orphan", _double, (4,), key="svc/t/orphan",
+                               kind="object")
+        dead = ServiceClient(host, port, client_id="dead-worker")
+        assert dead.lease("dead-worker", wait_s=2.0) is not None
+        dead.close()  # no heartbeat: the reaper expires the lease
+        worker = ServiceWorker(host, port, name="live", poll_s=0.05)
+        thread = threading.Thread(target=worker.run)
+        thread.start()
+        try:
+            graph = JobGraph()
+            for value in (1, 2):
+                graph.add(Job(name="double%d" % value, fn=_double,
+                              args=(value,)))
+            runner = ServiceCampaignRunner(client)
+            assert runner.run(graph) == {"double1": 2, "double2": 4}
+            job_id = orphan["job"]["job_id"]
+            assert client.wait([job_id], timeout_s=10.0)[job_id]["state"] \
+                == "ok"
+            again = client.submit("orphan", _double, (4,),
+                                  key="svc/t/orphan", kind="object")
+            assert again["status"] == "cached"
+        finally:
+            client.close()
+            worker.stop()
+            thread.join(10.0)
+        snapshot = obs.metrics.snapshot()
+    counters = snapshot["counters"]
+    assert counters["service.submits"] == 3
+    assert counters["service.completes"] == 3
+    assert counters["service.leases_expired"] == 1
+    assert counters["service.cache_hits"] == 1
+    assert snapshot["histograms"]["service.lease_latency_s"]["count"] == 4
+    assert snapshot["gauges"]["service.queue_depth"] == 0

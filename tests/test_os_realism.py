@@ -92,7 +92,7 @@ def test_mmap_file_backed_does_not_move_fd_offset():
     # the mapping sees the file at the mmap offset, not the fd offset
     assert machine.mem.read(base, 4) == b"BBBB"
     # and the descriptor's offset is exactly where lseek left it
-    assert machine.kernel.fdt.fd_offset(fd) == 7
+    assert machine.kernel.fdt.entry(fd).offset == 7
     _call(machine, thread, NR.READ, rdi=fd, rsi=0x3000, rdx=2)
     assert machine.mem.read(0x3000, 2) == b"AA"
 
@@ -285,7 +285,7 @@ def test_dup2_same_fd_is_validity_check_only():
     fd = _open(machine, thread, "/f")
     _call(machine, thread, NR.LSEEK, rdi=fd, rsi=2, rdx=0)
     assert _call(machine, thread, NR.DUP2, rdi=fd, rsi=fd) == fd
-    assert machine.kernel.fdt.fd_offset(fd) == 2  # untouched
+    assert machine.kernel.fdt.entry(fd).offset == 2  # untouched
     assert _call(machine, thread, NR.DUP2, rdi=999, rsi=999) == -9  # EBADF
 
 
@@ -434,7 +434,7 @@ def test_thread_directed_signal_prefers_unblocked_thread():
 def test_signal_interrupts_futex_wait_with_eintr():
     machine, thread = _machine_with_thread()
     _install_handler(machine, thread, SIGUSR1)
-    machine.mem.write_u64(0x6000, 1)
+    machine.mem.write(0x6000, (1).to_bytes(8, "little"))
     # FUTEX_WAIT on a matching value parks the thread
     assert _call(machine, thread, NR.FUTEX, rdi=0x6000, rsi=0, rdx=1) == 0
     assert thread.blocked and thread.futex_addr == 0x6000

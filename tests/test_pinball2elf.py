@@ -65,7 +65,7 @@ def test_elfie_is_valid_elf_executable(basic_elfie):
 
 def test_elfie_sections_mirror_pinball_layout(loop_pinball, basic_elfie):
     elf = ElfFile(basic_elfie.image)
-    names = elf.section_names()
+    names = [section.name for section in elf.sections]
     assert any(name.startswith(".text.") for name in names)
     assert any(name.startswith(".data.") for name in names)
     assert ".text.elfie" in names
@@ -301,9 +301,10 @@ def test_symbol_values_point_into_context(loop_pinball, basic_elfie):
     symbols = elf.symbol_map()
     machine, _ = prepare_elfie_machine(basic_elfie.image, seed=0)
     rax_addr = symbols[".t0.rax"]
-    assert machine.mem.read_u64(rax_addr) == loop_pinball.threads[0].regs.get("rax")
+    assert (int.from_bytes(machine.mem.read(rax_addr, 8), "little")
+            == loop_pinball.threads[0].regs.get("rax"))
     flags_addr = symbols[".t0.rflags"]
-    assert (machine.mem.read_u64(flags_addr)
+    assert (int.from_bytes(machine.mem.read(flags_addr, 8), "little")
             == loop_pinball.threads[0].regs.flags.to_word())
 
 

@@ -128,4 +128,3 @@ def test_region_spec_validation():
     region = RegionSpec(start=100, length=50, warmup=200)
     assert region.end == 150
     assert region.warmup_start == 0
-    assert region.with_warmup(10).warmup == 10

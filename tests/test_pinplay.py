@@ -119,8 +119,8 @@ def test_replay_is_deterministic(counter_image):
     assert second.diverged is None
     assert first.thread_icounts == second.thread_icounts == {0: 3000}
     # final memory identical
-    assert (first.machine.mem.read_u64(0x600000)
-            == second.machine.mem.read_u64(0x600000))
+    assert (first.machine.mem.read(0x600000, 8)
+            == second.machine.mem.read(0x600000, 8))
 
 
 def test_replay_reaches_exact_region_end(counter_image):
@@ -140,7 +140,7 @@ def test_replay_injects_file_reads_without_the_file(file_image):
     assert result.matches_recording
     assert result.injected_syscalls >= 1
     # the injected read delivered 0x2a into the buffer
-    assert result.machine.mem.read_u8(0x600000) == 0x2A
+    assert result.machine.mem.read(0x600000, 1)[0] == 0x2A
 
 
 def test_injectionless_replay_file_read_fails(file_image):

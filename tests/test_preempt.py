@@ -12,6 +12,7 @@ interrupted + resumed campaign.
 
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
@@ -137,6 +138,24 @@ def test_stale_resume_snapshot_is_ignored_by_kind(mcf_image):
                           preemptible=True)
     assert profile.total_icount == 209_632
     assert preempt.GLOBAL.take_resume() is snapshot  # left parked
+
+
+def test_preempted_pickles_with_its_snapshot(mcf_image):
+    """A pool worker's Preempted reaches the parent pickled: the copy
+    carries a snapshot that resumes to the uninterrupted result."""
+    straight = collect_bbv(mcf_image, slice_size=5000, seed=3)
+    preempt.GLOBAL._event = _Countdown(4)
+    with pytest.raises(Preempted) as caught:
+        collect_bbv(mcf_image, slice_size=5000, seed=3, preemptible=True)
+    copy = pickle.loads(pickle.dumps(caught.value))
+    assert str(copy) == str(caught.value)
+
+    preempt.GLOBAL._event = threading.Event()
+    preempt.set_resume(copy.snapshot)
+    resumed = collect_bbv(mcf_image, slice_size=5000, seed=3,
+                          preemptible=True)
+    assert resumed.vectors == straight.vectors
+    assert resumed.total_icount == straight.total_icount
 
 
 def test_farm_runner_inline_preempt_then_resume(tmp_path, mcf_image):

@@ -54,7 +54,8 @@ def test_record_and_replay_round_trip():
     player.replay(trace)
     replayed = [player.pick([0, 1]) for _ in range(10)]
     assert replayed == trace
-    assert player.replay_exhausted
+    # the log is consumed: the next pick runs free instead of naming a tid
+    assert player.pick([5]).tid == 5
 
 
 def test_replay_rejects_nonrunnable_thread():

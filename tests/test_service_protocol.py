@@ -105,7 +105,7 @@ def test_dropped_connection_mid_put_artifact(service):
     raw.close()
     time.sleep(0.1)
     # the torn request never executed, and the server still serves
-    assert not client.has_artifact("torn/1")
+    assert not service.store.contains("torn/1")
     assert client.get_artifact("keep/1") == {"v": 1}
     client.close()
 
@@ -118,7 +118,7 @@ def test_corrupt_block_upload_is_rejected(service):
         client.call("put-artifact", key="bad/1", kind="object",
                     meta={"blob": "ab" * 32},
                     blocks={"ab" * 32: protocol.pack_bytes(b"wrong bytes")})
-    assert not client.has_artifact("bad/1")
+    assert not service.store.contains("bad/1")
     client.close()
 
 
@@ -143,8 +143,8 @@ def test_undecodable_artifact_upload_is_rejected(service):
         client.call("put-artifact", key="victim/2", kind="object",
                     meta={"blob": "cd" * 32}, blocks={})
     assert dangling.value.code == 400
-    assert not client.has_artifact("victim/1")
-    assert not client.has_artifact("victim/2")
+    assert not service.store.contains("victim/1")
+    assert not service.store.contains("victim/2")
     client.put_artifact("keep/2", {"v": 2}, "object")
     meta = service.store.get_record("keep/2")["meta"]
     client.call("put-artifact", key="alias/2", kind="object", meta=meta,
@@ -175,7 +175,7 @@ def test_artifact_digests_cannot_name_paths_outside_the_pool(tmp_path):
             assert rejected.value.code == 400
         assert (root / "store.json").exists()
         assert victim.read_text() == "keep me"
-        assert not client.has_artifact("escape/1")
+        assert not server_thread.store.contains("escape/1")
         client.close()
 
 
@@ -307,13 +307,14 @@ class FlakyServer:
         self.sock.close()
 
 
-def test_client_retries_with_same_request_id(service):
+def test_client_retries_with_same_request_id(service, monkeypatch):
     """A lost response is retried with the SAME envelope id, so the
     upstream replay cache can make the retry idempotent."""
+    monkeypatch.setattr(ServiceClient, "backoff", 0.01)
     host, port = service.server.host, service.server.port
     flaky = FlakyServer(host, port, drops=2)
     client = ServiceClient("127.0.0.1", flaky.port, client_id="c",
-                           retries=4, backoff=0.01)
+                           retries=4)
     submitted = client.submit("double", double, (3,), key="svc/t/retry")
     assert submitted["status"] == "queued"
     assert len(flaky.seen) == 3          # two drops + one success
@@ -322,7 +323,8 @@ def test_client_retries_with_same_request_id(service):
     client.close()
 
 
-def test_client_gives_up_cleanly_when_unreachable():
-    client = ServiceClient("127.0.0.1", 1, retries=1, backoff=0.01)
+def test_client_gives_up_cleanly_when_unreachable(monkeypatch):
+    monkeypatch.setattr(ServiceClient, "backoff", 0.01)
+    client = ServiceClient("127.0.0.1", 1, retries=1)
     with pytest.raises(ServiceUnavailable):
         client.hello()

@@ -29,11 +29,10 @@ def test_ring_covers_every_shard():
 
 def test_ring_balance_within_tolerance():
     ring = HashRing(shard_names(4), vnodes=128)
-    fractions = ring.arc_fractions()
-    assert abs(sum(fractions.values()) - 1.0) < 1e-9
-    for fraction in fractions.values():
+    owners = [ring.shard_for(_digest(index)) for index in range(4000)]
+    for shard in shard_names(4):
         # 128 vnodes keeps every shard within a loose band of 1/N
-        assert 0.10 < fraction < 0.45
+        assert 0.10 < owners.count(shard) / len(owners) < 0.45
 
 
 def test_ring_minimal_movement_on_growth():

@@ -59,13 +59,12 @@ def test_sharded_store_pickles_as_its_root(tmp_path):
     """A pooled runner ships its store with every task: the pickle holds
     the root and shard count (not the ring), and the copy reopens the
     same ring and reads what the original wrote."""
-    store = ShardedStore(str(tmp_path), shards=3, compress_level=1)
+    store = ShardedStore(str(tmp_path), shards=3)
     keys = fill(store)
     blob = pickle.dumps(store)
     assert len(blob) < 512
     copy = pickle.loads(blob)
     assert copy.shards == store.shards
-    assert copy.compress_level == 1
     assert all(copy.home_of_key(key) == store.home_of_key(key)
                for key in keys)
     assert {key: copy.get(key) for key in keys} == keys

@@ -171,6 +171,33 @@ def test_pinpoints_alternates_listed(pinpoints_result):
             assert alt.name.startswith(region.name + ".alt")
 
 
+def test_simulator_validation_measures_each_primary(pinpoints_result):
+    """Fig. 9's traditional path: whole program and region ELFies
+    through the detailed CoreSim model."""
+    from repro.simpoint.validation import validate_with_simulator
+    from repro.simulators import CoreSim, CoreSimConfig
+
+    selection = pinpoints_result.selection
+    assert selection.k == len(selection.clusters)
+    simulator = CoreSim(CoreSimConfig(frontend="sde"))
+
+    def region_cpi(artifact, region):
+        result = simulator.simulate_elfie(
+            artifact.image, roi_budget=region.length,
+            warmup_budget=region.start - region.warmup_start)
+        assert result.measured_instructions >= region.length
+        return result.measured_cpi
+
+    validation = validate_with_simulator(
+        pinpoints_result,
+        lambda: simulator.simulate_program(TWO_PHASE.build()).user_cpi,
+        region_cpi)
+    assert validation.whole_program_cpi > 0
+    assert len(validation.measurements) == len(
+        pinpoints_result.primary_regions)
+    assert all(m.ok and m.cpi > 0 for m in validation.measurements)
+
+
 def test_elfie_validation_produces_plausible_error(pinpoints_result):
     validation = validate_with_elfies(pinpoints_result, trials=2)
     assert validation.covered_weight > 0.6

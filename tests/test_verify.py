@@ -1,7 +1,9 @@
 """Tests for the differential replay-fidelity verifier (repro.verify)."""
 
 import copy
+import importlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.pinball2elf import Pinball2Elf, Pinball2ElfOptions
 from repro.machine.loader import load_elf
 from repro.machine.machine import Machine
 from repro.machine.tool import Tool
+from repro.observe import observed
 from repro.pinplay import LogOptions, RegionSpec, extract_sysstate, log_region
 from repro.verify import (
     FuzzCase,
@@ -22,7 +25,12 @@ from repro.verify import (
     verify_elfie_entry,
     verify_pinball,
 )
-from repro.verify.fuzz import FuzzOutcome, build_case, fuzz
+from repro.verify.fuzz import (
+    FuzzOutcome,
+    aslr_invariance,
+    build_case,
+    fuzz,
+)
 from repro.workloads import build_executable
 
 #: the module itself: the package re-exports its ``fuzz`` function under
@@ -227,9 +235,19 @@ def test_xstate_replay_detects_corruption(xstate_setup):
     image, pinball = xstate_setup
     bad = copy.deepcopy(pinball)
     bad.threads[0].regs.fs_base = 0x9999
-    report = verify_pinball(image, bad)
+    with observed() as obs:
+        report = verify_pinball(image, bad)
     assert not report.ok
     assert "fs_base" in report.divergence.diff
+    # a traced run marks the divergence with both sides' digests
+    assert obs.metrics.snapshot()["counters"]["verify.divergences"] == 1
+    (instant,) = [event for event in obs.tracer.events()
+                  if event["name"] == "verify.divergence"]
+    assert instant["args"]["report"] == report.name
+    bad_epoch = report.epochs[-1]
+    assert instant["args"]["digest_a"] == "%s:%s" % (bad_epoch.a.arch,
+                                                     bad_epoch.a.mem)
+    assert instant["args"]["digest_a"] != instant["args"]["digest_b"]
 
     bad = copy.deepcopy(pinball)
     bad.threads[0].regs.xmm[3] += 1.0
@@ -267,6 +285,7 @@ def test_elfie_entry_detects_corruption(xstate_setup):
     report = verify_elfie_entry(artifact.image, pinball, fs=fs,
                                 workdir=workdir)
     assert not report.ok
+    assert report.summary().startswith("elfie entry FAIL: ")
     mismatches = report.register_mismatches[pinball.threads[0].tid]
     assert any("rbx" in row for row in mismatches)
 
@@ -489,3 +508,151 @@ def test_build_case_produces_runnable_image():
     load_elf(machine, image)
     status = machine.run(max_instructions=2_000_000)
     assert status.kind == "exit"
+
+
+# -- fuzz stage failures ------------------------------------------------------
+
+
+def _raise(message):
+    def fail(*args, **kwargs):
+        raise RuntimeError(message)
+    return fail
+
+
+def _returns(value):
+    return lambda *args, **kwargs: value
+
+
+# (``repro.verify.fuzz`` the attribute is the fuzz() function)
+fuzz_module = importlib.import_module("repro.verify.fuzz")
+
+_FAILED_REPORT = SimpleNamespace(ok=False, divergence="forced divergence")
+
+#: failure -> (stage, the fuzz-module callee to replace, its replacement,
+#: the detail)
+_RUN_CASE_FAILURES = {
+    "build-raises": ("build", "build_case", _raise("bad asm"), "bad asm"),
+    "build-no-exit": ("build", "_measure", _returns(None),
+                      "native run did not exit gracefully"),
+    "build-too-short": ("build", "_pick_region", _returns(None),
+                        "program too short"),
+    "record": ("record", "log_region", _raise("capture failed"),
+               "capture failed"),
+    "replay": ("replay", "verify_pinball", _returns(_FAILED_REPORT),
+               "forced divergence"),
+    "elfie": ("elfie", "verify_elfie_entry",
+              _returns(SimpleNamespace(ok=False, detail="bad entry")),
+              "bad entry"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_RUN_CASE_FAILURES))
+def test_run_case_reports_the_failing_stage(failure, monkeypatch):
+    stage, callee, replacement, detail = _RUN_CASE_FAILURES[failure]
+    monkeypatch.setattr(fuzz_module, callee, replacement)
+    outcome = run_case(FuzzCase(seed=3))
+    assert (outcome.ok, outcome.stage) == (False, stage)
+    assert detail in outcome.detail
+
+
+def test_run_case_reports_a_marker_case_without_a_boundary(monkeypatch):
+    monkeypatch.setattr(fuzz_module, "_pick_marker_region", _returns(None))
+    outcome = run_case(FuzzCase(seed=3, region_marker=True))
+    assert (outcome.ok, outcome.stage) == (False, "build")
+    assert "no interior work-marker boundary" in outcome.detail
+
+
+def test_run_case_on_a_tier_reports_build_and_dispatch(monkeypatch):
+    monkeypatch.setattr(fuzz_module, "_dispatch_divergence",
+                        _returns("tiers disagree"))
+    outcome = run_case(FuzzCase(seed=3), dispatch="compiled")
+    assert (outcome.stage, outcome.detail) == ("dispatch", "tiers disagree")
+    monkeypatch.setattr(fuzz_module, "build_case", _raise("bad asm"))
+    outcome = run_case(FuzzCase(seed=3), dispatch="compiled")
+    assert (outcome.stage, outcome.detail) == ("build", "bad asm")
+
+
+def _capture(rip=0x1000, icount=100, tids=(0,), calls=((0, 1),)):
+    """A stand-in for a pinball: what aslr_invariance compares."""
+    return SimpleNamespace(
+        threads=[SimpleNamespace(tid=tid, region_icount=icount,
+                                 regs=SimpleNamespace(rip=rip))
+                 for tid in tids],
+        syscalls=[SimpleNamespace(tid=tid, number=number)
+                  for tid, number in calls])
+
+
+_SLIDE = 0x10000
+
+#: failure -> (the slid capture, the detail)
+_ASLR_MISMATCHES = {
+    "threads": (_capture(rip=0x1000 + _SLIDE, tids=(0, 1)),
+                "captured thread sets differ"),
+    "icount": (_capture(rip=0x1000 + _SLIDE, icount=99),
+               "tid 0 region icount differs"),
+    "rip": (_capture(rip=0x1000), "tid 0 entry rip not displaced"),
+    "syscalls": (_capture(rip=0x1000 + _SLIDE, calls=((0, 2),)),
+                 "in-region syscall sequence differs"),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_ASLR_MISMATCHES))
+def test_aslr_invariance_reports_each_mismatch(failure, monkeypatch):
+    import repro.machine.loader
+    import repro.pinplay.replayer
+
+    slid, detail = _ASLR_MISMATCHES[failure]
+    captures = iter([_capture(), slid])
+    monkeypatch.setattr(fuzz_module, "_measure", _returns(1000))
+    monkeypatch.setattr(fuzz_module, "log_region",
+                        lambda *args, **kwargs: next(captures))
+    monkeypatch.setattr(repro.pinplay.replayer, "replay",
+                        _returns(SimpleNamespace(diverged=None)))
+    monkeypatch.setattr(fuzz_module, "verify_pinball",
+                        _returns(SimpleNamespace(ok=True)))
+    monkeypatch.setattr(repro.machine.loader, "aslr_slide",
+                        _returns(_SLIDE))
+    outcome = aslr_invariance(FuzzCase(seed=3), aslr_seed=1)
+    assert (outcome.ok, outcome.stage) == (False, "aslr")
+    assert detail in outcome.detail
+
+
+def test_aslr_invariance_reports_the_failing_stage(monkeypatch):
+    import repro.pinplay.replayer
+
+    case = FuzzCase(seed=3)
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz_module, "build_case", _raise("bad asm"))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert (outcome.stage, outcome.detail) == ("build", "bad asm")
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz_module, "_measure", _returns(None))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert (outcome.stage, outcome.detail) == (
+        "build", "native run did not exit gracefully")
+    totals = iter([1000, 1001])
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz_module, "_measure",
+                      lambda *args, **kwargs: next(totals))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert outcome.stage == "aslr"
+    assert "whole-run icount not slide-invariant" in outcome.detail
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz_module, "_pick_region", _returns(None))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert outcome.stage == "build"
+    assert "program too short" in outcome.detail
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz_module, "log_region", _raise("capture failed"))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert (outcome.stage, outcome.detail) == ("record", "capture failed")
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.pinplay.replayer, "replay",
+                      _returns(SimpleNamespace(diverged="replay diverged")))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert (outcome.stage, outcome.detail) == ("replay", "replay diverged")
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzz_module, "verify_pinball",
+                      _returns(_FAILED_REPORT))
+        outcome = aslr_invariance(case, aslr_seed=1)
+    assert (outcome.stage, outcome.detail) == ("replay", "forced divergence")

@@ -85,7 +85,7 @@ def test_dup2_targets_specific_descriptor(fdt):
     fd = fdt.open("/data/input.txt", O_RDONLY)
     assert fdt.dup2(fd, 7) == 7
     assert fdt.read(7, 2) == b"01"
-    assert fdt.fd_path(7) == "/data/input.txt"
+    assert fdt.entry(7).path == "/data/input.txt"
 
 
 def test_console_fds(fdt):
